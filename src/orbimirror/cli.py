@@ -54,6 +54,7 @@ from .ifunction import (
 from .linalg import LinAlgError
 from .operators import (
     OperatorError,
+    _family_union,
     box_x,
     check_unfolding_conditions,
     euler_check,
@@ -223,18 +224,17 @@ def cmd_superpotential(doc, args):
 def cmd_gkz(doc, args):
     _ext, data, _options = _pipeline(doc)
     families = operator_families(data)
-    ops = {}
-    for family, rels in families.items():
-        ops[family] = [
-            {"relation": list(l), "box_x": box_x(data, l).term_list()}
-            for l in rels
-        ]
+    box_ops = {l: box_x(data, l) for l in _family_union(families)}
+    ops = {
+        family: [{"relation": list(l), "box_x": box_ops[l].term_list()} for l in rels]
+        for family, rels in families.items()
+    }
     residuals = {
         str(list(l)): factorization_residual(data, l).is_zero()
         for l in families["l_basis"]
     }
     ring = presentation(data.ext)
-    rring = residue_algebra(data)
+    rring = residue_algebra(data, box_ops.values())
     results = {
         "euler_check": euler_check(data).term_list(),
         "operators": ops,
@@ -243,7 +243,7 @@ def cmd_gkz(doc, args):
         "residue_graded_dimensions": {k: v for k, v in rring.graded_dims().items()} if rring.finite else {},
         "cohomology_dimension": ring.dim,
         "residue_map_well_defined": residue_map_well_defined(data, ring, rring),
-        "symbol_fiber_dimension": symbol_fiber_dimension(data),
+        "symbol_fiber_dimension": symbol_fiber_dimension(data, box_ops.values()),
         "unfolding_conditions": check_unfolding_conditions(data, ring),
     }
     return results, {}, 0
@@ -356,7 +356,9 @@ def cmd_all(doc, args):
     ring = presentation(ext)
     nef = is_nef(ext)
     dim = ring.dim
-    rring = residue_algebra(data)
+    families = operator_families(data)
+    box_ops = {l: box_x(data, l) for l in _family_union(families)}
+    rring = residue_algebra(data, box_ops.values())
     rdim = rring.dim if rring.finite else None
     if nef:
         vol = normalized_volume(ext)
@@ -379,9 +381,9 @@ def cmd_all(doc, args):
                 coset_ok = False
     check("box_bijection", len(table) == len(ext.box) and coset_ok,
           {"table_size": len(table), "box_size": len(ext.box)})
-    families = operator_families(data)
     fact_ok = True
-    rels = list(families["l_basis"]) + list(families["cone"]) + list(families["primitive"])
+    family_rels = families["l_basis"] + families["cone"] + families["primitive"]
+    rels = list(family_rels)
     for _ in range(10):
         coeffs = [rng.randint(-3, 3) for _ in ext.l_basis]
         l = tuple(sum(c * b[i] for c, b in zip(coeffs, ext.l_basis))
@@ -391,7 +393,7 @@ def cmd_all(doc, args):
         if not factorization_residual(data, l).is_zero():
             fact_ok = False
     check("operator_factorization", fact_ok, {"relations_checked": len(rels)})
-    sdim = symbol_fiber_dimension(data)
+    sdim = symbol_fiber_dimension(data, box_ops.values())
     check("symbol_fiber_finite", sdim != "infinite", {"dimension": sdim})
     check("residue_map_well_defined", residue_map_well_defined(data, ring, rring))
     unf = check_unfolding_conditions(data, ring)
@@ -406,8 +408,7 @@ def cmd_all(doc, args):
         "analytic_terms": len(mm.analytic),
     })
     ann_ok = True
-    ops = [euler_check(data)] + [box_x(data, l) for l in
-                                 families["l_basis"] + families["cone"] + families["primitive"]]
+    ops = [euler_check(data)] + [box_ops[l] for l in family_rels]
     for op in ops:
         report = annihilation_check(op, tilde.truncate(order + lower), ring)
         if not report.ok:

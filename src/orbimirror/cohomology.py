@@ -71,14 +71,22 @@ def _mono_lcm(a: Mono, b: Mono) -> Mono:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+_ZERO = Fraction(0)
+
+
+def add_term(out: dict, key, c) -> None:
+    """out[key] += c in a sparse map, dropping the key when the sum is zero."""
+    nc = out.get(key, _ZERO) + c
+    if nc:
+        out[key] = nc
+    else:
+        out.pop(key, None)
+
+
 def poly_add(p: Poly, q: Poly) -> Poly:
     out = dict(p)
     for m, c in q.items():
-        nc = out.get(m, Fraction(0)) + c
-        if nc:
-            out[m] = nc
-        else:
-            out.pop(m, None)
+        add_term(out, m, c)
     return out
 
 
@@ -95,12 +103,7 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
     out: Poly = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            m = _mono_mul(m1, m2)
-            nc = out.get(m, Fraction(0)) + c1 * c2
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
+            add_term(out, _mono_mul(m1, m2), c1 * c2)
     return out
 
 

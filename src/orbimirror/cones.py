@@ -189,10 +189,6 @@ class RationalCone:
         return sorted(rays)
 
 
-def cone_contains(cone: RationalCone, x) -> bool:
-    return cone.contains(x)
-
-
 def is_face(face: RationalCone, cone: RationalCone) -> bool:
     """True iff face = cone ∩ {l = 0} for a functional l >= 0 on cone.
 

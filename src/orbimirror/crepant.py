@@ -17,6 +17,7 @@ from .fan import StackyFan, extend, gen_elements
 from .linalg import IntMatrix, hermite_row_basis
 from .picard import (
     ExtendedPicardData,
+    _coords_in_rows,
     choose_basis_p,
     extended_pl_and_pic,
     kahler_cone,
@@ -262,41 +263,6 @@ def _complete_q_basis(p_rows, r, e, kz, valid_q, bound=3, cap=300000):
             if valid_q(rows):
                 return rows
     return None
-
-
-def _primitive_in(ray, hnf_basis):
-    from .linalg import solve_general
-
-    mat = [[Fraction(row[j]) for row in hnf_basis] for j in range(len(ray))]
-    sol = solve_general(mat, ray)
-    if sol is None:
-        raise CrepantError("K_Z extremal ray is outside Pic^e(X) x Q")
-    coords, null = sol
-    if null:
-        raise CrepantError("Pic^e basis is degenerate")
-    from math import gcd
-
-    denom = 1
-    for c in coords:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in coords]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    return tuple(sum(ints[k] * hnf_basis[k][j] for k in range(len(hnf_basis)))
-                 for j in range(len(ray)))
-
-
-def _coords_in_rows(vec, rows):
-    from .linalg import solve_general
-
-    mat = [[Fraction(row[j]) for row in rows] for j in range(len(vec))]
-    sol = solve_general(mat, vec)
-    if sol is None:
-        return None
-    coords, null = sol
-    return None if null else coords
 
 
 def sequences_agree(pair: ResolutionPair) -> bool:

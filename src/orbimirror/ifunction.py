@@ -34,6 +34,20 @@ class SeriesError(ValueError):
 TermKey = tuple  # (beta: tuple[int], logk: tuple[int], q: Fraction, j: int)
 
 
+def _acc(out, key, vec):
+    """out[key] += vec for class vectors, dropping the key when the sum is zero."""
+    cur = out.get(key)
+    if cur is None:
+        if any(vec):
+            out[key] = vec
+    else:
+        s = tuple(a + b for a, b in zip(cur, vec))
+        if any(s):
+            out[key] = s
+        else:
+            del out[key]
+
+
 @dataclass(frozen=True)
 class LogSeries:
     r: int
@@ -56,15 +70,7 @@ class LogSeries:
     def add(self, other: "LogSeries") -> "LogSeries":
         out = dict(self.terms)
         for key, vec in other.terms.items():
-            cur = out.get(key)
-            if cur is None:
-                out[key] = vec
-            else:
-                s = tuple(a + b for a, b in zip(cur, vec))
-                if any(s):
-                    out[key] = s
-                else:
-                    del out[key]
+            _acc(out, key, vec)
         order = _min_order(self.order, other.order)
         return LogSeries(self.r, self.e, self.dim, out, order)
 
@@ -117,17 +123,7 @@ def series_mul(a: LogSeries, b: LogSeries, ring: GradedQuotientRing) -> LogSerie
         for (b2, k2, q2, j2), v2 in b.terms.items():
             key = (tuple(x + y for x, y in zip(b1, b2)),
                    tuple(x + y for x, y in zip(k1, k2)), q1 + q2, j1 + j2)
-            prod = ring.mul(v1, v2)
-            cur = out.get(key)
-            if cur is None:
-                if any(prod):
-                    out[key] = prod
-            else:
-                s = tuple(x + y for x, y in zip(cur, prod))
-                if any(s):
-                    out[key] = s
-                else:
-                    del out[key]
+            _acc(out, key, ring.mul(v1, v2))
     return LogSeries(a.r, a.e, a.dim, out, _min_order(a.order, b.order))
 
 
@@ -140,19 +136,6 @@ def apply_operator(op: LogDiffOp, series: LogSeries, ring: GradedQuotientRing) -
         raise SeriesError("operator and series shapes differ")
     r, e = op.r, op.e
     total: dict = {}
-
-    def put(key, vec):
-        cur = total.get(key)
-        if cur is None:
-            if any(vec):
-                total[key] = vec
-        else:
-            s = tuple(a + b for a, b in zip(cur, vec))
-            if any(s):
-                total[key] = s
-            else:
-                del total[key]
-
     for (obeta, ok, s_exp, t_exp, u_exp), coeff in op.terms.items():
         current = {k: v for k, v in series.terms.items()}
         for _ in range(u_exp):
@@ -165,21 +148,8 @@ def apply_operator(op: LogDiffOp, series: LogSeries, ring: GradedQuotientRing) -
                 current = _act_theta(current, a)
         for (beta, logk, q, j), vec in current.items():
             key = (tuple(x + y for x, y in zip(beta, obeta)), logk, q + ok, j)
-            put(key, tuple(x * coeff for x in vec))
+            _acc(total, key, tuple(x * coeff for x in vec))
     return LogSeries(series.r, series.e, series.dim, total, series.order)
-
-
-def _acc(out, key, vec):
-    cur = out.get(key)
-    if cur is None:
-        if any(vec):
-            out[key] = vec
-    else:
-        s = tuple(a + b for a, b in zip(cur, vec))
-        if any(s):
-            out[key] = s
-        else:
-            del out[key]
 
 
 def _act_theta(terms, a):
@@ -265,19 +235,7 @@ def _laurent_mul(a: dict, b: dict, ring: GradedQuotientRing) -> dict:
     out: dict = {}
     for q1, v1 in a.items():
         for q2, v2 in b.items():
-            prod = ring.mul(v1, v2)
-            if not any(prod):
-                continue
-            q = q1 + q2
-            cur = out.get(q)
-            if cur is None:
-                out[q] = prod
-            else:
-                s = tuple(x + y for x, y in zip(cur, prod))
-                if any(s):
-                    out[q] = s
-                else:
-                    del out[q]
+            _acc(out, q1 + q2, ring.mul(v1, v2))
     return out
 
 

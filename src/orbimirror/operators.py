@@ -9,6 +9,10 @@ E = z^2 d/dz. Products are computed through the commutation rules
     [E, del_b] = z del_b
 
 which pin the normal order "functions left, derivations right".
+
+The FL-GKZ operators of the lambda chart live in the same algebra with r = 0
+and e = n: lambda_i is chi(0, n, i), z d/dlambda_i is dell(0, n, i) and
+z lambda_i d/dlambda_i is theta(0, n, i).
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from fractions import Fraction
 from .cohomology import (
     GradedQuotientRing,
     Poly,
+    add_term,
     cone_lattice_groebner,
     poly_mul,
     quotient_ring,
@@ -90,11 +95,7 @@ class LogDiffOp:
     def __add__(self, other) -> "LogDiffOp":
         out = dict(self.terms)
         for k, c in other.terms.items():
-            nc = out.get(k, Fraction(0)) + c
-            if nc:
-                out[k] = nc
-            else:
-                out.pop(k, None)
+            add_term(out, k, c)
         return LogDiffOp(self.r, self.e, out)
 
     def __sub__(self, other) -> "LogDiffOp":
@@ -124,11 +125,7 @@ class LogDiffOp:
             for key2, c2 in moved.items():
                 beta2, k2, s2, t2, u2 = key2
                 nk = (tuple(x + y for x, y in zip(beta, beta2)), k + k2, s2, t2, u2)
-                nc = out.get(nk, Fraction(0)) + c * c2
-                if nc:
-                    out[nk] = nc
-                else:
-                    out.pop(nk, None)
+                add_term(out, nk, c * c2)
         return LogDiffOp(self.r, self.e, out)
 
     def __eq__(self, other) -> bool:
@@ -166,18 +163,11 @@ def _mul_theta(r, e, terms, a):
     """theta_a * (normal-ordered terms) in normal order."""
     out: dict = {}
 
-    def put(key, c):
-        nc = out.get(key, Fraction(0)) + c
-        if nc:
-            out[key] = nc
-        else:
-            out.pop(key, None)
-
     for (beta, k, s, t, u), c in terms.items():
         s2 = tuple(x + int(i == a) for i, x in enumerate(s))
-        put((beta, k, s2, t, u), c)
+        add_term(out, (beta, k, s2, t, u), c)
         if beta[a]:
-            put((beta, k + 1, s, t, u), c * beta[a])
+            add_term(out, (beta, k + 1, s, t, u), c * beta[a])
     return out
 
 
@@ -185,19 +175,12 @@ def _mul_del(r, e, terms, b):
     """del_b * (normal-ordered terms) in normal order."""
     out: dict = {}
 
-    def put(key, c):
-        nc = out.get(key, Fraction(0)) + c
-        if nc:
-            out[key] = nc
-        else:
-            out.pop(key, None)
-
     for (beta, k, s, t, u), c in terms.items():
         t2 = tuple(x + int(i == b) for i, x in enumerate(t))
-        put((beta, k, s, t2, u), c)
+        add_term(out, (beta, k, s, t2, u), c)
         if beta[r + b]:
             beta2 = tuple(x - int(i == r + b) for i, x in enumerate(beta))
-            put((beta2, k + 1, s, t, u), c * beta[r + b])
+            add_term(out, (beta2, k + 1, s, t, u), c * beta[r + b])
     return out
 
 
@@ -205,193 +188,57 @@ def _mul_e(r, e, terms):
     """E * (normal-ordered terms) in normal order."""
     out: dict = {}
 
-    def put(key, c):
-        nc = out.get(key, Fraction(0)) + c
-        if nc:
-            out[key] = nc
-        else:
-            out.pop(key, None)
-
     for (beta, k, s, t, u), c in terms.items():
-        put((beta, k, s, t, u + 1), c)
+        add_term(out, (beta, k, s, t, u + 1), c)
         shift = k + sum(s) + sum(t)
         if shift:
-            put((beta, k + 1, s, t, u), c * shift)
+            add_term(out, (beta, k + 1, s, t, u), c * shift)
     return out
 
 
-# -- lambda-side reference operators (FL-GKZ) ----------------------------------
+# -- lambda-chart FL-GKZ operators (r = 0, e = n) ------------------------------
 
 
-@dataclass(frozen=True)
-class LambdaOp:
-    """Operators in z and lambda_1..lambda_n, normal-ordered as
-    c * lambda^alpha * z^k * (z d/dlambda)^w * E^u."""
-
-    n: int
-    terms: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms",
-                           {k: Fraction(c) for k, c in self.terms.items() if c})
-
-    @staticmethod
-    def zero(n) -> "LambdaOp":
-        return LambdaOp(n, {})
-
-    @staticmethod
-    def one(n) -> "LambdaOp":
-        return LambdaOp(n, {((0,) * n, 0, (0,) * n, 0): Fraction(1)})
-
-    @staticmethod
-    def zdl(n, i) -> "LambdaOp":
-        w = tuple(int(j == i) for j in range(n))
-        return LambdaOp(n, {((0,) * n, 0, w, 0): Fraction(1)})
-
-    @staticmethod
-    def lam(n, i) -> "LambdaOp":
-        alpha = tuple(int(j == i) for j in range(n))
-        return LambdaOp(n, {(alpha, 0, (0,) * n, 0): Fraction(1)})
-
-    @staticmethod
-    def euler_z(n) -> "LambdaOp":
-        return LambdaOp(n, {((0,) * n, 0, (0,) * n, 1): Fraction(1)})
-
-    def __add__(self, other) -> "LambdaOp":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            nc = out.get(k, Fraction(0)) + c
-            if nc:
-                out[k] = nc
-            else:
-                out.pop(k, None)
-        return LambdaOp(self.n, out)
-
-    def __sub__(self, other) -> "LambdaOp":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "LambdaOp":
-        c = Fraction(c)
-        return LambdaOp(self.n, {k: v * c for k, v in self.terms.items()})
-
-    def __mul__(self, other) -> "LambdaOp":
-        out: dict = {}
-        for (alpha, k, w, u), c in self.terms.items():
-            moved = dict(other.terms)
-            for _ in range(u):
-                moved = _lam_mul_e(self.n, moved)
-            for i in range(self.n):
-                for _ in range(w[i]):
-                    moved = _lam_mul_zdl(self.n, moved, i)
-            for key2, c2 in moved.items():
-                alpha2, k2, w2, u2 = key2
-                nk = (tuple(x + y for x, y in zip(alpha, alpha2)), k + k2, w2, u2)
-                nc = out.get(nk, Fraction(0)) + c * c2
-                if nc:
-                    out[nk] = nc
-                else:
-                    out.pop(nk, None)
-        return LambdaOp(self.n, out)
-
-    def __eq__(self, other):
-        return isinstance(other, LambdaOp) and self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self.terms.items()))))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-
-def _lam_mul_zdl(n, terms, i):
-    out: dict = {}
-
-    def put(key, c):
-        nc = out.get(key, Fraction(0)) + c
-        if nc:
-            out[key] = nc
-        else:
-            out.pop(key, None)
-
-    for (alpha, k, w, u), c in terms.items():
-        w2 = tuple(x + int(j == i) for j, x in enumerate(w))
-        put((alpha, k, w2, u), c)
-        if alpha[i]:
-            alpha2 = tuple(x - int(j == i) for j, x in enumerate(alpha))
-            put((alpha2, k + 1, w, u), c * alpha[i])
-    return out
-
-
-def _lam_mul_e(n, terms):
-    out: dict = {}
-
-    def put(key, c):
-        nc = out.get(key, Fraction(0)) + c
-        if nc:
-            out[key] = nc
-        else:
-            out.pop(key, None)
-
-    for (alpha, k, w, u), c in terms.items():
-        put((alpha, k, w, u + 1), c)
-        shift = k + sum(w)
-        if shift:
-            put((alpha, k + 1, w, u), c * shift)
-    return out
-
-
-def box_hat(n, l) -> LambdaOp:
+def box_hat(n, l) -> LogDiffOp:
     """FL-GKZ box operator: prod_{l_i<0} (z dl_i)^{-l_i} - prod_{l_i>0} (z dl_i)^{l_i}."""
-    neg = LambdaOp.one(n)
-    pos = LambdaOp.one(n)
+    neg = LogDiffOp.one(0, n)
+    pos = LogDiffOp.one(0, n)
     for i, li in enumerate(l):
         if li < 0:
             for _ in range(-li):
-                neg = neg * LambdaOp.zdl(n, i)
+                neg = neg * LogDiffOp.dell(0, n, i)
         elif li > 0:
             for _ in range(li):
-                pos = pos * LambdaOp.zdl(n, i)
+                pos = pos * LogDiffOp.dell(0, n, i)
     return neg - pos
 
 
-def euler_hat(n) -> LambdaOp:
+def euler_hat(n) -> LogDiffOp:
     """E-hat = z^2 dz + sum_i z lambda_i dlambda_i."""
-    out = LambdaOp.euler_z(n)
+    out = LogDiffOp.euler_z(0, n)
     for i in range(n):
-        out = out + LambdaOp.lam(n, i) * LambdaOp.zdl(n, i)
+        out = out + LogDiffOp.theta(0, n, i)
     return out
 
 
-def euler_hat_k(n, a_row) -> LambdaOp:
+def euler_hat_k(n, a_row) -> LogDiffOp:
     """E-hat_k = sum_i a_{ki} z lambda_i dlambda_i."""
-    out = LambdaOp.zero(n)
+    out = LogDiffOp.zero(0, n)
     for i, coeff in enumerate(a_row):
         if coeff:
-            out = out + (LambdaOp.lam(n, i) * LambdaOp.zdl(n, i)).scale(coeff)
+            out = out + LogDiffOp.theta(0, n, i).scale(coeff)
     return out
 
 
 # -- pulled-back operators in the chi chart -------------------------------------
 
 
-def _theta_hat(data: ExtendedPicardData, a) -> LogDiffOp:
-    """z chi_a d/dchi_a for any a in 0..r+e-1."""
-    return LogDiffOp.theta(data.r, data.e, a)
-
-
 def script_d(data: ExtendedPicardData, i) -> LogDiffOp:
     """The operator D_i of the chart: sum_a m_{ia} z chi_a dchi_a for rays,
     z dchi_{i-m+r} for extension indices."""
-    r, e = data.r, data.e
-    ext = data.ext
-    if i < ext.m:
-        out = LogDiffOp.zero(r, e)
-        for a in range(r + e):
-            coeff = data.m_matrix[i][a]
-            if coeff:
-                out = out + _theta_hat(data, a).scale(coeff)
-        return out
-    return LogDiffOp.dell(r, e, i - ext.m)
+    if i < data.ext.m:
+        return script_d_tilde(data, i)
+    return LogDiffOp.dell(data.r, data.e, i - data.ext.m)
 
 
 def script_d_tilde(data: ExtendedPicardData, i) -> LogDiffOp:
@@ -401,7 +248,7 @@ def script_d_tilde(data: ExtendedPicardData, i) -> LogDiffOp:
     for a in range(r + e):
         coeff = data.m_matrix[i][a]
         if coeff:
-            out = out + _theta_hat(data, a).scale(coeff)
+            out = out + LogDiffOp.theta(r, e, a).scale(coeff)
     return out
 
 
@@ -493,7 +340,7 @@ def euler_check(data: ExtendedPicardData) -> LogDiffOp:
     for a in range(r + e):
         coeff = sum((data.m_matrix[i][a] for i in range(data.ext.n)), Fraction(0))
         if coeff:
-            out = out + _theta_hat(data, a).scale(coeff)
+            out = out + LogDiffOp.theta(r, e, a).scale(coeff)
     return out
 
 
@@ -533,9 +380,8 @@ def limit_poly(op: LogDiffOp) -> Poly:
     lim = degenerate_limit(op)
     out: Poly = {}
     for (beta, k, s, t, u), c in lim.terms.items():
-        mono = tuple(s) + tuple(t)
-        out[mono] = out.get(mono, Fraction(0)) + c
-    return {m: c for m, c in out.items() if c}
+        add_term(out, tuple(s) + tuple(t), c)
+    return out
 
 
 def full_symbol(op: LogDiffOp) -> dict:
@@ -558,11 +404,7 @@ def symbol_mul(r, e, sa: dict, sb: dict) -> dict:
             key = (tuple(x + y for x, y in zip(b1, b2)), k1 + k2,
                    tuple(x + y for x, y in zip(s1, s2)),
                    tuple(x + y for x, y in zip(t1, t2)), u1 + u2)
-            nc = out.get(key, Fraction(0)) + c1 * c2
-            if nc:
-                out[key] = nc
-            else:
-                out.pop(key, None)
+            add_term(out, key, c1 * c2)
     return out
 
 
@@ -572,12 +414,7 @@ def symbol_at_origin(op: LogDiffOp) -> Poly:
     for (beta, k, s, t, u), c in full_symbol(op).items():
         if any(beta) or k or u:
             continue
-        mono = tuple(s) + tuple(t)
-        nc = out.get(mono, Fraction(0)) + c
-        if nc:
-            out[mono] = nc
-        else:
-            out.pop(mono, None)
+        add_term(out, tuple(s) + tuple(t), c)
     return out
 
 
@@ -619,20 +456,9 @@ def operator_families(data: ExtendedPicardData) -> dict:
     return {"l_basis": basis, "cone": cone_rels, "primitive": prims}
 
 
-def _family_union(families: dict, drop_family: str | None):
-    """Deduplicated relation vectors; dropping a family removes its vectors
-    from the union wherever they occur (a real sensitivity experiment)."""
-    dropped = set(families.get(drop_family, ())) if drop_family else set()
-    out = []
-    seen = set()
-    for fam, rels in families.items():
-        if fam == drop_family:
-            continue
-        for v in rels:
-            if v not in seen and v not in dropped:
-                seen.add(v)
-                out.append(v)
-    return out
+def _family_union(families: dict):
+    """The families' relation vectors, deduplicated in first-occurrence order."""
+    return list(dict.fromkeys(v for rels in families.values() for v in rels))
 
 
 def _limit_variable_names_degrees(data: ExtendedPicardData):
@@ -645,19 +471,14 @@ def _limit_variable_names_degrees(data: ExtendedPicardData):
     return names, degrees
 
 
-def residue_algebra(data: ExtendedPicardData, drop_family: str | None = None) -> GradedQuotientRing:
+def residue_algebra(data: ExtendedPicardData, box_ops) -> GradedQuotientRing:
     """Commutative algebra cut out by the z = chi = 0 limits of the box operators.
 
-    Presented on the r+e limit generators (theta_a for a <= r, del_k); the
-    classes bold-D_i are polynomials in these. `drop_family` removes one
-    relation family for sensitivity experiments.
+    `box_ops` are the box_x operators of the relation families, in
+    `_family_union` order. Presented on the r+e limit generators (theta_a for
+    a <= r, del_k); the classes bold-D_i are polynomials in these.
     """
-    families = operator_families(data)
-    polys = []
-    for l in _family_union(families, drop_family):
-        p = limit_poly(box_x(data, l))
-        if p:
-            polys.append(p)
+    polys = [p for p in map(limit_poly, box_ops) if p]
     names, degrees = _limit_variable_names_degrees(data)
     return quotient_ring(names, degrees, {"box_limits": polys})
 
@@ -689,25 +510,20 @@ def residue_map_well_defined(data: ExtendedPicardData, hring: GradedQuotientRing
                     for _ in range(power):
                         term = poly_mul(term, subs[i])
                 for m2, c2 in term.items():
-                    image[m2] = image.get(m2, Fraction(0)) + c2
-            image = {m: c for m, c in image.items() if c}
+                    add_term(image, m2, c2)
             if any(rring.nf(image).values()):
                 return False
     return True
 
 
-def symbol_fiber_dimension(data: ExtendedPicardData, drop_family: str | None = None):
+def symbol_fiber_dimension(data: ExtendedPicardData, box_ops):
     """Dimension of Q[xi]/(symbols of the box operators at z = chi = 0).
 
-    Returns an int, or the string "infinite". Includes the Euler symbol
-    relations (which vanish identically in these generators).
+    `box_ops` are as for `residue_algebra`. Returns an int, or the string
+    "infinite". Includes the Euler symbol relations (which vanish identically
+    in these generators).
     """
-    families = operator_families(data)
-    polys = []
-    for l in _family_union(families, drop_family):
-        p = symbol_at_origin(box_x(data, l))
-        if p:
-            polys.append(p)
+    polys = [p for p in map(symbol_at_origin, box_ops) if p]
     gens = {"box_symbols": polys}
     euler_polys = []
     for k in range(data.ext.d):
@@ -716,8 +532,7 @@ def symbol_fiber_dimension(data: ExtendedPicardData, drop_family: str | None = N
             coeff = data.ext.fan.rays[i][k]
             if coeff:
                 for mono, c in bold_d_poly(data, i).items():
-                    poly[mono] = poly.get(mono, Fraction(0)) + coeff * c
-        poly = {m: c for m, c in poly.items() if c}
+                    add_term(poly, mono, coeff * c)
         if poly:
             euler_polys.append(poly)
     gens["euler"] = euler_polys

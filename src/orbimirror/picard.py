@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 
+from .cohomology import is_nef
 from .cones import RationalCone, lp_feasible
 from .fan import ExtendedStackyFan, FanError, StackyFan
 from .linalg import (
@@ -230,16 +231,11 @@ def extended_kahler_contains(data: ExtendedPicardData, cone: RationalCone, x) ->
     return lp_feasible(nvars, eqs=eqs, ineqs=ineqs) is not None
 
 
-def is_nef(data: ExtendedPicardData) -> bool:
-    """rho-bar in Kbar: the anticanonical degree of every wall curve is >= 0."""
-    return all(sum(w[: data.ext.m]) >= 0 for w in _padded_walls(data.ext))
-
-
 def rho_membership(data: ExtendedPicardData) -> tuple[bool, bool]:
     """(LP verdict, degree-criterion verdict) for rho in K^e; they must agree."""
     cone = kahler_cone(data)
     by_lp = extended_kahler_contains(data, cone, data.rho)
-    by_degree = is_nef(data) and all(
+    by_degree = is_nef(data.ext) and all(
         data.ext.degree(data.ext.m + k) <= 1 for k in range(data.ext.e)
     )
     return by_lp, by_degree
@@ -279,7 +275,7 @@ def choose_basis_p(data: ExtendedPicardData, override=None) -> ExtendedPicardDat
             return False
         if not _is_basis_of(rows + forced, data.pic_basis):
             return False
-        coords = _coords_in_basis(data.rho, rows + forced)
+        coords = _coords_in_rows(data.rho, rows + forced)
         return coords is not None and all(c >= 0 for c in coords)
 
     chosen = None
@@ -340,12 +336,14 @@ def choose_basis_p(data: ExtendedPicardData, override=None) -> ExtendedPicardDat
     )
 
 
-def _coords_in_basis(vec, rows):
+def _coords_in_rows(vec, rows):
+    """Coordinates of vec in the given rows, or None unless they are unique."""
     mat = [[Fraction(row[j]) for row in rows] for j in range(len(vec))]
-    try:
-        return solve_unique(mat, vec)
-    except Exception:
+    sol = solve_general(mat, vec)
+    if sol is None:
         return None
+    coords, null = sol
+    return None if null else coords
 
 
 def _primitive_in_lattice(ray, hnf_basis):

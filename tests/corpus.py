@@ -2,6 +2,7 @@
 
 from orbimirror.cohomology import presentation
 from orbimirror.fan import StackyFan, extend
+from orbimirror.operators import _family_union, box_x, operator_families
 from orbimirror.picard import choose_basis_p, extended_pl_and_pic, mori_lattices
 
 P1 = dict(rank=1, rays=[(1,), (-1,)], cones=[(0,), (1,)])
@@ -38,3 +39,14 @@ def pipeline(name):
         mori = mori_lattices(data)
         _cache[name] = (ext, data, ring, mori)
     return _cache[name]
+
+
+def box_operators(data, drop=None):
+    """box_x of each relation in the union of the operator families, in union
+    order; `drop` names a family whose relations leave the union wherever
+    they occur (the sensitivity experiment)."""
+    families = operator_families(data)
+    union = _family_union(families)
+    if drop is not None:
+        union = [v for v in union if v not in families[drop]]
+    return [box_x(data, l) for l in union]

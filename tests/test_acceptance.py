@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from corpus import CORPUS, F3, P113, ext_of, fan_of, pipeline
+from corpus import CORPUS, F3, P113, box_operators, ext_of, fan_of, pipeline
 from orbimirror.cli import main as cli_main
 from orbimirror.cohomology import normalized_volume
 from orbimirror.crepant import (
@@ -52,7 +52,7 @@ def test_criterion_1_rank_identity():
     for name in ("P1", "P2", "P112", "P1113", "F2"):
         ext, data, ring, _ = pipeline(name)
         vol = normalized_volume(ext)
-        rring = residue_algebra(data)
+        rring = residue_algebra(data, box_operators(data))
         rdim = rring.dim if rring.finite else None
         detail.append(f"{name}: dim={ring.dim} vol={vol} residue={rdim}")
         ok = ok and ring.dim == vol == rdim
@@ -122,10 +122,10 @@ def test_criterion_5_symbol_fiber_finiteness():
     detail = []
     for name in ("P1", "P2", "P112", "P1113", "F2"):
         _, data, _, _ = pipeline(name)
-        dim = symbol_fiber_dimension(data)
+        dim = symbol_fiber_dimension(data, box_operators(data))
         if dim == "infinite":
             ok = False
-        grown = [symbol_fiber_dimension(data, drop_family=f)
+        grown = [symbol_fiber_dimension(data, box_operators(data, drop=f))
                  for f in ("l_basis", "cone", "primitive")]
         sensitive = any(g == "infinite" or g > dim for g in grown)
         ok = ok and sensitive

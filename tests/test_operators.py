@@ -1,9 +1,8 @@
 import random
 from fractions import Fraction
 
-from corpus import CORPUS, pipeline
+from corpus import CORPUS, box_operators, pipeline
 from orbimirror.operators import (
-    LambdaOp,
     LogDiffOp,
     bold_d_poly,
     box_hat,
@@ -35,18 +34,19 @@ from orbimirror.operators import (
 
 
 def test_commutation_rules():
-    r, e = 1, 1
-    th = LogDiffOp.theta(r, e, 0)
-    chi = LogDiffOp.chi(r, e, 0)
-    z = LogDiffOp.z(r, e)
-    assert th * chi - chi * th == z * chi
-    dl = LogDiffOp.dell(r, e, 0)
-    chi2 = LogDiffOp.chi(r, e, 1)
-    assert dl * chi2 - chi2 * dl == z
-    E = LogDiffOp.euler_z(r, e)
-    assert E * z - z * E == z * z
-    assert E * th - th * E == z * th
-    assert E * dl - dl * E == z * dl
+    # (0, 2) is the lambda chart: theta is z lambda_1 dlambda_1 there
+    for r, e in ((1, 1), (0, 2)):
+        th = LogDiffOp.theta(r, e, 0)
+        chi = LogDiffOp.chi(r, e, 0)
+        z = LogDiffOp.z(r, e)
+        assert th * chi - chi * th == z * chi
+        dl = LogDiffOp.dell(r, e, 0)
+        chi2 = LogDiffOp.chi(r, e, r)
+        assert dl * chi2 - chi2 * dl == z
+        E = LogDiffOp.euler_z(r, e)
+        assert E * z - z * E == z * z
+        assert E * th - th * E == z * th
+        assert E * dl - dl * E == z * dl
 
 
 def _random_op(rng, r, e):
@@ -60,10 +60,11 @@ def _random_op(rng, r, e):
 
 
 def test_product_associative_50_triples():
-    rng = random.Random(11)
-    for _ in range(50):
-        a, b, c = (_random_op(rng, 1, 1) for _ in range(3))
-        assert (a * b) * c == a * (b * c)
+    for r, e in ((1, 1), (0, 2)):
+        rng = random.Random(11)
+        for _ in range(50):
+            a, b, c = (_random_op(rng, r, e) for _ in range(3))
+            assert (a * b) * c == a * (b * c)
 
 
 def test_symbol_multiplicative():
@@ -78,12 +79,21 @@ def test_symbol_multiplicative():
         assert full_symbol(prod) == symbol_mul(1, 1, full_symbol(a), full_symbol(b))
 
 
-# -- lambda-side reference operators ----------------------------------------------
+# -- lambda-chart FL-GKZ operators: LogDiffOp(0, n) ------------------------------
+
+
+def _zdl(n, i):
+    return LogDiffOp.dell(0, n, i)
+
+
+def _lam(n, i):
+    return LogDiffOp.chi(0, n, i)
 
 
 def test_box_hat_p1():
     op = box_hat(2, (1, 1))
-    expected = LambdaOp.one(2) - LambdaOp.zdl(2, 0) * LambdaOp.zdl(2, 1)
+    expected = LogDiffOp.one(0, 2) - _zdl(2, 0) * _zdl(2, 1)
+    assert (op.r, op.e) == (0, 2)
     assert op == expected
 
 
@@ -91,13 +101,17 @@ def test_box_hat_zero_and_sign():
     assert box_hat(3, (0, 0, 0)).is_zero()
     l = (2, -1, -1)
     assert box_hat(3, l) == box_hat(3, tuple(-x for x in l)).scale(-1)
+    assert box_hat(3, l) == _zdl(3, 1) * _zdl(3, 2) - _zdl(3, 0) * _zdl(3, 0)
 
 
 def test_euler_hats_build():
     e = euler_hat(2)
-    assert not e.is_zero()
+    expected = LogDiffOp.euler_z(0, 2)
+    for i in range(2):
+        expected = expected + _lam(2, i) * _zdl(2, i)
+    assert e == expected
     ek = euler_hat_k(2, (1, -1))
-    assert not ek.is_zero()
+    assert ek == _lam(2, 0) * _zdl(2, 0) - _lam(2, 1) * _zdl(2, 1)
     assert euler_hat_k(2, (0, 0)).is_zero()
 
 
@@ -182,7 +196,7 @@ def test_primitive_relation_limits_are_monomial():
 def test_residue_algebra_dimensions():
     for name, expected in {"P1": 2, "P2": 3, "P112": 4, "F2": 4, "P1113": 6}.items():
         _, data, ring, _ = pipeline(name)
-        rring = residue_algebra(data)
+        rring = residue_algebra(data, box_operators(data))
         assert rring.finite and rring.dim == expected
         assert rring.graded_dims() == ring.graded_dims()
 
@@ -190,7 +204,7 @@ def test_residue_algebra_dimensions():
 def test_residue_map_well_defined_corpus():
     for name in CORPUS:
         _, data, ring, _ = pipeline(name)
-        assert residue_map_well_defined(data, ring, residue_algebra(data))
+        assert residue_map_well_defined(data, ring, residue_algebra(data, box_operators(data)))
 
 
 def test_euler_relations_vanish_in_limit_generators():
@@ -209,11 +223,11 @@ def test_euler_relations_vanish_in_limit_generators():
 def test_symbol_fiber_finite_and_sensitive():
     for name in CORPUS:
         _, data, ring, _ = pipeline(name)
-        dim = symbol_fiber_dimension(data)
+        dim = symbol_fiber_dimension(data, box_operators(data))
         assert dim != "infinite"
         assert dim <= ring.dim  # contains at least the Euler+box relations
         grown = [
-            symbol_fiber_dimension(data, drop_family=f)
+            symbol_fiber_dimension(data, box_operators(data, drop=f))
             for f in ("l_basis", "cone", "primitive")
         ]
         assert any(g == "infinite" or g > dim for g in grown), (name, dim, grown)
@@ -254,16 +268,16 @@ def test_lambda_falling_factorial_identity():
     # prod_{nu=0}^{k-1} (z lambda d_lambda - nu z) == lambda^k (z d_lambda)^k
     for k in range(1, 5):
         n = 2
-        theta = LambdaOp.lam(n, 0) * LambdaOp.zdl(n, 0)
-        lhs = LambdaOp.one(n)
+        theta = _lam(n, 0) * _zdl(n, 0)
+        assert theta == LogDiffOp.theta(0, n, 0)
+        lhs = LogDiffOp.one(0, n)
         for nu in range(k):
-            z_nu = LambdaOp(n, {((0, 0), 1, (0, 0), 0): -nu})
-            lhs = lhs * (theta + z_nu)
-        rhs = LambdaOp.one(n)
+            lhs = lhs * (theta - LogDiffOp.z(0, n).scale(nu))
+        rhs = LogDiffOp.one(0, n)
         for _ in range(k):
-            rhs = LambdaOp.lam(n, 0) * rhs
+            rhs = _lam(n, 0) * rhs
         for _ in range(k):
-            rhs = rhs * LambdaOp.zdl(n, 0)
+            rhs = rhs * _zdl(n, 0)
         assert lhs == rhs
 
 
