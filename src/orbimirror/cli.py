@@ -33,7 +33,7 @@ from .crepant import (
     is_crepant,
     sequences_agree,
 )
-from .fan import FanError, box_elements, gen_elements
+from .fan import FanError, gen_elements
 from .fandoc import (
     DocumentError,
     dump_report,
@@ -69,7 +69,6 @@ from .picard import (
     box_coset_map,
     choose_basis_p,
     extended_pl_and_pic,
-    kahler_cone,
     mori_lattices,
     rho_membership,
 )
@@ -112,7 +111,7 @@ def cmd_validate(doc, args):
 
 def cmd_box(doc, args):
     ext = parse_fan(doc)
-    gens = {b.vector for b in gen_elements(ext.fan)}
+    gens = {b.vector for b in gen_elements(ext.fan, ext.box)}
     results = {
         "box_elements": [
             {
@@ -122,7 +121,7 @@ def cmd_box(doc, args):
                 "age": b.age,
                 "in_gen": b.vector in gens,
             }
-            for b in box_elements(ext.fan)
+            for b in ext.box
         ],
         "gen": [list(v) for v in sorted(gens)],
         "extension": [list(b.vector) for b in ext.extra],
@@ -133,6 +132,7 @@ def cmd_box(doc, args):
 def cmd_cohomology(doc, args):
     ext = parse_fan(doc)
     ring = presentation(ext)
+    nef = is_nef(ext)
     results = {
         "variables": list(ring.var_names),
         "degrees": list(ring.degrees),
@@ -143,8 +143,8 @@ def cmd_cohomology(doc, args):
             family: [_poly_terms(p) for p in polys]
             for family, polys in ring.generators.items()
         },
-        "normalized_volume": normalized_volume(ext) if is_nef(ext) else None,
-        "nef": is_nef(ext),
+        "normalized_volume": normalized_volume(ext) if nef else None,
+        "nef": nef,
     }
     certificates = {}
     if args.emit_certificates:
@@ -161,39 +161,28 @@ def cmd_picard(doc, args):
     _fan, options = parse_fan_document(doc)
     data0 = extended_pl_and_pic(ext)
     lp_ok, deg_ok = rho_membership(data0)
-    if not lp_ok:
-        cone = kahler_cone(data0)
-        results = {
-            "r": data0.r,
-            "e": data0.e,
-            "l_basis": [list(v) for v in ext.l_basis],
-            "pic_basis": [list(v) for v in data0.pic_basis],
-            "rho": list(data0.rho),
-            "rho_in_extended_kahler": {"lp": lp_ok, "degree_criterion": deg_ok},
-            "kahler_inequalities": [list(w) for w in cone.inequalities],
-            "kahler_equalities": [list(w) for w in cone.equalities],
-            "kahler_extremal_rays": [list(v) for v in cone.extremal_rays()],
-            "p_basis": None,
-        }
-        return results, {}, 0
-    data = choose_basis_p(data0, override=options.get("p_basis"))
-    mori = mori_lattices(data)
-    table = box_coset_map(mori)
-    cone = data.kahler
+    cone = data0.kahler
     results = {
-        "r": data.r,
-        "e": data.e,
+        "r": data0.r,
+        "e": data0.e,
         "l_basis": [list(v) for v in ext.l_basis],
-        "pic_basis": [list(v) for v in data.pic_basis],
-        "p_basis": [list(v) for v in data.p_basis],
-        "q_basis": [list(v) for v in data.q_basis],
-        "m_matrix": [list(row) for row in data.m_matrix],
-        "n_matrix": [list(col) for col in data.n_matrix],
-        "rho": list(data.rho),
+        "pic_basis": [list(v) for v in data0.pic_basis],
+        "rho": list(data0.rho),
         "rho_in_extended_kahler": {"lp": lp_ok, "degree_criterion": deg_ok},
         "kahler_inequalities": [list(w) for w in cone.inequalities],
         "kahler_equalities": [list(w) for w in cone.equalities],
         "kahler_extremal_rays": [list(v) for v in cone.extremal_rays()],
+    }
+    if not lp_ok:
+        return dict(results, p_basis=None), {}, 0
+    data = choose_basis_p(data0, override=options.get("p_basis"))
+    mori = mori_lattices(data)
+    table = box_coset_map(mori)
+    results.update({
+        "p_basis": [list(v) for v in data.p_basis],
+        "q_basis": [list(v) for v in data.q_basis],
+        "m_matrix": [list(row) for row in data.m_matrix],
+        "n_matrix": [list(col) for col in data.n_matrix],
         "box_coset_table": [
             {
                 "box_element": list(t["box_element"]),
@@ -203,7 +192,7 @@ def cmd_picard(doc, args):
             }
             for t in table
         ],
-    }
+    })
     return results, {}, 0
 
 

@@ -20,7 +20,6 @@ from .picard import (
     _coords_in_rows,
     choose_basis_p,
     extended_pl_and_pic,
-    kahler_cone,
 )
 
 
@@ -118,7 +117,7 @@ def _z_picard(pair: ResolutionPair) -> ExtendedPicardData:
 def exceptional_not_in_kahler(pair: ResolutionPair) -> tuple[bool, list[bool]]:
     """[D_i] for each new ray must lie outside the Kaehler cone of Z."""
     data_z = _z_picard(pair)
-    kz = kahler_cone(data_z)
+    kz = data_z.kahler
     verdicts = []
     for i in range(pair.stacky.n_rays, pair.resolution.n_rays):
         verdicts.append(not kz.contains(data_z.d_classes[i]))
@@ -166,15 +165,14 @@ def build_global_fan(pair: ResolutionPair, data_x: ExtendedPicardData | None = N
     data_z = _z_picard(pair)
     if data_z.ext.l_basis != data_x.ext.l_basis:
         raise CrepantError("X and Z do not share the relation lattice basis")
-    kz = kahler_cone(data_z)
+    kz = data_z.kahler
     r, e = data_x.r, data_x.e
     rank = r + e
     p_rows = [tuple(int(x) for x in row) for row in data_x.p_basis]
     for a in range(r):
         if not kz.contains(p_rows[a]):
             raise CrepantError(f"p_{a + 1} does not lie in K_Z (K_X not a face of K_Z?)")
-    kx = kahler_cone(data_x)
-    kx_v = RationalCone.from_generators(rank, kx.extremal_rays())
+    kx_v = RationalCone.from_generators(rank, data_x.kahler.extremal_rays())
     kz_v = RationalCone.from_generators(rank, kz.extremal_rays())
     if not is_face(kx_v, kz_v):
         raise CrepantError("K_X is not a face of K_Z")

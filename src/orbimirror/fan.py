@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import gcd
 
@@ -213,9 +214,10 @@ def box_elements(fan: StackyFan) -> list[BoxElement]:
     return [found[v] for v in sorted(found)]
 
 
-def gen_elements(fan: StackyFan) -> list[BoxElement]:
-    """Gen(Sigma): box elements irreducible in the semigroup of their minimal cone."""
-    box = box_elements(fan)
+def gen_elements(fan: StackyFan, box=None) -> list[BoxElement]:
+    """Gen(Sigma): box elements irreducible in the semigroup of their minimal
+    cone. `box` is Box(Sigma) when the caller already has it."""
+    box = box_elements(fan) if box is None else box
     nonzero = [b for b in box if not b.is_zero]
     gens = []
     for b in nonzero:
@@ -274,20 +276,26 @@ class ExtendedStackyFan:
     def n(self) -> int:
         return self.m + self.e
 
-    @property
+    @cached_property
     def generators(self) -> tuple[tuple[int, ...], ...]:
         """a_1..a_n: the rays followed by the extension vectors."""
         return self.fan.rays + tuple(b.vector for b in self.extra)
 
-    @property
+    @cached_property
     def a_matrix(self) -> IntMatrix:
         """d x n matrix of the total map a: Z^n -> N."""
         gens = self.generators
         return IntMatrix([[g[k] for g in gens] for k in range(self.d)])
 
+    @cached_property
+    def _kernel(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(kernel_basis(self.a_matrix))
+
     @property
     def l_basis(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(kernel_basis(self.a_matrix))
+        """Basis of L = ker(a), computed once per instance (a plain property
+        over a cached one, so that perfbench/spans.py can wrap it)."""
+        return self._kernel
 
     @property
     def l_rank(self) -> int:
@@ -321,7 +329,7 @@ def extend(fan: StackyFan, extra_vectors=None) -> ExtendedStackyFan:
     """
     fan.ensure_valid()
     box = tuple(box_elements(fan))
-    gens = gen_elements(fan)
+    gens = gen_elements(fan, box)
     if extra_vectors is None:
         chosen = gens
     else:

@@ -28,9 +28,9 @@ from .cohomology import (
     poly_mul,
     quotient_ring,
 )
-from .fan import ExtendedStackyFan, generalized_primitive_collections
+from .fan import generalized_primitive_collections
 from .linalg import solve_general
-from .picard import ExtendedPicardData, PicardError, _nonneg_decompositions, distinguished_relations
+from .picard import ExtendedPicardData, PicardError, distinguished_relations, min_decomposition
 
 
 class OperatorError(ValueError):
@@ -423,21 +423,10 @@ def primitive_relation(data: ExtendedPicardData, collection) -> tuple[int, ...]:
     lexicographically smallest N-decomposition of sum_{i in I} a_i on sigma_I."""
     ext = data.ext
     total = tuple(sum(ext.generators[i][k] for i in collection) for k in range(ext.d))
-    sigma = ext.fan.minimal_cone(total)
-    ambient = next(c for c in ext.fan.max_cones if set(sigma) <= set(c))
-    decomps = _nonneg_decompositions(ext, total, ambient)
-    valid = [dec for dec in decomps
-             if all(dec[i] == 0 or _in_sigma(ext, i, sigma) for i in range(ext.n))]
-    if not valid:
+    dec = min_decomposition(ext, total)
+    if dec is None:
         raise OperatorError(f"no N-decomposition of {list(total)} on its minimal cone")
-    dec = sorted(valid)[0]
     return tuple(int(i in collection) - dec[i] for i in range(ext.n))
-
-
-def _in_sigma(ext: ExtendedStackyFan, i, sigma) -> bool:
-    if i < ext.m:
-        return i in sigma
-    return set(ext.extra[i - ext.m].min_cone) <= set(sigma)
 
 
 def operator_families(data: ExtendedPicardData) -> dict:
@@ -578,21 +567,14 @@ def rho_bar_class(data: ExtendedPicardData, ring: GradedQuotientRing):
 
 
 def sector_class(data: ExtendedPicardData, ring: GradedQuotientRing, v):
-    """1_{v}: the box element's class as a monomial in the D_i."""
-    ext = data.ext
-    v = tuple(int(x) for x in v)
-    if not any(v):
-        return ring.one()
-    box = {b.vector: b for b in ext.box}
-    if v not in box:
+    """1_{v}: the box element's class as the monomial of its smallest
+    N-decomposition in the D_i (the unit class for v = 0)."""
+    if all(b.vector != v for b in data.ext.box):
         raise OperatorError(f"{list(v)} is not a box element")
-    b = box[v]
-    ambient = next(c for c in ext.fan.max_cones if set(b.min_cone) <= set(c))
-    decomps = _nonneg_decompositions(ext, v, ambient)
-    if not decomps:
+    mono = min_decomposition(data.ext, v)
+    if mono is None:
         raise OperatorError(f"box element {list(v)} has no N-decomposition")
-    mono = decomps[0]
-    return ring.class_of({tuple(mono): Fraction(1)})
+    return ring.class_of({mono: Fraction(1)})
 
 
 def generator_classes(data: ExtendedPicardData, ring: GradedQuotientRing):

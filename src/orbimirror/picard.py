@@ -4,11 +4,16 @@ Coordinates: elements of L* are stored as pairing vectors against the chosen
 HNF basis of L (so [D_i] has coordinates (l^(1)_i, ..., l^(k)_i)). Elements of
 NE^e and K are stored by their p-basis pairings once the basis is chosen, and
 by L-basis coordinates before that.
+
+`min_decomposition` is the one N-decomposition search. Its bound is exact: a
+branch ends when a remainder coordinate in the minimal cone's ray basis goes
+negative. The Box coset table here, and the sector classes and primitive
+relations in `operators`, all rest on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -149,7 +154,8 @@ def _l_coords(ext: ExtendedStackyFan, vec_qn) -> tuple[Fraction, ...]:
 
 
 def extended_pl_and_pic(ext: ExtendedStackyFan) -> ExtendedPicardData:
-    """Lattice layer: Theta(PL), PL(Sigma^e), theta(Pic) and Pic^e bases."""
+    """Lattice layer: Theta(PL), PL(Sigma^e), theta(Pic) and Pic^e bases, and
+    the Kaehler cone K."""
     pl = pl_lattice(ext)
     theta_img = [_pairing_with_l_basis(ext, x) for x in pl]
     theta_int = [tuple(int(v) for v in row) for row in theta_img]
@@ -169,7 +175,7 @@ def extended_pl_and_pic(ext: ExtendedStackyFan) -> ExtendedPicardData:
     rho = tuple(sum((c[j] for c in d_classes), Fraction(0)) for j in range(ext.l_rank))
     walls = tuple(_l_coords(ext, w) for w in _padded_walls(ext))
     dist = tuple(_l_coords(ext, rel) for rel in distinguished_relations(ext))
-    return ExtendedPicardData(
+    data = ExtendedPicardData(
         ext=ext,
         pl_basis=tuple(pl),
         pic_theta_basis=tuple(pic_theta),
@@ -180,6 +186,7 @@ def extended_pl_and_pic(ext: ExtendedStackyFan) -> ExtendedPicardData:
         wall_classes=walls,
         distinguished_classes=dist,
     )
+    return replace(data, kahler=kahler_cone(data))
 
 
 def _padded_walls(ext: ExtendedStackyFan):
@@ -206,7 +213,7 @@ def kahler_cone(data: ExtendedPicardData) -> RationalCone:
     return cone
 
 
-def extended_kahler_contains(data: ExtendedPicardData, cone: RationalCone, x) -> bool:
+def extended_kahler_contains(data: ExtendedPicardData, x) -> bool:
     """Exact LP membership of x in K^e = K + sum_k Q>=0 [D_{m+k}]."""
     dim = data.ext.l_rank
     e = data.ext.e
@@ -219,13 +226,13 @@ def extended_kahler_contains(data: ExtendedPicardData, cone: RationalCone, x) ->
             coeff[dim + k] = Fraction(data.d_classes[data.ext.m + k][j])
         eqs.append((coeff, Fraction(x[j])))
     ineqs = []
-    for w in cone.inequalities or ():
+    for w in data.kahler.inequalities or ():
         ineqs.append((list(w) + [Fraction(0)] * e, 0))
     for t in range(e):
         coeff = [Fraction(0)] * nvars
         coeff[dim + t] = Fraction(1)
         ineqs.append((coeff, 0))
-    for eq in cone.equalities or ():
+    for eq in data.kahler.equalities or ():
         ineqs.append((list(eq) + [Fraction(0)] * e, 0))
         ineqs.append(([-v for v in eq] + [Fraction(0)] * e, 0))
     return lp_feasible(nvars, eqs=eqs, ineqs=ineqs) is not None
@@ -233,8 +240,7 @@ def extended_kahler_contains(data: ExtendedPicardData, cone: RationalCone, x) ->
 
 def rho_membership(data: ExtendedPicardData) -> tuple[bool, bool]:
     """(LP verdict, degree-criterion verdict) for rho in K^e; they must agree."""
-    cone = kahler_cone(data)
-    by_lp = extended_kahler_contains(data, cone, data.rho)
+    by_lp = extended_kahler_contains(data, data.rho)
     by_degree = is_nef(data.ext) and all(
         data.ext.degree(data.ext.m + k) <= 1 for k in range(data.ext.e)
     )
@@ -265,7 +271,7 @@ def choose_basis_p(data: ExtendedPicardData, override=None) -> ExtendedPicardDat
     validated the same way.
     """
     ext = data.ext
-    cone = kahler_cone(data)
+    cone = data.kahler
     e, r = ext.e, data.r
     forced = [tuple(int(x) for x in data.d_classes[ext.m + k]) for k in range(e)]
 
@@ -317,17 +323,8 @@ def choose_basis_p(data: ExtendedPicardData, override=None) -> ExtendedPicardDat
         if m_matrix[ext.m + k] != expected:
             raise PicardError("M matrix violates m_{m+i,a} = delta_{r+i,a}")
     n_matrix, superpotential = _superpotential(data, p_rows)
-    return ExtendedPicardData(
-        ext=ext,
-        pl_basis=data.pl_basis,
-        pic_theta_basis=data.pic_theta_basis,
-        pic_basis=data.pic_basis,
-        r=r,
-        d_classes=data.d_classes,
-        rho=data.rho,
-        wall_classes=data.wall_classes,
-        distinguished_classes=data.distinguished_classes,
-        kahler=cone,
+    return replace(
+        data,
         p_basis=tuple(tuple(row) for row in p_rows),
         q_basis=q_basis,
         m_matrix=m_matrix,
@@ -453,37 +450,40 @@ def mori_lattices(data: ExtendedPicardData) -> MoriData:
     return MoriData(picard=data, anticones_e=tuple(sorted(set(ac_e))))
 
 
-def _nonneg_decompositions(ext: ExtendedStackyFan, vector, cone):
-    """All ways to write `vector` as an N-combination of the generators in `cone`."""
-    support = ext.generators_in_cone(cone)
-    gens = [ext.generators[i] for i in support]
-    sols = []
+def min_decomposition(ext: ExtendedStackyFan, vector):
+    """Lexicographically smallest N-decomposition of `vector` over the
+    generators of its minimal cone sigma, as a length-n coefficient vector,
+    or None when there is none.
 
-    def rec(idx, remainder, acc):
-        if idx == len(gens):
-            if not any(remainder):
-                sols.append(tuple(acc))
-            return
-        g = gens[idx]
-        bound = 0
-        # crude bound: coefficients cannot exceed total degree over this gen's degree
-        deg_g = ext.degree(support[idx])
-        total = sum(abs(x) for x in remainder)
-        cap = total if deg_g <= 0 else int(Fraction(total) / min(deg_g, Fraction(1))) + 1
-        c = 0
-        while c <= cap:
-            rem2 = tuple(x - c * y for x, y in zip(remainder, g)) if c else tuple(remainder)
-            rec(idx + 1, rem2, acc + [c])
-            c += 1
+    The search runs in sigma's ray coordinates, where every generator of sigma
+    has nonnegative coordinates: a branch ends as soon as a remainder
+    coordinate goes negative, so that bound is exact. Coefficients are tried
+    in increasing order, generator by generator, so the first complete
+    decomposition found is the lexicographically smallest.
+    """
+    sigma, target = ext.fan.fractional_coordinates(vector)
+    support = ext.generators_in_cone(sigma)
+    columns = [ext.fan.cone_coordinates(sigma, ext.generators[i]) for i in support]
 
-    rec(0, tuple(vector), [])
-    out = []
-    for sol in sorted(sols):
-        full = [0] * ext.n
-        for idx, c in zip(support, sol):
-            full[idx] = c
-        out.append(tuple(full))
-    return out
+    def search(idx, remainder):
+        if idx == len(columns):
+            return () if not any(remainder) else None
+        coeff = 0
+        while all(x >= 0 for x in remainder):
+            rest = search(idx + 1, remainder)
+            if rest is not None:
+                return (coeff,) + rest
+            remainder = tuple(x - y for x, y in zip(remainder, columns[idx]))
+            coeff += 1
+        return None
+
+    coeffs = search(0, target)
+    if coeffs is None:
+        return None
+    full = [0] * ext.n
+    for i, c in zip(support, coeffs):
+        full[i] = c
+    return tuple(full)
 
 
 def box_coset_map(mori: MoriData) -> list[dict]:
@@ -493,18 +493,13 @@ def box_coset_map(mori: MoriData) -> list[dict]:
     table = []
     seen_vectors = set()
     for b in ext.box:
-        if b.is_zero:
-            d_coords = tuple(Fraction(0) for _ in range(ext.l_rank))
-        else:
-            ambient = next(c for c in ext.fan.max_cones if set(b.min_cone) <= set(c))
-            decomps = _nonneg_decompositions(ext, b.vector, ambient)
-            if not decomps:
-                raise PicardError(f"box element {list(b.vector)} has no N-decomposition")
-            n_vec = decomps[0]
-            rel = [Fraction(n_vec[i]) for i in range(ext.n)]
-            for i, rfrac in zip(b.min_cone, b.fractional):
-                rel[i] -= rfrac
-            d_coords = _l_coords(ext, rel)
+        n_vec = min_decomposition(ext, b.vector)
+        if n_vec is None:
+            raise PicardError(f"box element {list(b.vector)} has no N-decomposition")
+        rel = [Fraction(x) for x in n_vec]
+        for i, rfrac in zip(b.min_cone, b.fractional):
+            rel[i] -= rfrac
+        d_coords = _l_coords(ext, rel)
         t = data.pairing_p(d_coords)
         if not mori.in_k(t):
             raise PicardError(f"d_v for box element {list(b.vector)} is not in K")

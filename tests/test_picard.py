@@ -1,10 +1,14 @@
 from fractions import Fraction
+import json
+from pathlib import Path
 import random
 
 import pytest
 
-from corpus import CORPUS, F3, P1, P112, P2, ext_of, fan_of, pipeline
+from corpus import CORPUS, F2, F3, P1, P1113, P112, P113, P2, ext_of, fan_of, pipeline
 from orbimirror.cones import RationalCone, is_face
+from orbimirror.fan import generalized_primitive_collections
+from orbimirror.fandoc import parse_fan, parse_fan_document
 from orbimirror.linalg import hermite_row_basis, saturate
 from orbimirror.picard import (
     PicardError,
@@ -12,10 +16,13 @@ from orbimirror.picard import (
     choose_basis_p,
     extended_pl_and_pic,
     kahler_cone,
+    min_decomposition,
     pl_lattice,
     rho_membership,
     wall_relations,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_pl_lattice_p2_is_everything():
@@ -229,3 +236,86 @@ def test_wall_relations_sum_to_anticanonical_degree():
     # distinct wall curve classes of F2; the -2-curve has degree 0 (nef, not Fano)
     sums = sorted(sum(w) for w in wall_relations(fan_of(CORPUS["F2"])))
     assert sums == [0, 2, 4]
+
+
+# -- oracle: the enumeration min_decomposition replaced ---------------------------
+
+
+def _nonneg_decompositions(ext, vector, cone):
+    """All ways to write `vector` as an N-combination of the generators in `cone`."""
+    support = ext.generators_in_cone(cone)
+    gens = [ext.generators[i] for i in support]
+    sols = []
+
+    def rec(idx, remainder, acc):
+        if idx == len(gens):
+            if not any(remainder):
+                sols.append(tuple(acc))
+            return
+        g = gens[idx]
+        bound = 0
+        # crude bound: coefficients cannot exceed total degree over this gen's degree
+        deg_g = ext.degree(support[idx])
+        total = sum(abs(x) for x in remainder)
+        cap = total if deg_g <= 0 else int(Fraction(total) / min(deg_g, Fraction(1))) + 1
+        c = 0
+        while c <= cap:
+            rem2 = tuple(x - c * y for x, y in zip(remainder, g)) if c else tuple(remainder)
+            rec(idx + 1, rem2, acc + [c])
+            c += 1
+
+    rec(0, tuple(vector), [])
+    out = []
+    for sol in sorted(sols):
+        full = [0] * ext.n
+        for idx, c in zip(support, sol):
+            full[idx] = c
+        out.append(tuple(full))
+    return out
+
+
+def _differential_fans():
+    """Every valid tests/data document and every corpus spec, extended."""
+    for path in sorted(DATA.glob("*.json")):
+        doc = json.loads(path.read_text())
+        if parse_fan_document(doc)[0].validate().ok:
+            yield path.stem, parse_fan(doc)
+    for name, spec in {"P1": P1, "P2": P2, "P112": P112, "P113": P113, "F2": F2,
+                       "F3": F3, "P1113": P1113}.items():
+        yield name, ext_of(spec)
+
+
+def _oracle_on_ambient_cone(ext, vector):
+    sigma = ext.fan.minimal_cone(vector)
+    ambient = next(c for c in ext.fan.max_cones if set(sigma) <= set(c))
+    return sigma, _nonneg_decompositions(ext, vector, ambient)
+
+
+def test_min_decomposition_matches_enumeration_oracle():
+    checked = 0
+    for name, ext in _differential_fans():
+        sums = [tuple(sum(ext.generators[i][k] for i in c) for k in range(ext.d))
+                for c in generalized_primitive_collections(ext)]
+        doubled = [tuple(2 * x for x in b.vector) for b in ext.box]
+        for vector in [b.vector for b in ext.box] + sums + doubled:
+            sigma, decomps = _oracle_on_ambient_cone(ext, vector)
+            expected = decomps[0] if decomps else None
+            assert min_decomposition(ext, vector) == expected, (name, vector)
+            checked += 1
+        for vector in sums:
+            # the old support filter of primitive_relation never removed anything
+            sigma, decomps = _oracle_on_ambient_cone(ext, vector)
+            assert all(ext.generator_in_cone(i, sigma)
+                       for dec in decomps for i, c in enumerate(dec) if c), (name, vector)
+    assert checked > 50
+
+
+def test_min_decomposition_none_without_decomposition():
+    # P(1,1,2) extended by nothing: the twisted box element (0,-1) is
+    # (a_1 + a_3)/2, which no N-combination of a_1, a_3 reaches
+    ext = parse_fan({"rank": 2, "rays": [[1, 0], [0, 1], [-1, -2]],
+                     "max_cones": [[1, 2], [2, 3], [1, 3]], "extra_generators": []})
+    assert ext.e == 0
+    assert min_decomposition(ext, (0, -1)) is None
+    assert min_decomposition(ext, (0, -2)) == (1, 0, 1)
+    assert min_decomposition(ext, (0, 0)) == (0, 0, 0)
