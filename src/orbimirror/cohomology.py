@@ -5,12 +5,20 @@ Fraction) drives everything: lattice-ideal saturation per maximal cone, the
 global presentation, standard monomials, multiplication matrices and the
 top-degree pairing. The rational grading is cleared to positive integer
 weights for the monomial order, so standard monomials stay homogeneous.
+
+Buchberger keeps its S-pairs in a heap keyed once, when each pair is made, by
+the order key of the pair's lcm, and reduces in place. Each quotient ring
+builds its Groebner lead triples and standard-monomial index once, and on its
+first product a table of the reduced products of all pairs of standard
+monomials, so a product of classes is a bilinear sum over that table.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .fan import ExtendedStackyFan
@@ -83,22 +91,6 @@ def add_term(out: dict, key, c) -> None:
         out.pop(key, None)
 
 
-def poly_add(p: Poly, q: Poly) -> Poly:
-    out = dict(p)
-    for m, c in q.items():
-        add_term(out, m, c)
-    return out
-
-
-def poly_scale(p: Poly, c) -> Poly:
-    c = Fraction(c)
-    return {m: v * c for m, v in p.items()} if c else {}
-
-
-def poly_sub(p: Poly, q: Poly) -> Poly:
-    return poly_add(p, poly_scale(q, -1))
-
-
 def poly_mul(p: Poly, q: Poly) -> Poly:
     out: Poly = {}
     for m1, c1 in p.items():
@@ -126,8 +118,8 @@ def normal_form(p: Poly, triples, order: WeightedGrevlex) -> Poly:
             if _mono_divides(lm, m):
                 factor = _mono_div(m, lm)
                 ratio = c / lc
-                scaled = {_mono_mul(factor, gm): gc * ratio for gm, gc in g.items()}
-                work = poly_sub(work, scaled)
+                for gm, gc in g.items():
+                    add_term(work, _mono_mul(factor, gm), -gc * ratio)
                 break
         else:
             rem[m] = c
@@ -136,7 +128,11 @@ def normal_form(p: Poly, triples, order: WeightedGrevlex) -> Poly:
 
 
 def groebner_basis(gens, order: WeightedGrevlex) -> list[Poly]:
-    """Reduced monic Groebner basis (Buchberger; coprime-lead criterion)."""
+    """Reduced monic Groebner basis (Buchberger; coprime-lead criterion).
+
+    Pairs wait in a heap keyed once, when the pair is made, by the order key
+    of their lcm; the least lcm goes first (the normal strategy).
+    """
     work = []
     for g in gens:
         g = {m: Fraction(c) for m, c in g.items() if c}
@@ -144,23 +140,30 @@ def groebner_basis(gens, order: WeightedGrevlex) -> list[Poly]:
             lm, lc = _lead(g, order)
             work.append((lm, lc, g))
     work.sort(key=lambda t: order.key(t[0]))
-    pairs = [(i, j) for j in range(len(work)) for i in range(j)]
+    pairs = []
+
+    def push_pairs(j):
+        lmj = work[j][0]
+        for i in range(j):
+            lmi = work[i][0]
+            if any(a and b for a, b in zip(lmi, lmj)):
+                heapq.heappush(pairs, (order.key(_mono_lcm(lmi, lmj)), i, j))
+
+    for j in range(len(work)):
+        push_pairs(j)
     while pairs:
-        pairs.sort(key=lambda ij: order.key(_mono_lcm(work[ij[0]][0], work[ij[1]][0])),
-                   reverse=True)
-        i, j = pairs.pop()
+        _, i, j = heapq.heappop(pairs)
         lmi, lci, gi = work[i]
         lmj, lcj, gj = work[j]
-        if all(a == 0 or b == 0 for a, b in zip(lmi, lmj)):
-            continue
         lcm = _mono_lcm(lmi, lmj)
-        s1 = {_mono_mul(_mono_div(lcm, lmi), m): c / lci for m, c in gi.items()}
-        s2 = {_mono_mul(_mono_div(lcm, lmj), m): c / lcj for m, c in gj.items()}
-        s = normal_form(poly_sub(s1, s2), work, order)
+        s = {_mono_mul(_mono_div(lcm, lmi), m): c / lci for m, c in gi.items()}
+        for m, c in gj.items():
+            add_term(s, _mono_mul(_mono_div(lcm, lmj), m), -c / lcj)
+        s = normal_form(s, work, order)
         if s:
             lm, lc = _lead(s, order)
             work.append((lm, lc, s))
-            pairs.extend((k, len(work) - 1) for k in range(len(work) - 1))
+            push_pairs(len(work) - 1)
     # Minimalize: drop elements whose lead is divisible by another lead.
     keep = []
     for idx, (lm, lc, g) in enumerate(work):
@@ -252,26 +255,37 @@ class GradedQuotientRing:
             out[q] = out.get(q, 0) + 1
         return dict(sorted(out.items()))
 
+    @cached_property
     def _triples(self):
-        out = []
-        for g in self.groebner:
-            lm = max(g, key=self.order.key)
-            out.append((lm, g[lm], g))
-        return out
+        return [(*_lead(g, self.order), g) for g in self.groebner]
+
+    @cached_property
+    def _index(self) -> dict[Mono, int]:
+        return {m: i for i, m in enumerate(self.std_monomials)}
+
+    @cached_property
+    def _products(self):
+        """Row i, column j: class_of(m_i * m_j) of standard monomials, as its
+        nonzero (index, coefficient) pairs; built on the ring's first product."""
+        std = self.std_monomials
+        table = [[()] * len(std) for _ in std]
+        for i, a in enumerate(std):
+            for j in range(i, len(std)):
+                vec = self.class_of({_mono_mul(a, std[j]): Fraction(1)})
+                table[i][j] = table[j][i] = tuple((k, c) for k, c in enumerate(vec) if c)
+        return table
 
     def nf(self, p: Poly) -> Poly:
-        return normal_form(p, self._triples(), self.order)
+        return normal_form(p, self._triples, self.order)
 
     # classes are coefficient vectors over the standard monomials
 
     def class_of(self, p: Poly) -> tuple[Fraction, ...]:
         if not self.finite:
             raise RingError("quotient ring is infinite-dimensional")
-        nf = self.nf(p)
-        index = {m: i for i, m in enumerate(self.std_monomials)}
         vec = [Fraction(0)] * len(self.std_monomials)
-        for m, c in nf.items():
-            vec[index[m]] = c
+        for m, c in self.nf(p).items():
+            vec[self._index[m]] = c
         return tuple(vec)
 
     def class_of_var(self, i: int) -> tuple[Fraction, ...]:
@@ -287,7 +301,15 @@ class GradedQuotientRing:
         return {m: Fraction(c) for m, c in zip(self.std_monomials, vec) if c}
 
     def mul(self, u, v) -> tuple[Fraction, ...]:
-        return self.class_of(poly_mul(self.poly_of_class(u), self.poly_of_class(v)))
+        out = [Fraction(0)] * self.dim
+        for row, a in zip(self._products, u):
+            if a:
+                for entries, b in zip(row, v):
+                    if b:
+                        ab = a * b
+                        for k, c in entries:
+                            out[k] += ab * c
+        return tuple(out)
 
     def add(self, u, v) -> tuple[Fraction, ...]:
         return tuple(Fraction(a) + Fraction(b) for a, b in zip(u, v))
@@ -324,8 +346,7 @@ class GradedQuotientRing:
         tops = [m for m in self.std_monomials if self.mono_degree(m) == top]
         if len(tops) != 1:
             raise RingError(f"top degree is {len(tops)}-dimensional; pairing undefined")
-        prod = self.nf(poly_mul(self.poly_of_class(u), self.poly_of_class(v)))
-        return prod.get(tops[0], Fraction(0))
+        return self.mul(u, v)[self._index[tops[0]]]
 
     def pairing_nondegenerate(self) -> bool:
         basis = [self.class_of({m: Fraction(1)}) for m in self.std_monomials]

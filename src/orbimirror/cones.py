@@ -155,8 +155,10 @@ class RationalCone:
     def extremal_rays(self) -> list[tuple[int, ...]]:
         """Primitive integer generators of the extremal rays of a pointed H-cone.
 
-        Enumerates subsets of inequalities whose active set, together with the
-        equalities, has corank one; exact and deterministic at desk scale.
+        Enumerates the sets of k = dim - 1 - rank(equalities) inequalities
+        whose rows, together with the equalities, have corank one. Every row
+        set of corank one contains such a set with the same null space, so no
+        candidate ray is missed; exact and deterministic.
         """
         if self.inequalities is None and self.equalities is None:
             raise ConeError("extremal_rays needs an H-description")
@@ -164,28 +166,25 @@ class RationalCone:
         eqs = list(self.equalities or ())
         if not ineqs and not eqs:
             raise ConeError("cone is not pointed")
+        rank = self.dim - len(solve_general(eqs, [0] * len(eqs))[1]) if eqs else 0
+        if rank == self.dim:
+            return []  # the equalities cut the cone down to the origin
         rays = {}
-        for k in range(len(ineqs) + 1):
-            for subset in combinations(range(len(ineqs)), k):
-                rows = eqs + [ineqs[i] for i in subset]
-                if not rows:
-                    # Empty active set has corank dim; only dim 1 qualifies.
-                    if self.dim != 1:
-                        continue
-                    null = [(Fraction(1),)]
-                else:
-                    sol = solve_general(rows, [0] * len(rows))
-                    if sol is None:
-                        continue
-                    _, null = sol
-                if len(null) != 1:
-                    continue
-                v = clear_denominators(null[0])
-                for cand in (v, tuple(-x for x in v)):
-                    if self.contains(cand):
-                        if self.contains(tuple(-x for x in cand)) and any(cand):
-                            raise ConeError("cone is not pointed")
-                        rays[cand] = True
+        for subset in combinations(range(len(ineqs)), self.dim - 1 - rank):
+            rows = eqs + [ineqs[i] for i in subset]
+            if not rows:
+                # Empty active set has corank dim, so here dim = 1.
+                null = [(Fraction(1),)]
+            else:
+                _, null = solve_general(rows, [0] * len(rows))
+            if len(null) != 1:
+                continue
+            v = clear_denominators(null[0])
+            for cand in (v, tuple(-x for x in v)):
+                if self.contains(cand):
+                    if self.contains(tuple(-x for x in cand)) and any(cand):
+                        raise ConeError("cone is not pointed")
+                    rays[cand] = True
         return sorted(rays)
 
 

@@ -1,7 +1,12 @@
 """Shared corpus fixtures: the desk-scale fans every suite runs against."""
 
+import json
+from pathlib import Path
+import sys
+
 from orbimirror.cohomology import presentation
 from orbimirror.fan import StackyFan, extend
+from orbimirror.fandoc import parse_fan, parse_fan_document
 from orbimirror.operators import _family_union, box_x, operator_families
 from orbimirror.picard import choose_basis_p, extended_pl_and_pic, mori_lattices
 
@@ -17,6 +22,12 @@ P1113 = dict(rank=3, rays=[(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -3)],
              cones=[(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 
 CORPUS = {"P1": P1, "P2": P2, "P112": P112, "F2": F2, "P1113": P1113}
+
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "tests" / "data"
+sys.path.insert(0, str(ROOT))
+
+from perfbench.workloads import smooth_polygon  # noqa: E402
 
 
 def fan_of(spec) -> StackyFan:
@@ -50,3 +61,17 @@ def box_operators(data, drop=None):
     if drop is not None:
         union = [v for v in union if v not in families[drop]]
     return [box_x(data, l) for l in union]
+
+
+def differential_fans(smooth_rays=()):
+    """Every valid tests/data document and every corpus spec, extended, then
+    the benchmark's smooth m-ray polygon fan for each m in `smooth_rays`."""
+    for path in sorted(DATA.glob("*.json")):
+        doc = json.loads(path.read_text())
+        if parse_fan_document(doc)[0].validate().ok:
+            yield path.stem, parse_fan(doc)
+    for name, spec in {"P1": P1, "P2": P2, "P112": P112, "P113": P113, "F2": F2,
+                       "F3": F3, "P1113": P1113}.items():
+        yield name, ext_of(spec)
+    for m in smooth_rays:
+        yield f"smooth{m}", parse_fan(smooth_polygon(m))

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import orbimirror
 from orbimirror.cli import main
 from orbimirror.fandoc import (
     DocumentError,
@@ -156,9 +158,12 @@ def test_reports_byte_identical_across_runs(capsys):
 
 
 def test_cli_subprocess_entry_point():
+    # The child imports the same orbimirror as this process, whether that
+    # came from PYTHONPATH or from pytest's own pythonpath setting.
+    env = dict(os.environ, PYTHONPATH=str(Path(orbimirror.__file__).resolve().parents[1]))
     result = subprocess.run(
         [sys.executable, "-m", "orbimirror.cli", "validate", str(DATA / "p1.json")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["results"]["valid"] is True

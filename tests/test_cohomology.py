@@ -1,11 +1,19 @@
 from fractions import Fraction
+import random
 
 import pytest
 
-from corpus import CORPUS, pipeline
+from corpus import CORPUS, differential_fans, pipeline
+from orbimirror import cohomology
 from orbimirror.cohomology import (
     RingError,
     WeightedGrevlex,
+    _lead,
+    _mono_div,
+    _mono_divides,
+    _mono_lcm,
+    _mono_mul,
+    add_term,
     a_zero,
     c1_class,
     binomial_relation_vectors,
@@ -228,3 +236,113 @@ def test_groebner_reduced_basis_is_canonical():
                       [(max(g, key=order.key), g[max(g, key=order.key)], g) for g in gb1],
                       order)
     assert rem == {}
+
+
+# -- the algebra core against the re-sorting Buchberger oracle ------------------
+
+
+def _normal_form_oracle(p, triples, order):
+    """The former normal_form: copies `work` through a subtraction per step."""
+    rem = {}
+    work = dict(p)
+    while work:
+        m, c = _lead(work, order)
+        for lm, lc, g in triples:
+            if _mono_divides(lm, m):
+                factor = _mono_div(m, lm)
+                ratio = c / lc
+                scaled = {_mono_mul(factor, gm): gc * ratio for gm, gc in g.items()}
+                work = _poly_sub(work, scaled)
+                break
+        else:
+            rem[m] = c
+            del work[m]
+    return rem
+
+
+def _poly_sub(p, q):
+    out = dict(p)
+    for m, c in q.items():
+        add_term(out, m, -c)
+    return out
+
+
+def _groebner_basis_oracle(gens, order):
+    """The former groebner_basis: re-sorts the whole pair list on every pop."""
+    work = []
+    for g in gens:
+        g = {m: Fraction(c) for m, c in g.items() if c}
+        if g:
+            lm, lc = _lead(g, order)
+            work.append((lm, lc, g))
+    work.sort(key=lambda t: order.key(t[0]))
+    pairs = [(i, j) for j in range(len(work)) for i in range(j)]
+    while pairs:
+        pairs.sort(key=lambda ij: order.key(_mono_lcm(work[ij[0]][0], work[ij[1]][0])),
+                   reverse=True)
+        i, j = pairs.pop()
+        lmi, lci, gi = work[i]
+        lmj, lcj, gj = work[j]
+        if all(a == 0 or b == 0 for a, b in zip(lmi, lmj)):
+            continue
+        lcm = _mono_lcm(lmi, lmj)
+        s1 = {_mono_mul(_mono_div(lcm, lmi), m): c / lci for m, c in gi.items()}
+        s2 = {_mono_mul(_mono_div(lcm, lmj), m): c / lcj for m, c in gj.items()}
+        s = _normal_form_oracle(_poly_sub(s1, s2), work, order)
+        if s:
+            lm, lc = _lead(s, order)
+            work.append((lm, lc, s))
+            pairs.extend((k, len(work) - 1) for k in range(len(work) - 1))
+    keep = []
+    for idx, (lm, lc, g) in enumerate(work):
+        if any(k != idx and _mono_divides(work[k][0], lm)
+               and (work[k][0] != lm or k < idx) for k in range(len(work))):
+            continue
+        keep.append((lm, lc, g))
+    reduced = []
+    for idx, (lm, lc, g) in enumerate(keep):
+        others = [t for k, t in enumerate(keep) if k != idx]
+        nf = _normal_form_oracle(g, others, order)
+        if nf:
+            m, c = _lead(nf, order)
+            reduced.append({mm: cc / c for mm, cc in nf.items()})
+    reduced.sort(key=lambda g: order.key(_lead(g, order)[0]))
+    return reduced
+
+
+def test_groebner_bases_match_resorting_oracle(monkeypatch):
+    # Every groebner_basis call a presentation makes: both stages of each
+    # per-cone lattice ideal (the Rabinowitsch elimination and the t-free
+    # part) and the global basis of the generator families, on the data
+    # documents, the corpus specs and the smooth m-ray fans for m = 5..10.
+    calls = []
+
+    def recording(gens, order):
+        gens = list(gens)
+        basis = groebner_basis(gens, order)
+        calls.append((gens, order, basis))
+        return basis
+
+    monkeypatch.setattr(cohomology, "groebner_basis", recording)
+    eliminations = 0
+    for name, ext in differential_fans(range(5, 11)):
+        calls.clear()
+        ring = presentation(ext)
+        assert calls[-1][2] == list(ring.groebner), name
+        for gens, order, basis in calls:
+            assert basis == _groebner_basis_oracle(gens, order), name
+        eliminations += sum(order.elim == 1 for _, order, _ in calls)
+    assert eliminations == 8  # one per cone with more generators than its dimension
+
+
+def test_mul_matches_product_of_polynomials():
+    rng = random.Random(0)
+    for name, ext in differential_fans():
+        ring = presentation(ext)
+        basis = [ring.class_of({m: Fraction(1)}) for m in ring.std_monomials]
+        randoms = [tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in basis)
+                   for _ in range(4)]
+        for u in basis + randoms:
+            for v in basis + randoms:
+                expected = ring.class_of(poly_mul(ring.poly_of_class(u), ring.poly_of_class(v)))
+                assert ring.mul(u, v) == expected, name

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from corpus import differential_fans
 from orbimirror.cones import (
     ConeError,
     RationalCone,
@@ -12,6 +14,8 @@ from orbimirror.cones import (
     lp_feasible,
     nonneg_combination,
 )
+from orbimirror.linalg import clear_denominators, solve_general
+from orbimirror.picard import extended_pl_and_pic
 
 QUADRANT = RationalCone.from_generators(2, [(1, 0), (0, 1)])
 
@@ -122,3 +126,72 @@ def test_membership_on_literal_rational_grid():
         for x0 in steps:
             for x1 in steps:
                 assert cone.contains((x0, x1)) == _oracle_2d(g1, g2, (x0, x1))
+
+
+# -- extremal rays: the all-subsets enumeration as the oracle -------------------
+
+
+def _extremal_rays_oracle(cone):
+    """The former RationalCone.extremal_rays: every subset of inequalities."""
+    if cone.inequalities is None and cone.equalities is None:
+        raise ConeError("extremal_rays needs an H-description")
+    ineqs = list(cone.inequalities or ())
+    eqs = list(cone.equalities or ())
+    if not ineqs and not eqs:
+        raise ConeError("cone is not pointed")
+    rays = {}
+    for k in range(len(ineqs) + 1):
+        for subset in combinations(range(len(ineqs)), k):
+            rows = eqs + [ineqs[i] for i in subset]
+            if not rows:
+                # Empty active set has corank dim; only dim 1 qualifies.
+                if cone.dim != 1:
+                    continue
+                null = [(Fraction(1),)]
+            else:
+                sol = solve_general(rows, [0] * len(rows))
+                if sol is None:
+                    continue
+                _, null = sol
+            if len(null) != 1:
+                continue
+            v = clear_denominators(null[0])
+            for cand in (v, tuple(-x for x in v)):
+                if cone.contains(cand):
+                    if cone.contains(tuple(-x for x in cand)) and any(cand):
+                        raise ConeError("cone is not pointed")
+                    rays[cand] = True
+    return sorted(rays)
+
+
+def _outcome(rays_of, cone):
+    try:
+        return rays_of(cone)
+    except ConeError as exc:
+        return f"ConeError: {exc}"
+
+
+def test_extremal_rays_match_all_subsets_oracle_on_kahler_cones():
+    # the Kaehler cones of the data documents, the corpus specs and the
+    # smooth m-ray polygon fans for m = 5..10
+    checked = 0
+    for name, ext in differential_fans(range(5, 11)):
+        cone = extended_pl_and_pic(ext).kahler
+        assert cone.extremal_rays() == _extremal_rays_oracle(cone), name
+        checked += 1
+    assert checked == 23
+
+
+_functional = st.lists(st.integers(-2, 2), min_size=3, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.lists(_functional, max_size=5), st.lists(_functional, max_size=1))
+@example(2, [[1, 0, 0]], [])  # a half-plane: not pointed
+@example(3, [[1, 0, 0]], [[0, 0, 1]])  # a half-plane inside z = 0: not pointed
+@example(3, [[1, 0, 0], [-1, 0, 0], [0, 1, 0]], [[0, 0, 1]])  # a ray; x = 0 from two inequalities
+@example(1, [], [[0, 0, 0]])  # the whole line, cut by a zero equality: not pointed
+def test_extremal_rays_match_all_subsets_oracle_on_h_cones(dim, ineqs, eqs):
+    cone = RationalCone.from_inequalities(dim, [f[:dim] for f in ineqs],
+                                          [f[:dim] for f in eqs])
+    assert _outcome(RationalCone.extremal_rays, cone) == _outcome(_extremal_rays_oracle, cone)

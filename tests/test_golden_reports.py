@@ -1,6 +1,7 @@
-"""Byte-identity contract: the operator and series commands reproduce, on
-every document in tests/data, the exit code and report digest that the
-benchmark's golden file records for seed 0 (the documents as written)."""
+"""Byte-identity contract: the commands reproduce the exit code and report
+digest that the benchmark's golden file records for seed 0 (the documents as
+written) on every document in tests/data, on the Groebner-basis certificate
+of P(1,2,3), and on the generated ladder fans."""
 
 import contextlib
 import io
@@ -17,18 +18,36 @@ DATA = ROOT / "tests" / "data"
 sys.path.insert(0, str(ROOT))
 
 from perfbench.gate import digest  # noqa: E402
+from perfbench.workloads import LADDER_JOBS, ladder_documents  # noqa: E402
 
 GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text())["jobs"]
-COMMANDS = ("gkz", "ifunction", "mirror-map", "all")
+COMMANDS = ("cohomology", "picard", "gkz", "ifunction", "mirror-map", "all")
 DOCUMENTS = sorted(p.stem for p in DATA.glob("*.json"))
+
+
+def _check(job_id, argv):
+    record = GOLDEN[job_id]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    sha256, _ = digest(out.getvalue(), err.getvalue())
+    assert (code, sha256) == (record["exit"], record["sha256"])
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("name", DOCUMENTS)
 def test_report_matches_golden_digest(command, name):
-    record = GOLDEN[f"{command}:{name}"]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli_main([command, str(DATA / f"{name}.json")])
-    sha256, _ = digest(out.getvalue(), err.getvalue())
-    assert (code, sha256) == (record["exit"], record["sha256"])
+    _check(f"{command}:{name}", [command, str(DATA / f"{name}.json")])
+
+
+def test_groebner_certificate_matches_golden_digest():
+    _check("cohomology:p123:certificates",
+           ["cohomology", str(DATA / "p123.json"), "--emit-certificates"])
+
+
+@pytest.mark.parametrize("job_id, argv", LADDER_JOBS, ids=[job for job, _ in LADDER_JOBS])
+def test_ladder_report_matches_golden_digest(job_id, argv, tmp_path):
+    command, name = argv
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(ladder_documents()[name]))
+    _check(job_id, [command, str(path)])

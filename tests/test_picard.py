@@ -1,14 +1,12 @@
 from fractions import Fraction
-import json
-from pathlib import Path
 import random
 
 import pytest
 
-from corpus import CORPUS, F2, F3, P1, P1113, P112, P113, P2, ext_of, fan_of, pipeline
+from corpus import CORPUS, F3, P1, P112, P2, differential_fans, ext_of, fan_of, pipeline
 from orbimirror.cones import RationalCone, is_face
 from orbimirror.fan import generalized_primitive_collections
-from orbimirror.fandoc import parse_fan, parse_fan_document
+from orbimirror.fandoc import parse_fan
 from orbimirror.linalg import hermite_row_basis, saturate
 from orbimirror.picard import (
     PicardError,
@@ -21,8 +19,6 @@ from orbimirror.picard import (
     rho_membership,
     wall_relations,
 )
-
-DATA = Path(__file__).parent / "data"
 
 
 def test_pl_lattice_p2_is_everything():
@@ -274,17 +270,6 @@ def _nonneg_decompositions(ext, vector, cone):
     return out
 
 
-def _differential_fans():
-    """Every valid tests/data document and every corpus spec, extended."""
-    for path in sorted(DATA.glob("*.json")):
-        doc = json.loads(path.read_text())
-        if parse_fan_document(doc)[0].validate().ok:
-            yield path.stem, parse_fan(doc)
-    for name, spec in {"P1": P1, "P2": P2, "P112": P112, "P113": P113, "F2": F2,
-                       "F3": F3, "P1113": P1113}.items():
-        yield name, ext_of(spec)
-
-
 def _oracle_on_ambient_cone(ext, vector):
     sigma = ext.fan.minimal_cone(vector)
     ambient = next(c for c in ext.fan.max_cones if set(sigma) <= set(c))
@@ -295,7 +280,7 @@ def test_min_decomposition_matches_enumeration_oracle():
     # Box elements, generalized-primitive-collection sums, and doubled Box
     # elements (the only ones here with several decompositions to order).
     checked = 0
-    for name, ext in _differential_fans():
+    for name, ext in differential_fans():
         box = [b.vector for b in ext.box]
         sums = [tuple(sum(ext.generators[i][k] for i in c) for k in range(ext.d))
                 for c in generalized_primitive_collections(ext)]
