@@ -19,10 +19,10 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import lcm
 
-from .fan import ExtendedStackyFan
-from .linalg import IntMatrix, normalized_simplex_volume
+from .fan import ExtendedStackyFan, generalized_primitive_collections
+from .linalg import IntMatrix, kernel_basis, normalized_simplex_volume, rank
 
 Mono = tuple[int, ...]
 Poly = dict[Mono, Fraction]
@@ -351,26 +351,7 @@ class GradedQuotientRing:
     def pairing_nondegenerate(self) -> bool:
         basis = [self.class_of({m: Fraction(1)}) for m in self.std_monomials]
         gram = [[self.top_pairing(u, v) for v in basis] for u in basis]
-        return _rank(gram) == len(basis)
-
-
-def _rank(rows) -> int:
-    rows = [list(map(Fraction, r)) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+        return rank(gram) == len(basis)
 
 
 def _std_monomials(gb, order: WeightedGrevlex, nvars: int):
@@ -405,9 +386,7 @@ def quotient_ring(var_names, degrees, generator_families: dict) -> GradedQuotien
     degrees = tuple(Fraction(d) for d in degrees)
     if any(d <= 0 for d in degrees):
         raise RingError("variable degrees must be positive")
-    denom = 1
-    for d in degrees:
-        denom = denom * d.denominator // gcd(denom, d.denominator)
+    denom = lcm(*(d.denominator for d in degrees))
     weights = tuple(int(d * denom) for d in degrees)
     order = WeightedGrevlex(weights)
     gens = [g for fam in generator_families.values() for g in fam]
@@ -435,10 +414,9 @@ def cone_lattice_groebner(ext: ExtendedStackyFan, cone) -> tuple[list[Poly], lis
     support = ext.generators_in_cone(cone)
     gens_vectors = ext.generators
     mat = [[gens_vectors[i][k] for i in support] for k in range(ext.d)]
-    from .linalg import kernel_basis as _kb
-
-    local_rels = _kb(IntMatrix(mat)) if support else []
-    weights = [int(ext.degree(i) * _degree_denominator(ext)) for i in support]
+    local_rels = kernel_basis(IntMatrix(mat)) if support else []
+    denom = lcm(*(ext.degree(i).denominator for i in range(ext.n)))
+    weights = [int(ext.degree(i) * denom) for i in support]
     local_gb = lattice_ideal_groebner(local_rels, weights) if local_rels else []
     lifted_polys = []
     lifted_vectors = []
@@ -458,18 +436,8 @@ def cone_lattice_groebner(ext: ExtendedStackyFan, cone) -> tuple[list[Poly], lis
     return lifted_polys, lifted_vectors
 
 
-def _degree_denominator(ext: ExtendedStackyFan) -> int:
-    denom = 1
-    for i in range(ext.n):
-        d = ext.degree(i)
-        denom = denom * d.denominator // gcd(denom, d.denominator)
-    return denom
-
-
 def presentation(ext: ExtendedStackyFan) -> GradedQuotientRing:
     """H*_orb as Q[D_1..D_n] / (cone ideal + Euler forms + GP monomials)."""
-    from .fan import generalized_primitive_collections
-
     n = ext.n
     cone_polys = []
     seen = set()
@@ -505,14 +473,6 @@ def presentation(ext: ExtendedStackyFan) -> GradedQuotientRing:
             "presentation is not finite-dimensional; input fan is likely not complete"
         )
     return ring
-
-
-def vector_space_dim(ring: GradedQuotientRing) -> int:
-    return ring.dim
-
-
-def graded_dims(ring: GradedQuotientRing) -> dict[Fraction, int]:
-    return ring.graded_dims()
 
 
 def is_nef(ext: ExtendedStackyFan) -> bool:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import clear_denominators, dot, qvec, solve_general
+from .linalg import clear_denominators, dot, qvec, rank, solve_general
 
 
 class ConeError(ValueError):
@@ -166,11 +166,11 @@ class RationalCone:
         eqs = list(self.equalities or ())
         if not ineqs and not eqs:
             raise ConeError("cone is not pointed")
-        rank = self.dim - len(solve_general(eqs, [0] * len(eqs))[1]) if eqs else 0
-        if rank == self.dim:
+        eq_rank = rank(eqs)
+        if eq_rank == self.dim:
             return []  # the equalities cut the cone down to the origin
         rays = {}
-        for subset in combinations(range(len(ineqs)), self.dim - 1 - rank):
+        for subset in combinations(range(len(ineqs)), self.dim - 1 - eq_rank):
             rows = eqs + [ineqs[i] for i in subset]
             if not rows:
                 # Empty active set has corank dim, so here dim = 1.

@@ -13,14 +13,9 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .cones import RationalCone, common_face_witness, is_face
-from .fan import StackyFan, extend, gen_elements
-from .linalg import IntMatrix, hermite_row_basis
-from .picard import (
-    ExtendedPicardData,
-    _coords_in_rows,
-    choose_basis_p,
-    extended_pl_and_pic,
-)
+from .fan import StackyFan, box_elements, extend, gen_elements
+from .linalg import IntMatrix, coordinates, hermite_row_basis
+from .picard import ExtendedPicardData, choose_basis_p, extended_pl_and_pic
 
 
 class CrepantError(ValueError):
@@ -92,8 +87,6 @@ def is_crepant(pair: ResolutionPair) -> tuple[bool, list[dict]]:
 
 def check_sl(fan: StackyFan) -> bool:
     """SL / Gorenstein condition: every box element has integral age."""
-    from .fan import box_elements
-
     return all(b.age.denominator == 1 for b in box_elements(fan))
 
 
@@ -208,7 +201,7 @@ def build_global_fan(pair: ResolutionPair, data_x: ExtendedPicardData | None = N
             raise CrepantError("K_X is not contained in the shared face region")
     transition = []
     for q in q_rows:
-        coords = _coords_in_rows(q, p_rows)
+        coords = coordinates(q, p_rows)
         if coords is None or any(c.denominator != 1 for c in coords):
             raise CrepantError("transition matrix is not integral")
         transition.append(tuple(int(c) for c in coords))

@@ -153,21 +153,23 @@ class StackyFan:
 
     def minimal_cone(self, point) -> tuple[int, ...]:
         """Index set of the unique minimal cone containing `point`."""
+        return self.fractional_coordinates(point)[0]
+
+    def fractional_coordinates(self, point):
+        """(minimal cone, coordinates) with the coordinates aligned to the cone.
+
+        Solved once, on the first maximal cone containing the point: its rays
+        are independent, so the coordinates on the minimal cone are exactly
+        the nonzero coordinates there, in the same order.
+        """
         if not any(point):
-            return ()
+            return (), ()
         for c in self.max_cones:
             coords = self.cone_coordinates(c, point)
             if all(x >= 0 for x in coords):
-                return tuple(i for i, x in zip(c, coords) if x > 0)
+                support = [k for k, x in enumerate(coords) if x]
+                return tuple(c[k] for k in support), tuple(coords[k] for k in support)
         raise FanError(f"point {list(point)} lies in no cone; fan is not complete")
-
-    def fractional_coordinates(self, point):
-        """(minimal cone, coordinates) with the coordinates aligned to the cone."""
-        cone = self.minimal_cone(point)
-        if not cone:
-            return (), ()
-        mat = [[Fraction(self.rays[i][k]) for i in cone] for k in range(self.rank)]
-        return cone, solve_unique(mat, point)
 
 
 @dataclass(frozen=True)

@@ -64,31 +64,9 @@ class LogSeries:
                 clean[key] = vec
         object.__setattr__(self, "terms", clean)
 
-    def chi_degree(self, key) -> int:
-        return sum(key[0])
-
-    def add(self, other: "LogSeries") -> "LogSeries":
-        out = dict(self.terms)
-        for key, vec in other.terms.items():
-            _acc(out, key, vec)
-        order = _min_order(self.order, other.order)
-        return LogSeries(self.r, self.e, self.dim, out, order)
-
-    def scale(self, c) -> "LogSeries":
-        c = Fraction(c)
-        return LogSeries(self.r, self.e, self.dim,
-                         {k: tuple(x * c for x in v) for k, v in self.terms.items()},
-                         self.order)
-
     def truncate(self, order: int) -> "LogSeries":
         kept = {k: v for k, v in self.terms.items() if sum(k[0]) <= order}
         return LogSeries(self.r, self.e, self.dim, kept, order)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def max_z_exponent(self):
-        return max((k[2] for k in self.terms), default=None)
 
     def term_list(self):
         out = []
@@ -215,20 +193,20 @@ def enumerate_degrees(mori: MoriData, order: int) -> list[dict]:
     return out
 
 
+def _powers(ring: GradedQuotientRing, cls):
+    """1, cls, cls^2, ... up to the last nonzero power of a nilpotent class."""
+    power = ring.one()
+    while any(power):
+        yield power
+        power = ring.mul(power, cls)
+
+
 def _invert_linear(ring: GradedQuotientRing, cls, w: Fraction):
     """(cls + w z)^{-1} as {z-exponent: class}; cls nilpotent, w nonzero."""
     if w == 0:
         raise SeriesError("cannot invert a scalar-zero factor")
-    out = {}
-    power = ring.one()
-    k = 0
-    sign = 1
-    while any(power):
-        out[Fraction(-k - 1)] = tuple(sign * x / (w ** (k + 1)) for x in power)
-        power = ring.mul(power, cls)
-        k += 1
-        sign = -sign
-    return out
+    return {Fraction(-k - 1): tuple((-1) ** k * x / w ** (k + 1) for x in power)
+            for k, power in enumerate(_powers(ring, cls))}
 
 
 def _laurent_mul(a: dict, b: dict, ring: GradedQuotientRing) -> dict:
@@ -283,19 +261,9 @@ def log_prefactor(data: ExtendedPicardData, ring: GradedQuotientRing) -> LogSeri
     r, e = data.r, data.e
     out = series_one(ring, r, e)
     for a in range(r):
-        pb = pbar_class(data, ring, a)
-        terms = {((0,) * (r + e), (0,) * r, Fraction(0), 0): ring.one()}
-        power = ring.one()
-        k = 1
-        while True:
-            power = ring.mul(power, pb)
-            if not any(power):
-                break
-            logk = tuple(k if i == a else 0 for i in range(r))
-            terms[((0,) * (r + e), logk, Fraction(-k), 0)] = tuple(
-                x / factorial(k) for x in power
-            )
-            k += 1
+        terms = {((0,) * (r + e), tuple(k if i == a else 0 for i in range(r)), Fraction(-k), 0):
+                 tuple(x / factorial(k) for x in power)
+                 for k, power in enumerate(_powers(ring, pbar_class(data, ring, a)))}
         out = series_mul(out, LogSeries(r, e, ring.dim, terms), ring)
     return out
 
@@ -377,20 +345,9 @@ def tilde_i(series: LogSeries, ring: GradedQuotientRing,
         for d, v in by_deg.items():
             _acc(graded, (beta, logk, q + d, j), tuple(v))
     scaled = LogSeries(r, e, ring.dim, graded, series.order)
-    rho = rho_bar_class(data, ring)
-    terms = {((0,) * (r + e), (0,) * r, Fraction(0), 0): ring.one()}
-    power = ring.one()
-    k = 1
-    sign = -1
-    while True:
-        power = ring.mul(power, rho)
-        if not any(power):
-            break
-        terms[((0,) * (r + e), (0,) * r, Fraction(0), k)] = tuple(
-            Fraction(sign) * x / factorial(k) for x in power
-        )
-        k += 1
-        sign = -sign
+    terms = {((0,) * (r + e), (0,) * r, Fraction(0), k):
+             tuple((-1) ** k * x / factorial(k) for x in power)
+             for k, power in enumerate(_powers(ring, rho_bar_class(data, ring)))}
     zrho = LogSeries(r, e, ring.dim, terms, series.order)
     return series_mul(scaled, zrho, ring)
 

@@ -1,13 +1,16 @@
 """Exact integer/rational linear algebra: SNF, HNF, kernels, splittings, saturation.
 
-Everything here is arbitrary precision (int / Fraction); no floats.
+Everything here is arbitrary precision (int / Fraction); no floats. Rational
+systems go through one Gauss-Jordan routine, `solve_general`: `rank` and
+`coordinates` (the unique coordinates of a vector in given rows, or None) are
+views of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class LinAlgError(ValueError):
@@ -51,9 +54,6 @@ class IntMatrix:
 
     def col(self, j) -> Vec:
         return tuple(r[j] for r in self.data)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(zip(*self.data))
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -344,7 +344,7 @@ def splitting_maps(a: IntMatrix) -> tuple[IntMatrix | None, IntMatrix]:
         raise LinAlgError(
             "map is not surjective onto Z^%d; invariant factors %s" % (d, list(diag))
         )
-    ker = kernel_basis(a)
+    ker = hermite_row_basis([snf.v.col(j) for j in range(d, n)])
     # g0 = V [I;0] U  is a right inverse: a @ g0 = id.
     g0 = IntMatrix([[sum(snf.v[i, k] * snf.u[k, j] for k in range(d)) for j in range(d)]
                     for i in range(n)])
@@ -447,6 +447,22 @@ def solve_general(a_rows, b):
     return tuple(part), null
 
 
+def rank(rows) -> int:
+    """Rank over Q of the given rows (0 for no rows)."""
+    if not rows:
+        return 0
+    return len(rows[0]) - len(solve_general(rows, [0] * len(rows))[1])
+
+
+def coordinates(vec, rows):
+    """The unique rational coordinates of `vec` in the given rows, or None."""
+    mat = [[row[j] for row in rows] for j in range(len(vec))]
+    sol = solve_general(mat, vec)
+    if sol is None or sol[1]:
+        return None
+    return sol[0]
+
+
 def dot(u, v) -> Fraction:
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
 
@@ -456,11 +472,7 @@ def clear_denominators(v) -> Vec:
     fracs = [Fraction(x) for x in v]
     if all(x == 0 for x in fracs):
         return tuple(0 for _ in fracs)
-    lcm = 1
-    for x in fracs:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    denom = lcm(*(x.denominator for x in fracs))
+    ints = [int(x * denom) for x in fracs]
+    g = gcd(*ints)
     return tuple(x // g for x in ints)

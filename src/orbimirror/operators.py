@@ -13,6 +13,11 @@ which pin the normal order "functions left, derivations right".
 The FL-GKZ operators of the lambda chart live in the same algebra with r = 0
 and e = n: lambda_i is chi(0, n, i), z d/dlambda_i is dell(0, n, i) and
 z lambda_i d/dlambda_i is theta(0, n, i).
+
+`box_x` checks the factorization box_tilde(l) = prod_k chi_{r+k}^{|l_{m+k}|} *
+box_x(l) once for each operator it builds, through `factorization_residual`,
+and raises OperatorError naming the relation when it fails. For e = 0 the two
+sides are the same product, so the check is skipped there.
 """
 
 from __future__ import annotations
@@ -29,8 +34,14 @@ from .cohomology import (
     quotient_ring,
 )
 from .fan import generalized_primitive_collections
-from .linalg import solve_general
-from .picard import ExtendedPicardData, PicardError, distinguished_relations, min_decomposition
+from .linalg import rank, solve_general
+from .picard import (
+    ExtendedPicardData,
+    PicardError,
+    _l_coords,
+    distinguished_relations,
+    min_decomposition,
+)
 
 
 class OperatorError(ValueError):
@@ -254,8 +265,6 @@ def script_d_tilde(data: ExtendedPicardData, i) -> LogDiffOp:
 
 def p_pairings(data: ExtendedPicardData, l) -> tuple[int, ...]:
     """p_a(l) for an integer relation vector l in Z^n."""
-    from .picard import _l_coords
-
     coords = _l_coords(data.ext, [Fraction(x) for x in l])
     vals = data.pairing_p(coords)
     out = []
@@ -296,13 +305,14 @@ def box_tilde(data: ExtendedPicardData, l) -> LogDiffOp:
     return half(+1) - half(-1)
 
 
-def box_x(data: ExtendedPicardData, l, verify: bool = True) -> LogDiffOp:
+def box_x(data: ExtendedPicardData, l) -> LogDiffOp:
     """Box^X_l: chi-prefactors only over a <= r, extension derivations factored out.
 
     Within each term the extension factors D_i^{|l_i|} (i > m) multiply on the
     left of the ray factors; this ordering makes the factorization
     box_tilde(l) = prod_k chi_{r+k}^{|l_{m+k}|} * box_x(l) an exact operator
-    identity for every l in L, which is re-verified at construction.
+    identity for every l in L. It is checked here, once per operator, when
+    e > 0 (for e = 0 both sides are the same product).
     """
     r, e = data.r, data.e
     p_of_l = p_pairings(data, l)
@@ -326,10 +336,8 @@ def box_x(data: ExtendedPicardData, l, verify: bool = True) -> LogDiffOp:
         return out
 
     op = half(+1) - half(-1)
-    if verify and e:
-        lhs = box_tilde(data, l)
-        if lhs != chi_prefactor_for_factorization(data, l) * op:
-            raise OperatorError(f"factorization identity failed for relation {list(l)}")
+    if e and not factorization_residual(data, l, op).is_zero():
+        raise OperatorError(f"factorization identity failed for relation {list(l)}")
     return op
 
 
@@ -355,10 +363,10 @@ def chi_prefactor_for_factorization(data: ExtendedPicardData, l) -> LogDiffOp:
     return out
 
 
-def factorization_residual(data: ExtendedPicardData, l) -> LogDiffOp:
-    """box_tilde(l) - prod chi^{|l|} * box_x(l); zero exactly when the lemma holds."""
-    return (box_tilde(data, l)
-            - chi_prefactor_for_factorization(data, l) * box_x(data, l, verify=False))
+def factorization_residual(data: ExtendedPicardData, l, op: LogDiffOp) -> LogDiffOp:
+    """box_tilde(l) - prod chi^{|l|} * op for op = box_x(l); zero exactly when
+    the lemma holds."""
+    return box_tilde(data, l) - chi_prefactor_for_factorization(data, l) * op
 
 
 # -- degeneration, residue algebra, symbols --------------------------------------
@@ -587,23 +595,19 @@ def generator_classes(data: ExtendedPicardData, ring: GradedQuotientRing):
 
 def check_unfolding_conditions(data: ExtendedPicardData, ring: GradedQuotientRing) -> dict:
     """(IC) injectivity, (GC) generation, (EC) eigenvector, for the section 1."""
-    from .cohomology import _rank
-
     gens = generator_classes(data, ring)
-    ic = _rank([list(g) for g in gens]) == len(gens)
-    span = [ring.one()]
-    rank = 1
+    ic = rank(gens) == len(gens)
+    span = [ring.one()]  # kept linearly independent, so its rank is len(span)
     frontier = [ring.one()]
     while frontier:
         new = []
         for v in frontier:
             for g in gens:
                 w = ring.mul(g, v)
-                if _rank([list(x) for x in span + [w]]) > rank:
+                if rank(span + [w]) > len(span):
                     span.append(w)
-                    rank += 1
                     new.append(w)
         frontier = new
-    gc = rank == ring.dim
+    gc = len(span) == ring.dim
     ec = ring.class_degree(ring.one()) == 0
     return {"IC": ic, "GC": gc, "EC": ec}

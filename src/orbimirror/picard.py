@@ -19,10 +19,11 @@ from itertools import combinations, product
 
 from .cohomology import is_nef
 from .cones import RationalCone, lp_feasible
-from .fan import ExtendedStackyFan, FanError, StackyFan
+from .fan import ExtendedStackyFan, FanError, StackyFan, anticones
 from .linalg import (
     IntMatrix,
     clear_denominators,
+    coordinates,
     dot,
     hermite_row_basis,
     kernel_basis,
@@ -30,6 +31,7 @@ from .linalg import (
     reduce_mod_lattice,
     solve_general,
     solve_unique,
+    splitting_maps,
 )
 
 
@@ -281,7 +283,7 @@ def choose_basis_p(data: ExtendedPicardData, override=None) -> ExtendedPicardDat
             return False
         if not _is_basis_of(rows + forced, data.pic_basis):
             return False
-        coords = _coords_in_rows(data.rho, rows + forced)
+        coords = coordinates(data.rho, rows + forced)
         return coords is not None and all(c >= 0 for c in coords)
 
     chosen = None
@@ -333,39 +335,14 @@ def choose_basis_p(data: ExtendedPicardData, override=None) -> ExtendedPicardDat
     )
 
 
-def _coords_in_rows(vec, rows):
-    """Coordinates of vec in the given rows, or None unless they are unique."""
-    mat = [[Fraction(row[j]) for row in rows] for j in range(len(vec))]
-    sol = solve_general(mat, vec)
-    if sol is None:
-        return None
-    coords, null = sol
-    return None if null else coords
-
-
 def _primitive_in_lattice(ray, hnf_basis):
     """Smallest positive multiple of `ray` lying in the lattice spanned by hnf_basis."""
-    target = qvec(ray)
-    mat = [[Fraction(row[j]) for row in hnf_basis] for j in range(len(target))]
-    sol = solve_general(mat, target)
-    if sol is None:
-        raise PicardError("extremal ray is not in the span of theta(Pic)")
-    coords, null = sol
-    if null:
-        raise PicardError("theta(Pic) basis is degenerate")
-    denom = 1
-    from math import gcd as _g
-
-    for c in coords:
-        denom = denom * c.denominator // _g(denom, c.denominator)
-    ints = [int(c * denom) for c in coords]
-    g = 0
-    for x in ints:
-        g = _g(g, abs(x))
-    ints = [x // g for x in ints]
-    out = [sum(ints[k] * hnf_basis[k][j] for k in range(len(hnf_basis)))
-           for j in range(len(target))]
-    return tuple(out)
+    coords = coordinates(ray, hnf_basis)
+    if coords is None:
+        raise PicardError("extremal ray has no unique coordinates in theta(Pic)")
+    ints = clear_denominators(coords)
+    return tuple(sum(c * row[j] for c, row in zip(ints, hnf_basis))
+                 for j in range(len(ray)))
 
 
 def _search_combinations(prim, r, validate):
@@ -388,8 +365,6 @@ def _search_combinations(prim, r, validate):
 def _superpotential(data: ExtendedPicardData, p_rows):
     """N matrix (n_{ai} = p_a(s(e_i))) and the Landau-Ginzburg term list."""
     ext = data.ext
-    from .linalg import splitting_maps
-
     s, _g = splitting_maps(ext.a_matrix)
     n_cols = []
     terms = []
@@ -441,8 +416,6 @@ class MoriData:
 
 
 def mori_lattices(data: ExtendedPicardData) -> MoriData:
-    from .fan import anticones
-
     if data.p_basis is None:
         raise PicardError("choose_basis_p must run before mori_lattices")
     _, ac_e = anticones(data.ext)

@@ -112,7 +112,7 @@ def test_criterion_4_operator_factorization():
                                    for i in range(ext.n)))
         for l in relations:
             count += 1
-            if not factorization_residual(data, l).is_zero():
+            if not factorization_residual(data, l, box_x(data, l)).is_zero():
                 ok = False
     _report(4, ok, f"{count} relations, all residuals exactly zero")
 

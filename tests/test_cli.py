@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import orbimirror
+from orbimirror import operators
 from orbimirror.cli import main
 from orbimirror.fandoc import (
     DocumentError,
@@ -16,6 +17,7 @@ from orbimirror.fandoc import (
     serialize_fan,
     to_jsonable,
 )
+from orbimirror.operators import LogDiffOp
 
 DATA = Path(__file__).parent / "data"
 
@@ -147,6 +149,17 @@ def test_all_command_passes_on_corpus_small(capsys):
                                "--order", "2")
         assert code == 0
         assert json.loads(out)["results"]["failed"] == []
+
+
+def test_all_exits_1_when_a_factorization_fails(capsys, monkeypatch):
+    real = operators.box_tilde
+    monkeypatch.setattr(operators, "box_tilde",
+                        lambda d, rel: real(d, rel) + LogDiffOp.z(d.r, d.e))
+    code, out, err = run_cli(capsys, "all", str(DATA / "p112.json"), "--order", "2")
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "OperatorError"
+    assert error["message"].startswith("factorization identity failed for relation [")
 
 
 def test_reports_byte_identical_across_runs(capsys):

@@ -1,9 +1,10 @@
 from fractions import Fraction
 from itertools import permutations, product
+import random
 
 import pytest
 
-from corpus import CORPUS, P1, P112, P113, P1113, P2, ext_of, fan_of
+from corpus import CORPUS, P1, P112, P113, P1113, P2, differential_fans, ext_of, fan_of
 from orbimirror.fan import (
     FanError,
     StackyFan,
@@ -14,6 +15,7 @@ from orbimirror.fan import (
     gen_elements,
     generalized_primitive_collections,
 )
+from orbimirror.linalg import solve_unique
 
 
 def test_validate_p2():
@@ -206,3 +208,36 @@ def test_box_fractional_coordinates_in_unit_interval():
                 for k in range(spec["rank"])
             )
             assert rebuilt == b.vector
+
+
+def _minimal_cone_oracle(fan, point):
+    """The former StackyFan.minimal_cone."""
+    if not any(point):
+        return ()
+    for c in fan.max_cones:
+        coords = fan.cone_coordinates(c, point)
+        if all(x >= 0 for x in coords):
+            return tuple(i for i, x in zip(c, coords) if x > 0)
+    raise FanError(f"point {list(point)} lies in no cone; fan is not complete")
+
+
+def _fractional_coordinates_oracle(fan, point):
+    """The former StackyFan.fractional_coordinates: a second solve on the
+    minimal cone."""
+    cone = _minimal_cone_oracle(fan, point)
+    if not cone:
+        return (), ()
+    mat = [[Fraction(fan.rays[i][k]) for i in cone] for k in range(fan.rank)]
+    return cone, solve_unique(mat, point)
+
+
+def test_fractional_coordinates_match_two_solve_oracle():
+    rng = random.Random(11)
+    for name, ext in differential_fans(smooth_rays=(5, 6, 7, 8)):
+        fan = ext.fan
+        points = [b.vector for b in ext.box] + list(ext.generators)
+        points += [tuple(rng.randint(-4, 4) for _ in range(fan.rank)) for _ in range(25)]
+        for point in points:
+            expected = _fractional_coordinates_oracle(fan, point)
+            assert fan.fractional_coordinates(point) == expected, (name, point)
+            assert fan.minimal_cone(point) == expected[0], (name, point)

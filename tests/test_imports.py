@@ -1,0 +1,46 @@
+"""Import hygiene of the package, checked on its syntax trees (no linter needed).
+
+Every name a module binds by a module-level import is used in that module, and
+no function body imports, except where a cycle between modules forces it.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "orbimirror").glob("*.py"))
+
+# (module, function) pairs allowed to import inside their body, and why.
+LOCAL_IMPORTS_ALLOWED = {
+    ("cohomology", "is_nef"),  # picard imports cohomology when it loads
+}
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_level_imports_are_used(path):
+    tree = _tree(path)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(bound - used) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_imports_inside_functions(path):
+    local = {
+        (path.stem, func.name)
+        for func in ast.walk(_tree(path))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    }
+    assert sorted(local - LOCAL_IMPORTS_ALLOWED) == []

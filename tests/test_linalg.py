@@ -8,12 +8,15 @@ from orbimirror.linalg import (
     IntMatrix,
     LinAlgError,
     clear_denominators,
+    coordinates,
     hermite_row_basis,
     kernel_basis,
     normalized_simplex_volume,
+    rank,
     reduce_mod_lattice,
     saturate,
     smith_normal_form,
+    solve_general,
     splitting_maps,
     unimodular_inverse,
 )
@@ -174,3 +177,86 @@ def test_unimodular_inverse_rejects_singular():
 def test_clear_denominators():
     assert clear_denominators([Fraction(1, 2), Fraction(-3, 4)]) == (2, -3)
     assert clear_denominators([0, 0]) == (0, 0)
+
+
+# -- rank and coordinates against the routines they replaced --------------------
+
+
+def _rank_oracle(rows) -> int:
+    """The former cohomology._rank: its own Gauss-Jordan loop."""
+    rows = [list(map(Fraction, r)) for r in rows]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _coords_in_rows_oracle(vec, rows):
+    """The former picard._coords_in_rows."""
+    mat = [[Fraction(row[j]) for row in rows] for j in range(len(vec))]
+    sol = solve_general(mat, vec)
+    if sol is None:
+        return None
+    coords, null = sol
+    return None if null else coords
+
+
+entries = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def rational_systems(draw):
+    """(rows, vec): 1-3 drawn rows of width 1-4 plus up to 2 rows combined
+    from them (rank-deficient when any are added), shuffled; vec is drawn
+    freely (often no solution) or combined from the rows (a solution, unique
+    only when the rows are independent)."""
+    width = draw(st.integers(1, 4))
+    vectors = st.lists(entries, min_size=width, max_size=width)
+    base = draw(st.lists(vectors, min_size=1, max_size=3))
+    factors = st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base))
+
+    def combine(cs, rows):
+        return [sum((Fraction(c) * row[j] for c, row in zip(cs, rows)), Fraction(0))
+                for j in range(width)]
+
+    rows = base + [combine(cs, base) for cs in draw(st.lists(factors, max_size=2))]
+    rows = draw(st.permutations(rows))
+    vec = draw(st.one_of(vectors, factors.map(lambda cs: combine(cs, base))))
+    return rows, vec
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_systems())
+def test_rank_and_coordinates_match_replaced_routines(system):
+    rows, vec = system
+    assert rank(rows) == _rank_oracle(rows)
+    assert coordinates(vec, rows) == _coords_in_rows_oracle(vec, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices)
+def test_rank_matches_oracle_and_snf_on_integer_matrices(rows):
+    assert rank(rows) == _rank_oracle(rows) == smith_normal_form(IntMatrix(rows)).rank()
+
+
+def test_rank_and_coordinates_examples():
+    assert rank([]) == _rank_oracle([]) == 0
+    assert rank([(1, 2), (2, 4)]) == 1
+    independent = [(1, 0), (0, 2)]
+    assert coordinates((1, 1), independent) == (1, Fraction(1, 2))
+    dependent = [(1, 2), (2, 4)]
+    assert coordinates((1, 2), dependent) is None  # many solutions
+    assert coordinates((1, 0), dependent) is None  # no solution
+    for vec, rows in (((1, 1), independent), ((1, 2), dependent), ((1, 0), dependent)):
+        assert coordinates(vec, rows) == _coords_in_rows_oracle(vec, rows)

@@ -1,9 +1,14 @@
 import random
+import re
 from fractions import Fraction
 
+import pytest
+
 from corpus import CORPUS, box_operators, pipeline
+from orbimirror import operators
 from orbimirror.operators import (
     LogDiffOp,
+    OperatorError,
     bold_d_poly,
     box_hat,
     box_tilde,
@@ -147,12 +152,37 @@ def test_factorization_basis_and_20_random():
     for name in CORPUS:
         ext, data, _, _ = pipeline(name)
         for l in ext.l_basis:
-            assert factorization_residual(data, l).is_zero(), (name, l)
+            assert factorization_residual(data, l, box_x(data, l)).is_zero(), (name, l)
         for _ in range(20):
             coeffs = [rng.randint(-3, 3) for _ in ext.l_basis]
             l = tuple(sum(c * b[i] for c, b in zip(coeffs, ext.l_basis))
                       for i in range(ext.n))
-            assert factorization_residual(data, l).is_zero(), (name, l)
+            assert factorization_residual(data, l, box_x(data, l)).is_zero(), (name, l)
+
+
+def test_box_x_raises_on_a_failed_factorization(monkeypatch):
+    _, data, _, _ = pipeline("P112")  # e = 1
+    l = (0, 1, 0, 1)
+    real = operators.box_tilde
+    monkeypatch.setattr(operators, "box_tilde",
+                        lambda d, rel: real(d, rel) + LogDiffOp.z(d.r, d.e))
+    with pytest.raises(OperatorError, match=re.escape(f"relation {list(l)}")):
+        box_x(data, l)
+
+
+def test_box_x_skips_the_tautological_check_when_e_is_zero(monkeypatch):
+    ext, data, _, _ = pipeline("P2")
+    assert data.e == 0
+    calls = []
+    real = operators.factorization_residual
+    monkeypatch.setattr(operators, "factorization_residual",
+                        lambda *args: calls.append(args) or real(*args))
+    for l in ext.l_basis:
+        box_x(data, l)
+    assert calls == []
+    _, data112, _, _ = pipeline("P112")
+    box_x(data112, (0, 1, 0, 1))
+    assert len(calls) == 1
 
 
 def test_euler_check_p112():
