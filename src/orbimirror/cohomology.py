@@ -406,11 +406,9 @@ def quotient_ring(var_names, degrees, generator_families: dict) -> GradedQuotien
 # -- the orbifold cohomology presentation -------------------------------------
 
 
-def cone_lattice_groebner(ext: ExtendedStackyFan, cone) -> tuple[list[Poly], list[tuple[int, ...]]]:
-    """Saturated lattice-ideal GB for one maximal cone, in the full variable set.
-
-    Returns (binomial generators lifted to n variables, their relation vectors).
-    """
+def cone_lattice_groebner(ext: ExtendedStackyFan, cone) -> list[Poly]:
+    """Saturated lattice-ideal GB for one maximal cone, its binomials lifted to
+    the full variable set."""
     support = ext.generators_in_cone(cone)
     gens_vectors = ext.generators
     mat = [[gens_vectors[i][k] for i in support] for k in range(ext.d)]
@@ -418,22 +416,14 @@ def cone_lattice_groebner(ext: ExtendedStackyFan, cone) -> tuple[list[Poly], lis
     denom = lcm(*(ext.degree(i).denominator for i in range(ext.n)))
     weights = [int(ext.degree(i) * denom) for i in support]
     local_gb = lattice_ideal_groebner(local_rels, weights) if local_rels else []
-    lifted_polys = []
-    lifted_vectors = []
-    for g in local_gb:
-        poly = {}
-        for m, c in g.items():
-            full = [0] * ext.n
-            for idx, e in zip(support, m):
-                full[idx] = e
-            poly[tuple(full)] = c
-        lifted_polys.append(poly)
-    for u in binomial_relation_vectors(local_gb):
+
+    def lift(m):
         full = [0] * ext.n
-        for idx, e in zip(support, u):
+        for idx, e in zip(support, m):
             full[idx] = e
-        lifted_vectors.append(tuple(full))
-    return lifted_polys, lifted_vectors
+        return tuple(full)
+
+    return [{lift(m): c for m, c in g.items()} for g in local_gb]
 
 
 def presentation(ext: ExtendedStackyFan) -> GradedQuotientRing:
@@ -442,8 +432,7 @@ def presentation(ext: ExtendedStackyFan) -> GradedQuotientRing:
     cone_polys = []
     seen = set()
     for cone in ext.fan.max_cones:
-        polys, _ = cone_lattice_groebner(ext, cone)
-        for p in polys:
+        for p in cone_lattice_groebner(ext, cone):
             key = tuple(sorted(p.items()))
             if key not in seen:
                 seen.add(key)
@@ -477,9 +466,7 @@ def presentation(ext: ExtendedStackyFan) -> GradedQuotientRing:
 
 def is_nef(ext: ExtendedStackyFan) -> bool:
     """Anticanonical nef test: every wall-relation coefficient sum is >= 0."""
-    from .picard import wall_relations
-
-    return all(sum(rel) >= 0 for rel in wall_relations(ext.fan))
+    return all(sum(rel) >= 0 for rel in ext.fan.wall_relations)
 
 
 def normalized_volume(ext: ExtendedStackyFan) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .linalg import clear_denominators, dot, qvec, rank, solve_general
@@ -153,13 +154,18 @@ class RationalCone:
         return nonneg_combination(self.generators or (), x) is not None
 
     def extremal_rays(self) -> list[tuple[int, ...]]:
-        """Primitive integer generators of the extremal rays of a pointed H-cone.
+        """Primitive integer generators of the extremal rays of a pointed H-cone,
+        sorted, as a fresh list; enumerated once per cone.
 
         Enumerates the sets of k = dim - 1 - rank(equalities) inequalities
         whose rows, together with the equalities, have corank one. Every row
         set of corank one contains such a set with the same null space, so no
         candidate ray is missed; exact and deterministic.
         """
+        return list(self._extremal_rays)
+
+    @cached_property
+    def _extremal_rays(self) -> tuple[tuple[int, ...], ...]:
         if self.inequalities is None and self.equalities is None:
             raise ConeError("extremal_rays needs an H-description")
         ineqs = list(self.inequalities or ())
@@ -168,7 +174,7 @@ class RationalCone:
             raise ConeError("cone is not pointed")
         eq_rank = rank(eqs)
         if eq_rank == self.dim:
-            return []  # the equalities cut the cone down to the origin
+            return ()  # the equalities cut the cone down to the origin
         rays = {}
         for subset in combinations(range(len(ineqs)), self.dim - 1 - eq_rank):
             rows = eqs + [ineqs[i] for i in subset]
@@ -185,7 +191,7 @@ class RationalCone:
                     if self.contains(tuple(-x for x in cand)) and any(cand):
                         raise ConeError("cone is not pointed")
                     rays[cand] = True
-        return sorted(rays)
+        return tuple(sorted(rays))
 
 
 def is_face(face: RationalCone, cone: RationalCone) -> bool:

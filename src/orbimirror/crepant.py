@@ -152,8 +152,8 @@ def build_global_fan(pair: ResolutionPair, data_x: ExtendedPicardData | None = N
     same, diff = check_gen_equals_new_rays(pair)
     if not same:
         raise CrepantError(f"Gen(Sigma_X) differs from the new rays: {diff}")
-    ext_x = extend(pair.stacky, extra_vectors=pair.new_rays)
     if data_x is None:
+        ext_x = extend(pair.stacky, extra_vectors=pair.new_rays)
         data_x = choose_basis_p(extended_pl_and_pic(ext_x))
     data_z = _z_picard(pair)
     if data_z.ext.l_basis != data_x.ext.l_basis:

@@ -1,4 +1,4 @@
-"""Stacky fans: validation, Box/Gen enumeration, anticones, cone relations.
+"""Stacky fans: validation, walls, Box/Gen enumeration, anticones, cone relations.
 
 Conventions: rays are primitive integer vectors a_1..a_m; maximal cones are
 0-based index tuples internally (1-based only at the JSON boundary). The
@@ -15,9 +15,11 @@ from math import gcd
 
 from .linalg import (
     IntMatrix,
+    clear_denominators,
     hermite_row_basis,
     kernel_basis,
     smith_normal_form,
+    solve_general,
     solve_unique,
     unimodular_inverse,
 )
@@ -113,12 +115,8 @@ class StackyFan:
             if len(self.max_cones) != 2 or signs != {1, -1}:
                 issues.append(ValidationIssue("completeness", "a complete 1-d fan needs exactly the two opposite rays"))
             return issues
-        walls: dict[tuple[int, ...], list[int]] = {}
-        for ci, c in enumerate(self.max_cones):
-            for facet in combinations(c, d - 1):
-                walls.setdefault(tuple(facet), []).append(ci)
         adj = {i: set() for i in range(len(self.max_cones))}
-        for facet, owners in sorted(walls.items()):
+        for facet, owners in self._walls.items():
             if len(owners) != 2:
                 issues.append(ValidationIssue(
                     "completeness",
@@ -143,6 +141,44 @@ class StackyFan:
         report = self.validate()
         if not report.ok:
             raise FanError("; ".join(f"{i.kind}: {i.detail}" for i in report.issues))
+
+    @cached_property
+    def _walls(self) -> dict[tuple[int, ...], list[int]]:
+        """Facet -> indices of the maximal cones containing it, sorted by facet."""
+        walls: dict[tuple[int, ...], list[int]] = {}
+        for ci, c in enumerate(self.max_cones):
+            for facet in combinations(c, self.rank - 1):
+                walls.setdefault(facet, []).append(ci)
+        return dict(sorted(walls.items()))
+
+    @cached_property
+    def wall_relations(self) -> tuple[tuple[int, ...], ...]:
+        """Primitive integer relation of the d+1 rays across each wall, sorted.
+
+        Signs are normalized positive on the two off-wall rays; the pairing of a
+        PL function with such a vector is >= 0 exactly when the function is convex
+        across the wall. Entries are indexed by rays (length m).
+        """
+        self.ensure_valid()
+        d, m = self.rank, self.n_rays
+        if d == 1:
+            return (tuple(1 for _ in range(m)),)
+        rels = set()
+        # ensure_valid has checked that each wall lies in exactly two simplicial
+        # cones, so the d+1 rays around it have a one-dimensional relation
+        # space, and both off-wall coefficients of its generator are nonzero.
+        for facet, owners in self._walls.items():
+            support = sorted(set(self.max_cones[owners[0]]) | set(self.max_cones[owners[1]]))
+            mat = [[Fraction(self.rays[i][k]) for i in support] for k in range(d)]
+            rel = clear_denominators(solve_general(mat, [0] * d)[1][0])
+            u, v = (x for i, x in zip(support, rel) if i not in facet)
+            if u * v < 0:
+                raise FanError(f"wall {list(facet)}: off-wall coefficients of mixed sign")
+            full = [0] * m
+            for idx, val in zip(support, rel):
+                full[idx] = val if u > 0 else -val
+            rels.add(tuple(full))
+        return tuple(sorted(rels))
 
     # -- geometry ----------------------------------------------------------
 

@@ -29,11 +29,10 @@ from .cohomology import (
     GradedQuotientRing,
     Poly,
     add_term,
-    cone_lattice_groebner,
+    binomial_relation_vectors,
     poly_mul,
     quotient_ring,
 )
-from .fan import generalized_primitive_collections
 from .linalg import rank, solve_general
 from .picard import (
     ExtendedPicardData,
@@ -437,20 +436,16 @@ def primitive_relation(data: ExtendedPicardData, collection) -> tuple[int, ...]:
     return tuple(int(i in collection) - dec[i] for i in range(ext.n))
 
 
-def operator_families(data: ExtendedPicardData) -> dict:
-    """The three relation families the degeneration arguments use."""
-    ext = data.ext
-    basis = [tuple(v) for v in ext.l_basis]
-    cone_rels = []
-    seen = set()
-    for cone in ext.fan.max_cones:
-        _, vectors = cone_lattice_groebner(ext, cone)
-        for v in vectors:
-            if v not in seen:
-                seen.add(v)
-                cone_rels.append(v)
-    prims = [primitive_relation(data, c) for c in generalized_primitive_collections(ext)]
-    return {"l_basis": basis, "cone": cone_rels, "primitive": prims}
+def operator_families(data: ExtendedPicardData, ring: GradedQuotientRing) -> dict:
+    """The three relation families the degeneration arguments use, read off
+    `ring = presentation(data.ext)`: the cone relations are the exponent
+    vectors of its cone binomials, and the primitive relations belong to the
+    supports of its primitive-collection monomials."""
+    collections = [tuple(i for i, x in enumerate(mono) if x)
+                   for g in ring.generators["primitive"] for mono in g]
+    return {"l_basis": list(data.ext.l_basis),
+            "cone": binomial_relation_vectors(ring.generators["cone"]),
+            "primitive": [primitive_relation(data, c) for c in collections]}
 
 
 def _family_union(families: dict):

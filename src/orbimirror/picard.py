@@ -19,7 +19,7 @@ from itertools import combinations, product
 
 from .cohomology import is_nef
 from .cones import RationalCone, lp_feasible
-from .fan import ExtendedStackyFan, FanError, StackyFan, anticones
+from .fan import ExtendedStackyFan, anticones
 from .linalg import (
     IntMatrix,
     clear_denominators,
@@ -29,7 +29,6 @@ from .linalg import (
     kernel_basis,
     qvec,
     reduce_mod_lattice,
-    solve_general,
     solve_unique,
     splitting_maps,
 )
@@ -40,46 +39,6 @@ class PicardError(ValueError):
 
 
 # -- fan-level relation vectors ------------------------------------------------
-
-
-def wall_relations(fan: StackyFan) -> list[tuple[int, ...]]:
-    """Primitive integer relation of the d+1 rays across each wall.
-
-    Signs are normalized positive on the two off-wall rays; the pairing of a
-    PL function with such a vector is >= 0 exactly when the function is convex
-    across the wall. Entries are indexed by rays (length m).
-    """
-    fan.ensure_valid()
-    d, m = fan.rank, fan.n_rays
-    if d == 1:
-        return [tuple(1 for _ in range(m))]
-    walls: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for c in fan.max_cones:
-        for facet in combinations(c, d - 1):
-            walls.setdefault(tuple(facet), []).append(c)
-    rels = []
-    for facet, owners in sorted(walls.items()):
-        if len(owners) != 2:
-            raise FanError(f"wall {list(facet)} is not shared by two cones")
-        support = sorted(set(owners[0]) | set(owners[1]))
-        mat = [[Fraction(fan.rays[i][k]) for i in support] for k in range(d)]
-        sol = solve_general(mat, [0] * d)
-        part, null = sol
-        if len(null) != 1:
-            raise FanError(f"wall {list(facet)} has a degenerate relation space")
-        rel = clear_denominators(null[0])
-        off = [i for i in support if i not in facet]
-        sign_entries = [rel[support.index(i)] for i in off]
-        if any(x < 0 for x in sign_entries):
-            if all(x <= 0 for x in sign_entries):
-                rel = tuple(-x for x in rel)
-            else:
-                raise FanError(f"wall {list(facet)}: off-wall coefficients of mixed sign")
-        full = [0] * m
-        for idx, val in zip(support, rel):
-            full[idx] = val
-        rels.append(tuple(full))
-    return sorted(set(rels))
 
 
 def distinguished_relations(ext: ExtendedStackyFan) -> list[tuple[Fraction, ...]]:
@@ -175,7 +134,7 @@ def extended_pl_and_pic(ext: ExtendedStackyFan) -> ExtendedPicardData:
             f"Pic^e rank {len(pic_full)} inconsistent with m - d + e = {ext.m - ext.d + ext.e}"
         )
     rho = tuple(sum((c[j] for c in d_classes), Fraction(0)) for j in range(ext.l_rank))
-    walls = tuple(_l_coords(ext, w) for w in _padded_walls(ext))
+    walls = tuple(_l_coords(ext, w + (0,) * ext.e) for w in ext.fan.wall_relations)
     dist = tuple(_l_coords(ext, rel) for rel in distinguished_relations(ext))
     data = ExtendedPicardData(
         ext=ext,
@@ -189,13 +148,6 @@ def extended_pl_and_pic(ext: ExtendedStackyFan) -> ExtendedPicardData:
         distinguished_classes=dist,
     )
     return replace(data, kahler=kahler_cone(data))
-
-
-def _padded_walls(ext: ExtendedStackyFan):
-    out = []
-    for w in wall_relations(ext.fan):
-        out.append(tuple(w) + tuple(0 for _ in range(ext.e)))
-    return out
 
 
 def kahler_cone(data: ExtendedPicardData) -> RationalCone:
@@ -489,7 +441,6 @@ def box_coset_map(mori: MoriData) -> list[dict]:
         table.append({
             "box_element": b.vector,
             "age": b.age,
-            "d_l_coords": d_coords,
             "d_p_pairings": t,
             "d_pairings": mori.d_pairings(t),
         })

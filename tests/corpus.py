@@ -52,11 +52,11 @@ def pipeline(name):
     return _cache[name]
 
 
-def box_operators(data, drop=None):
-    """box_x of each relation in the union of the operator families, in union
-    order; `drop` names a family whose relations leave the union wherever
-    they occur (the sensitivity experiment)."""
-    families = operator_families(data)
+def box_operators(data, ring, drop=None):
+    """box_x of each relation in the union of the operator families read off
+    `ring`, in union order; `drop` names a family whose relations leave the
+    union wherever they occur (the sensitivity experiment)."""
+    families = operator_families(data, ring)
     union = _family_union(families)
     if drop is not None:
         union = [v for v in union if v not in families[drop]]

@@ -52,7 +52,7 @@ def test_criterion_1_rank_identity():
     for name in ("P1", "P2", "P112", "P1113", "F2"):
         ext, data, ring, _ = pipeline(name)
         vol = normalized_volume(ext)
-        rring = residue_algebra(data, box_operators(data))
+        rring = residue_algebra(data, box_operators(data, ring))
         rdim = rring.dim if rring.finite else None
         detail.append(f"{name}: dim={ring.dim} vol={vol} residue={rdim}")
         ok = ok and ring.dim == vol == rdim
@@ -121,11 +121,11 @@ def test_criterion_5_symbol_fiber_finiteness():
     ok = True
     detail = []
     for name in ("P1", "P2", "P112", "P1113", "F2"):
-        _, data, _, _ = pipeline(name)
-        dim = symbol_fiber_dimension(data, box_operators(data))
+        _, data, ring, _ = pipeline(name)
+        dim = symbol_fiber_dimension(data, box_operators(data, ring))
         if dim == "infinite":
             ok = False
-        grown = [symbol_fiber_dimension(data, box_operators(data, drop=f))
+        grown = [symbol_fiber_dimension(data, box_operators(data, ring, drop=f))
                  for f in ("l_basis", "cone", "primitive")]
         sensitive = any(g == "infinite" or g > dim for g in grown)
         ok = ok and sensitive
@@ -139,7 +139,7 @@ def test_criterion_6_annihilation():
     detail = []
     for name in ("P1", "P2", "P112"):
         _, data, ring, mori = pipeline(name)
-        fams = operator_families(data)
+        fams = operator_families(data, ring)
         ops = [euler_check(data)] + [
             box_x(data, l)
             for l in fams["l_basis"] + fams["cone"] + fams["primitive"]

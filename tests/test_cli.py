@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 import orbimirror
-from orbimirror import operators
+from orbimirror import cli, cohomology, operators
 from orbimirror.cli import main
+from orbimirror.cones import RationalCone
+from orbimirror.fan import StackyFan
 from orbimirror.fandoc import (
     DocumentError,
     input_digest,
@@ -160,6 +162,40 @@ def test_all_exits_1_when_a_factorization_fails(capsys, monkeypatch):
     error = json.loads(err)["error"]
     assert error["kind"] == "OperatorError"
     assert error["message"].startswith("factorization identity failed for relation [")
+
+
+def _counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_commands_derive_each_stage_once(capsys, monkeypatch):
+    calls = {}
+    for name in ("parse_fan", "extended_pl_and_pic", "rho_membership", "choose_basis_p",
+                 "mori_lattices", "presentation", "operator_families", "residue_algebra"):
+        monkeypatch.setattr(cli, name, _counting(calls, name, getattr(cli, name)))
+    monkeypatch.setattr(cohomology, "cone_lattice_groebner", _counting(
+        calls, "cone_lattice_groebner", cohomology.cone_lattice_groebner))
+    # the cached computations behind StackyFan.wall_relations and
+    # RationalCone.extremal_rays (only the Kaehler cone's rays are asked for)
+    for owner, attr in ((StackyFan, "wall_relations"), (RationalCone, "_extremal_rays")):
+        prop = vars(owner)[attr]
+        monkeypatch.setattr(prop, "func", _counting(calls, attr, prop.func))
+    n_cones = len(parse_fan_document(json.loads((DATA / "p123.json").read_text()))[0].max_cones)
+
+    assert run_cli(capsys, "all", str(DATA / "p123.json"))[0] == 0
+    assert calls == {"parse_fan": 1, "extended_pl_and_pic": 1, "rho_membership": 1,
+                     "choose_basis_p": 1, "mori_lattices": 1, "presentation": 1,
+                     "operator_families": 1, "residue_algebra": 1,
+                     "cone_lattice_groebner": n_cones, "wall_relations": 1,
+                     "_extremal_rays": 1}
+    calls.clear()
+    assert run_cli(capsys, "picard", str(DATA / "p123.json"))[0] == 0
+    assert calls == {"parse_fan": 1, "extended_pl_and_pic": 1, "rho_membership": 1,
+                     "choose_basis_p": 1, "mori_lattices": 1, "wall_relations": 1,
+                     "_extremal_rays": 1}
 
 
 def test_reports_byte_identical_across_runs(capsys):

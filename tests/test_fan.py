@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 import random
 
 import pytest
@@ -15,7 +15,7 @@ from orbimirror.fan import (
     gen_elements,
     generalized_primitive_collections,
 )
-from orbimirror.linalg import solve_unique
+from orbimirror.linalg import clear_denominators, solve_general, solve_unique
 
 
 def test_validate_p2():
@@ -241,3 +241,55 @@ def test_fractional_coordinates_match_two_solve_oracle():
             expected = _fractional_coordinates_oracle(fan, point)
             assert fan.fractional_coordinates(point) == expected, (name, point)
             assert fan.minimal_cone(point) == expected[0], (name, point)
+
+
+def _wall_relations_oracle(fan: StackyFan) -> list[tuple[int, ...]]:
+    """The former picard.wall_relations: its own wall map per call."""
+    fan.ensure_valid()
+    d, m = fan.rank, fan.n_rays
+    if d == 1:
+        return [tuple(1 for _ in range(m))]
+    walls: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for c in fan.max_cones:
+        for facet in combinations(c, d - 1):
+            walls.setdefault(tuple(facet), []).append(c)
+    rels = []
+    for facet, owners in sorted(walls.items()):
+        if len(owners) != 2:
+            raise FanError(f"wall {list(facet)} is not shared by two cones")
+        support = sorted(set(owners[0]) | set(owners[1]))
+        mat = [[Fraction(fan.rays[i][k]) for i in support] for k in range(d)]
+        sol = solve_general(mat, [0] * d)
+        part, null = sol
+        if len(null) != 1:
+            raise FanError(f"wall {list(facet)} has a degenerate relation space")
+        rel = clear_denominators(null[0])
+        off = [i for i in support if i not in facet]
+        sign_entries = [rel[support.index(i)] for i in off]
+        if any(x < 0 for x in sign_entries):
+            if all(x <= 0 for x in sign_entries):
+                rel = tuple(-x for x in rel)
+            else:
+                raise FanError(f"wall {list(facet)}: off-wall coefficients of mixed sign")
+        full = [0] * m
+        for idx, val in zip(support, rel):
+            full[idx] = val
+        rels.append(tuple(full))
+    return sorted(set(rels))
+
+
+def _outcome(fn, fan):
+    try:
+        return tuple(fn(fan))
+    except FanError as exc:
+        return str(exc)
+
+
+def test_wall_relations_match_replaced_routine():
+    fans = [(name, ext.fan) for name, ext in differential_fans(smooth_rays=(5, 6, 7, 8))]
+    # Valid, but the cone (a, c) overlaps (a, b) and (b, c): both routines
+    # refuse its walls for off-wall coefficients of mixed sign.
+    fans.append(("folded", StackyFan(2, [(1, 0), (1, 1), (0, 1)], [(0, 1), (1, 2), (0, 2)])))
+    for name, fan in fans:
+        assert _outcome(lambda f: f.wall_relations, fan) == _outcome(_wall_relations_oracle, fan), name
+    assert "mixed sign" in _outcome(lambda f: f.wall_relations, fans[-1][1])

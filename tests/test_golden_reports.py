@@ -1,7 +1,8 @@
 """Byte-identity contract: the commands reproduce the exit code and report
 digest that the benchmark's golden file records for seed 0 (the documents as
-written) on every document in tests/data, on the Groebner-basis certificate
-of P(1,2,3), and on the generated ladder fans."""
+written) on every corpus job of the benchmark (every command on every
+document in tests/data, both resolution pairs, and the certificates) and on
+the generated ladder fans."""
 
 import contextlib
 import io
@@ -18,11 +19,15 @@ DATA = ROOT / "tests" / "data"
 sys.path.insert(0, str(ROOT))
 
 from perfbench.gate import digest  # noqa: E402
-from perfbench.workloads import LADDER_JOBS, ladder_documents  # noqa: E402
+from perfbench.workloads import LADDER_JOBS, corpus_jobs, ladder_documents  # noqa: E402
 
 GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text())["jobs"]
 COMMANDS = ("cohomology", "picard", "gkz", "ifunction", "mirror-map", "all")
 DOCUMENTS = sorted(p.stem for p in DATA.glob("*.json"))
+# Corpus jobs of the commands outside COMMANDS: validate, box and
+# superpotential on every document, crepant and global-moduli on both
+# resolution pairs, and the global-moduli certificates.
+OTHER_JOBS = [(job, argv) for job, argv in corpus_jobs(DOCUMENTS) if argv[0] not in COMMANDS]
 
 
 def _check(job_id, argv):
@@ -43,6 +48,11 @@ def test_report_matches_golden_digest(command, name):
 def test_groebner_certificate_matches_golden_digest():
     _check("cohomology:p123:certificates",
            ["cohomology", str(DATA / "p123.json"), "--emit-certificates"])
+
+
+@pytest.mark.parametrize("job_id, argv", OTHER_JOBS, ids=[job for job, _ in OTHER_JOBS])
+def test_other_corpus_report_matches_golden_digest(job_id, argv):
+    _check(job_id, [str(DATA / f"{a}.json") if a in DOCUMENTS else a for a in argv])
 
 
 @pytest.mark.parametrize("job_id, argv", LADDER_JOBS, ids=[job for job, _ in LADDER_JOBS])

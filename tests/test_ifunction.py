@@ -213,7 +213,7 @@ def test_truncation_stability():
 def test_annihilation_corpus_order3():
     for name in ("P1", "P2", "P112"):
         _, data, ring, mori = pipeline(name)
-        fams = operator_families(data)
+        fams = operator_families(data, ring)
         ops = [euler_check(data)] + [
             box_x(data, l)
             for l in fams["l_basis"] + fams["cone"] + fams["primitive"]

@@ -1,7 +1,7 @@
 """Import hygiene of the package, checked on its syntax trees (no linter needed).
 
 Every name a module binds by a module-level import is used in that module, and
-no function body imports, except where a cycle between modules forces it.
+no function body imports.
 """
 
 import ast
@@ -10,11 +10,6 @@ from pathlib import Path
 import pytest
 
 MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "orbimirror").glob("*.py"))
-
-# (module, function) pairs allowed to import inside their body, and why.
-LOCAL_IMPORTS_ALLOWED = {
-    ("cohomology", "is_nef"),  # picard imports cohomology when it loads
-}
 
 
 def _tree(path):
@@ -43,4 +38,4 @@ def test_no_imports_inside_functions(path):
         for node in ast.walk(func)
         if isinstance(node, (ast.Import, ast.ImportFrom))
     }
-    assert sorted(local - LOCAL_IMPORTS_ALLOWED) == []
+    assert sorted(local) == []

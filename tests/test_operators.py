@@ -1,11 +1,20 @@
 import random
 import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from corpus import CORPUS, box_operators, pipeline
+from corpus import CORPUS, box_operators, differential_fans, pipeline
 from orbimirror import operators
+from orbimirror.cohomology import (
+    binomial_relation_vectors,
+    cone_lattice_groebner,
+    lattice_ideal_groebner,
+    presentation,
+)
+from orbimirror.fan import generalized_primitive_collections
+from orbimirror.linalg import IntMatrix, kernel_basis
 from orbimirror.operators import (
     LogDiffOp,
     OperatorError,
@@ -33,6 +42,7 @@ from orbimirror.operators import (
     symbol_fiber_dimension,
     symbol_mul,
 )
+from orbimirror.picard import extended_pl_and_pic
 
 
 # -- normal-ordered algebra -----------------------------------------------------
@@ -226,7 +236,7 @@ def test_primitive_relation_limits_are_monomial():
 def test_residue_algebra_dimensions():
     for name, expected in {"P1": 2, "P2": 3, "P112": 4, "F2": 4, "P1113": 6}.items():
         _, data, ring, _ = pipeline(name)
-        rring = residue_algebra(data, box_operators(data))
+        rring = residue_algebra(data, box_operators(data, ring))
         assert rring.finite and rring.dim == expected
         assert rring.graded_dims() == ring.graded_dims()
 
@@ -234,7 +244,7 @@ def test_residue_algebra_dimensions():
 def test_residue_map_well_defined_corpus():
     for name in CORPUS:
         _, data, ring, _ = pipeline(name)
-        assert residue_map_well_defined(data, ring, residue_algebra(data, box_operators(data)))
+        assert residue_map_well_defined(data, ring, residue_algebra(data, box_operators(data, ring)))
 
 
 def test_euler_relations_vanish_in_limit_generators():
@@ -253,11 +263,11 @@ def test_euler_relations_vanish_in_limit_generators():
 def test_symbol_fiber_finite_and_sensitive():
     for name in CORPUS:
         _, data, ring, _ = pipeline(name)
-        dim = symbol_fiber_dimension(data, box_operators(data))
+        dim = symbol_fiber_dimension(data, box_operators(data, ring))
         assert dim != "infinite"
         assert dim <= ring.dim  # contains at least the Euler+box relations
         grown = [
-            symbol_fiber_dimension(data, box_operators(data, drop=f))
+            symbol_fiber_dimension(data, box_operators(data, ring, drop=f))
             for f in ("l_basis", "cone", "primitive")
         ]
         assert any(g == "infinite" or g > dim for g in grown), (name, dim, grown)
@@ -286,8 +296,8 @@ def test_pbar_class_lies_in_h2():
 
 def test_operator_families_are_relations():
     for name in CORPUS:
-        ext, data, _, _ = pipeline(name)
-        for rels in operator_families(data).values():
+        ext, data, ring, _ = pipeline(name)
+        for rels in operator_families(data, ring).values():
             for l in rels:
                 total = [sum(l[i] * ext.generators[i][k] for i in range(ext.n))
                          for k in range(ext.d)]
@@ -338,3 +348,58 @@ def test_torus_direction_euler_operators_pull_back_to_zero():
                 if coeff:
                     acc = acc + script_d_tilde(data, i).scale(coeff)
             assert acc.is_zero(), (name, k)
+
+
+def _cone_lattice_groebner_oracle(ext, cone):
+    """The former cohomology.cone_lattice_groebner: the lifted binomials and
+    their relation vectors."""
+    support = ext.generators_in_cone(cone)
+    gens_vectors = ext.generators
+    mat = [[gens_vectors[i][k] for i in support] for k in range(ext.d)]
+    local_rels = kernel_basis(IntMatrix(mat)) if support else []
+    denom = lcm(*(ext.degree(i).denominator for i in range(ext.n)))
+    weights = [int(ext.degree(i) * denom) for i in support]
+    local_gb = lattice_ideal_groebner(local_rels, weights) if local_rels else []
+    lifted_polys = []
+    lifted_vectors = []
+    for g in local_gb:
+        poly = {}
+        for m, c in g.items():
+            full = [0] * ext.n
+            for idx, e in zip(support, m):
+                full[idx] = e
+            poly[tuple(full)] = c
+        lifted_polys.append(poly)
+    for u in binomial_relation_vectors(local_gb):
+        full = [0] * ext.n
+        for idx, e in zip(support, u):
+            full[idx] = e
+        lifted_vectors.append(tuple(full))
+    return lifted_polys, lifted_vectors
+
+
+def _operator_families_oracle(data):
+    """The former operators.operator_families: every per-cone lattice basis
+    and the generalized primitive collections computed afresh."""
+    ext = data.ext
+    basis = [tuple(v) for v in ext.l_basis]
+    cone_rels = []
+    seen = set()
+    for cone in ext.fan.max_cones:
+        _, vectors = _cone_lattice_groebner_oracle(ext, cone)
+        for v in vectors:
+            if v not in seen:
+                seen.add(v)
+                cone_rels.append(v)
+    prims = [primitive_relation(data, c) for c in generalized_primitive_collections(ext)]
+    return {"l_basis": basis, "cone": cone_rels, "primitive": prims}
+
+
+def test_operator_families_match_replaced_routine():
+    # The families use only data.ext, so the Picard data need no p-basis and
+    # the non-nef fans take part too.
+    for name, ext in differential_fans(smooth_rays=(5, 6, 7, 8)):
+        for cone in ext.fan.max_cones:
+            assert cone_lattice_groebner(ext, cone) == _cone_lattice_groebner_oracle(ext, cone)[0]
+        data = extended_pl_and_pic(ext)
+        assert operator_families(data, presentation(ext)) == _operator_families_oracle(data), name

@@ -17,7 +17,6 @@ from orbimirror.picard import (
     min_decomposition,
     pl_lattice,
     rho_membership,
-    wall_relations,
 )
 
 
@@ -230,7 +229,7 @@ def test_lattice_inclusion_chain():
 
 def test_wall_relations_sum_to_anticanonical_degree():
     # distinct wall curve classes of F2; the -2-curve has degree 0 (nef, not Fano)
-    sums = sorted(sum(w) for w in wall_relations(fan_of(CORPUS["F2"])))
+    sums = sorted(sum(w) for w in fan_of(CORPUS["F2"]).wall_relations)
     assert sums == [0, 2, 4]
 
 
