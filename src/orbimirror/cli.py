@@ -5,8 +5,9 @@
 
 Each command is a view over one `Job`, whose stages (the S-extended fan, its
 extended Picard data and Kaehler cone, rho in K^e, the p-basis, the
-presentation, the operator families and box operators, the I-function) are
-derived on first use and kept, so no command derives a stage twice.
+presentation, the operator families and box operators, the I-function, and
+for a resolution pair its checks and both sides' Picard data) are derived on
+first use and kept, so no command derives a stage twice.
 
 Exit codes: 0 success, 1 validation failure, 2 invariant failure,
 3 resource limit.
@@ -34,6 +35,7 @@ from .crepant import (
     ResolutionPair,
     build_global_fan,
     check_gen_equals_new_rays,
+    check_gluing_hypotheses,
     check_sl,
     exceptional_not_in_kahler,
     is_crepant,
@@ -46,7 +48,6 @@ from .fandoc import (
     input_digest,
     make_report,
     parse_fan,
-    parse_fan_document,
     to_jsonable,
 )
 from .ifunction import (
@@ -97,12 +98,22 @@ class Job:
         self.args = args
 
     @cached_property
+    def document(self):
+        """(StackyFan, options) of the fan document; every stage reads this one
+        StackyFan, so each of its checks runs once per job."""
+        return parse_fan(self.doc)
+
+    @property
+    def fan(self):
+        return self.document[0]
+
+    @property
     def options(self) -> dict:
-        return parse_fan_document(self.doc)[1]
+        return self.document[1]
 
     @cached_property
     def ext(self):
-        return parse_fan(self.doc)
+        return extend(self.fan, self.options.get("extra_generators"))
 
     @cached_property
     def picard(self):
@@ -156,18 +167,40 @@ class Job:
         if not self.args.resolution:
             raise DocumentError("this command needs --resolution Z.json", "/")
         zdoc = _load(self.args.resolution)
-        zfan = parse_fan_document(zdoc)[0]
-        return ResolutionPair(parse_fan_document(self.doc)[0], zfan), zdoc
+        zfan = parse_fan(zdoc)[0]
+        return ResolutionPair(self.fan, zfan), zdoc
+
+    @cached_property
+    def verdicts(self) -> tuple:
+        """The crepant, SL and Gen = new rays verdicts of the pair."""
+        pair = self.pair[0]
+        return is_crepant(pair), check_sl(pair.stacky), check_gen_equals_new_rays(pair)
+
+    @cached_property
+    def ext_x(self):
+        """X extended by the resolution's new rays, so both sides share L."""
+        pair = self.pair[0]
+        return extend(pair.stacky, extra_vectors=pair.new_rays)
+
+    @cached_property
+    def data_x(self):
+        return choose_basis_p(extended_pl_and_pic(self.ext_x),
+                              override=self.options.get("p_basis"))
+
+    @cached_property
+    def data_z(self):
+        """Picard data of the resolution; Z is smooth, so its Gen is empty."""
+        return extended_pl_and_pic(extend(self.pair[0].resolution))
 
 
 def cmd_validate(job):
-    report = parse_fan_document(job.doc)[0].validate()
+    report = job.fan.validation
     return {"valid": report.ok, "issues": report.summary()}, {}, (0 if report.ok else 1)
 
 
 def cmd_box(job):
     ext = job.ext
-    gens = {b.vector for b in gen_elements(ext.fan, ext.box)}
+    gens = {b.vector for b in gen_elements(ext.fan)}
     results = {
         "box_elements": [
             {
@@ -293,10 +326,8 @@ def cmd_mirror_map(job):
 
 def cmd_crepant(job):
     pair, zdoc = job.pair
-    crepant, witnesses = is_crepant(pair)
-    sl_x = check_sl(pair.stacky)
-    gen_eq, gen_diff = check_gen_equals_new_rays(pair)
-    exc_ok, exc = exceptional_not_in_kahler(pair) if crepant else (None, None)
+    (crepant, witnesses), sl_x, (gen_eq, gen_diff) = job.verdicts
+    exc_ok, exc = exceptional_not_in_kahler(pair, job.data_z) if crepant else (None, None)
     results = {
         "crepant": crepant,
         "witnesses": witnesses,
@@ -305,18 +336,16 @@ def cmd_crepant(job):
         "gen_difference": gen_diff,
         "exceptional_outside_kahler": exc_ok,
         "exceptional_verdicts": exc,
-        "sequences_agree": sequences_agree(pair) if gen_eq else None,
+        "sequences_agree": sequences_agree(job.ext_x, pair.resolution) if gen_eq else None,
         "resolution_digest": input_digest(zdoc),
     }
     return results, {}, 0
 
 
 def cmd_global_moduli(job):
-    pair, _zdoc = job.pair
-    # extend X by the resolution's new rays so both sides share L coordinates
-    ext = extend(pair.stacky, extra_vectors=pair.new_rays)
-    data = choose_basis_p(extended_pl_and_pic(ext), override=job.options.get("p_basis"))
-    gm = build_global_fan(pair, data_x=data, q_override=job.options.get("q_basis"))
+    data_x = job.data_x
+    check_gluing_hypotheses(*job.verdicts)
+    gm = build_global_fan(data_x, job.data_z, q_override=job.options.get("q_basis"))
     return gm.summary(), {"separating_functional": gm.separating_functional}, 0
 
 

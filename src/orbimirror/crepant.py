@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 from .cones import RationalCone, common_face_witness, is_face
-from .fan import StackyFan, box_elements, extend, gen_elements
-from .linalg import IntMatrix, coordinates, hermite_row_basis
-from .picard import ExtendedPicardData, choose_basis_p, extended_pl_and_pic
+from .fan import ExtendedStackyFan, StackyFan, gen_elements
+from .linalg import IntMatrix, coordinates
+from .picard import ExtendedPicardData, is_basis_of
 
 
 class CrepantError(ValueError):
@@ -69,8 +69,7 @@ def is_crepant(pair: ResolutionPair) -> tuple[bool, list[dict]]:
     boundary of conv(a_1..a_m)).
     """
     witnesses = []
-    crepant = True
-    for k, ray in enumerate(pair.new_rays):
+    for ray in pair.new_rays:
         cone, coords = pair.stacky.fractional_coordinates(ray)
         deg = sum(coords, Fraction(0))
         witnesses.append({
@@ -80,14 +79,12 @@ def is_crepant(pair: ResolutionPair) -> tuple[bool, list[dict]]:
             "degree": deg,
             "discrepancy": deg - 1,
         })
-        if deg != 1:
-            crepant = False
-    return crepant, witnesses
+    return all(w["degree"] == 1 for w in witnesses), witnesses
 
 
 def check_sl(fan: StackyFan) -> bool:
     """SL / Gorenstein condition: every box element has integral age."""
-    return all(b.age.denominator == 1 for b in box_elements(fan))
+    return all(b.age.denominator == 1 for b in fan.box)
 
 
 def check_gen_equals_new_rays(pair: ResolutionPair) -> tuple[bool, dict]:
@@ -100,21 +97,25 @@ def check_gen_equals_new_rays(pair: ResolutionPair) -> tuple[bool, dict]:
     }
 
 
-def _z_picard(pair: ResolutionPair) -> ExtendedPicardData:
-    ext_z = extend(pair.resolution)
-    if ext_z.e != 0:
-        raise CrepantError("resolution fan has nontrivial Gen; it is not smooth-complete")
-    return extended_pl_and_pic(ext_z)
-
-
-def exceptional_not_in_kahler(pair: ResolutionPair) -> tuple[bool, list[bool]]:
-    """[D_i] for each new ray must lie outside the Kaehler cone of Z."""
-    data_z = _z_picard(pair)
-    kz = data_z.kahler
-    verdicts = []
-    for i in range(pair.stacky.n_rays, pair.resolution.n_rays):
-        verdicts.append(not kz.contains(data_z.d_classes[i]))
+def exceptional_not_in_kahler(pair: ResolutionPair,
+                              data_z: ExtendedPicardData) -> tuple[bool, list[bool]]:
+    """[D_i] for each new ray must lie outside the Kaehler cone of Z; `data_z`
+    is the Picard data of Z, whose Gen is empty as Z is smooth."""
+    verdicts = [not data_z.kahler.contains(data_z.d_classes[i])
+                for i in range(pair.stacky.n_rays, pair.resolution.n_rays)]
     return all(verdicts), verdicts
+
+
+def check_gluing_hypotheses(crepant: tuple[bool, list[dict]], sl: bool,
+                            gen: tuple[bool, dict]) -> None:
+    """Refuse a pair unless the verdicts of `is_crepant`, `check_sl` and
+    `check_gen_equals_new_rays` all hold."""
+    if not crepant[0]:
+        raise CrepantError(f"pair is not crepant: {crepant[1]}")
+    if not sl:
+        raise CrepantError("stacky fan is not an SL orbifold")
+    if not gen[0]:
+        raise CrepantError(f"Gen(Sigma_X) differs from the new rays: {gen[1]}")
 
 
 @dataclass(frozen=True)
@@ -137,25 +138,15 @@ class GlobalModuliFan:
         }
 
 
-def build_global_fan(pair: ResolutionPair, data_x: ExtendedPicardData | None = None,
+def build_global_fan(data_x: ExtendedPicardData, data_z: ExtendedPicardData,
                      q_override=None) -> GlobalModuliFan:
     """Charts C_X = Cone(p), C_Z = Cone(q) glued along a common face in Pic^e(X).
 
-    Requires the crepant/SL/Gen hypotheses; q is searched among primitive
-    K_Z-extremal generators completing p_1..p_r to a Z-basis of Pic^e(X).
+    `data_x` is the p-basis data of X extended by the new rays of Z, and
+    `data_z` the Picard data of Z; the pair must pass `check_gluing_hypotheses`.
+    q is searched among K_Z lattice points completing p_1..p_r to a Z-basis of
+    Pic^e(X).
     """
-    crepant, witnesses = is_crepant(pair)
-    if not crepant:
-        raise CrepantError(f"pair is not crepant: {witnesses}")
-    if not check_sl(pair.stacky):
-        raise CrepantError("stacky fan is not an SL orbifold")
-    same, diff = check_gen_equals_new_rays(pair)
-    if not same:
-        raise CrepantError(f"Gen(Sigma_X) differs from the new rays: {diff}")
-    if data_x is None:
-        ext_x = extend(pair.stacky, extra_vectors=pair.new_rays)
-        data_x = choose_basis_p(extended_pl_and_pic(ext_x))
-    data_z = _z_picard(pair)
     if data_z.ext.l_basis != data_x.ext.l_basis:
         raise CrepantError("X and Z do not share the relation lattice basis")
     kz = data_z.kahler
@@ -169,14 +160,10 @@ def build_global_fan(pair: ResolutionPair, data_x: ExtendedPicardData | None = N
     kz_v = RationalCone.from_generators(rank, kz.extremal_rays())
     if not is_face(kx_v, kz_v):
         raise CrepantError("K_X is not a face of K_Z")
-    pic = list(data_x.pic_basis)
 
     def valid_q(rows) -> bool:
-        if not all(kz.contains(q) for q in rows):
-            return False
-        return hermite_row_basis(list(rows)) == pic
+        return all(kz.contains(q) for q in rows) and is_basis_of(rows, data_x.pic_basis)
 
-    q_rows = None
     if q_override is not None:
         q_rows = [tuple(int(x) for x in row) for row in q_override]
         if len(q_rows) != rank or q_rows[:r] != p_rows[:r] or not valid_q(q_rows):
@@ -243,11 +230,7 @@ def _complete_q_basis(p_rows, r, e, kz, valid_q, bound=3, cap=300000):
         if cur is None or key < cur[0]:
             by_quotient[quot] = (key, x)
     cands = sorted((key, quot, x) for quot, (key, x) in by_quotient.items())
-    tried = 0
-    for subset in combinations(cands, e):
-        tried += 1
-        if tried > cap:
-            break
+    for subset in islice(combinations(cands, e), cap):
         mat = IntMatrix([list(item[1]) for item in subset])
         if mat.det() in (1, -1):
             rows = list(p_rows[:r]) + [item[2] for item in subset]
@@ -256,10 +239,7 @@ def _complete_q_basis(p_rows, r, e, kz, valid_q, bound=3, cap=300000):
     return None
 
 
-def sequences_agree(pair: ResolutionPair) -> bool:
-    """The extended generator list of X equals the ray list of Z (as sequences
-    after the canonical Gen ordering), so both quotient systems coincide."""
-    ext_x = extend(pair.stacky)
-    gens_x = set(ext_x.generators)
-    rays_z = set(pair.resolution.rays)
-    return gens_x == rays_z and len(ext_x.generators) == pair.resolution.n_rays
+def sequences_agree(ext_x: ExtendedStackyFan, resolution: StackyFan) -> bool:
+    """The generator list of X extended by the new rays equals the ray list of
+    Z as a sequence, so both quotient systems coincide."""
+    return ext_x.generators == resolution.rays

@@ -7,7 +7,7 @@ extension set defaults to Gen(Sigma), keeping the generator list 𝒢 of size n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -75,7 +75,9 @@ class StackyFan:
         # columns are the ray generators of the cone
         return IntMatrix([[self.rays[i][k] for i in cone] for k in range(self.rank)])
 
-    def validate(self) -> ValidationReport:
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """Issues of this fan, found once: the fan is frozen."""
         issues = []
         d = self.rank
         for i, r in enumerate(self.rays):
@@ -138,9 +140,13 @@ class StackyFan:
         return issues
 
     def ensure_valid(self):
-        report = self.validate()
-        if not report.ok:
-            raise FanError("; ".join(f"{i.kind}: {i.detail}" for i in report.issues))
+        if not self.validation.ok:
+            raise FanError("; ".join(f"{i.kind}: {i.detail}" for i in self.validation.issues))
+
+    @cached_property
+    def box(self) -> tuple[BoxElement, ...]:
+        """Box(Sigma), enumerated once."""
+        return tuple(box_elements(self))
 
     @cached_property
     def _walls(self) -> dict[tuple[int, ...], list[int]]:
@@ -252,11 +258,10 @@ def box_elements(fan: StackyFan) -> list[BoxElement]:
     return [found[v] for v in sorted(found)]
 
 
-def gen_elements(fan: StackyFan, box=None) -> list[BoxElement]:
+def gen_elements(fan: StackyFan) -> list[BoxElement]:
     """Gen(Sigma): box elements irreducible in the semigroup of their minimal
-    cone. `box` is Box(Sigma) when the caller already has it."""
-    box = box_elements(fan) if box is None else box
-    nonzero = [b for b in box if not b.is_zero]
+    cone."""
+    nonzero = [b for b in fan.box if not b.is_zero]
     gens = []
     for b in nonzero:
         ambient = _max_cone_containing(fan, b.min_cone)
@@ -296,7 +301,10 @@ def _one(indices) -> list[int]:
 class ExtendedStackyFan:
     fan: StackyFan
     extra: tuple[BoxElement, ...]
-    box: tuple[BoxElement, ...] = field(repr=False)
+
+    @property
+    def box(self) -> tuple[BoxElement, ...]:
+        return self.fan.box
 
     @property
     def d(self) -> int:
@@ -347,11 +355,7 @@ class ExtendedStackyFan:
 
     def generators_in_cone(self, cone) -> tuple[int, ...]:
         """Indices (into a_1..a_n) of all generators lying in the given maximal cone."""
-        out = [i for i in cone]
-        for j, b in enumerate(self.extra):
-            if set(b.min_cone) <= set(cone):
-                out.append(self.m + j)
-        return tuple(sorted(out))
+        return tuple(i for i in range(self.n) if self.generator_in_cone(i, cone))
 
     def generator_in_cone(self, i: int, cone) -> bool:
         if i < self.m:
@@ -366,8 +370,7 @@ def extend(fan: StackyFan, extra_vectors=None) -> ExtendedStackyFan:
     fails to be surjective.
     """
     fan.ensure_valid()
-    box = tuple(box_elements(fan))
-    gens = gen_elements(fan, box)
+    gens = gen_elements(fan)
     if extra_vectors is None:
         chosen = gens
     else:
@@ -383,7 +386,7 @@ def extend(fan: StackyFan, extra_vectors=None) -> ExtendedStackyFan:
             chosen.append(gen_by_vec[v])
         if len(set(b.vector for b in chosen)) != len(chosen):
             raise FanError("duplicate extra generators")
-    ext = ExtendedStackyFan(fan, tuple(chosen), box)
+    ext = ExtendedStackyFan(fan, tuple(chosen))
     snf = smith_normal_form(ext.a_matrix)
     diag = snf.diagonal()
     if snf.rank() < fan.rank or any(x != 1 for x in diag):
@@ -402,8 +405,7 @@ def anticones(ext: ExtendedStackyFan) -> tuple[list[tuple[int, ...]], list[tuple
         for k in range(len(c) + 1):
             for f in combinations(c, k):
                 faces.add(tuple(f))
-    out = sorted(tuple(sorted(set(range(m)) - set(f))) for f in faces)
-    out = sorted(set(out))
+    out = sorted({tuple(sorted(set(range(m)) - set(f))) for f in faces})
     ext_ids = tuple(range(m, m + ext.e))
     out_e = [tuple(sorted(set(i) | set(ext_ids))) for i in out]
     return out, sorted(set(out_e))
@@ -432,11 +434,10 @@ def cone_relations(ext: ExtendedStackyFan, cone) -> list[tuple[int, ...]]:
     support = ext.generators_in_cone(cone)
     gens = ext.generators
     mat = IntMatrix([[gens[i][k] for i in support] for k in range(ext.d)])
-    local = kernel_basis(mat)
     lifted = []
-    for rel in local:
+    for rel in kernel_basis(mat):
         full = [0] * ext.n
         for idx, val in zip(support, rel):
             full[idx] = val
         lifted.append(tuple(full))
-    return hermite_row_basis(lifted) if lifted else []
+    return hermite_row_basis(lifted)

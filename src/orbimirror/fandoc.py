@@ -11,7 +11,7 @@ import hashlib
 import json
 from fractions import Fraction
 
-from .fan import ExtendedStackyFan, FanError, StackyFan, extend
+from .fan import ExtendedStackyFan, StackyFan
 
 
 class DocumentError(ValueError):
@@ -26,16 +26,21 @@ def _expect(cond, message, pointer):
 
 
 def _int_vector(value, length, pointer):
+    """The integer list at `pointer` as a tuple; any length if `length` is None."""
     _expect(isinstance(value, list), "expected a list", pointer)
-    _expect(len(value) == length, f"expected length {length}, got {len(value)}", pointer)
+    if length is not None:
+        _expect(len(value) == length, f"expected length {length}, got {len(value)}", pointer)
     for k, x in enumerate(value):
         _expect(isinstance(x, int) and not isinstance(x, bool),
                 "expected an integer", f"{pointer}/{k}")
     return tuple(value)
 
 
-def parse_fan_document(doc: dict):
-    """Validated (StackyFan, options) from a JSON document."""
+def parse_fan(doc: dict):
+    """(StackyFan, options) of a JSON fan document, its fields checked.
+
+    The fan itself is validated on first use (`StackyFan.ensure_valid`).
+    """
     _expect(isinstance(doc, dict), "expected an object", "/")
     _expect("rank" in doc, "missing field 'rank'", "/rank")
     rank = doc["rank"]
@@ -67,24 +72,9 @@ def parse_fan_document(doc: dict):
     for key in ("p_basis", "q_basis"):
         if key in doc:
             _expect(isinstance(doc[key], list), "expected a list", f"/{key}")
-            rows = []
-            for i, v in enumerate(doc[key]):
-                _expect(isinstance(v, list), "expected a list", f"/{key}/{i}")
-                for k, x in enumerate(v):
-                    _expect(isinstance(x, int) and not isinstance(x, bool),
-                            "expected an integer", f"/{key}/{i}/{k}")
-                rows.append(tuple(v))
-            options[key] = rows
+            options[key] = [_int_vector(v, None, f"/{key}/{i}")
+                            for i, v in enumerate(doc[key])]
     return StackyFan(rank, rays, cones), options
-
-
-def parse_fan(doc: dict) -> ExtendedStackyFan:
-    """Parse and extend; extra generators default to Gen(Sigma)."""
-    fan, options = parse_fan_document(doc)
-    report = fan.validate()
-    if not report.ok:
-        raise FanError("; ".join(f"{i.kind}: {i.detail}" for i in report.issues))
-    return extend(fan, options.get("extra_generators"))
 
 
 def serialize_fan(ext: ExtendedStackyFan) -> dict:

@@ -270,9 +270,10 @@ def hermite_row_basis(vectors) -> list[Vec]:
             basis.append(lead)
         pend = nxt
         col += 1
-    # Reduce entries above each pivot.
+    # Reduce entries above each pivot, left to right: a later pivot row is
+    # zero in every earlier pivot column, so no reduction undoes another.
     pivots = [(next(j for j, x in enumerate(b) if x), i) for i, b in enumerate(basis)]
-    for pcol, pi in reversed(pivots):
+    for pcol, pi in pivots:
         p = basis[pi][pcol]
         for qi in range(pi):
             q = basis[qi][pcol] // p

@@ -28,7 +28,6 @@ from .linalg import (
     hermite_row_basis,
     kernel_basis,
     qvec,
-    reduce_mod_lattice,
     solve_unique,
     splitting_maps,
 )
@@ -204,16 +203,10 @@ def rho_membership(data: ExtendedPicardData) -> tuple[bool, bool]:
 # -- p-basis, M, N ----------------------------------------------------------------
 
 
-def _in_lattice(vec, hnf_basis) -> bool:
-    return not any(reduce_mod_lattice(vec, hnf_basis))
-
-
-def _is_basis_of(rows, hnf_basis) -> bool:
-    if len(rows) != len(hnf_basis):
-        return False
-    if not all(_in_lattice(r, hnf_basis) for r in rows):
-        return False
-    return hermite_row_basis(rows) == list(hnf_basis)
+def is_basis_of(rows, hnf_basis) -> bool:
+    """True iff `rows` is a Z-basis of the lattice with canonical HNF basis
+    `hnf_basis`: two bases of one lattice have the same canonical HNF."""
+    return len(rows) == len(hnf_basis) and hermite_row_basis(rows) == list(hnf_basis)
 
 
 def choose_basis_p(data: ExtendedPicardData, override=None) -> ExtendedPicardData:
@@ -233,7 +226,7 @@ def choose_basis_p(data: ExtendedPicardData, override=None) -> ExtendedPicardDat
         rows = [tuple(int(v) for v in c) for c in cands]
         if not all(cone.contains(row) for row in rows):
             return False
-        if not _is_basis_of(rows + forced, data.pic_basis):
+        if not is_basis_of(rows + forced, data.pic_basis):
             return False
         coords = coordinates(data.rho, rows + forced)
         return coords is not None and all(c >= 0 for c in coords)

@@ -5,8 +5,15 @@ from pathlib import Path
 import sys
 
 from orbimirror.cohomology import presentation
+from orbimirror.crepant import (
+    build_global_fan,
+    check_gen_equals_new_rays,
+    check_gluing_hypotheses,
+    check_sl,
+    is_crepant,
+)
 from orbimirror.fan import StackyFan, extend
-from orbimirror.fandoc import parse_fan, parse_fan_document
+from orbimirror.fandoc import parse_fan
 from orbimirror.operators import _family_union, box_x, operator_families
 from orbimirror.picard import choose_basis_p, extended_pl_and_pic, mori_lattices
 
@@ -36,6 +43,26 @@ def fan_of(spec) -> StackyFan:
 
 def ext_of(spec):
     return extend(fan_of(spec))
+
+
+def ext_of_doc(doc):
+    """A fan document parsed and extended as the CLI does."""
+    fan, options = parse_fan(doc)
+    return extend(fan, options.get("extra_generators"))
+
+
+def data_z(pair):
+    """Picard data of the resolution of `pair`."""
+    return extended_pl_and_pic(extend(pair.resolution))
+
+
+def global_fan(pair, q_override=None):
+    """build_global_fan on the stages `global-moduli` derives for `pair`."""
+    ext_x = extend(pair.stacky, extra_vectors=pair.new_rays)
+    data_x = choose_basis_p(extended_pl_and_pic(ext_x))
+    check_gluing_hypotheses(is_crepant(pair), check_sl(pair.stacky),
+                            check_gen_equals_new_rays(pair))
+    return build_global_fan(data_x, data_z(pair), q_override)
 
 
 _cache = {}
@@ -68,10 +95,10 @@ def differential_fans(smooth_rays=()):
     the benchmark's smooth m-ray polygon fan for each m in `smooth_rays`."""
     for path in sorted(DATA.glob("*.json")):
         doc = json.loads(path.read_text())
-        if parse_fan_document(doc)[0].validate().ok:
-            yield path.stem, parse_fan(doc)
+        if parse_fan(doc)[0].validation.ok:
+            yield path.stem, ext_of_doc(doc)
     for name, spec in {"P1": P1, "P2": P2, "P112": P112, "P113": P113, "F2": F2,
                        "F3": F3, "P1113": P1113}.items():
         yield name, ext_of(spec)
     for m in smooth_rays:
-        yield f"smooth{m}", parse_fan(smooth_polygon(m))
+        yield f"smooth{m}", ext_of_doc(smooth_polygon(m))

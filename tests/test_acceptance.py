@@ -9,12 +9,21 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from corpus import CORPUS, F3, P113, box_operators, ext_of, fan_of, pipeline
+from corpus import (
+    CORPUS,
+    F3,
+    P113,
+    box_operators,
+    data_z,
+    ext_of,
+    fan_of,
+    global_fan,
+    pipeline,
+)
 from orbimirror.cli import main as cli_main
 from orbimirror.cohomology import normalized_volume
 from orbimirror.crepant import (
     ResolutionPair,
-    build_global_fan,
     check_gen_equals_new_rays,
     check_sl,
     exceptional_not_in_kahler,
@@ -209,8 +218,8 @@ def test_criterion_8_crepant_suite():
     ring_z = pipeline("F2")[2]
     ok = ok and ring_x.dim == ring_z.dim == 4
     ok = ok and check_gen_equals_new_rays(pair)[0]
-    ok = ok and exceptional_not_in_kahler(pair)[0]
-    gm = build_global_fan(pair)
+    ok = ok and exceptional_not_in_kahler(pair, data_z(pair))[0]
+    gm = global_fan(pair)
     ok = ok and gm.shared_face == ((Fraction(0), Fraction(1)),)
     ok = ok and any(gm.separating_functional)
     _report(8, ok, "F2/P112 crepant; (-1,-1) discrepancy 1; SL verdicts; dims 4=4; "

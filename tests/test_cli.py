@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import orbimirror
-from orbimirror import cli, cohomology, operators
+from corpus import ext_of_doc
+from orbimirror import cli, cohomology, fan, operators
 from orbimirror.cli import main
 from orbimirror.cones import RationalCone
 from orbimirror.fan import StackyFan
@@ -15,11 +16,12 @@ from orbimirror.fandoc import (
     DocumentError,
     input_digest,
     parse_fan,
-    parse_fan_document,
     serialize_fan,
     to_jsonable,
 )
+from orbimirror.linalg import IntMatrix
 from orbimirror.operators import LogDiffOp
+from perfbench.workloads import corpus_documents, ladder_documents, seeded_documents
 
 DATA = Path(__file__).parent / "data"
 
@@ -47,11 +49,11 @@ def test_validate_broken_wall_exit_code(capsys):
 
 def test_schema_error_pointer():
     with pytest.raises(DocumentError, match="/rays/0"):
-        parse_fan_document({"rank": 2, "rays": [[1]], "max_cones": [[1]]})
+        parse_fan({"rank": 2, "rays": [[1]], "max_cones": [[1]]})
     with pytest.raises(DocumentError, match="/max_cones/0/0"):
-        parse_fan_document({"rank": 1, "rays": [[1], [-1]], "max_cones": [[7]]})
+        parse_fan({"rank": 1, "rays": [[1], [-1]], "max_cones": [[7]]})
     with pytest.raises(DocumentError, match="unknown field"):
-        parse_fan_document({"rank": 1, "rays": [[1], [-1]], "max_cones": [[1], [2]],
+        parse_fan({"rank": 1, "rays": [[1], [-1]], "max_cones": [[1], [2]],
                             "surplus": 1})
 
 
@@ -60,15 +62,15 @@ def test_extra_generator_must_be_box_element():
            "max_cones": [[1, 2], [2, 3], [1, 3]],
            "extra_generators": [[5, 5]]}
     with pytest.raises(Exception, match="not a primitive Box element"):
-        parse_fan(doc)
+        ext_of_doc(doc)
 
 
 def test_round_trip_corpus():
     for name in ("p1", "p2", "p112", "f2", "p1113"):
         doc = json.loads((DATA / f"{name}.json").read_text())
-        ext = parse_fan(doc)
+        ext = ext_of_doc(doc)
         doc2 = serialize_fan(ext)
-        ext2 = parse_fan(doc2)
+        ext2 = ext_of_doc(doc2)
         assert serialize_fan(ext2) == doc2
 
 
@@ -164,38 +166,69 @@ def test_all_exits_1_when_a_factorization_fails(capsys, monkeypatch):
     assert error["message"].startswith("factorization identity failed for relation [")
 
 
-def _counting(calls, name, fn):
+def _counting(calls, name, fn, fan_of_arg=None):
+    """Count the calls of `fn` under `name`, or, given `fan_of_arg`, under
+    (name, number of rays of the fan it reads off the first argument)."""
     def wrapper(*args, **kwargs):
-        calls[name] = calls.get(name, 0) + 1
+        key = name if fan_of_arg is None else (name, fan_of_arg(args[0]).n_rays)
+        calls[key] = calls.get(key, 0) + 1
         return fn(*args, **kwargs)
     return wrapper
 
 
 def test_commands_derive_each_stage_once(capsys, monkeypatch):
     calls = {}
-    for name in ("parse_fan", "extended_pl_and_pic", "rho_membership", "choose_basis_p",
-                 "mori_lattices", "presentation", "operator_families", "residue_algebra"):
+    for name in ("parse_fan", "rho_membership", "choose_basis_p", "mori_lattices",
+                 "presentation", "operator_families", "residue_algebra", "is_crepant",
+                 "check_sl", "check_gen_equals_new_rays"):
         monkeypatch.setattr(cli, name, _counting(calls, name, getattr(cli, name)))
     monkeypatch.setattr(cohomology, "cone_lattice_groebner", _counting(
         calls, "cone_lattice_groebner", cohomology.cone_lattice_groebner))
+    # per fan, keyed by its number of rays: p123 has 3, its resolution 6
+    monkeypatch.setattr(cli, "extend", _counting(calls, "extend", cli.extend, lambda f: f))
+    monkeypatch.setattr(cli, "extended_pl_and_pic", _counting(
+        calls, "extended_pl_and_pic", cli.extended_pl_and_pic, lambda ext: ext.fan))
+    monkeypatch.setattr(fan, "box_elements", _counting(
+        calls, "box_elements", fan.box_elements, lambda f: f))
+    validation = vars(StackyFan)["validation"]
+    monkeypatch.setattr(validation, "func", _counting(
+        calls, "validation", validation.func, lambda f: f))
     # the cached computations behind StackyFan.wall_relations and
-    # RationalCone.extremal_rays (only the Kaehler cone's rays are asked for)
+    # RationalCone.extremal_rays (only the Kaehler cones' rays are asked for)
     for owner, attr in ((StackyFan, "wall_relations"), (RationalCone, "_extremal_rays")):
         prop = vars(owner)[attr]
         monkeypatch.setattr(prop, "func", _counting(calls, attr, prop.func))
-    n_cones = len(parse_fan_document(json.loads((DATA / "p123.json").read_text()))[0].max_cones)
+    n_cones = len(parse_fan(json.loads((DATA / "p123.json").read_text()))[0].max_cones)
+    x_stages = {("validation", 3): 1, ("box_elements", 3): 1, ("extend", 3): 1,
+                ("extended_pl_and_pic", 3): 1}
 
     assert run_cli(capsys, "all", str(DATA / "p123.json"))[0] == 0
-    assert calls == {"parse_fan": 1, "extended_pl_and_pic": 1, "rho_membership": 1,
+    assert calls == {"parse_fan": 1, **x_stages, "rho_membership": 1,
                      "choose_basis_p": 1, "mori_lattices": 1, "presentation": 1,
                      "operator_families": 1, "residue_algebra": 1,
                      "cone_lattice_groebner": n_cones, "wall_relations": 1,
                      "_extremal_rays": 1}
     calls.clear()
     assert run_cli(capsys, "picard", str(DATA / "p123.json"))[0] == 0
-    assert calls == {"parse_fan": 1, "extended_pl_and_pic": 1, "rho_membership": 1,
+    assert calls == {"parse_fan": 1, **x_stages, "rho_membership": 1,
                      "choose_basis_p": 1, "mori_lattices": 1, "wall_relations": 1,
                      "_extremal_rays": 1}
+
+    # a resolution pair: each fan document is parsed, validated, Box-enumerated
+    # and extended (X by the new rays) once, and each check of the pair runs once
+    pair_stages = {"parse_fan": 2, "is_crepant": 1, "check_sl": 1,
+                   "check_gen_equals_new_rays": 1}
+    for name in ("validation", "box_elements", "extend"):
+        pair_stages[(name, 3)] = pair_stages[(name, 6)] = 1
+    argv = (str(DATA / "p123.json"), "--resolution", str(DATA / "p123_resolution.json"))
+    calls.clear()
+    assert run_cli(capsys, "crepant", *argv)[0] == 0
+    assert calls == {**pair_stages, ("extended_pl_and_pic", 6): 1, "wall_relations": 1}
+    calls.clear()
+    assert run_cli(capsys, "global-moduli", *argv)[0] == 0
+    assert calls == {**pair_stages, ("extended_pl_and_pic", 3): 1,
+                     ("extended_pl_and_pic", 6): 1, "choose_basis_p": 1,
+                     "wall_relations": 2, "_extremal_rays": 2}
 
 
 def test_reports_byte_identical_across_runs(capsys):
@@ -257,6 +290,20 @@ def test_all_command_e3_fan(capsys):
     code, out, _ = run_cli(capsys, "all", str(DATA / "p123.json"), "--order", "2")
     assert code == 0
     assert json.loads(out)["results"]["failed"] == []
+
+
+@pytest.mark.parametrize("seed", range(31))
+def test_global_moduli_p123_pair_at_every_seed(capsys, tmp_path, seed):
+    # the pair as the benchmark relabels it at each seed; the q-basis test
+    # must accept any Z-basis of Pic^e(X), however its rows are written
+    docs = seeded_documents({**corpus_documents(DATA), **ladder_documents()}, seed)
+    for name in ("p123", "p123_resolution"):
+        (tmp_path / f"{name}.json").write_text(json.dumps(docs[name]))
+    code, out, err = run_cli(capsys, "global-moduli", str(tmp_path / "p123.json"),
+                             "--resolution", str(tmp_path / "p123_resolution.json"))
+    assert code == 0, err
+    transition = json.loads(out)["results"]["transition_matrix"]
+    assert IntMatrix(transition).det() in (1, -1)
 
 
 def test_global_moduli_e3_pair(capsys):

@@ -2,19 +2,19 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import F2, P112, P113, P2, fan_of, pipeline
+from corpus import F2, P112, P113, P2, data_z, fan_of, global_fan, pipeline
 from orbimirror.cohomology import presentation
 from orbimirror.crepant import (
     CrepantError,
     ResolutionPair,
-    build_global_fan,
     check_gen_equals_new_rays,
+    check_gluing_hypotheses,
     check_sl,
     exceptional_not_in_kahler,
     is_crepant,
     sequences_agree,
 )
-from orbimirror.fan import StackyFan, extend
+from orbimirror.fan import FanError, StackyFan, extend
 from orbimirror.linalg import IntMatrix
 
 
@@ -80,7 +80,7 @@ def test_gen_equals_new_rays():
 
 
 def test_exceptional_not_in_kahler():
-    ok, verdicts = exceptional_not_in_kahler(PAIR)
+    ok, verdicts = exceptional_not_in_kahler(PAIR, data_z(PAIR))
     assert ok and verdicts == [True]
 
 
@@ -101,11 +101,12 @@ def test_dimension_match_across_resolution():
 
 
 def test_sequences_agree():
-    assert sequences_agree(PAIR)
+    ext_x = extend(PAIR.stacky, extra_vectors=PAIR.new_rays)
+    assert sequences_agree(ext_x, PAIR.resolution)
 
 
 def test_build_global_fan_p112_f2():
-    gm = build_global_fan(PAIR)
+    gm = global_fan(PAIR)
     assert gm.p_basis == ((0, 1), (-2, 1))
     assert gm.q_basis[0] == (0, 1)  # q_i = p_i for i <= r
     assert gm.q_basis == ((0, 1), (2, 0))
@@ -117,21 +118,37 @@ def test_build_global_fan_p112_f2():
 
 def test_build_global_fan_trivial_pair():
     pair = ResolutionPair(fan_of(F2), fan_of(F2))
-    gm = build_global_fan(pair)
+    gm = global_fan(pair)
     assert set(gm.p_basis) == set(gm.q_basis)
     assert IntMatrix([list(r) for r in gm.transition]).is_unimodular()
 
 
 def test_build_global_fan_accepts_explicit_q():
-    gm = build_global_fan(PAIR, q_override=[(0, 1), (2, 0)])
+    gm = global_fan(PAIR, q_override=[(0, 1), (2, 0)])
     assert gm.q_basis == ((0, 1), (2, 0))
     with pytest.raises(CrepantError, match="q-basis"):
-        build_global_fan(PAIR, q_override=[(0, 1), (0, 2)])
+        global_fan(PAIR, q_override=[(0, 1), (0, 2)])
 
 
 def test_build_global_fan_rejects_noncrepant():
-    with pytest.raises(CrepantError, match="not crepant"):
-        build_global_fan(NONCREPANT)
+    # refused before build_global_fan: X cannot be extended by the ray
+    # (-1,-1), which is no Box element, and the crepant verdict names it
+    with pytest.raises(FanError, match="not a primitive Box element"):
+        global_fan(NONCREPANT)
+    verdicts = (is_crepant(NONCREPANT), check_sl(NONCREPANT.stacky),
+                check_gen_equals_new_rays(NONCREPANT))
+    with pytest.raises(CrepantError, match=r"not crepant: .*'discrepancy': Fraction\(1, 1\)"):
+        check_gluing_hypotheses(*verdicts)
+
+
+def test_gluing_hypotheses_refuse_sl_and_gen():
+    verdicts = (is_crepant(NONCREPANT), check_sl(NONCREPANT.stacky),
+                check_gen_equals_new_rays(NONCREPANT))
+    with pytest.raises(CrepantError, match="not an SL orbifold"):
+        check_gluing_hypotheses((True, []), check_sl(fan_of(P113)), verdicts[2])
+    with pytest.raises(CrepantError, match=r"differs from the new rays: .*\(-1, -1\)"):
+        check_gluing_hypotheses((True, []), True, verdicts[2])
+    check_gluing_hypotheses(is_crepant(PAIR), True, check_gen_equals_new_rays(PAIR))
 
 
 def test_weighted_p123_crepant_suite():
@@ -146,11 +163,14 @@ def test_weighted_p123_crepant_suite():
     assert ok and all(w["discrepancy"] == 0 for w in witnesses)
     assert check_sl(x)
     assert check_gen_equals_new_rays(pair)[0]
-    assert exceptional_not_in_kahler(pair)[0]
+    assert exceptional_not_in_kahler(pair, data_z(pair))[0]
+    assert sequences_agree(extend(x, extra_vectors=pair.new_rays), z)
+    # Gen in Box order lists the same new rays in another order
+    assert not sequences_agree(extend(x), z)
     ring_x = presentation(extend(x))
     ring_z = presentation(extend(z))
     assert ring_x.dim == ring_z.dim == 6
-    gm = build_global_fan(pair)
+    gm = global_fan(pair)
     assert IntMatrix([list(r) for r in gm.transition]).is_unimodular()
     assert gm.q_basis[0] == gm.p_basis[0]
 

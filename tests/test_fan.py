@@ -19,12 +19,12 @@ from orbimirror.linalg import clear_denominators, solve_general, solve_unique
 
 
 def test_validate_p2():
-    assert fan_of(P2).validate().ok
+    assert fan_of(P2).validation.ok
 
 
 def test_validate_missing_cone_names_wall():
     fan = StackyFan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)])
-    report = fan.validate()
+    report = fan.validation
     assert not report.ok
     kinds = {i.kind for i in report.issues}
     assert kinds == {"completeness"}
@@ -33,7 +33,7 @@ def test_validate_missing_cone_names_wall():
 
 def test_validate_non_primitive_ray():
     fan = StackyFan(2, [(2, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
-    report = fan.validate()
+    report = fan.validation
     assert any(i.kind == "ray-primitivity" for i in report.issues)
 
 

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbimirror.linalg import (
@@ -167,6 +167,46 @@ def test_hermite_reduce_mod_lattice():
     basis = hermite_row_basis([(2, 1), (0, 3)])
     rep = reduce_mod_lattice((5, 5), basis)
     assert reduce_mod_lattice(rep, basis) == rep
+
+
+def test_hermite_basis_is_fully_reduced():
+    # the second basis adds row 2 to row 3; both must give the one HNF, whose
+    # entry above the pivot 3 lies in [0, 3)
+    expected = [(1, 0, 1), (0, 1, 2), (0, 0, 3)]
+    assert hermite_row_basis([(1, 1, 0), (0, 1, 2), (0, 0, 3)]) == expected
+    assert hermite_row_basis([(1, 1, 0), (0, 1, 2), (0, 1, 5)]) == expected
+
+
+@st.composite
+def bases_and_unimodular(draw):
+    """(B, U): k independent integer rows and a k x k unimodular matrix, a
+    product of elementary row operations (i != j: add c * row j to row i;
+    i == j: negate row i)."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 5))
+    basis = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                          min_size=k, max_size=k))
+    assume(rank(basis) == k)
+    u = [[int(i == j) for j in range(k)] for i in range(k)]
+    ops = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1), st.integers(-3, 3))
+    for i, j, c in draw(st.lists(ops, max_size=10)):
+        u[i] = [-x for x in u[i]] if i == j else [x + c * y for x, y in zip(u[i], u[j])]
+    return basis, u
+
+
+@settings(max_examples=150, deadline=None)
+@given(bases_and_unimodular())
+def test_hermite_basis_is_canonical(case):
+    basis, u = case
+    hnf = hermite_row_basis(basis)
+    ub = [[sum(c * row[j] for c, row in zip(urow, basis)) for j in range(len(basis[0]))]
+          for urow in u]
+    assert hermite_row_basis(ub) == hnf
+    for i, row in enumerate(hnf):
+        pcol = next(j for j, x in enumerate(row) if x)
+        assert row[pcol] > 0
+        assert all(0 <= hnf[q][pcol] < row[pcol] for q in range(i))
+        assert all(hnf[q][j] == 0 for q in range(i + 1, len(hnf)) for j in range(pcol + 1))
 
 
 def test_unimodular_inverse_rejects_singular():

@@ -3,10 +3,20 @@ import random
 
 import pytest
 
-from corpus import CORPUS, F3, P1, P112, P2, differential_fans, ext_of, fan_of, pipeline
+from corpus import (
+    CORPUS,
+    F3,
+    P1,
+    P112,
+    P2,
+    differential_fans,
+    ext_of,
+    ext_of_doc,
+    fan_of,
+    pipeline,
+)
 from orbimirror.cones import RationalCone, is_face
 from orbimirror.fan import generalized_primitive_collections
-from orbimirror.fandoc import parse_fan
 from orbimirror.linalg import hermite_row_basis, saturate
 from orbimirror.picard import (
     PicardError,
@@ -298,7 +308,7 @@ def test_min_decomposition_matches_enumeration_oracle():
 def test_min_decomposition_none_without_decomposition():
     # P(1,1,2) extended by nothing: the twisted box element (0,-1) is
     # (a_1 + a_3)/2, which no N-combination of a_1, a_3 reaches
-    ext = parse_fan({"rank": 2, "rays": [[1, 0], [0, 1], [-1, -2]],
+    ext = ext_of_doc({"rank": 2, "rays": [[1, 0], [0, 1], [-1, -2]],
                      "max_cones": [[1, 2], [2, 3], [1, 3]], "extra_generators": []})
     assert ext.e == 0
     assert min_decomposition(ext, (0, -1)) is None
