@@ -93,9 +93,10 @@ class Job:
     and kept; one that raises keeps nothing, so its error surfaces where the
     command first reads it."""
 
-    def __init__(self, doc: dict, args):
+    def __init__(self, doc: dict, args, zdoc: dict | None = None):
         self.doc = doc
         self.args = args
+        self.zdoc = zdoc  # the --resolution document, when one was given
 
     @cached_property
     def document(self):
@@ -158,17 +159,21 @@ class Job:
         return residue_algebra(self.data, self.box_ops.values())
 
     @cached_property
+    def degrees(self) -> list:
+        """The effective degrees up to --order, with their pairings and sectors."""
+        return enumerate_degrees(self.mori, self.args.order)
+
+    @cached_property
     def series(self):
-        return i_function(self.data, self.ring, self.mori, self.args.order)
+        return i_function(self.data, self.ring, self.mori, self.args.order, self.degrees)
 
     @cached_property
     def pair(self):
         """(ResolutionPair, resolution document) of --resolution."""
-        if not self.args.resolution:
+        if self.zdoc is None:
             raise DocumentError("this command needs --resolution Z.json", "/")
-        zdoc = _load(self.args.resolution)
-        zfan = parse_fan(zdoc)[0]
-        return ResolutionPair(self.fan, zfan), zdoc
+        zfan = parse_fan(self.zdoc)[0]
+        return ResolutionPair(self.fan, zfan), self.zdoc
 
     @cached_property
     def verdicts(self) -> tuple:
@@ -306,7 +311,7 @@ def cmd_gkz(job):
 def cmd_ifunction(job):
     results = {
         "order": job.args.order,
-        "degrees": enumerate_degrees(job.mori, job.args.order),
+        "degrees": job.degrees,
         "standard_monomials": job.ring.std_monomials,
         "terms": job.series.term_list(),
     }
@@ -466,6 +471,7 @@ def main(argv=None) -> int:
     try:
         doc = _load(args.fan)
         overrides = _load(args.basis_file) if args.basis_file else {}
+        zdoc = _load(args.resolution) if args.resolution else None
     except (OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": {"kind": "input", "message": str(exc)}}),
               file=sys.stderr)
@@ -476,7 +482,7 @@ def main(argv=None) -> int:
             doc[key] = overrides[key]
     start = time.monotonic()
     try:
-        results, certificates, code = COMMANDS[args.command](Job(doc, args))
+        results, certificates, code = COMMANDS[args.command](Job(doc, args, zdoc))
     except USER_ERRORS as exc:
         print(json.dumps({"error": {"kind": type(exc).__name__, "message": str(exc)}}),
               file=sys.stderr)

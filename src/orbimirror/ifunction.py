@@ -8,17 +8,24 @@ with c a cohomology class (coefficient vector over the ring's standard
 monomials), beta in Z^{r+e}_{>=0}, q rational. Logarithms of the extension
 coordinates chi_{r+1}.. never occur. The truncation order N means every
 coefficient with total chi-degree <= N is complete.
+
+Each piece of exact work is done once, and no table outlives its owner:
+an `i_function` call builds one table of the powers of each ray class
+D-bar_i and one sector class 1_v per sector it meets, and a series keeps the
+derivatives theta^s del^t E^u of itself that `apply_operator` has asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 from .cohomology import GradedQuotientRing
 from .operators import (
     LogDiffOp,
+    chained_action,
     dbar_class,
     pbar_class,
     rho_bar_class,
@@ -63,6 +70,24 @@ class LogSeries:
             if any(vec):
                 clean[key] = vec
         object.__setattr__(self, "terms", clean)
+
+    @cached_property
+    def _derivatives(self) -> dict:
+        """(s, t, u) -> theta^s del^t E^u applied to the terms (see `derivative`)."""
+        return {((0,) * self.r, (0,) * self.e, 0): self.terms}
+
+    def derivative(self, s, t, u) -> dict:
+        """theta^s del^t E^u applied to the terms, as a terms dict. Kept for
+        the life of this series, and built from the longest kept prefix by
+        one action step per factor (`operators.chained_action`)."""
+        def act(terms, kind, i):
+            if kind == "theta":
+                return _act_theta(terms, i)
+            if kind == "del":
+                return _act_del(terms, self.r, i)
+            return _act_e(terms)
+
+        return chained_action(self._derivatives, (s, t, u), act)
 
     def truncate(self, order: int) -> "LogSeries":
         kept = {k: v for k, v in self.terms.items() if sum(k[0]) <= order}
@@ -109,22 +134,14 @@ def series_mul(a: LogSeries, b: LogSeries, ring: GradedQuotientRing) -> LogSerie
 
 
 def apply_operator(op: LogDiffOp, series: LogSeries, ring: GradedQuotientRing) -> LogSeries:
-    """Term-by-term action of a normal-ordered operator on a log series."""
+    """Term-by-term action of a normal-ordered operator on a log series; the
+    derivatives of the series are shared with every other operator applied
+    to the same series object."""
     if (op.r, op.e) != (series.r, series.e):
         raise SeriesError("operator and series shapes differ")
-    r, e = op.r, op.e
     total: dict = {}
     for (obeta, ok, s_exp, t_exp, u_exp), coeff in op.terms.items():
-        current = {k: v for k, v in series.terms.items()}
-        for _ in range(u_exp):
-            current = _act_e(current)
-        for b in range(e):
-            for _ in range(t_exp[b]):
-                current = _act_del(current, r, b)
-        for a in range(r):
-            for _ in range(s_exp[a]):
-                current = _act_theta(current, a)
-        for (beta, logk, q, j), vec in current.items():
+        for (beta, logk, q, j), vec in series.derivative(s_exp, t_exp, u_exp).items():
             key = (tuple(x + y for x, y in zip(beta, obeta)), logk, q + ok, j)
             _acc(total, key, tuple(x * coeff for x in vec))
     return LogSeries(series.r, series.e, series.dim, total, series.order)
@@ -170,25 +187,31 @@ def enumerate_degrees(mori: MoriData, order: int) -> list[dict]:
     """All d in K^eff with sum_a p_a(d) <= order, with sectors v(d).
 
     Effective degrees are parametrized by their p-pairing vectors beta in
-    Z^{rank}_{>=0} (d = sum beta_a q_a), which become the chi-exponents.
+    Z^{rank}_{>=0} (d = sum beta_a q_a), which become the chi-exponents. The
+    pairings <D_i, d> = M beta are carried down the recursion, one column of
+    M added per step, so each degree's are computed once.
     """
     rank = mori.picard.rank
+    m_matrix = mori.picard.m_matrix
+    columns = list(zip(*m_matrix))
     out = []
 
-    def rec(prefix, remaining):
-        if len(prefix) == rank:
-            beta = tuple(prefix)
-            if mori.in_k_eff(beta):
+    def rec(beta, pairings, remaining):
+        if len(beta) == rank:
+            if mori.in_k_eff(beta, pairings):
                 out.append({
                     "beta": beta,
-                    "pairings": mori.d_pairings(beta),
-                    "sector": mori.v_of(beta),
+                    "pairings": pairings,
+                    "sector": mori.v_of(beta, pairings),
                 })
             return
+        column = columns[len(beta)]
         for c in range(remaining + 1):
-            rec(prefix + [c], remaining - c)
+            if c:
+                pairings = tuple(x + y for x, y in zip(pairings, column))
+            rec(beta + (c,), pairings, remaining - c)
 
-    rec([], order)
+    rec((), tuple(Fraction(0) for _ in m_matrix), order)
     out.sort(key=lambda t: (sum(t["beta"]), t["beta"]))
     return out
 
@@ -201,14 +224,6 @@ def _powers(ring: GradedQuotientRing, cls):
         power = ring.mul(power, cls)
 
 
-def _invert_linear(ring: GradedQuotientRing, cls, w: Fraction):
-    """(cls + w z)^{-1} as {z-exponent: class}; cls nilpotent, w nonzero."""
-    if w == 0:
-        raise SeriesError("cannot invert a scalar-zero factor")
-    return {Fraction(-k - 1): tuple((-1) ** k * x / w ** (k + 1) for x in power)
-            for k, power in enumerate(_powers(ring, cls))}
-
-
 def _laurent_mul(a: dict, b: dict, ring: GradedQuotientRing) -> dict:
     out: dict = {}
     for q1, v1 in a.items():
@@ -217,37 +232,81 @@ def _laurent_mul(a: dict, b: dict, ring: GradedQuotientRing) -> dict:
     return out
 
 
+def factor_scalars(c: Fraction, length: int) -> list[Fraction]:
+    """a_0 .. a_{length-1} with, for any class D such that D^length = 0,
+
+        prod_{s=0}^{ceil c - 1} (D + (c - s) z)^{-1}   if ceil c >= 1,
+        prod_{nu=ceil c}^{-1}   (D + (c - nu) z)       otherwise,
+
+    equal to sum_K a_K D^K z^{-ceil c - K}. In x = D/z each factor is
+    (x + w)^{-1} or (x + w) up to a power of z, so it updates the
+    coefficients f of x^K by g_K = (f_K - g_{K-1}) / w or g_K = w f_K + f_{K-1}.
+    """
+    ceil_c = -((-c.numerator) // c.denominator)
+    a = [Fraction(1)] + [Fraction(0)] * (length - 1)
+    if ceil_c >= 1:
+        for s in range(ceil_c):
+            w = c - s
+            if w == 0:
+                raise SeriesError("uncancelled scalar-zero denominator factor")
+            prev = Fraction(0)
+            for k in range(length):
+                prev = a[k] = (a[k] - prev) / w
+    else:
+        for nu in range(ceil_c, 0):
+            w = c - nu
+            for k in range(length - 1, 0, -1):
+                a[k] = w * a[k] + a[k - 1]
+            a[0] *= w
+    return a
+
+
+class FactorTables:
+    """What the hypergeometric factors of one `i_function` call share: the
+    powers 1, D-bar_i, D-bar_i^2, .. of each ray class up to the last nonzero
+    one, and the class 1_v of each sector v, made on its first use."""
+
+    def __init__(self, data: ExtendedPicardData, ring: GradedQuotientRing):
+        self.data, self.ring = data, ring
+        self.powers = [list(_powers(ring, dbar_class(data, ring, i)))
+                       for i in range(data.ext.m)]
+        self._sectors: dict = {}
+
+    def sector(self, v):
+        if v not in self._sectors:
+            self._sectors[v] = sector_class(self.data, self.ring, v)
+        return self._sectors[v]
+
+
 def hypergeometric_factor(data: ExtendedPicardData, ring: GradedQuotientRing,
-                          degree: dict) -> dict:
+                          degree: dict, tables: FactorTables | None = None) -> dict:
     """The product over i of the telescoped factor ratios, cupped with 1_{v(d)}.
 
-    Returns {z-exponent: class}. Extension indices carry no divisor class; a
+    Returns {z-exponent: class}. Each ray's product is `factor_scalars` times
+    the powers of its class in `tables` (new tables when none are given).
+    Extension indices carry no divisor class, so theirs is a scalar; a
     scalar-zero denominator factor (impossible on K^eff) raises SeriesError.
     """
     ext = data.ext
-    acc = {Fraction(0): sector_class(data, ring, degree["sector"])}
+    tables = tables or FactorTables(data, ring)
+    acc = {Fraction(0): tables.sector(degree["sector"])}
     for i in range(ext.n):
         c = Fraction(degree["pairings"][i])
+        if i >= ext.m:
+            if c.denominator != 1 or c < 0:
+                raise SeriesError("extension pairing not a nonnegative integer on K^eff")
+            if c:
+                acc = {q - c: tuple(x / factorial(c.numerator) for x in v)
+                       for q, v in acc.items()}
+            continue
         ceil_c = -((-c.numerator) // c.denominator)
-        dbar = dbar_class(data, ring, i)
-        if i >= ext.m and (c.denominator != 1 or c < 0):
-            raise SeriesError("extension pairing not a nonnegative integer on K^eff")
-        if ceil_c >= 1:
-            for s in range(ceil_c):
-                w = c - s
-                if w == 0:
-                    raise SeriesError("uncancelled scalar-zero denominator factor")
-                if not any(dbar):
-                    acc = {q - 1: tuple(x / w for x in v) for q, v in acc.items()}
-                else:
-                    acc = _laurent_mul(acc, _invert_linear(ring, dbar, w), ring)
-        else:
-            for nu in range(ceil_c, 0):
-                w = c - nu
-                lin = {Fraction(1): tuple(Fraction(w) * x for x in ring.one())}
-                if any(dbar):
-                    lin[Fraction(0)] = dbar
-                acc = _laurent_mul(acc, lin, ring)
+        if ceil_c == 0:
+            continue
+        powers = tables.powers[i]
+        factor = {Fraction(-ceil_c - k): tuple(a * x for x in power)
+                  for k, (a, power) in enumerate(zip(factor_scalars(c, len(powers)), powers))
+                  if a}
+        acc = _laurent_mul(acc, factor, ring)
         if not acc:
             break
     return acc
@@ -269,15 +328,19 @@ def log_prefactor(data: ExtendedPicardData, ring: GradedQuotientRing) -> LogSeri
 
 
 def i_function(data: ExtendedPicardData, ring: GradedQuotientRing,
-               mori: MoriData, order: int) -> LogSeries:
-    """Truncated I-function: prefactor times the hypergeometric sum over K^eff."""
+               mori: MoriData, order: int, degrees: list | None = None) -> LogSeries:
+    """Truncated I-function: prefactor times the hypergeometric sum over K^eff.
+
+    `degrees` is `enumerate_degrees(mori, order)`, when the caller has it.
+    """
     r, e = data.r, data.e
+    tables = FactorTables(data, ring)
     body: dict = {}
-    for degree in enumerate_degrees(mori, order):
+    for degree in enumerate_degrees(mori, order) if degrees is None else degrees:
         beta = degree["beta"]
         if any(b < 0 for b in beta):
             raise SeriesError("negative chi-exponent on an effective degree")
-        factor = hypergeometric_factor(data, ring, degree)
+        factor = hypergeometric_factor(data, ring, degree, tables)
         for q, vec in factor.items():
             key = (tuple(beta), (0,) * r, q, 0)
             _acc(body, key, vec)

@@ -121,22 +121,23 @@ class LogDiffOp:
     def __mul__(self, other) -> "LogDiffOp":
         if (self.r, self.e) != (other.r, other.e):
             raise OperatorError("operator shape mismatch")
+        r, e = self.r, self.e
+
+        def move(terms, kind, i):
+            if kind == "theta":
+                return _mul_theta(r, e, terms, i)
+            if kind == "del":
+                return _mul_del(r, e, terms, i)
+            return _mul_e(r, e, terms)
+
+        # theta^s del^t E^u * other for each (s, t, u) of self, shared by its terms
+        moved = {((0,) * r, (0,) * e, 0): other.terms}
         out: dict = {}
         for (beta, k, s, t, u), c in self.terms.items():
-            moved = dict(other.terms)
-            for _ in range(u):
-                moved = _mul_e(self.r, self.e, moved)
-            for b in range(self.e):
-                for _ in range(t[b]):
-                    moved = _mul_del(self.r, self.e, moved, b)
-            for a in range(self.r):
-                for _ in range(s[a]):
-                    moved = _mul_theta(self.r, self.e, moved, a)
-            for key2, c2 in moved.items():
-                beta2, k2, s2, t2, u2 = key2
+            for (beta2, k2, s2, t2, u2), c2 in chained_action(moved, (s, t, u), move).items():
                 nk = (tuple(x + y for x, y in zip(beta, beta2)), k + k2, s2, t2, u2)
                 add_term(out, nk, c * c2)
-        return LogDiffOp(self.r, self.e, out)
+        return LogDiffOp(r, e, out)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LogDiffOp) and self.r == other.r
@@ -167,6 +168,34 @@ class LogDiffOp:
 
 def _key0(r, e) -> Key:
     return ((0,) * (r + e), 0, (0,) * r, (0,) * e, 0)
+
+
+def chained_action(memo: dict, key, step):
+    """memo[key] for key = (s, t, u): theta^s del^t E^u applied to memo's
+    start value (kept under the zero key) one factor at a time, E^u first,
+    then del_b^{t_b} for b = 0, 1, .., then theta_a^{s_a} for a = 0, 1, ...
+
+    A missing entry is built from its prefix, the key less its last factor,
+    by one call step(value, kind, index) with kind "e", "del" or "theta"; so
+    keys that share a prefix share its work.
+    """
+    value = memo.get(key)
+    if value is None:
+        s, t, u = key
+        if any(s):
+            a = max(i for i, x in enumerate(s) if x)
+            prefix, kind, index = (_lowered(s, a), t, u), "theta", a
+        elif any(t):
+            b = max(i for i, x in enumerate(t) if x)
+            prefix, kind, index = (s, _lowered(t, b), u), "del", b
+        else:
+            prefix, kind, index = (s, t, u - 1), "e", None
+        value = memo[key] = step(chained_action(memo, prefix, step), kind, index)
+    return value
+
+
+def _lowered(exponents, i):
+    return exponents[:i] + (exponents[i] - 1,) + exponents[i + 1:]
 
 
 def _mul_theta(r, e, terms, a):

@@ -332,26 +332,29 @@ class MoriData:
     def d_pairings(self, t) -> tuple[Fraction, ...]:
         return self.picard.d_pairings(t)
 
-    def integer_pattern(self, t, nonneg: bool) -> tuple[int, ...]:
-        vals = self.d_pairings(t)
+    # The membership tests and the ceiling map read d's pairings <D_i, d>
+    # from `pairings` when the caller already has them, and from t otherwise.
+
+    def integer_pattern(self, t, nonneg: bool, pairings=None) -> tuple[int, ...]:
+        vals = self.d_pairings(t) if pairings is None else pairings
         if nonneg:
             return tuple(i for i, v in enumerate(vals)
                          if v.denominator == 1 and v >= 0)
         return tuple(i for i, v in enumerate(vals) if v.denominator == 1)
 
-    def in_k(self, t) -> bool:
-        return self.integer_pattern(t, nonneg=False) in self.anticones_e
+    def in_k(self, t, pairings=None) -> bool:
+        return self.integer_pattern(t, False, pairings) in self.anticones_e
 
-    def in_k_eff(self, t) -> bool:
-        return self.integer_pattern(t, nonneg=True) in self.anticones_e
+    def in_k_eff(self, t, pairings=None) -> bool:
+        return self.integer_pattern(t, True, pairings) in self.anticones_e
 
     def in_ne(self, t) -> bool:
         return all(Fraction(x).denominator == 1 for x in t)
 
-    def v_of(self, t) -> tuple[int, ...]:
+    def v_of(self, t, pairings=None) -> tuple[int, ...]:
         """Ceiling map K -> Box: v(d) = sum ceil(<D_i, d>) a_i."""
         ext = self.picard.ext
-        vals = self.d_pairings(t)
+        vals = self.d_pairings(t) if pairings is None else pairings
         out = [0] * ext.d
         for i, v in enumerate(vals):
             c = -((-v.numerator) // v.denominator)  # ceil
@@ -419,11 +422,12 @@ def box_coset_map(mori: MoriData) -> list[dict]:
             rel[i] -= rfrac
         d_coords = _l_coords(ext, rel)
         t = data.pairing_p(d_coords)
-        if not mori.in_k(t):
+        vals = mori.d_pairings(t)
+        if not mori.in_k(t, vals):
             raise PicardError(f"d_v for box element {list(b.vector)} is not in K")
         if not mori.in_ne(t):
             raise PicardError(f"d_v for box element {list(b.vector)} is not in NE^e")
-        v_back = mori.v_of(t)
+        v_back = mori.v_of(t, vals)
         if v_back != b.vector:
             raise PicardError(
                 f"ceiling map round-trip failed: v(d_v) = {list(v_back)} != {list(b.vector)}"
@@ -435,6 +439,6 @@ def box_coset_map(mori: MoriData) -> list[dict]:
             "box_element": b.vector,
             "age": b.age,
             "d_p_pairings": t,
-            "d_pairings": mori.d_pairings(t),
+            "d_pairings": vals,
         })
     return table

@@ -15,7 +15,12 @@ from orbimirror.crepant import (
 from orbimirror.fan import StackyFan, extend
 from orbimirror.fandoc import parse_fan
 from orbimirror.operators import _family_union, box_x, operator_families
-from orbimirror.picard import choose_basis_p, extended_pl_and_pic, mori_lattices
+from orbimirror.picard import (
+    choose_basis_p,
+    extended_pl_and_pic,
+    mori_lattices,
+    rho_membership,
+)
 
 P1 = dict(rank=1, rays=[(1,), (-1,)], cones=[(0,), (1,)])
 P2 = dict(rank=2, rays=[(1, 0), (0, 1), (-1, -1)], cones=[(0, 1), (1, 2), (0, 2)])
@@ -102,3 +107,14 @@ def differential_fans(smooth_rays=()):
         yield name, ext_of(spec)
     for m in smooth_rays:
         yield f"smooth{m}", ext_of_doc(smooth_polygon(m))
+
+
+def series_fans():
+    """(name, picard data with basis, cohomology ring, mori data) for each
+    `differential_fans()` fan whose rho lies in its extended Kaehler cone, so
+    that the p-basis and the I-function exist."""
+    for name, ext in differential_fans():
+        picard = extended_pl_and_pic(ext)
+        if rho_membership(picard)[0]:
+            data = choose_basis_p(picard)
+            yield name, data, presentation(ext), mori_lattices(data)

@@ -8,7 +8,7 @@ import pytest
 
 import orbimirror
 from corpus import ext_of_doc
-from orbimirror import cli, cohomology, fan, operators
+from orbimirror import cli, cohomology, fan, ifunction, operators
 from orbimirror.cli import main
 from orbimirror.cones import RationalCone
 from orbimirror.fan import StackyFan
@@ -230,6 +230,34 @@ def test_commands_derive_each_stage_once(capsys, monkeypatch):
                      ("extended_pl_and_pic", 6): 1, "choose_basis_p": 1,
                      "wall_relations": 2, "_extremal_rays": 2}
 
+    # the series: one enumerate_degrees per i_function call (the ifunction
+    # report and the series read the one Job stage), and one sector class per
+    # distinct sector per call; `all` computes its order - 1 series apart
+    sectors = []  # per i_function call, the sectors whose class was made
+    calls = {}
+    real_i_function = cli.i_function
+
+    def i_function(*args, **kwargs):
+        calls["i_function"] = calls.get("i_function", 0) + 1
+        sectors.append([])
+        return real_i_function(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "i_function", i_function)
+    for owner in (cli, ifunction):
+        monkeypatch.setattr(owner, "enumerate_degrees", _counting(
+            calls, "enumerate_degrees", ifunction.enumerate_degrees))
+    real_sector_class = ifunction.sector_class
+    monkeypatch.setattr(ifunction, "sector_class",
+                        lambda data, ring, v: sectors[-1].append(v)
+                        or real_sector_class(data, ring, v))
+    for command, n_series in (("ifunction", 1), ("mirror-map", 1), ("all", 2)):
+        calls.clear()
+        sectors.clear()
+        assert run_cli(capsys, command, str(DATA / "p123.json"), "--order", "3")[0] == 0
+        assert calls == {"i_function": n_series, "enumerate_degrees": n_series}, command
+        assert all(len(made) == len(set(made)) for made in sectors), command
+        assert len(sectors[0]) > 1, command  # p123 has twisted sectors
+
 
 def test_reports_byte_identical_across_runs(capsys):
     outputs = []
@@ -269,6 +297,19 @@ def test_resource_limit_exit_code(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "cohomology", str(DATA / "p112.json"))
     assert code == 3
     assert json.loads(err)["error"]["kind"] == "resource-limit"
+
+
+@pytest.mark.parametrize("command", ("crepant", "global-moduli"))
+def test_unreadable_resolution_is_an_input_error(capsys, tmp_path, command):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"rank": 2, "rays": [')
+    for path in (tmp_path / "missing.json", malformed):
+        code, out, err = run_cli(capsys, command, str(DATA / "p123.json"),
+                                 "--resolution", str(path))
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["kind"] == "input"
+        assert error["message"]
 
 
 def test_basis_file_override(capsys, tmp_path):

@@ -1,8 +1,8 @@
 """Byte-identity contract: the commands reproduce the exit code and report
 digest that the benchmark's golden file records for seed 0 (the documents as
 written) on every corpus job of the benchmark (every command on every
-document in tests/data, both resolution pairs, and the certificates) and on
-the generated ladder fans."""
+document in tests/data, both resolution pairs, and the certificates), on the
+series jobs (high orders), and on the generated ladder fans."""
 
 import contextlib
 import io
@@ -19,7 +19,12 @@ DATA = ROOT / "tests" / "data"
 sys.path.insert(0, str(ROOT))
 
 from perfbench.gate import digest  # noqa: E402
-from perfbench.workloads import LADDER_JOBS, corpus_jobs, ladder_documents  # noqa: E402
+from perfbench.workloads import (  # noqa: E402
+    LADDER_JOBS,
+    SERIES_JOBS,
+    corpus_jobs,
+    ladder_documents,
+)
 
 GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text())["jobs"]
 COMMANDS = ("cohomology", "picard", "gkz", "ifunction", "mirror-map", "all")
@@ -52,6 +57,11 @@ def test_groebner_certificate_matches_golden_digest():
 
 @pytest.mark.parametrize("job_id, argv", OTHER_JOBS, ids=[job for job, _ in OTHER_JOBS])
 def test_other_corpus_report_matches_golden_digest(job_id, argv):
+    _check(job_id, [str(DATA / f"{a}.json") if a in DOCUMENTS else a for a in argv])
+
+
+@pytest.mark.parametrize("job_id, argv", SERIES_JOBS, ids=[job for job, _ in SERIES_JOBS])
+def test_series_report_matches_golden_digest(job_id, argv):
     _check(job_id, [str(DATA / f"{a}.json") if a in DOCUMENTS else a for a in argv])
 
 

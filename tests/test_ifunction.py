@@ -1,21 +1,39 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from corpus import CORPUS, pipeline
+from corpus import CORPUS, box_operators, pipeline, series_fans
 from orbimirror.ifunction import (
+    FactorTables,
     LogSeries,
+    SeriesError,
+    _acc,
+    _act_del,
+    _act_e,
+    _act_theta,
+    _laurent_mul,
+    _powers,
     annihilation_check,
     apply_operator,
     enumerate_degrees,
+    factor_scalars,
     hypergeometric_factor,
     i_function,
     log_prefactor,
     mirror_map,
+    series_mul,
     series_one,
     tilde_i,
 )
-from orbimirror.operators import LogDiffOp, box_x, euler_check, operator_families
+from orbimirror.operators import (
+    LogDiffOp,
+    box_x,
+    dbar_class,
+    euler_check,
+    operator_families,
+    sector_class,
+)
 
 
 # -- independent oracle: the classical projective-space series -------------------
@@ -326,3 +344,185 @@ def test_i_function_order_zero_is_prefactor():
         assert [d["beta"] for d in enumerate_degrees(mori, 0)] == [
             tuple(0 for _ in range(data.rank))
         ]
+
+
+# -- the replaced routines, kept as oracles ----------------------------------------
+#
+# Before the series engine shared its work, every factor (D_i + w z)^{-1}
+# rebuilt the powers of D_i, every degree recomputed its sector class and its
+# pairings (three times), and every operator term rebuilt its derivatives of
+# the whole series. These are those routines, unchanged.
+
+SERIES_FANS = list(series_fans())
+ORDERS = range(8)
+
+
+def _invert_linear_oracle(ring, cls, w):
+    """(cls + w z)^{-1} as {z-exponent: class}; cls nilpotent, w nonzero."""
+    if w == 0:
+        raise SeriesError("cannot invert a scalar-zero factor")
+    return {Fraction(-k - 1): tuple((-1) ** k * x / w ** (k + 1) for x in power)
+            for k, power in enumerate(_powers(ring, cls))}
+
+
+def _ray_factor_oracle(ring, acc, dbar, c):
+    """acc times the telescoped factor ratio of one index, factor by factor."""
+    ceil_c = -((-c.numerator) // c.denominator)
+    if ceil_c >= 1:
+        for s in range(ceil_c):
+            w = c - s
+            if w == 0:
+                raise SeriesError("uncancelled scalar-zero denominator factor")
+            if not any(dbar):
+                acc = {q - 1: tuple(x / w for x in v) for q, v in acc.items()}
+            else:
+                acc = _laurent_mul(acc, _invert_linear_oracle(ring, dbar, w), ring)
+    else:
+        for nu in range(ceil_c, 0):
+            w = c - nu
+            lin = {Fraction(1): tuple(Fraction(w) * x for x in ring.one())}
+            if any(dbar):
+                lin[Fraction(0)] = dbar
+            acc = _laurent_mul(acc, lin, ring)
+    return acc
+
+
+def _hypergeometric_factor_oracle(data, ring, degree):
+    ext = data.ext
+    acc = {Fraction(0): sector_class(data, ring, degree["sector"])}
+    for i in range(ext.n):
+        c = Fraction(degree["pairings"][i])
+        dbar = dbar_class(data, ring, i)
+        if i >= ext.m and (c.denominator != 1 or c < 0):
+            raise SeriesError("extension pairing not a nonnegative integer on K^eff")
+        acc = _ray_factor_oracle(ring, acc, dbar, c)
+        if not acc:
+            break
+    return acc
+
+
+def _enumerate_degrees_oracle(mori, order):
+    rank = mori.picard.rank
+    out = []
+
+    def rec(prefix, remaining):
+        if len(prefix) == rank:
+            beta = tuple(prefix)
+            if mori.in_k_eff(beta):
+                out.append({
+                    "beta": beta,
+                    "pairings": mori.d_pairings(beta),
+                    "sector": mori.v_of(beta),
+                })
+            return
+        for c in range(remaining + 1):
+            rec(prefix + [c], remaining - c)
+
+    rec([], order)
+    out.sort(key=lambda t: (sum(t["beta"]), t["beta"]))
+    return out
+
+
+def _i_function_oracle(data, ring, mori, order, factors):
+    """The former i_function, reading each degree's factor from `factors`,
+    {beta: _hypergeometric_factor_oracle of that degree}."""
+    r, e = data.r, data.e
+    body = {}
+    for degree in _enumerate_degrees_oracle(mori, order):
+        for q, vec in factors[degree["beta"]].items():
+            _acc(body, (tuple(degree["beta"]), (0,) * r, q, 0), vec)
+    series = LogSeries(r, e, ring.dim, body, order)
+    return series_mul(log_prefactor(data, ring), series, ring).truncate(order)
+
+
+def _apply_operator_oracle(op, series, ring):
+    r, e = op.r, op.e
+    total = {}
+    for (obeta, ok, s_exp, t_exp, u_exp), coeff in op.terms.items():
+        current = {k: v for k, v in series.terms.items()}
+        for _ in range(u_exp):
+            current = _act_e(current)
+        for b in range(e):
+            for _ in range(t_exp[b]):
+                current = _act_del(current, r, b)
+        for a in range(r):
+            for _ in range(s_exp[a]):
+                current = _act_theta(current, a)
+        for (beta, logk, q, j), vec in current.items():
+            key = (tuple(x + y for x, y in zip(beta, obeta)), logk, q + ok, j)
+            _acc(total, key, tuple(x * coeff for x in vec))
+    return LogSeries(series.r, series.e, series.dim, total, series.order)
+
+
+@pytest.mark.parametrize("name, data, ring, mori", SERIES_FANS,
+                         ids=[fan[0] for fan in SERIES_FANS])
+def test_enumerate_degrees_matches_replaced_routine(name, data, ring, mori):
+    for order in ORDERS:
+        assert enumerate_degrees(mori, order) == _enumerate_degrees_oracle(mori, order)
+
+
+@pytest.mark.parametrize("name, data, ring, mori", SERIES_FANS,
+                         ids=[fan[0] for fan in SERIES_FANS])
+def test_hypergeometric_factor_matches_replaced_routine(name, data, ring, mori):
+    # the degrees of order 7 include those of every lower order
+    tables = FactorTables(data, ring)
+    factors = {}
+    for degree in enumerate_degrees(mori, ORDERS[-1]):
+        factors[degree["beta"]] = _hypergeometric_factor_oracle(data, ring, degree)
+        assert hypergeometric_factor(data, ring, degree, tables) == factors[degree["beta"]]
+    for order in ORDERS:
+        series = i_function(data, ring, mori, order)
+        assert series == _i_function_oracle(data, ring, mori, order, factors)
+
+
+@pytest.mark.parametrize("name, data, ring, mori", SERIES_FANS,
+                         ids=[fan[0] for fan in SERIES_FANS])
+def test_apply_operator_matches_replaced_routine(name, data, ring, mori):
+    # every operator of `all` on one series object, so that later operators
+    # read the derivatives that earlier ones left there
+    ops = [euler_check(data)] + box_operators(data, ring)
+    for order in ORDERS:
+        series = tilde_i(i_function(data, ring, mori, order), ring, data)
+        for op in ops:
+            assert apply_operator(op, series, ring) == _apply_operator_oracle(op, series, ring)
+
+
+def test_series_derivatives_live_on_their_series():
+    _, data, ring, mori = pipeline("P112")
+    series = tilde_i(i_function(data, ring, mori, 3), ring, data)
+    ops = [euler_check(data)] + box_operators(data, ring)
+    results = [apply_operator(op, series, ring) for op in ops]
+    kept = dict(series._derivatives)
+    # E^2 needs E first; a series made from this one starts afresh
+    assert ((0,), (0,), 1) in kept
+    truncated = series.truncate(2)
+    assert truncated._derivatives == {((0,), (0,), 0): truncated.terms}
+    # the operators in reverse order, on a series with the shared entries,
+    # and on a fresh one, agree with the first pass
+    assert [apply_operator(op, series, ring) for op in ops[::-1]] == results[::-1]
+    assert series._derivatives.keys() == kept.keys()
+    fresh = LogSeries(series.r, series.e, series.dim, series.terms, series.order)
+    assert [apply_operator(op, fresh, ring) for op in ops[::-1]] == results[::-1]
+
+
+_RING = pipeline("P1113")[2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(num=st.integers(-40, 40), den=st.integers(1, 7),
+       coeffs=st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6),
+                       min_size=4, max_size=4))
+def test_factor_scalars_match_the_direct_product(num, den, coeffs):
+    """sum_K a_K D^K z^{-ceil c - K} is the product of the linear factors, for
+    a random nilpotent class D (a combination of the positive-degree divisor
+    classes) and a random rational c."""
+    ring, c = _RING, Fraction(num, den)
+    dbar = ring.zero_class()
+    for i, coeff in enumerate(coeffs):
+        dbar = ring.add(dbar, ring.scale(ring.class_of_var(i), coeff))
+    powers = list(_powers(ring, dbar))
+    ceil_c = -((-c.numerator) // c.denominator)
+    closed = {}
+    for k, (a, power) in enumerate(zip(factor_scalars(c, len(powers)), powers)):
+        _acc(closed, Fraction(-ceil_c - k), tuple(a * x for x in power))
+    assert closed == _ray_factor_oracle(ring, {Fraction(0): ring.one()}, dbar, c)

@@ -5,9 +5,10 @@ from math import lcm
 
 import pytest
 
-from corpus import CORPUS, box_operators, differential_fans, pipeline
+from corpus import CORPUS, box_operators, differential_fans, pipeline, series_fans
 from orbimirror import operators
 from orbimirror.cohomology import (
+    add_term,
     binomial_relation_vectors,
     cone_lattice_groebner,
     lattice_ideal_groebner,
@@ -80,6 +81,45 @@ def test_product_associative_50_triples():
         for _ in range(50):
             a, b, c = (_random_op(rng, r, e) for _ in range(3))
             assert (a * b) * c == a * (b * c)
+
+
+def _mul_oracle(self, other):
+    """The former LogDiffOp.__mul__: each term of self moves its own copy of
+    other, one commutation at a time."""
+    if (self.r, self.e) != (other.r, other.e):
+        raise OperatorError("operator shape mismatch")
+    out = {}
+    for (beta, k, s, t, u), c in self.terms.items():
+        moved = dict(other.terms)
+        for _ in range(u):
+            moved = operators._mul_e(self.r, self.e, moved)
+        for b in range(self.e):
+            for _ in range(t[b]):
+                moved = operators._mul_del(self.r, self.e, moved, b)
+        for a in range(self.r):
+            for _ in range(s[a]):
+                moved = operators._mul_theta(self.r, self.e, moved, a)
+        for (beta2, k2, s2, t2, u2), c2 in moved.items():
+            nk = (tuple(x + y for x, y in zip(beta, beta2)), k + k2, s2, t2, u2)
+            add_term(out, nk, c * c2)
+    return LogDiffOp(self.r, self.e, out)
+
+
+def test_product_matches_replaced_routine(monkeypatch):
+    rng = random.Random(17)
+    for r, e in ((1, 1), (0, 2), (2, 1)):
+        for _ in range(60):
+            a, b = _random_op(rng, r, e), _random_op(rng, r, e)
+            assert a * b == _mul_oracle(a, b)
+            assert (a * b) * a == _mul_oracle(_mul_oracle(a, b), a)
+    # every box operator of every fan with a p-basis, and the Euler operator
+    # squared, built with each product
+    for name, data, ring, _ in series_fans():
+        ops = [euler_check(data) * euler_check(data)] + box_operators(data, ring)
+        with monkeypatch.context() as m:
+            m.setattr(LogDiffOp, "__mul__", _mul_oracle)
+            expected = [euler_check(data) * euler_check(data)] + box_operators(data, ring)
+        assert ops == expected, name
 
 
 def test_symbol_multiplicative():
