@@ -66,6 +66,7 @@ from .operators import (
     check_unfolding_conditions,
     euler_check,
     operator_families,
+    p_pairings,
     residue_algebra,
     residue_map_well_defined,
     symbol_fiber_dimension,
@@ -398,13 +399,17 @@ def cmd_all(job):
     check("box_bijection", len(table) == len(ext.box) and coset_ok,
           {"table_size": len(table), "box_size": len(ext.box)})
     # box_x checks the factorization of each operator it builds: the family
-    # relations' in job.box_ops above, ten random relations of L here.
+    # relations' in job.box_ops above, ten random relations of L here. For
+    # e = 0 its only check is the integrality of the p-pairings.
     families = job.families
     family_rels = families["l_basis"] + families["cone"] + families["primitive"]
     for _ in range(10):
         coeffs = [rng.randint(-3, 3) for _ in ext.l_basis]
-        box_x(data, tuple(sum(c * b[i] for c, b in zip(coeffs, ext.l_basis))
-                          for i in range(ext.n)))
+        l = tuple(sum(c * b[i] for c, b in zip(coeffs, ext.l_basis)) for i in range(ext.n))
+        if data.e:
+            box_x(data, l)
+        else:
+            p_pairings(data, l)
     check("operator_factorization", True, {"relations_checked": len(family_rels) + 10})
     sdim = symbol_fiber_dimension(data, job.box_ops.values())
     check("symbol_fiber_finite", sdim != "infinite", {"dimension": sdim})

@@ -13,6 +13,9 @@ Each piece of exact work is done once, and no table outlives its owner:
 an `i_function` call builds one table of the powers of each ray class
 D-bar_i and one sector class 1_v per sector it meets, and a series keeps the
 derivatives theta^s del^t E^u of itself that `apply_operator` has asked for.
+Only work a result reads is done: `apply_operator` forms the terms up to the
+chi-degree its caller reads, and class vectors are scaled and added only in
+their nonzero entries (a zero entry stays Fraction(0)).
 """
 
 from __future__ import annotations
@@ -48,11 +51,16 @@ def _acc(out, key, vec):
         if any(vec):
             out[key] = vec
     else:
-        s = tuple(a + b for a, b in zip(cur, vec))
+        s = tuple(a + b if b else a for a, b in zip(cur, vec))
         if any(s):
             out[key] = s
         else:
             del out[key]
+
+
+def _scaled(vec, c):
+    """c * vec, multiplying only the nonzero entries."""
+    return vec if c == 1 else tuple(x * c if x else x for x in vec)
 
 
 @dataclass(frozen=True)
@@ -66,7 +74,7 @@ class LogSeries:
     def __post_init__(self):
         clean = {}
         for key, vec in self.terms.items():
-            vec = tuple(Fraction(x) for x in vec)
+            vec = tuple(x if type(x) is Fraction else Fraction(x) for x in vec)
             if any(vec):
                 clean[key] = vec
         object.__setattr__(self, "terms", clean)
@@ -133,17 +141,26 @@ def series_mul(a: LogSeries, b: LogSeries, ring: GradedQuotientRing) -> LogSerie
 # -- operator action -----------------------------------------------------------
 
 
-def apply_operator(op: LogDiffOp, series: LogSeries, ring: GradedQuotientRing) -> LogSeries:
-    """Term-by-term action of a normal-ordered operator on a log series; the
-    derivatives of the series are shared with every other operator applied
-    to the same series object."""
+def apply_operator(op: LogDiffOp, series: LogSeries, ring: GradedQuotientRing,
+                   cap: int) -> LogSeries:
+    """Term-by-term action of a normal-ordered operator on a log series, in
+    chi-degree <= cap only; the derivatives of the series are shared with
+    every other operator applied to the same series object.
+
+    An operator term chi^obeta .. adds |obeta| to the chi-degree of each
+    derivative term, so a product whose degree would pass `cap` is not formed.
+    """
     if (op.r, op.e) != (series.r, series.e):
         raise SeriesError("operator and series shapes differ")
     total: dict = {}
     for (obeta, ok, s_exp, t_exp, u_exp), coeff in op.terms.items():
+        room = cap - sum(obeta)
+        if room < 0:
+            continue
         for (beta, logk, q, j), vec in series.derivative(s_exp, t_exp, u_exp).items():
-            key = (tuple(x + y for x, y in zip(beta, obeta)), logk, q + ok, j)
-            _acc(total, key, tuple(x * coeff for x in vec))
+            if sum(beta) <= room:
+                key = (tuple(x + y for x, y in zip(beta, obeta)), logk, q + ok, j)
+                _acc(total, key, _scaled(vec, coeff))
     return LogSeries(series.r, series.e, series.dim, total, series.order)
 
 
@@ -152,10 +169,10 @@ def _act_theta(terms, a):
     out: dict = {}
     for (beta, logk, q, j), vec in terms.items():
         if beta[a]:
-            _acc(out, (beta, logk, q + 1, j), tuple(x * beta[a] for x in vec))
+            _acc(out, (beta, logk, q + 1, j), _scaled(vec, beta[a]))
         if logk[a]:
             logk2 = tuple(x - int(i == a) for i, x in enumerate(logk))
-            _acc(out, (beta, logk2, q + 1, j), tuple(x * logk[a] for x in vec))
+            _acc(out, (beta, logk2, q + 1, j), _scaled(vec, logk[a]))
     return out
 
 
@@ -165,7 +182,7 @@ def _act_del(terms, r, b):
     for (beta, logk, q, j), vec in terms.items():
         if beta[r + b]:
             beta2 = tuple(x - int(i == r + b) for i, x in enumerate(beta))
-            _acc(out, (beta2, logk, q + 1, j), tuple(x * beta[r + b] for x in vec))
+            _acc(out, (beta2, logk, q + 1, j), _scaled(vec, beta[r + b]))
     return out
 
 
@@ -174,9 +191,9 @@ def _act_e(terms):
     out: dict = {}
     for (beta, logk, q, j), vec in terms.items():
         if q:
-            _acc(out, (beta, logk, q + 1, j), tuple(x * q for x in vec))
+            _acc(out, (beta, logk, q + 1, j), _scaled(vec, q))
         if j:
-            _acc(out, (beta, logk, q + 1, j - 1), tuple(x * j for x in vec))
+            _acc(out, (beta, logk, q + 1, j - 1), _scaled(vec, j))
     return out
 
 
@@ -303,7 +320,7 @@ def hypergeometric_factor(data: ExtendedPicardData, ring: GradedQuotientRing,
         if ceil_c == 0:
             continue
         powers = tables.powers[i]
-        factor = {Fraction(-ceil_c - k): tuple(a * x for x in power)
+        factor = {Fraction(-ceil_c - k): _scaled(power, a)
                   for k, (a, power) in enumerate(zip(factor_scalars(c, len(powers)), powers))
                   if a}
         acc = _laurent_mul(acc, factor, ring)
@@ -427,17 +444,17 @@ def annihilation_check(op: LogDiffOp, series: LogSeries,
     """Apply op to the series; the residual must vanish on all complete degrees.
 
     Degrees g of the output are complete when g + (max chi-lowering of op) <= N,
-    since del-factors shift chi-degree down by at most their total order.
+    since del-factors shift chi-degree down by at most their total order. Only
+    the residual in those degrees is formed.
     """
     if series.order is None:
         raise SeriesError("series carries no truncation order")
     lower = max((sum(t) for (_, _, _, t, _) in op.terms), default=0)
     bound = series.order - lower
-    residual = apply_operator(op, series, ring)
+    residual = apply_operator(op, series, ring, bound)
     offending = tuple(
         {"key": key, "class": list(vec)}
         for key, vec in sorted(residual.terms.items(),
                                key=lambda kv: (sum(kv[0][0]), kv[0][0], kv[0][1], kv[0][2], kv[0][3]))
-        if sum(key[0]) <= bound
     )
     return AnnihilationReport(bound, offending, not offending)

@@ -17,7 +17,9 @@ z lambda_i d/dlambda_i is theta(0, n, i).
 `box_x` checks the factorization box_tilde(l) = prod_k chi_{r+k}^{|l_{m+k}|} *
 box_x(l) once for each operator it builds, through `factorization_residual`,
 and raises OperatorError naming the relation when it fails. For e = 0 the two
-sides are the same product, so the check is skipped there.
+sides are the same product, so the check is skipped there. Each half of both
+sides holds the same product of ray falling products (`ray_products`), built
+once per relation and shared by the operator and its check.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ class LogDiffOp:
 
     def __post_init__(self):
         object.__setattr__(self, "terms",
-                           {k: Fraction(c) for k, c in self.terms.items() if c})
+                           {k: c if type(c) is Fraction else Fraction(c)
+                            for k, c in self.terms.items() if c})
 
     # -- constructors -------------------------------------------------------
 
@@ -235,40 +238,6 @@ def _mul_e(r, e, terms):
     return out
 
 
-# -- lambda-chart FL-GKZ operators (r = 0, e = n) ------------------------------
-
-
-def box_hat(n, l) -> LogDiffOp:
-    """FL-GKZ box operator: prod_{l_i<0} (z dl_i)^{-l_i} - prod_{l_i>0} (z dl_i)^{l_i}."""
-    neg = LogDiffOp.one(0, n)
-    pos = LogDiffOp.one(0, n)
-    for i, li in enumerate(l):
-        if li < 0:
-            for _ in range(-li):
-                neg = neg * LogDiffOp.dell(0, n, i)
-        elif li > 0:
-            for _ in range(li):
-                pos = pos * LogDiffOp.dell(0, n, i)
-    return neg - pos
-
-
-def euler_hat(n) -> LogDiffOp:
-    """E-hat = z^2 dz + sum_i z lambda_i dlambda_i."""
-    out = LogDiffOp.euler_z(0, n)
-    for i in range(n):
-        out = out + LogDiffOp.theta(0, n, i)
-    return out
-
-
-def euler_hat_k(n, a_row) -> LogDiffOp:
-    """E-hat_k = sum_i a_{ki} z lambda_i dlambda_i."""
-    out = LogDiffOp.zero(0, n)
-    for i, coeff in enumerate(a_row):
-        if coeff:
-            out = out + LogDiffOp.theta(0, n, i).scale(coeff)
-    return out
-
-
 # -- pulled-back operators in the chi chart -------------------------------------
 
 
@@ -312,25 +281,44 @@ def _falling_product(base: LogDiffOp, count: int) -> LogDiffOp:
     return out
 
 
-def box_tilde(data: ExtendedPicardData, l) -> LogDiffOp:
-    """The pulled-back GKZ box operator in the (chi, z) chart."""
+def ray_products(data: ExtendedPicardData, l) -> tuple[LogDiffOp, LogDiffOp]:
+    """(R+, R-), the ray part of the two halves of box_x(l) and of box_tilde(l):
+    R+ is the product over the rays i < m with l_i < 0, and R- over those with
+    l_i > 0, of prod_{nu=0}^{|l_i|-1} (D_i - nu z)."""
     r, e = data.r, data.e
-    p_of_l = p_pairings(data, l)
-    ext = data.ext
 
-    def half(sign):
+    def product(sign):
         out = LogDiffOp.one(r, e)
-        for a in range(r + e):
-            power = sign * p_of_l[a]
-            if power > 0:
-                out = out * LogDiffOp.chi(r, e, a, power)
-        for i in range(ext.n):
+        for i in range(data.ext.m):
             li = sign * (-l[i])
             if li > 0:
                 out = out * _falling_product(script_d_tilde(data, i), li)
         return out
 
-    return half(+1) - half(-1)
+    return product(+1), product(-1)
+
+
+def box_tilde(data: ExtendedPicardData, l, rays) -> LogDiffOp:
+    """The pulled-back GKZ box operator in the (chi, z) chart; `rays` is
+    `ray_products(data, l)`."""
+    r, e = data.r, data.e
+    p_of_l = p_pairings(data, l)
+    ext = data.ext
+
+    def half(sign, ray):
+        out = LogDiffOp.one(r, e)
+        for a in range(r + e):
+            power = sign * p_of_l[a]
+            if power > 0:
+                out = out * LogDiffOp.chi(r, e, a, power)
+        out = out * ray
+        for i in range(ext.m, ext.n):
+            li = sign * (-l[i])
+            if li > 0:
+                out = out * _falling_product(script_d_tilde(data, i), li)
+        return out
+
+    return half(+1, rays[0]) - half(-1, rays[1])
 
 
 def box_x(data: ExtendedPicardData, l) -> LogDiffOp:
@@ -340,13 +328,15 @@ def box_x(data: ExtendedPicardData, l) -> LogDiffOp:
     left of the ray factors; this ordering makes the factorization
     box_tilde(l) = prod_k chi_{r+k}^{|l_{m+k}|} * box_x(l) an exact operator
     identity for every l in L. It is checked here, once per operator, when
-    e > 0 (for e = 0 both sides are the same product).
+    e > 0 (for e = 0 both sides are the same product); both sides read the
+    one `ray_products(data, l)`.
     """
     r, e = data.r, data.e
     p_of_l = p_pairings(data, l)
     ext = data.ext
+    rays = ray_products(data, l)
 
-    def half(sign):
+    def half(sign, ray):
         out = LogDiffOp.one(r, e)
         for a in range(r):
             power = sign * p_of_l[a]
@@ -357,14 +347,10 @@ def box_x(data: ExtendedPicardData, l) -> LogDiffOp:
             if li > 0:
                 for _ in range(li):
                     out = out * script_d(data, i)
-        for i in range(ext.m):
-            li = sign * (-l[i])
-            if li > 0:
-                out = out * _falling_product(script_d(data, i), li)
-        return out
+        return out * ray
 
-    op = half(+1) - half(-1)
-    if e and not factorization_residual(data, l, op).is_zero():
+    op = half(+1, rays[0]) - half(-1, rays[1])
+    if e and not factorization_residual(data, l, op, rays).is_zero():
         raise OperatorError(f"factorization identity failed for relation {list(l)}")
     return op
 
@@ -391,10 +377,10 @@ def chi_prefactor_for_factorization(data: ExtendedPicardData, l) -> LogDiffOp:
     return out
 
 
-def factorization_residual(data: ExtendedPicardData, l, op: LogDiffOp) -> LogDiffOp:
-    """box_tilde(l) - prod chi^{|l|} * op for op = box_x(l); zero exactly when
-    the lemma holds."""
-    return box_tilde(data, l) - chi_prefactor_for_factorization(data, l) * op
+def factorization_residual(data: ExtendedPicardData, l, op: LogDiffOp, rays) -> LogDiffOp:
+    """box_tilde(l) - prod chi^{|l|} * op for op = box_x(l), with `rays` as for
+    `box_tilde`; zero exactly when the lemma holds."""
+    return box_tilde(data, l, rays) - chi_prefactor_for_factorization(data, l) * op
 
 
 # -- degeneration, residue algebra, symbols --------------------------------------

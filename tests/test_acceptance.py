@@ -42,6 +42,7 @@ from orbimirror.operators import (
     euler_check,
     factorization_residual,
     operator_families,
+    ray_products,
     residue_algebra,
     symbol_fiber_dimension,
 )
@@ -121,7 +122,8 @@ def test_criterion_4_operator_factorization():
                                    for i in range(ext.n)))
         for l in relations:
             count += 1
-            if not factorization_residual(data, l, box_x(data, l)).is_zero():
+            if not factorization_residual(data, l, box_x(data, l),
+                                      ray_products(data, l)).is_zero():
                 ok = False
     _report(4, ok, f"{count} relations, all residuals exactly zero")
 

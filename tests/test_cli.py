@@ -158,7 +158,7 @@ def test_all_command_passes_on_corpus_small(capsys):
 def test_all_exits_1_when_a_factorization_fails(capsys, monkeypatch):
     real = operators.box_tilde
     monkeypatch.setattr(operators, "box_tilde",
-                        lambda d, rel: real(d, rel) + LogDiffOp.z(d.r, d.e))
+                        lambda d, rel, rays: real(d, rel, rays) + LogDiffOp.z(d.r, d.e))
     code, out, err = run_cli(capsys, "all", str(DATA / "p112.json"), "--order", "2")
     assert code == 1 and out == ""
     error = json.loads(err)["error"]
@@ -257,6 +257,43 @@ def test_commands_derive_each_stage_once(capsys, monkeypatch):
         assert calls == {"i_function": n_series, "enumerate_degrees": n_series}, command
         assert all(len(made) == len(set(made)) for made in sectors), command
         assert len(sectors[0]) > 1, command  # p123 has twisted sectors
+
+    # the checks of `all` form only what their verdicts read: the annihilation
+    # residual only up to its bound (every product of an operator term and a
+    # derivative term that apply_operator forms is one it could not skip),
+    # and each ray falling product of a box operator once, shared with its
+    # factorization check
+    formed = within = falling = 0
+    real_apply = ifunction.apply_operator
+    real_acc = ifunction._acc
+    real_falling = operators._falling_product
+
+    def apply_operator(op, series, ring, cap):
+        nonlocal within
+        out = real_apply(op, series, ring, cap)
+        within += sum(1 for (obeta, _, s, t, u) in op.terms
+                      for beta, *_ in series.derivative(s, t, u)
+                      if sum(beta) + sum(obeta) <= cap)
+        return out
+
+    def acc(out, key, vec):
+        nonlocal formed
+        formed += sys._getframe(1).f_code is real_apply.__code__
+        return real_acc(out, key, vec)
+
+    def falling_product(base, count):
+        nonlocal falling
+        falling += 1
+        return real_falling(base, count)
+
+    monkeypatch.setattr(ifunction, "apply_operator", apply_operator)
+    monkeypatch.setattr(ifunction, "_acc", acc)
+    monkeypatch.setattr(operators, "_falling_product", falling_product)
+    assert run_cli(capsys, "all", str(DATA / "p123.json"), "--order", "5")[0] == 0
+    # an unbounded residual forms 6,661 products here, and building each
+    # ray's falling products twice makes 132 of them
+    assert formed == within == 2547
+    assert falling == 90
 
 
 def test_reports_byte_identical_across_runs(capsys):

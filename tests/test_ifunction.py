@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from corpus import CORPUS, box_operators, pipeline, series_fans
 from orbimirror.ifunction import (
+    AnnihilationReport,
     FactorTables,
     LogSeries,
     SeriesError,
@@ -261,12 +262,33 @@ def test_annihilation_detects_wrong_operator():
     assert not report.ok
 
 
+def test_annihilation_catches_a_residual_at_the_bound_only():
+    # chi^k times I-tilde starts in chi-degree k; with no del the bound is
+    # the order 3, so chi^3 leaves a residual exactly at the bound and chi^4
+    # only above it
+    _, data, ring, mori = pipeline("P1")
+    series = tilde_i(i_function(data, ring, mori, 3), ring, data)
+    at_bound = annihilation_check(LogDiffOp.chi(1, 0, 0, 3), series, ring)
+    assert at_bound.checked_order == 3 and not at_bound.ok
+    assert {sum(term["key"][0]) for term in at_bound.residual_terms} == {3}
+    assert annihilation_check(LogDiffOp.chi(1, 0, 0, 4), series, ring) == (
+        AnnihilationReport(3, (), True))
+
+
+def _whole(op, series, ring):
+    """apply_operator with its cap at the top chi-degree of the product, so
+    that every term of the action is formed."""
+    top = (max((sum(key[0]) for key in series.terms), default=0)
+           + max((sum(key[0]) for key in op.terms), default=0))
+    return apply_operator(op, series, ring, top)
+
+
 def test_apply_operator_product_rule():
     _, data, ring, _ = pipeline("P1")
     th = LogDiffOp.theta(1, 0, 0)
     key = ((1,), (1,), Fraction(0), 0)  # chi * log chi
     series = LogSeries(1, 0, ring.dim, {key: ring.one()}, order=3)
-    out = apply_operator(th, series, ring)
+    out = apply_operator(th, series, ring, 1)
     # theta(chi log chi) = z chi log chi + z chi
     assert out.terms[((1,), (1,), Fraction(1), 0)] == ring.one()
     assert out.terms[((1,), (0,), Fraction(1), 0)] == ring.one()
@@ -304,8 +326,8 @@ def test_operator_product_matches_sequential_application():
 
     for _ in range(25):
         a, b = rand_op(), rand_op()
-        combined = apply_operator(a * b, series, ring)
-        sequential = apply_operator(a, apply_operator(b, series, ring), ring)
+        combined = _whole(a * b, series, ring)
+        sequential = _whole(a, _whole(b, series, ring), ring)
         assert combined.terms == sequential.terms
 
 
@@ -475,23 +497,60 @@ def test_hypergeometric_factor_matches_replaced_routine(name, data, ring, mori):
         assert series == _i_function_oracle(data, ring, mori, order, factors)
 
 
+def _annihilation_report_oracle(op, series, ring):
+    """The former annihilation_check: the whole residual, filtered at the bound."""
+    lower = max((sum(t) for (_, _, _, t, _) in op.terms), default=0)
+    bound = series.order - lower
+    residual = _apply_operator_oracle(op, series, ring)
+    offending = tuple(
+        {"key": key, "class": list(vec)}
+        for key, vec in sorted(residual.terms.items(),
+                               key=lambda kv: (sum(kv[0][0]), kv[0][0], kv[0][1], kv[0][2], kv[0][3]))
+        if sum(key[0]) <= bound
+    )
+    return AnnihilationReport(bound, offending, not offending)
+
+
+def _checked_operators(data, ring):
+    """Every operator of `all`, and each of them plus z (which no longer
+    annihilates I-tilde), so that reports with a residual are compared too."""
+    ops = [euler_check(data)] + box_operators(data, ring)
+    return ops + [op + LogDiffOp.z(data.r, data.e) for op in ops]
+
+
 @pytest.mark.parametrize("name, data, ring, mori", SERIES_FANS,
                          ids=[fan[0] for fan in SERIES_FANS])
 def test_apply_operator_matches_replaced_routine(name, data, ring, mori):
     # every operator of `all` on one series object, so that later operators
-    # read the derivatives that earlier ones left there
+    # read the derivatives that earlier ones left there; with its cap at the
+    # top degree the action is the whole one, and below it the part up to the cap
     ops = [euler_check(data)] + box_operators(data, ring)
     for order in ORDERS:
         series = tilde_i(i_function(data, ring, mori, order), ring, data)
         for op in ops:
-            assert apply_operator(op, series, ring) == _apply_operator_oracle(op, series, ring)
+            expected = _apply_operator_oracle(op, series, ring)
+            assert _whole(op, series, ring) == expected
+            cap = order // 2
+            assert apply_operator(op, series, ring, cap).terms == {
+                key: vec for key, vec in expected.terms.items() if sum(key[0]) <= cap}
+
+
+@pytest.mark.parametrize("name, data, ring, mori", SERIES_FANS,
+                         ids=[fan[0] for fan in SERIES_FANS])
+def test_annihilation_check_matches_unbounded_oracle(name, data, ring, mori):
+    ops = _checked_operators(data, ring)
+    for order in ORDERS:
+        series = tilde_i(i_function(data, ring, mori, order), ring, data)
+        for op in ops:
+            assert annihilation_check(op, series, ring) == _annihilation_report_oracle(
+                op, series, ring), (name, order)
 
 
 def test_series_derivatives_live_on_their_series():
     _, data, ring, mori = pipeline("P112")
     series = tilde_i(i_function(data, ring, mori, 3), ring, data)
     ops = [euler_check(data)] + box_operators(data, ring)
-    results = [apply_operator(op, series, ring) for op in ops]
+    results = [_whole(op, series, ring) for op in ops]
     kept = dict(series._derivatives)
     # E^2 needs E first; a series made from this one starts afresh
     assert ((0,), (0,), 1) in kept
@@ -499,10 +558,10 @@ def test_series_derivatives_live_on_their_series():
     assert truncated._derivatives == {((0,), (0,), 0): truncated.terms}
     # the operators in reverse order, on a series with the shared entries,
     # and on a fresh one, agree with the first pass
-    assert [apply_operator(op, series, ring) for op in ops[::-1]] == results[::-1]
+    assert [_whole(op, series, ring) for op in ops[::-1]] == results[::-1]
     assert series._derivatives.keys() == kept.keys()
     fresh = LogSeries(series.r, series.e, series.dim, series.terms, series.order)
-    assert [apply_operator(op, fresh, ring) for op in ops[::-1]] == results[::-1]
+    assert [_whole(op, fresh, ring) for op in ops[::-1]] == results[::-1]
 
 
 _RING = pipeline("P1113")[2]

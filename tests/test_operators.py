@@ -1,11 +1,21 @@
+import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
-from corpus import CORPUS, box_operators, differential_fans, pipeline, series_fans
+from corpus import (
+    CORPUS,
+    DATA,
+    box_operators,
+    differential_fans,
+    ext_of_doc,
+    pipeline,
+    series_fans,
+)
 from orbimirror import operators
 from orbimirror.cohomology import (
     add_term,
@@ -19,16 +29,14 @@ from orbimirror.linalg import IntMatrix, kernel_basis
 from orbimirror.operators import (
     LogDiffOp,
     OperatorError,
+    _family_union,
     bold_d_poly,
-    box_hat,
     box_tilde,
     box_x,
     check_unfolding_conditions,
     chi_prefactor_for_factorization,
     degenerate_limit,
     euler_check,
-    euler_hat,
-    euler_hat_k,
     factorization_residual,
     full_symbol,
     limit_poly,
@@ -36,14 +44,16 @@ from orbimirror.operators import (
     p_pairings,
     pbar_class,
     primitive_relation,
+    ray_products,
     residue_algebra,
     residue_map_well_defined,
     script_d,
+    script_d_tilde,
     symbol_at_origin,
     symbol_fiber_dimension,
     symbol_mul,
 )
-from orbimirror.picard import extended_pl_and_pic
+from orbimirror.picard import choose_basis_p, extended_pl_and_pic
 
 
 # -- normal-ordered algebra -----------------------------------------------------
@@ -137,6 +147,37 @@ def test_symbol_multiplicative():
 # -- lambda-chart FL-GKZ operators: LogDiffOp(0, n) ------------------------------
 
 
+def box_hat(n, l) -> LogDiffOp:
+    """FL-GKZ box operator: prod_{l_i<0} (z dl_i)^{-l_i} - prod_{l_i>0} (z dl_i)^{l_i}."""
+    neg = LogDiffOp.one(0, n)
+    pos = LogDiffOp.one(0, n)
+    for i, li in enumerate(l):
+        if li < 0:
+            for _ in range(-li):
+                neg = neg * LogDiffOp.dell(0, n, i)
+        elif li > 0:
+            for _ in range(li):
+                pos = pos * LogDiffOp.dell(0, n, i)
+    return neg - pos
+
+
+def euler_hat(n) -> LogDiffOp:
+    """E-hat = z^2 dz + sum_i z lambda_i dlambda_i."""
+    out = LogDiffOp.euler_z(0, n)
+    for i in range(n):
+        out = out + LogDiffOp.theta(0, n, i)
+    return out
+
+
+def euler_hat_k(n, a_row) -> LogDiffOp:
+    """E-hat_k = sum_i a_{ki} z lambda_i dlambda_i."""
+    out = LogDiffOp.zero(0, n)
+    for i, coeff in enumerate(a_row):
+        if coeff:
+            out = out + LogDiffOp.theta(0, n, i).scale(coeff)
+    return out
+
+
 def _zdl(n, i):
     return LogDiffOp.dell(0, n, i)
 
@@ -177,9 +218,9 @@ def test_box_tilde_p1_is_chi_minus_theta_squared():
     _, data, _, _ = pipeline("P1")
     th = LogDiffOp.theta(1, 0, 0)
     chi = LogDiffOp.chi(1, 0, 0)
-    assert box_tilde(data, (1, 1)) == chi - th * th
+    assert box_tilde(data, (1, 1), ray_products(data, (1, 1))) == chi - th * th
     assert box_x(data, (1, 1)) == chi - th * th
-    assert box_tilde(data, (0, 0)).is_zero()
+    assert box_tilde(data, (0, 0), ray_products(data, (0, 0))).is_zero()
 
 
 def test_box_x_p112_cone_relation_shape():
@@ -193,7 +234,7 @@ def test_box_x_p112_cone_relation_shape():
 def test_box_tilde_p112_extension_relation():
     _, data, _, _ = pipeline("P112")
     l = (0, 1, 0, 1)
-    bt = box_tilde(data, l)
+    bt = box_tilde(data, l, ray_products(data, l))
     assert bt == chi_prefactor_for_factorization(data, l) * box_x(data, l)
 
 
@@ -202,12 +243,14 @@ def test_factorization_basis_and_20_random():
     for name in CORPUS:
         ext, data, _, _ = pipeline(name)
         for l in ext.l_basis:
-            assert factorization_residual(data, l, box_x(data, l)).is_zero(), (name, l)
+            residual = factorization_residual(data, l, box_x(data, l), ray_products(data, l))
+            assert residual.is_zero(), (name, l)
         for _ in range(20):
             coeffs = [rng.randint(-3, 3) for _ in ext.l_basis]
             l = tuple(sum(c * b[i] for c, b in zip(coeffs, ext.l_basis))
                       for i in range(ext.n))
-            assert factorization_residual(data, l, box_x(data, l)).is_zero(), (name, l)
+            residual = factorization_residual(data, l, box_x(data, l), ray_products(data, l))
+            assert residual.is_zero(), (name, l)
 
 
 def test_box_x_raises_on_a_failed_factorization(monkeypatch):
@@ -215,7 +258,7 @@ def test_box_x_raises_on_a_failed_factorization(monkeypatch):
     l = (0, 1, 0, 1)
     real = operators.box_tilde
     monkeypatch.setattr(operators, "box_tilde",
-                        lambda d, rel: real(d, rel) + LogDiffOp.z(d.r, d.e))
+                        lambda d, rel, rays: real(d, rel, rays) + LogDiffOp.z(d.r, d.e))
     with pytest.raises(OperatorError, match=re.escape(f"relation {list(l)}")):
         box_x(data, l)
 
@@ -233,6 +276,102 @@ def test_box_x_skips_the_tautological_check_when_e_is_zero(monkeypatch):
     _, data112, _, _ = pipeline("P112")
     box_x(data112, (0, 1, 0, 1))
     assert len(calls) == 1
+
+
+def _box_tilde_oracle(data, l):
+    """The former box_tilde: each half builds its own ray falling products."""
+    r, e = data.r, data.e
+    p_of_l = p_pairings(data, l)
+    ext = data.ext
+
+    def half(sign):
+        out = LogDiffOp.one(r, e)
+        for a in range(r + e):
+            power = sign * p_of_l[a]
+            if power > 0:
+                out = out * LogDiffOp.chi(r, e, a, power)
+        for i in range(ext.n):
+            li = sign * (-l[i])
+            if li > 0:
+                out = out * operators._falling_product(script_d_tilde(data, i), li)
+        return out
+
+    return half(+1) - half(-1)
+
+
+def _box_x_oracle(data, l):
+    """The former box_x construction, one factor at a time from the left."""
+    r, e = data.r, data.e
+    p_of_l = p_pairings(data, l)
+    ext = data.ext
+
+    def half(sign):
+        out = LogDiffOp.one(r, e)
+        for a in range(r):
+            power = sign * p_of_l[a]
+            if power > 0:
+                out = out * LogDiffOp.chi(r, e, a, power)
+        for i in range(ext.m, ext.n):
+            li = sign * (-l[i])
+            if li > 0:
+                for _ in range(li):
+                    out = out * script_d(data, i)
+        for i in range(ext.m):
+            li = sign * (-l[i])
+            if li > 0:
+                out = out * operators._falling_product(script_d(data, i), li)
+        return out
+
+    return half(+1) - half(-1)
+
+
+def _box_fan_data(name):
+    """Picard data with its p-basis of a corpus spec or a tests/data document."""
+    if name in CORPUS:
+        return pipeline(name)[1]
+    ext = ext_of_doc(json.loads((DATA / f"{name}.json").read_text()))
+    return choose_basis_p(extended_pl_and_pic(ext))
+
+
+@pytest.mark.parametrize("name, e_positive", [
+    ("P112", True), ("P1113", True), ("p123", True), ("F2", False),
+    ("p123_resolution", False)])
+def test_box_operators_match_replaced_construction(name, e_positive):
+    data = _box_fan_data(name)
+    ext = data.ext
+    assert bool(data.e) == e_positive
+    rng = random.Random(41)
+    relations = _family_union(operator_families(data, presentation(ext)))
+    for _ in range(20):
+        coeffs = [rng.randint(-3, 3) for _ in ext.l_basis]
+        relations.append(tuple(sum(c * b[i] for c, b in zip(coeffs, ext.l_basis))
+                               for i in range(ext.n)))
+    for l in relations:
+        expected = _box_x_oracle(data, l)
+        assert box_x(data, l) == expected, (name, l)
+        tilde = _box_tilde_oracle(data, l)
+        assert box_tilde(data, l, ray_products(data, l)) == tilde, (name, l)
+        # the factorization identity, read off the two oracles alone
+        assert tilde == chi_prefactor_for_factorization(data, l) * expected, (name, l)
+
+
+def test_box_x_builds_each_ray_falling_product_once(monkeypatch):
+    _, data, _, _ = pipeline("P112")  # e = 1
+    ext = data.ext
+    made = Counter()
+    real = operators._falling_product
+    monkeypatch.setattr(operators, "_falling_product",
+                        lambda base, count: made.update([(base, count)]) or real(base, count))
+    rng = random.Random(43)
+    for _ in range(10):
+        coeffs = [rng.randint(-3, 3) for _ in ext.l_basis]
+        l = tuple(sum(c * b[i] for c, b in zip(coeffs, ext.l_basis)) for i in range(ext.n))
+        made.clear()
+        box_x(data, l)
+        # one product per nonzero entry of l: the operator and its check
+        # share the rays' (i < m), and only box_tilde builds the extensions'
+        assert made == Counter((script_d_tilde(data, i), abs(l[i]))
+                               for i in range(ext.n) if l[i]), l
 
 
 def test_euler_check_p112():
@@ -377,8 +516,6 @@ def test_chi_falling_factorial_identity():
 def test_torus_direction_euler_operators_pull_back_to_zero():
     # sum_i a_ki D'_i = sum_a (sum_i a_ki m_ia) theta_a must vanish: the
     # lattice directions die under the chart map, tying M to the ray matrix
-    from orbimirror.operators import script_d_tilde
-
     for name in CORPUS:
         ext, data, _, _ = pipeline(name)
         for k in range(ext.d):
