@@ -188,7 +188,9 @@ def lattice_ideal_groebner(relations, weights) -> list[Poly]:
 
     Saturation with respect to the product of all variables uses one auxiliary
     inverse variable (t * x_1..x_k - 1) under an elimination order; the
-    t-free part is the lattice ideal (Rabinowitsch trick).
+    t-free part is the lattice ideal (Rabinowitsch trick). On t-free monomials
+    the elimination order's key is WeightedGrevlex(weights)'s, so that part
+    already is the reduced basis, in order.
     """
     k = len(weights)
     rels = [tuple(int(x) for x in r) for r in relations if any(r)]
@@ -203,8 +205,7 @@ def lattice_ideal_groebner(relations, weights) -> list[Poly]:
     gens.append({(1,) + tuple(1 for _ in range(k)): Fraction(1),
                  (0,) * (k + 1): Fraction(-1)})
     gb = groebner_basis(gens, elim_order)
-    kept = [{m[1:]: c for m, c in g.items()} for g in gb if all(m[0] == 0 for m in g)]
-    return groebner_basis(kept, WeightedGrevlex(weights))
+    return [{m[1:]: c for m, c in g.items()} for g in gb if all(m[0] == 0 for m in g)]
 
 
 def binomial_relation_vectors(polys) -> list[tuple[int, ...]]:

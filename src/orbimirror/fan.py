@@ -253,44 +253,28 @@ def box_elements(fan: StackyFan) -> list[BoxElement]:
             )
             if v in found:
                 continue
-            mcone, mfrac = fan.fractional_coordinates(v)
+            # v's coordinates in `cone` are frac; their support is the minimal cone.
+            mcone = tuple(i for i, f in zip(cone, frac) if f)
+            mfrac = tuple(f for f in frac if f)
             found[v] = BoxElement(v, mcone, mfrac, sum(mfrac, Fraction(0)))
     return [found[v] for v in sorted(found)]
 
 
 def gen_elements(fan: StackyFan) -> list[BoxElement]:
     """Gen(Sigma): box elements irreducible in the semigroup of their minimal
-    cone."""
+    cone. b - x lies in the simplicial sigma(b) exactly when sigma(x) is a
+    face of sigma(b) and no coordinate of x exceeds b's."""
     nonzero = [b for b in fan.box if not b.is_zero]
     gens = []
     for b in nonzero:
-        ambient = _max_cone_containing(fan, b.min_cone)
-        reducible = False
-        for x in nonzero:
-            if x.vector == b.vector or not set(x.min_cone) <= set(b.min_cone):
-                continue
-            y = tuple(p - q for p, q in zip(b.vector, x.vector))
-            if not any(y):
-                continue
-            # y must again lie in sigma(b): nonnegative there, zero off it.
-            coords = fan.cone_coordinates(ambient, y)
-            in_min_cone = all(
-                c >= 0 and (c == 0 or i in b.min_cone)
-                for i, c in zip(ambient, coords)
-            )
-            if in_min_cone:
-                reducible = True
-                break
-        if not reducible:
+        coords = dict(zip(b.min_cone, b.fractional))
+        if not any(
+            x.vector != b.vector
+            and all(i in coords and c <= coords[i] for i, c in zip(x.min_cone, x.fractional))
+            for x in nonzero
+        ):
             gens.append(b)
     return gens
-
-
-def _max_cone_containing(fan: StackyFan, face) -> tuple[int, ...]:
-    for c in fan.max_cones:
-        if set(face) <= set(c):
-            return c
-    raise FanError(f"no maximal cone contains face {_one(face)}")
 
 
 def _one(indices) -> list[int]:

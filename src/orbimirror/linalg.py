@@ -1,9 +1,9 @@
 """Exact integer/rational linear algebra: SNF, HNF, kernels, splittings, saturation.
 
-Everything here is arbitrary precision (int / Fraction); no floats. Rational
-systems go through one Gauss-Jordan routine, `solve_general`: `rank` and
-`coordinates` (the unique coordinates of a vector in given rows, or None) are
-views of it.
+Everything here is arbitrary precision (int / Fraction); no floats. There is
+one elimination, `_reduce`: a fraction-free (Bareiss) Gauss-Jordan on integer
+rows. `solve_general`, `solve_unique`, `coordinates`, `rank`, `inverse`,
+`unimodular_inverse` and `IntMatrix.det` are views of it.
 """
 
 from __future__ import annotations
@@ -76,32 +76,11 @@ class IntMatrix:
     def det(self) -> int:
         if self.rows != self.cols:
             raise LinAlgError("determinant of a non-square matrix")
-        return _det_bareiss([list(r) for r in self.data])
+        pivots, d, sign = _reduce([list(r) for r in self.data], self.cols)
+        return sign * d if len(pivots) == self.cols else 0
 
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and self.det() in (1, -1)
-
-
-def _det_bareiss(a: list[list[int]]) -> int:
-    # Fraction-free Gaussian elimination; exact for integer matrices.
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
@@ -206,29 +185,10 @@ def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     """Exact inverse of a unimodular integer matrix."""
-    if m.rows != m.cols:
-        raise LinAlgError("inverse of a non-square matrix")
-    n = m.rows
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m.data)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if piv is None:
-            raise LinAlgError("singular matrix")
-        aug[k], aug[piv] = aug[piv], aug[k]
-        inv = 1 / aug[k][k]
-        aug[k] = [x * inv for x in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k]:
-                f = aug[i][k]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
-    out = []
-    for row in aug:
-        vals = row[n:]
-        if any(x.denominator != 1 for x in vals):
-            raise LinAlgError("matrix is not unimodular")
-        out.append([int(x) for x in vals])
-    return IntMatrix(out)
+    inv = inverse(m.data)
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise LinAlgError("matrix is not unimodular")
+    return IntMatrix(inv)
 
 
 def hermite_row_basis(vectors) -> list[Vec]:
@@ -389,13 +349,51 @@ def normalized_simplex_volume(vectors) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Rational Gaussian elimination helpers (shared by cones/fan/picard).
+# The one elimination, and the exact rational solves that are its views.
 
 QVec = tuple[Fraction, ...]
 
 
 def qvec(v) -> QVec:
     return tuple(Fraction(x) for x in v)
+
+
+def _integer_row(row) -> list[int]:
+    """The row (ints / Fractions) scaled by the lcm of its denominators, which
+    leaves the row space unchanged."""
+    s = lcm(*(x.denominator for x in row))
+    return [x.numerator * (s // x.denominator) for x in row]
+
+
+def _reduce(rows: list[list[int]], width: int) -> tuple[list[int], int, int]:
+    """Fraction-free (Bareiss) Gauss-Jordan on integer rows, in place.
+
+    Pivots on the first nonzero entry of each of the first `width` columns in
+    turn, and every division is exact (each entry is a minor of the input).
+    Returns (pivot columns, d, sign): afterwards the first len(pivots) rows
+    are d times the reduced echelon form, the others vanish in the first
+    `width` columns, d is the last pivot (1 if none) and sign is the parity of
+    the row swaps, so a square nonsingular matrix has determinant sign * d.
+    """
+    pivots: list[int] = []
+    d, sign = 1, 1
+    for col in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        prow = rows[r]
+        p = prow[col]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != r and (f or p != d):
+                rows[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+        d = p
+        pivots.append(col)
+    return pivots, d, sign
 
 
 def solve_unique(a_rows, b) -> QVec:
@@ -412,38 +410,23 @@ def solve_unique(a_rows, b) -> QVec:
 def solve_general(a_rows, b):
     """Particular solution + nullspace basis of A x = b over Q, or None.
 
-    Deterministic: first-nonzero pivoting in row-echelon order.
+    Read off the reduced echelon form of [A | b]. It is unique, and its pivots
+    are the leftmost independent columns, so the result is deterministic.
     """
-    rows = [list(map(Fraction, r)) + [Fraction(x)] for r, x in zip(a_rows, b)]
+    rows = [_integer_row(list(r) + [x]) for r, x in zip(a_rows, b)]
     ncols = len(rows[0]) - 1 if rows else 0
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, len(rows)):
-        if rows[i][ncols] != 0:
-            return None
+    pivots, d, _ = _reduce(rows, ncols)
+    if any(row[ncols] for row in rows[len(pivots):]):
+        return None
     part = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        part[col] = rows[i][ncols]
-    free = [c for c in range(ncols) if c not in pivots]
+    for row, col in zip(rows, pivots):
+        part[col] = Fraction(row[ncols], d)
     null = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for i, col in enumerate(pivots):
-            vec[col] = -rows[i][fc]
+        for row, col in zip(rows, pivots):
+            vec[col] = Fraction(-row[fc], d)
         null.append(tuple(vec))
     return tuple(part), null
 
@@ -452,7 +435,8 @@ def rank(rows) -> int:
     """Rank over Q of the given rows (0 for no rows)."""
     if not rows:
         return 0
-    return len(rows[0]) - len(solve_general(rows, [0] * len(rows))[1])
+    ints = [_integer_row(r) for r in rows]
+    return len(_reduce(ints, len(ints[0]))[0])
 
 
 def coordinates(vec, rows):
@@ -462,6 +446,19 @@ def coordinates(vec, rows):
     if sol is None or sol[1]:
         return None
     return sol[0]
+
+
+def inverse(rows) -> tuple[QVec, ...]:
+    """Exact inverse of a square rational matrix; raises if it is singular."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise LinAlgError("inverse of a non-square matrix")
+    aug = [_integer_row(list(r) + [int(i == j) for j in range(n)])
+           for i, r in enumerate(rows)]
+    pivots, d, _ = _reduce(aug, n)
+    if len(pivots) < n:
+        raise LinAlgError("singular matrix")
+    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in aug)
 
 
 def dot(u, v) -> Fraction:

@@ -26,6 +26,7 @@ from .linalg import (
     coordinates,
     dot,
     hermite_row_basis,
+    inverse,
     kernel_basis,
     qvec,
     solve_unique,
@@ -167,28 +168,19 @@ def kahler_cone(data: ExtendedPicardData) -> RationalCone:
 
 
 def extended_kahler_contains(data: ExtendedPicardData, x) -> bool:
-    """Exact LP membership of x in K^e = K + sum_k Q>=0 [D_{m+k}]."""
-    dim = data.ext.l_rank
+    """Exact LP membership of x in K^e = K + sum_k Q>=0 [D_{m+k}]: is there a
+    t >= 0 with x - sum_k t_k [D_{m+k}] in K? The LP is over t only."""
     e = data.ext.e
-    nvars = dim + e
-    eqs = []
-    for j in range(dim):
-        coeff = [Fraction(0)] * nvars
-        coeff[j] = Fraction(1)
-        for k in range(e):
-            coeff[dim + k] = Fraction(data.d_classes[data.ext.m + k][j])
-        eqs.append((coeff, Fraction(x[j])))
-    ineqs = []
-    for w in data.kahler.inequalities or ():
-        ineqs.append((list(w) + [Fraction(0)] * e, 0))
-    for t in range(e):
-        coeff = [Fraction(0)] * nvars
-        coeff[dim + t] = Fraction(1)
-        ineqs.append((coeff, 0))
-    for eq in data.kahler.equalities or ():
-        ineqs.append((list(eq) + [Fraction(0)] * e, 0))
-        ineqs.append(([-v for v in eq] + [Fraction(0)] * e, 0))
-    return lp_feasible(nvars, eqs=eqs, ineqs=ineqs) is not None
+    cols = [data.d_classes[data.ext.m + k] for k in range(e)]
+
+    def constraint(f):
+        # f.(x - sum_k t_k D_k) as (coefficients of t, constant) for lp_feasible
+        return [-dot(f, c) for c in cols], -dot(f, x)
+
+    ineqs = [constraint(w) for w in data.kahler.inequalities or ()]
+    ineqs += [([int(j == k) for j in range(e)], 0) for k in range(e)]
+    eqs = [constraint(g) for g in data.kahler.equalities or ()]
+    return lp_feasible(e, eqs=eqs, ineqs=ineqs) is not None
 
 
 def rho_membership(data: ExtendedPicardData) -> tuple[bool, bool]:
@@ -253,20 +245,11 @@ def choose_basis_p(data: ExtendedPicardData, override=None) -> ExtendedPicardDat
             )
     p_rows = [qvec(row) for row in chosen] + [qvec(f) for f in forced]
     # q = dual basis: columns of P^{-1} where P rows are the p_a.
-    rank = r + e
-    pmat = [list(row) for row in p_rows]
-    q_cols = []
-    for a in range(rank):
-        rhs = [Fraction(int(b == a)) for b in range(rank)]
-        q_cols.append(solve_unique(pmat, rhs))
-    q_basis = tuple(tuple(col) for col in q_cols)  # q_a in L-basis coordinates
-    m_matrix = tuple(
-        tuple(sum((Fraction(ext.l_basis[j][i]) * q_basis[a][j] for j in range(rank)),
-                  Fraction(0)) for a in range(rank))
-        for i in range(ext.n)
-    )
+    q_basis = tuple(zip(*inverse(p_rows)))  # q_a in L-basis coordinates
+    # m_{ia} = <D_i, q_a>, with D_i the i-th column of the L basis
+    m_matrix = tuple(tuple(dot(col, q) for q in q_basis) for col in zip(*ext.l_basis))
     for k in range(e):
-        expected = tuple(Fraction(int(a == r + k)) for a in range(rank))
+        expected = tuple(Fraction(int(a == r + k)) for a in range(r + e))
         if m_matrix[ext.m + k] != expected:
             raise PicardError("M matrix violates m_{m+i,a} = delta_{r+i,a}")
     n_matrix, superpotential = _superpotential(data, p_rows)

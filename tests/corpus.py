@@ -39,7 +39,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
 sys.path.insert(0, str(ROOT))
 
-from perfbench.workloads import smooth_polygon  # noqa: E402
+from perfbench.workloads import smooth_polygon, weighted_projective_plane  # noqa: E402
 
 
 def fan_of(spec) -> StackyFan:
@@ -107,6 +107,13 @@ def differential_fans(smooth_rays=()):
         yield name, ext_of(spec)
     for m in smooth_rays:
         yield f"smooth{m}", ext_of_doc(smooth_polygon(m))
+
+
+def weighted_planes():
+    """P(1,2,5), P(1,3,5) and P(1,4,9), extended: larger boxes and cone
+    lattices than any corpus fan."""
+    for a, b in ((2, 5), (3, 5), (4, 9)):
+        yield f"P(1,{a},{b})", ext_of_doc(weighted_projective_plane(a, b))
 
 
 def series_fans():

@@ -1,9 +1,12 @@
 from fractions import Fraction
+from math import lcm
 import random
 
 import pytest
 
-from corpus import CORPUS, differential_fans, pipeline
+from itertools import chain
+
+from corpus import CORPUS, differential_fans, pipeline, weighted_planes
 from orbimirror import cohomology
 from orbimirror.cohomology import (
     RingError,
@@ -27,7 +30,7 @@ from orbimirror.cohomology import (
     quotient_ring,
 )
 from orbimirror.fan import StackyFan, extend
-from orbimirror.linalg import rank
+from orbimirror.linalg import IntMatrix, kernel_basis, rank
 
 
 def test_presentation_p1():
@@ -307,9 +310,9 @@ def _groebner_basis_oracle(gens, order):
 
 
 def test_groebner_bases_match_resorting_oracle(monkeypatch):
-    # Every groebner_basis call a presentation makes: both stages of each
-    # per-cone lattice ideal (the Rabinowitsch elimination and the t-free
-    # part) and the global basis of the generator families, on the data
+    # Every groebner_basis call a presentation makes: the Rabinowitsch
+    # elimination of each per-cone lattice ideal and the global basis of the
+    # generator families, on the data
     # documents, the corpus specs and the smooth m-ray fans for m = 5..10.
     calls = []
 
@@ -329,6 +332,44 @@ def test_groebner_bases_match_resorting_oracle(monkeypatch):
             assert basis == _groebner_basis_oracle(gens, order), name
         eliminations += sum(order.elim == 1 for _, order, _ in calls)
     assert eliminations == 8  # one per cone with more generators than its dimension
+
+
+def _lattice_ideal_groebner_oracle(relations, weights):
+    """The former lattice_ideal_groebner: Buchberger again on the t-free part."""
+    k = len(weights)
+    rels = [tuple(int(x) for x in r) for r in relations if any(r)]
+    if not rels:
+        return []
+    elim_order = WeightedGrevlex((1,) + tuple(weights), elim_block=1)
+    gens = []
+    for r in rels:
+        plus = (0,) + tuple(max(x, 0) for x in r)
+        minus = (0,) + tuple(max(-x, 0) for x in r)
+        gens.append({plus: Fraction(1), minus: Fraction(-1)})
+    gens.append({(1,) + tuple(1 for _ in range(k)): Fraction(1),
+                 (0,) * (k + 1): Fraction(-1)})
+    gb = groebner_basis(gens, elim_order)
+    kept = [{m[1:]: c for m, c in g.items()} for g in gb if all(m[0] == 0 for m in g)]
+    return groebner_basis(kept, WeightedGrevlex(weights))
+
+
+def test_lattice_ideal_groebner_matches_double_buchberger_oracle():
+    """On the lattice of every maximal cone, as cone_lattice_groebner poses it;
+    the terms must come in the same order too."""
+    compared = 0
+    for name, ext in chain(differential_fans(), weighted_planes()):
+        degrees = [ext.degree(i) for i in range(ext.n)]
+        denom = lcm(*(x.denominator for x in degrees))
+        for cone in ext.fan.max_cones:
+            support = ext.generators_in_cone(cone)
+            mat = [[ext.generators[i][k] for i in support] for k in range(ext.d)]
+            rels = kernel_basis(IntMatrix(mat))
+            weights = [int(degrees[i] * denom) for i in support]
+            basis = lattice_ideal_groebner(rels, weights)
+            oracle = _lattice_ideal_groebner_oracle(rels, weights)
+            assert [list(g.items()) for g in basis] == [list(g.items()) for g in oracle], (name, cone)
+            compared += bool(rels)
+    assert compared >= 10
 
 
 def test_mul_matches_product_of_polynomials():

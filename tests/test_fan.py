@@ -4,8 +4,22 @@ import random
 
 import pytest
 
-from corpus import CORPUS, P1, P112, P113, P1113, P2, differential_fans, ext_of, fan_of
+from itertools import chain
+
+from corpus import (
+    CORPUS,
+    P1,
+    P112,
+    P113,
+    P1113,
+    P2,
+    differential_fans,
+    ext_of,
+    fan_of,
+    weighted_planes,
+)
 from orbimirror.fan import (
+    BoxElement,
     FanError,
     StackyFan,
     anticones,
@@ -15,7 +29,13 @@ from orbimirror.fan import (
     gen_elements,
     generalized_primitive_collections,
 )
-from orbimirror.linalg import clear_denominators, solve_general, solve_unique
+from orbimirror.linalg import (
+    clear_denominators,
+    smith_normal_form,
+    solve_general,
+    solve_unique,
+    unimodular_inverse,
+)
 
 
 def test_validate_p2():
@@ -115,6 +135,72 @@ def test_gen_irreducibility_brute_force():
                     for vec in (cx, cy) for i, c in zip(ambient, vec)
                 )
                 assert not in_sigma, (g.vector, x, y)
+
+
+def _box_elements_oracle(fan):
+    """The former box_elements: solves each new element's minimal cone and
+    coordinates again with fractional_coordinates."""
+    d = fan.rank
+    found = {}
+    for cone in fan.max_cones:
+        mat = fan.cone_matrix(cone)
+        snf = smith_normal_form(mat)
+        uinv = unimodular_inverse(snf.u)
+        diag = snf.diagonal()
+        reps = [()]
+        for s in diag:
+            reps = [r + (c,) for r in reps for c in range(s)]
+        for rep in reps:
+            x = tuple(sum(uinv[k, j] * rep[j] for j in range(d)) for k in range(d))
+            coords = fan.cone_coordinates(cone, x)
+            frac = [c - (c.numerator // c.denominator) for c in coords]
+            v = tuple(
+                int(sum(Fraction(fan.rays[i][k]) * f for i, f in zip(cone, frac)))
+                for k in range(d)
+            )
+            if v in found:
+                continue
+            mcone, mfrac = fan.fractional_coordinates(v)
+            found[v] = BoxElement(v, mcone, mfrac, sum(mfrac, Fraction(0)))
+    return [found[v] for v in sorted(found)]
+
+
+def _gen_elements_oracle(fan):
+    """The former gen_elements: solves b - x in a maximal cone around sigma(b)."""
+    nonzero = [b for b in fan.box if not b.is_zero]
+    gens = []
+    for b in nonzero:
+        ambient = next(c for c in fan.max_cones if set(b.min_cone) <= set(c))
+        reducible = False
+        for x in nonzero:
+            if x.vector == b.vector or not set(x.min_cone) <= set(b.min_cone):
+                continue
+            y = tuple(p - q for p, q in zip(b.vector, x.vector))
+            if not any(y):
+                continue
+            coords = fan.cone_coordinates(ambient, y)
+            if all(c >= 0 and (c == 0 or i in b.min_cone) for i, c in zip(ambient, coords)):
+                reducible = True
+                break
+        if not reducible:
+            gens.append(b)
+    return gens
+
+
+def test_box_and_gen_match_replaced_routines():
+    # P(1,3,4,6) has an x with b - x on a proper face of sigma(b): one
+    # coordinate of x equals b's, which the plane fans cannot show.
+    p1346 = StackyFan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-3, -4, -6)],
+                      list(combinations(range(4), 3)))
+    fans = [(name, ext.fan) for name, ext in
+            chain(differential_fans(smooth_rays=(5, 6, 7, 8)), weighted_planes())]
+    reducible = 0
+    for name, fan in fans + [("P(1,3,4,6)", p1346)]:
+        assert box_elements(fan) == _box_elements_oracle(fan), name
+        gens = gen_elements(fan)
+        assert gens == _gen_elements_oracle(fan), name
+        reducible += sum(not b.is_zero for b in fan.box) - len(gens)
+    assert reducible > 0  # some box elements are reducible, so both verdicts occur
 
 
 def test_extend_examples():

@@ -1,15 +1,20 @@
 from fractions import Fraction
 
+import json
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from corpus import DATA, ext_of_doc
+from orbimirror import linalg, picard
 from orbimirror.linalg import (
     IntMatrix,
     LinAlgError,
     clear_denominators,
     coordinates,
     hermite_row_basis,
+    inverse,
     kernel_basis,
     normalized_simplex_volume,
     rank,
@@ -17,9 +22,11 @@ from orbimirror.linalg import (
     saturate,
     smith_normal_form,
     solve_general,
+    solve_unique,
     splitting_maps,
     unimodular_inverse,
 )
+from orbimirror.picard import choose_basis_p, extended_pl_and_pic
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
@@ -222,6 +229,99 @@ def test_clear_denominators():
 # -- rank and coordinates against the routines they replaced --------------------
 
 
+def _solve_general_oracle(a_rows, b):
+    """The former linalg.solve_general: a Fraction Gauss-Jordan."""
+    rows = [list(map(Fraction, r)) + [Fraction(x)] for r, x in zip(a_rows, b)]
+    ncols = len(rows[0]) - 1 if rows else 0
+    pivots: list[int] = []
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        pivots.append(col)
+        rank += 1
+    for i in range(rank, len(rows)):
+        if rows[i][ncols] != 0:
+            return None
+    part = [Fraction(0)] * ncols
+    for i, col in enumerate(pivots):
+        part[col] = rows[i][ncols]
+    free = [c for c in range(ncols) if c not in pivots]
+    null = []
+    for fc in free:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for i, col in enumerate(pivots):
+            vec[col] = -rows[i][fc]
+        null.append(tuple(vec))
+    return tuple(part), null
+
+
+def _unimodular_inverse_oracle(m: IntMatrix) -> IntMatrix:
+    """The former linalg.unimodular_inverse: its own Fraction Gauss-Jordan."""
+    if m.rows != m.cols:
+        raise LinAlgError("inverse of a non-square matrix")
+    n = m.rows
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(m.data)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
+        if piv is None:
+            raise LinAlgError("singular matrix")
+        aug[k], aug[piv] = aug[piv], aug[k]
+        inv = 1 / aug[k][k]
+        aug[k] = [x * inv for x in aug[k]]
+        for i in range(n):
+            if i != k and aug[i][k]:
+                f = aug[i][k]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
+    out = []
+    for row in aug:
+        vals = row[n:]
+        if any(x.denominator != 1 for x in vals):
+            raise LinAlgError("matrix is not unimodular")
+        out.append([int(x) for x in vals])
+    return IntMatrix(out)
+
+
+def _det_bareiss_oracle(a: list[list[int]]) -> int:
+    """The former linalg._det_bareiss: fraction-free Gaussian elimination."""
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the LinAlgError it raises."""
+    try:
+        return f(*args)
+    except LinAlgError as exc:
+        return type(exc), str(exc)
+
+
 def _rank_oracle(rows) -> int:
     """The former cohomology._rank: its own Gauss-Jordan loop."""
     rows = [list(map(Fraction, r)) for r in rows]
@@ -243,9 +343,9 @@ def _rank_oracle(rows) -> int:
 
 
 def _coords_in_rows_oracle(vec, rows):
-    """The former picard._coords_in_rows."""
+    """The former picard._coords_in_rows, on the former Fraction solver."""
     mat = [[Fraction(row[j]) for row in rows] for j in range(len(vec))]
-    sol = solve_general(mat, vec)
+    sol = _solve_general_oracle(mat, vec)
     if sol is None:
         return None
     coords, null = sol
@@ -300,3 +400,120 @@ def test_rank_and_coordinates_examples():
     assert coordinates((1, 0), dependent) is None  # no solution
     for vec, rows in (((1, 1), independent), ((1, 2), dependent), ((1, 0), dependent)):
         assert coordinates(vec, rows) == _coords_in_rows_oracle(vec, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_systems())
+def test_solve_general_matches_fraction_oracle(system):
+    rows, vec = system
+    transposed = [[row[j] for row in rows] for j in range(len(vec))]
+    consistent = [sum((Fraction(a) * b for a, b in zip(row, vec)), Fraction(0))
+                  for row in rows]
+    shifted = consistent[:-1] + [consistent[-1] + 1]
+    for a_rows, b in ((transposed, vec), (rows, consistent), (rows, shifted)):
+        assert solve_general(a_rows, b) == _solve_general_oracle(a_rows, b)
+
+
+@st.composite
+def square_integer_matrices(draw):
+    """Square integer matrices of size 1-4: free draws (sometimes singular),
+    singular ones (a row combined from the others), products of elementary
+    row operations (unimodular), such products scaled in one row (not
+    unimodular), each with its rows permuted so that pivots need swaps."""
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-5, 5), min_size=n, max_size=n)
+    kind = draw(st.sampled_from(["free", "singular", "unimodular", "scaled"]))
+    if kind in ("free", "singular"):
+        rows = draw(st.lists(row, min_size=n, max_size=n))
+        if kind == "singular":
+            cs = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+            rows[-1] = [sum(c * r[j] for c, r in zip(cs, rows)) for j in range(n)]
+    else:
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        ops = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, 3))
+        for i, j, c in draw(st.lists(ops, max_size=12)):
+            if i == j:
+                rows[i] = [-x for x in rows[i]]
+            else:
+                rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        if kind == "scaled":
+            k = draw(st.integers(0, n - 1))
+            rows[k] = [draw(st.sampled_from([0, 2, 3])) * x for x in rows[k]]
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_integer_matrices())
+def test_det_and_unimodular_inverse_match_replaced_routines(rows):
+    m = IntMatrix(rows)
+    assert m.det() == _det_bareiss_oracle([list(r) for r in rows])
+    assert _outcome(unimodular_inverse, m) == _outcome(_unimodular_inverse_oracle, m)
+
+
+def test_unimodular_inverse_and_det_examples():
+    swap = IntMatrix([[0, 1], [1, 0]])
+    assert swap.det() == -1 and unimodular_inverse(swap) == swap
+    assert IntMatrix([[0, 2], [3, 0]]).det() == -6
+    with pytest.raises(LinAlgError, match="not unimodular"):
+        unimodular_inverse(IntMatrix([[0, 2], [3, 0]]))
+    with pytest.raises(LinAlgError, match="non-square"):
+        unimodular_inverse(IntMatrix([[1, 0]]))
+    with pytest.raises(LinAlgError, match="non-square"):
+        IntMatrix([[1, 0]]).det()
+
+
+@st.composite
+def rational_square_matrices(draw):
+    """Square rational matrices of size 1-4; one row in three is combined from
+    the others, so singular matrices are drawn too."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n > 1 and draw(st.integers(0, 2)) == 0:
+        cs = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+        rows[-1] = [sum((c * Fraction(r[j]) for c, r in zip(cs, rows)), Fraction(0))
+                    for j in range(n)]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_square_matrices())
+def test_inverse_matches_columns_of_the_fraction_oracle(rows):
+    """inverse(P) against the former q-basis route of choose_basis_p: column a
+    solves P x = e_a."""
+    n = len(rows)
+    cols = [_solve_general_oracle(rows, [int(b == a) for b in range(n)]) for a in range(n)]
+    if any(sol is None or sol[1] for sol in cols):
+        with pytest.raises(LinAlgError, match="singular"):
+            inverse(rows)
+    else:
+        assert inverse(rows) == tuple(zip(*(sol[0] for sol in cols)))
+
+
+def test_each_exact_solve_is_one_reduction(monkeypatch):
+    """One elimination under every view: a second one fails here."""
+    p123 = extended_pl_and_pic(ext_of_doc(json.loads((DATA / "p123.json").read_text())))
+    reductions, unique_solves, inverses = [], [], []
+    real_reduce, real_inverse = linalg._reduce, picard.inverse
+    monkeypatch.setattr(linalg, "_reduce",
+                        lambda rows, width: reductions.append(width) or real_reduce(rows, width))
+    m = [[2, 1, 0], [1, 1, 0], [0, 3, 1]]
+    views = [
+        lambda: solve_general(m, [1, 0, 2]),
+        lambda: solve_unique(m, [1, 0, 2]),
+        lambda: coordinates((1, 0, 2), m),
+        lambda: rank(m),
+        lambda: inverse(m),
+        lambda: unimodular_inverse(IntMatrix(m)),
+        lambda: IntMatrix(m).det(),
+    ]
+    for view in views:
+        reductions.clear()
+        view()
+        assert len(reductions) == 1
+    for module in (linalg, picard):
+        monkeypatch.setattr(module, "solve_unique",
+                            lambda *args: unique_solves.append(args) or solve_unique(*args))
+    monkeypatch.setattr(picard, "inverse",
+                        lambda rows: inverses.append(rows) or real_inverse(rows))
+    choose_basis_p(p123)
+    assert unique_solves == [] and len(inverses) == 1

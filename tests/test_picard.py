@@ -15,13 +15,14 @@ from corpus import (
     fan_of,
     pipeline,
 )
-from orbimirror.cones import RationalCone, is_face
+from orbimirror.cones import RationalCone, is_face, lp_feasible
 from orbimirror.fan import generalized_primitive_collections
 from orbimirror.linalg import hermite_row_basis, saturate
 from orbimirror.picard import (
     PicardError,
     box_coset_map,
     choose_basis_p,
+    extended_kahler_contains,
     extended_pl_and_pic,
     kahler_cone,
     min_decomposition,
@@ -103,6 +104,54 @@ def test_rho_membership_corpus_and_counterexample():
         assert lp is True and degree is True
     f3 = extended_pl_and_pic(ext_of(F3))
     assert rho_membership(f3) == (False, False)
+
+
+def _extended_kahler_contains_oracle(data, x) -> bool:
+    """The former picard.extended_kahler_contains: an LP over dim + e free
+    variables with x restated as dim equalities."""
+    dim = data.ext.l_rank
+    e = data.ext.e
+    nvars = dim + e
+    eqs = []
+    for j in range(dim):
+        coeff = [Fraction(0)] * nvars
+        coeff[j] = Fraction(1)
+        for k in range(e):
+            coeff[dim + k] = Fraction(data.d_classes[data.ext.m + k][j])
+        eqs.append((coeff, Fraction(x[j])))
+    ineqs = []
+    for w in data.kahler.inequalities or ():
+        ineqs.append((list(w) + [Fraction(0)] * e, 0))
+    for t in range(e):
+        coeff = [Fraction(0)] * nvars
+        coeff[dim + t] = Fraction(1)
+        ineqs.append((coeff, 0))
+    for eq in data.kahler.equalities or ():
+        ineqs.append((list(eq) + [Fraction(0)] * e, 0))
+        ineqs.append(([-v for v in eq] + [Fraction(0)] * e, 0))
+    return lp_feasible(nvars, eqs=eqs, ineqs=ineqs) is not None
+
+
+def test_extended_kahler_contains_matches_replaced_lp():
+    """At rho, at rho - [D_{m+k}], and at the extremal rays of K, rho and each
+    [D_{m+k}] moved by 1/100 along every coordinate axis, which puts many of
+    them just outside K^e."""
+    verdicts = []
+    for name, ext in differential_fans():
+        data = extended_pl_and_pic(ext)
+        dim = ext.l_rank
+        extensions = [data.d_classes[ext.m + k] for k in range(ext.e)]
+        points = [data.rho] + [tuple(a - b for a, b in zip(data.rho, dk)) for dk in extensions]
+        for base in data.kahler.extremal_rays() + [data.rho] + extensions:
+            for j in range(dim):
+                for step in (Fraction(1, 100), Fraction(-1, 100)):
+                    points.append(tuple(Fraction(c) + step * (i == j) for i, c in enumerate(base)))
+        for x in points:
+            verdict = extended_kahler_contains(data, x)
+            assert verdict == _extended_kahler_contains_oracle(data, x), (name, x)
+            verdicts.append((name, verdict))
+    assert ("f3", False) in verdicts and ("p123", False) in verdicts
+    assert sum(v for _, v in verdicts) > 50 and sum(not v for _, v in verdicts) > 50
 
 
 def test_choose_basis_p_p1():
