@@ -1,8 +1,11 @@
 """Rational polyhedral cones with exact membership, face tests and extremal rays.
 
 Cones carry a V-description (generators), an H-description (inequality and
-equality functionals), or both. All feasibility questions reduce to an exact
-phase-I simplex over Fraction with Bland's rule, so no tolerances appear.
+equality functionals), or both. The arithmetic is integer: each functional and
+each point is scaled by the positive lcm of its denominators, extremal rays are
+primitive integer null vectors, and all feasibility questions reduce to an
+exact phase-I simplex with Bland's rule pivoting on an integer tableau, so no
+tolerances appear.
 """
 
 from __future__ import annotations
@@ -11,8 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm, prod
 
-from .linalg import clear_denominators, dot, qvec, rank, solve_general
+from .linalg import _integer_row, null_vector, qvec, rank
 
 
 class ConeError(ValueError):
@@ -24,59 +28,64 @@ def _simplex_phase1(a_rows, b):
 
     Phase-I simplex, Bland's rule (entering: least index with negative reduced
     cost; leaving: least ratio then least index), guaranteeing termination.
+    The tableau is integer (Edmonds' integer pivoting): d times the rational
+    tableau, where d > 0 is the determinant of the current basis once each row
+    is scaled by the lcm of its denominators. Sign tests and cross-multiplied
+    ratio comparisons do not see that factor, so the pivots and the vertex are
+    those of the rational simplex.
     """
     m = len(a_rows)
     n = len(a_rows[0]) if m else 0
-    rows = []
+    scales, rows = [], []
     for row, rhs in zip(a_rows, b):
-        r = [Fraction(x) for x in row]
-        rhs = Fraction(rhs)
-        if rhs < 0:
-            r = [-x for x in r]
-            rhs = -rhs
-        rows.append((r, rhs))
-    # Tableau over variables y_0..y_{n-1}, artificials n..n+m-1.
-    tab = [r + [Fraction(int(i == j)) for j in range(m)] + [rhs]
-           for i, (r, rhs) in enumerate(rows)]
+        row = list(row) + [rhs]
+        r = _integer_row(row)
+        scales.append(lcm(*(x.denominator for x in row)))
+        rows.append([-x for x in r] if r[n] < 0 else r)
+    d = prod(scales)
+    # Tableau d * [A | I | b] over variables y_0..y_{n-1}, artificials n..n+m-1.
+    tab = [[d // s * x for x in r[:n]] + [d if i == j else 0 for j in range(m)] + [d // s * r[n]]
+           for i, (s, r) in enumerate(zip(scales, rows))]
     basis = [n + i for i in range(m)]
     width = n + m
-    # Objective: minimize sum of artificials -> reduced costs
+    # Objective: minimize sum of artificials -> reduced costs, times d
     # (c_j - z_j: zero on y-columns minus column sums, +1 on artificials).
-    cost = [Fraction(0)] * (width + 1)
-    for i in range(m):
-        cost = [c - t for c, t in zip(cost, tab[i])]
+    cost = [-sum(t[j] for t in tab) for j in range(width + 1)]
     for j in range(n, width):
-        cost[j] += 1
+        cost[j] += d
     while True:
         enter = next((j for j in range(width) if cost[j] < 0), None)
         if enter is None:
             break
         leave = None
-        best = None
         for i in range(m):
             if tab[i][enter] > 0:
-                ratio = tab[i][width] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave is None:
+                    leave = i
+                    continue
+                # ratio_i < ratio_leave, both denominators positive
+                lhs = tab[i][width] * tab[leave][enter]
+                rhs = tab[leave][width] * tab[i][enter]
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise ConeError("unbounded phase-I objective (cannot happen)")
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
+        prow = tab[leave]
+        p = prow[enter]
         for i in range(m):
-            if i != leave and tab[i][enter]:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        if cost[enter]:
-            f = cost[enter]
-            cost = [x - f * y for x, y in zip(cost, tab[leave])]
+            f = tab[i][enter]
+            if i != leave and (f or p != d):
+                tab[i] = [(p * x - f * y) // d for x, y in zip(tab[i], prow)]
+        f = cost[enter]
+        cost = [(p * x - f * y) // d for x, y in zip(cost, prow)]
+        d = p
         basis[leave] = enter
-    if -cost[width] != 0:
+    if cost[width] != 0:
         return None
     y = [Fraction(0)] * n
     for i, bv in enumerate(basis):
         if bv < n:
-            y[bv] = tab[i][width]
+            y[bv] = Fraction(tab[i][width], d)
     return tuple(y)
 
 
@@ -145,13 +154,24 @@ class RationalCone:
         return RationalCone(dim, inequalities=ineqs, equalities=eqs)
 
     def contains(self, x) -> bool:
-        x = qvec(x)
+        x = tuple(x)
         if len(x) != self.dim:
             raise ConeError("point dimension mismatch")
         if self.inequalities is not None or self.equalities is not None:
-            return (all(dot(f, x) >= 0 for f in self.inequalities or ())
-                    and all(dot(f, x) == 0 for f in self.equalities or ()))
+            # Scaling the point or a functional by a positive number changes
+            # neither the sign of their pairing nor whether it vanishes.
+            if not all(type(c) is int for c in x):
+                x = _integer_row(qvec(x))
+            ineqs, eqs = self._integer_functionals
+            return (all(sum(a * b for a, b in zip(f, x)) >= 0 for f in ineqs)
+                    and all(sum(a * b for a, b in zip(f, x)) == 0 for f in eqs))
         return nonneg_combination(self.generators or (), x) is not None
+
+    @cached_property
+    def _integer_functionals(self) -> tuple[list[list[int]], list[list[int]]]:
+        """(inequalities, equalities), each scaled by the lcm of its denominators."""
+        return ([_integer_row(f) for f in self.inequalities or ()],
+                [_integer_row(f) for f in self.equalities or ()])
 
     def extremal_rays(self) -> list[tuple[int, ...]]:
         """Primitive integer generators of the extremal rays of a pointed H-cone,
@@ -168,8 +188,7 @@ class RationalCone:
     def _extremal_rays(self) -> tuple[tuple[int, ...], ...]:
         if self.inequalities is None and self.equalities is None:
             raise ConeError("extremal_rays needs an H-description")
-        ineqs = list(self.inequalities or ())
-        eqs = list(self.equalities or ())
+        ineqs, eqs = self._integer_functionals
         if not ineqs and not eqs:
             raise ConeError("cone is not pointed")
         eq_rank = rank(eqs)
@@ -178,14 +197,10 @@ class RationalCone:
         rays = {}
         for subset in combinations(range(len(ineqs)), self.dim - 1 - eq_rank):
             rows = eqs + [ineqs[i] for i in subset]
-            if not rows:
-                # Empty active set has corank dim, so here dim = 1.
-                null = [(Fraction(1),)]
-            else:
-                _, null = solve_general(rows, [0] * len(rows))
-            if len(null) != 1:
+            # An empty active set has corank dim, so there dim = 1.
+            v = null_vector(rows) if rows else (1,)
+            if v is None:
                 continue
-            v = clear_denominators(null[0])
             for cand in (v, tuple(-x for x in v)):
                 if self.contains(cand):
                     if self.contains(tuple(-x for x in cand)) and any(cand):

@@ -14,7 +14,7 @@ from itertools import combinations, islice, product
 
 from .cones import RationalCone, common_face_witness, is_face
 from .fan import ExtendedStackyFan, StackyFan, gen_elements
-from .linalg import IntMatrix, coordinates
+from .linalg import IntMatrix, LinAlgError, inverse
 from .picard import ExtendedPicardData, is_basis_of
 
 
@@ -186,12 +186,16 @@ def build_global_fan(data_x: ExtendedPicardData, data_z: ExtendedPicardData,
     for gen in kx_v.generators:
         if not (cone_x.contains(gen) and cone_z.contains(gen)):
             raise CrepantError("K_X is not contained in the shared face region")
-    transition = []
-    for q in q_rows:
-        coords = coordinates(q, p_rows)
-        if coords is None or any(c.denominator != 1 for c in coords):
-            raise CrepantError("transition matrix is not integral")
-        transition.append(tuple(int(c) for c in coords))
+    # Row a of the transition matrix is q_a in the p-basis: q_a P^{-1}.
+    try:
+        p_inv = inverse(p_rows)
+    except LinAlgError:
+        raise CrepantError("transition matrix is not integral") from None
+    transition = [tuple(sum(x * inv_row[a] for x, inv_row in zip(q, p_inv)) for a in range(rank))
+                  for q in q_rows]
+    if any(c.denominator != 1 for row in transition for c in row):
+        raise CrepantError("transition matrix is not integral")
+    transition = [tuple(int(c) for c in row) for row in transition]
     det = IntMatrix(transition).det()
     if det not in (1, -1):
         raise CrepantError("transition matrix is not unimodular")

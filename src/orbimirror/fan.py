@@ -15,11 +15,10 @@ from math import gcd
 
 from .linalg import (
     IntMatrix,
-    clear_denominators,
     hermite_row_basis,
     kernel_basis,
+    null_vector,
     smith_normal_form,
-    solve_general,
     solve_unique,
     unimodular_inverse,
 )
@@ -175,8 +174,7 @@ class StackyFan:
         # space, and both off-wall coefficients of its generator are nonzero.
         for facet, owners in self._walls.items():
             support = sorted(set(self.max_cones[owners[0]]) | set(self.max_cones[owners[1]]))
-            mat = [[Fraction(self.rays[i][k]) for i in support] for k in range(d)]
-            rel = clear_denominators(solve_general(mat, [0] * d)[1][0])
+            rel = null_vector([[self.rays[i][k] for i in support] for k in range(d)])
             u, v = (x for i, x in zip(support, rel) if i not in facet)
             if u * v < 0:
                 raise FanError(f"wall {list(facet)}: off-wall coefficients of mixed sign")
@@ -396,20 +394,35 @@ def anticones(ext: ExtendedStackyFan) -> tuple[list[tuple[int, ...]], list[tuple
 
 
 def generalized_primitive_collections(ext: ExtendedStackyFan) -> list[tuple[int, ...]]:
-    """Minimal subsets of 𝒢 not contained in any single cone of the fan."""
-    fan = ext.fan
-    n = ext.n
+    """Minimal subsets of 𝒢 not contained in any single cone of the fan, by
+    size, then lexicographically.
 
-    def contained(subset) -> bool:
-        return any(all(ext.generator_in_cone(i, c) for i in subset) for c in fan.max_cones)
+    These are the minimal non-faces of the simplicial complex on 𝒢, found
+    level by level on bitmasks: a k-set is a candidate only when all its
+    (k-1)-subsets are faces, so the search ends one level past the largest face.
+    """
+    cones = {sum(1 << i for i in ext.generators_in_cone(c)) for c in ext.fan.max_cones}
 
+    def is_face(mask) -> bool:
+        return any(mask & c == mask for c in cones)
+
+    # Faces of the current level as (sorted index tuple, mask), in lex order;
+    # extending each by a larger index keeps the next level in lex order.
+    faces = [((i,), 1 << i) for i in range(ext.n) if is_face(1 << i)]
     collections = []
-    for size in range(2, n + 1):
-        for subset in combinations(range(n), size):
-            if contained(subset):
-                continue
-            if all(contained(subset[:k] + subset[k + 1:]) for k in range(size)):
-                collections.append(subset)
+    while faces:
+        masks = {mask for _, mask in faces}
+        level = []
+        for subset, mask in faces:
+            for j in range(subset[-1] + 1, ext.n):
+                cand = mask | 1 << j
+                if not all((cand & ~(1 << i)) in masks for i in subset):
+                    continue
+                if is_face(cand):
+                    level.append((subset + (j,), cand))
+                else:
+                    collections.append(subset + (j,))
+        faces = level
     return collections
 
 

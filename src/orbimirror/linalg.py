@@ -2,8 +2,8 @@
 
 Everything here is arbitrary precision (int / Fraction); no floats. There is
 one elimination, `_reduce`: a fraction-free (Bareiss) Gauss-Jordan on integer
-rows. `solve_general`, `solve_unique`, `coordinates`, `rank`, `inverse`,
-`unimodular_inverse` and `IntMatrix.det` are views of it.
+rows. `solve_general`, `solve_unique`, `coordinates`, `rank`, `null_vector`,
+`inverse`, `unimodular_inverse` and `IntMatrix.det` are views of it.
 """
 
 from __future__ import annotations
@@ -439,6 +439,26 @@ def rank(rows) -> int:
     return len(_reduce(ints, len(ints[0]))[0])
 
 
+def null_vector(rows) -> Vec | None:
+    """The primitive integer null vector of integer rows of corank one, or None.
+
+    Signed as clear_denominators(solve_general(rows, 0)[1][0]): the reduced
+    echelon form gives d at the free column and -row[free] at the pivots.
+    """
+    rows = [list(r) for r in rows]
+    width = len(rows[0])
+    pivots, d, _ = _reduce(rows, width)
+    if len(pivots) != width - 1:
+        return None
+    free = next(c for c in range(width) if c not in pivots)
+    vec = [0] * width
+    vec[free] = d
+    for row, col in zip(rows, pivots):
+        vec[col] = -row[free]
+    g = gcd(*vec) if d > 0 else -gcd(*vec)
+    return tuple(x // g for x in vec)
+
+
 def coordinates(vec, rows):
     """The unique rational coordinates of `vec` in the given rows, or None."""
     mat = [[row[j] for row in rows] for j in range(len(vec))]
@@ -462,7 +482,7 @@ def inverse(rows) -> tuple[QVec, ...]:
 
 
 def dot(u, v) -> Fraction:
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+    return Fraction(sum(a * b for a, b in zip(u, v)))
 
 
 def clear_denominators(v) -> Vec:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import F2, P112, P113, P2, data_z, fan_of, global_fan, pipeline
+from corpus import DATA, F2, P112, P113, P2, data_z, fan_of, global_fan, pipeline
 from orbimirror.cohomology import presentation
 from orbimirror.crepant import (
     CrepantError,
@@ -15,7 +15,9 @@ from orbimirror.crepant import (
     sequences_agree,
 )
 from orbimirror.fan import FanError, StackyFan, extend
-from orbimirror.linalg import IntMatrix
+from orbimirror.fandoc import parse_fan
+from orbimirror.linalg import IntMatrix, coordinates
+from perfbench.workloads import RESOLUTION_PAIRS, corpus_documents, seeded_documents
 
 
 PAIR = ResolutionPair(fan_of(P112), fan_of(F2))
@@ -209,3 +211,37 @@ def test_crepancy_matches_hull_boundary_oracle():
         for w in witnesses:
             expected = _on_hull_boundary_2d(w["ray"], vertices)
             assert (w["discrepancy"] == 0) == expected, w
+
+
+def _transition_oracle(q_rows, p_rows):
+    """The former transition route of build_global_fan: one coordinate solve
+    per q-row."""
+    transition = []
+    for q in q_rows:
+        coords = coordinates(q, p_rows)
+        if coords is None or any(c.denominator != 1 for c in coords):
+            raise CrepantError("transition matrix is not integral")
+        transition.append(tuple(int(c) for c in coords))
+    if IntMatrix(transition).det() not in (1, -1):
+        raise CrepantError("transition matrix is not unimodular")
+    return tuple(transition)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_transition_matrix_matches_per_row_solves(seed):
+    # both corpus pairs as the benchmark relabels them; the noncrepant one is
+    # refused before any transition matrix is formed
+    docs = seeded_documents(corpus_documents(DATA), seed)
+    outcomes = {}
+    for x, z in RESOLUTION_PAIRS:
+        pair = ResolutionPair(parse_fan(docs[x])[0], parse_fan(docs[z])[0])
+        try:
+            gm = global_fan(pair)
+        except FanError:
+            outcomes[x] = "refused"
+            continue
+        assert gm.transition == _transition_oracle(gm.q_basis, gm.p_basis)
+        outcomes[x] = "built"
+    gm = global_fan(PAIR)
+    assert gm.transition == _transition_oracle(gm.q_basis, gm.p_basis)
+    assert outcomes == {"p112": "refused", "p123": "built"}

@@ -259,6 +259,33 @@ def test_generalized_primitive_collections():
     assert (1, 3) in gps and (0, 1, 2) in gps and len(gps) == 2
 
 
+def _primitive_collections_oracle(ext):
+    """The former generalized_primitive_collections: every subset of every size."""
+    fan = ext.fan
+    n = ext.n
+
+    def contained(subset) -> bool:
+        return any(all(ext.generator_in_cone(i, c) for i in subset) for c in fan.max_cones)
+
+    collections = []
+    for size in range(2, n + 1):
+        for subset in combinations(range(n), size):
+            if contained(subset):
+                continue
+            if all(contained(subset[:k] + subset[k + 1:]) for k in range(size)):
+                collections.append(subset)
+    return collections
+
+
+def test_primitive_collections_match_all_subsets_oracle():
+    fans = chain(differential_fans(smooth_rays=(5, 6, 7, 8, 10)), weighted_planes())
+    checked = 0
+    for name, ext in fans:
+        assert generalized_primitive_collections(ext) == _primitive_collections_oracle(ext), name
+        checked += 1
+    assert checked == 25
+
+
 def test_cone_relations():
     ext = ext_of(P112)
     assert cone_relations(ext, (0, 2)) == [(1, 0, 1, -2)]

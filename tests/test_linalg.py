@@ -12,11 +12,14 @@ from orbimirror.linalg import (
     IntMatrix,
     LinAlgError,
     clear_denominators,
+    _integer_row,
     coordinates,
+    dot,
     hermite_row_basis,
     inverse,
     kernel_basis,
     normalized_simplex_volume,
+    null_vector,
     rank,
     reduce_mod_lattice,
     saturate,
@@ -412,6 +415,41 @@ def test_solve_general_matches_fraction_oracle(system):
     shifted = consistent[:-1] + [consistent[-1] + 1]
     for a_rows, b in ((transposed, vec), (rows, consistent), (rows, shifted)):
         assert solve_general(a_rows, b) == _solve_general_oracle(a_rows, b)
+
+
+def _null_vector_oracle(rows):
+    """The former extremal-ray and wall-relation route: a rational null basis,
+    then its one vector cleared of denominators."""
+    _, null = solve_general(rows, [0] * len(rows))
+    return clear_denominators(null[0]) if len(null) == 1 else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_matrices,
+                 rational_systems().map(lambda s: [_integer_row(r) for r in s[0]])))
+def test_null_vector_matches_cleared_rational_null_basis(rows):
+    assert null_vector(rows) == _null_vector_oracle(rows)
+
+
+def test_null_vector_examples():
+    assert null_vector([[1, 1, 0], [0, 2, 1]]) == (1, -1, 2)
+    assert null_vector([[-2, 4, 0], [0, 0, 3]]) == (2, 1, 0)  # negative pivot
+    assert null_vector([[1, 0], [0, 1]]) is None
+    assert null_vector([[1, 2, 3]]) is None  # corank two
+
+
+def _dot_oracle(u, v):
+    """The former linalg.dot: every factor wrapped in a Fraction."""
+    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+    st.lists(entries, min_size=n, max_size=n), st.lists(entries, min_size=n, max_size=n))))
+def test_dot_matches_former_body(vectors):
+    u, v = vectors
+    value = dot(u, v)
+    assert type(value) is Fraction and value == _dot_oracle(u, v)
 
 
 @st.composite
