@@ -9,8 +9,8 @@ presentation, the operator families and box operators, the I-function, and
 for a resolution pair its checks and both sides' Picard data) are derived on
 first use and kept, so no command derives a stage twice.
 
-Exit codes: 0 success, 1 validation failure, 2 invariant failure,
-3 resource limit.
+Exit codes: 0 success, 1 validation failure (a usage error too), 2 invariant
+failure, 3 resource limit.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import json
 import random
 import sys
 import time
-from functools import cached_property
+from functools import cached_property, partial
 
 from .cohomology import (
     ResourceLimitError,
@@ -452,15 +452,35 @@ COMMANDS = {
 }
 
 
+class UsageError(ValueError):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Raise instead of exiting 2, which the CLI keeps for invariant failures."""
+        raise UsageError(message)
+
+
+def order(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"order must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # A fixed help width: the default formatter asks the terminal for its
+    # size, which imports shutil (and with it zlib, bz2 and lzma) on every run.
+    parser = _Parser(
         prog="orbimirror",
         description="Exact mirror-symmetry computations from stacky fans",
+        formatter_class=partial(argparse.HelpFormatter, width=80),
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("fan", help="path to the fan JSON document")
-    parser.add_argument("--order", type=int, default=3,
-                        help="series truncation order (default 3)")
+    parser.add_argument("--order", type=order, default=3,
+                        help="series truncation order, >= 0 (default 3)")
     parser.add_argument("--resolution", help="path to the resolution fan JSON")
     parser.add_argument("--basis-file",
                         help="JSON file with p_basis / q_basis overrides")
@@ -472,7 +492,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
+        print(json.dumps({"error": {"kind": "usage", "message": str(exc)}}), file=sys.stderr)
+        return 1
     try:
         doc = _load(args.fan)
         overrides = _load(args.basis_file) if args.basis_file else {}

@@ -11,6 +11,13 @@ the order key of the pair's lcm, and reduces in place. Each quotient ring
 builds its Groebner lead triples and standard-monomial index once, and on its
 first product a table of the reduced products of all pairs of standard
 monomials, so a product of classes is a bilinear sum over that table.
+
+A class is a canonical pair (nums, den): its int coordinates over the standard
+monomials and one positive int denominator, with gcd 1, so equal classes are
+equal tuples and products and sums of classes need no Fraction. The product
+table holds ints over one ring denominator. Fractions remain in the
+polynomial engine, which `class_of` reads, and in `class_vector`, the view
+reports print as "num/den" strings.
 """
 
 from __future__ import annotations
@@ -19,13 +26,14 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .fan import ExtendedStackyFan, generalized_primitive_collections
-from .linalg import IntMatrix, kernel_basis, normalized_simplex_volume, rank
+from .linalg import IntMatrix, kernel_basis, normalized_simplex_volume
 
 Mono = tuple[int, ...]
 Poly = dict[Mono, Fraction]
+Class = tuple[tuple[int, ...], int]  # (numerators, denominator), canonical
 
 
 class RingError(ValueError):
@@ -79,12 +87,10 @@ def _mono_lcm(a: Mono, b: Mono) -> Mono:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-_ZERO = Fraction(0)
-
-
 def add_term(out: dict, key, c) -> None:
-    """out[key] += c in a sparse map, dropping the key when the sum is zero."""
-    nc = out.get(key, _ZERO) + c
+    """out[key] += c in a sparse map, dropping the key when the sum is zero;
+    int coefficients stay ints, Fraction ones Fractions."""
+    nc = out.get(key, 0) + c
     if nc:
         out[key] = nc
     else:
@@ -223,6 +229,29 @@ def binomial_relation_vectors(polys) -> list[tuple[int, ...]]:
     return out
 
 
+# -- classes: int numerators over one denominator ------------------------------
+
+
+def reduced_class(nums, den: int) -> Class:
+    """The canonical pair of the class nums / den, for ints and den > 0."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return tuple(nums), den
+    return tuple(x // g for x in nums), den // g
+
+
+def class_pair(vec) -> Class:
+    """The canonical pair of a vector of ints or Fractions."""
+    den = lcm(*(x.denominator for x in vec))
+    return reduced_class([x.numerator * (den // x.denominator) for x in vec], den)
+
+
+def class_vector(cls: Class) -> tuple[Fraction, ...]:
+    """The class as a vector of Fractions, as reports print it."""
+    nums, den = cls
+    return tuple(Fraction(x, den) for x in nums)
+
+
 # -- the graded quotient ring -------------------------------------------------
 
 
@@ -266,93 +295,81 @@ class GradedQuotientRing:
 
     @cached_property
     def _products(self):
-        """Row i, column j: class_of(m_i * m_j) of standard monomials, as its
-        nonzero (index, coefficient) pairs; built on the ring's first product."""
+        """(table, den): row i, column j of the table is class_of(m_i * m_j)
+        of standard monomials as its nonzero (index, numerator) pairs, every
+        numerator over the one ring denominator den; built on the ring's first
+        product."""
         std = self.std_monomials
-        table = [[()] * len(std) for _ in std]
+        classes = {}
         for i, a in enumerate(std):
             for j in range(i, len(std)):
-                vec = self.class_of({_mono_mul(a, std[j]): Fraction(1)})
-                table[i][j] = table[j][i] = tuple((k, c) for k, c in enumerate(vec) if c)
-        return table
+                classes[i, j] = self.class_of({_mono_mul(a, std[j]): 1})
+        den = lcm(*(d for _, d in classes.values()))
+        table = [[()] * len(std) for _ in std]
+        for (i, j), (nums, d) in classes.items():
+            table[i][j] = table[j][i] = tuple(
+                (k, c * (den // d)) for k, c in enumerate(nums) if c)
+        return table, den
 
     def nf(self, p: Poly) -> Poly:
         return normal_form(p, self._triples, self.order)
 
-    # classes are coefficient vectors over the standard monomials
+    # classes are canonical (numerators, denominator) pairs over the standard
+    # monomials (see `reduced_class`)
 
-    def class_of(self, p: Poly) -> tuple[Fraction, ...]:
+    def class_of(self, p: Poly) -> Class:
         if not self.finite:
             raise RingError("quotient ring is infinite-dimensional")
         vec = [Fraction(0)] * len(self.std_monomials)
         for m, c in self.nf(p).items():
             vec[self._index[m]] = c
-        return tuple(vec)
+        return class_pair(vec)
 
-    def class_of_var(self, i: int) -> tuple[Fraction, ...]:
+    def class_of_var(self, i: int) -> Class:
         return self.class_of({tuple(int(j == i) for j in range(self.nvars)): Fraction(1)})
 
-    def one(self) -> tuple[Fraction, ...]:
+    def one(self) -> Class:
         return self.class_of(poly_const(self.nvars))
 
-    def zero_class(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(0) for _ in self.std_monomials)
+    def zero_class(self) -> Class:
+        return (0,) * len(self.std_monomials), 1
 
-    def poly_of_class(self, vec) -> Poly:
-        return {m: Fraction(c) for m, c in zip(self.std_monomials, vec) if c}
-
-    def mul(self, u, v) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * self.dim
-        for row, a in zip(self._products, u):
-            if a:
-                for entries, b in zip(row, v):
-                    if b:
-                        ab = a * b
+    def mul(self, u: Class, v: Class) -> Class:
+        (a, da), (b, db) = u, v
+        table, den = self._products
+        out = [0] * len(a)
+        for row, x in zip(table, a):
+            if x:
+                for entries, y in zip(row, b):
+                    if y:
+                        xy = x * y
                         for k, c in entries:
-                            out[k] += ab * c
-        return tuple(out)
+                            out[k] += xy * c
+        return reduced_class(out, da * db * den)
 
-    def add(self, u, v) -> tuple[Fraction, ...]:
-        return tuple(Fraction(a) + Fraction(b) for a, b in zip(u, v))
-
-    def scale(self, u, c) -> tuple[Fraction, ...]:
-        c = Fraction(c)
-        return tuple(Fraction(a) * c for a in u)
-
-    def class_degree(self, vec) -> Fraction | None:
-        degs = {self.mono_degree(m) for m, c in zip(self.std_monomials, vec) if c}
+    def class_degree(self, cls: Class) -> Fraction | None:
+        degs = {self.mono_degree(m) for m, c in zip(self.std_monomials, cls[0]) if c}
         if not degs:
             return Fraction(0)
         return degs.pop() if len(degs) == 1 else None
 
-    def multiplication_matrix(self, vec) -> tuple[tuple[Fraction, ...], ...]:
-        """Cup product by `vec` in the standard-monomial basis (columns = images)."""
-        cols = [self.mul(vec, self.class_of({m: Fraction(1)})) for m in self.std_monomials]
+    def multiplication_matrix(self, cls: Class) -> tuple[tuple[Fraction, ...], ...]:
+        """Cup product by `cls` in the standard-monomial basis (columns = images)."""
+        cols = [class_vector(self.mul(cls, self.class_of({m: Fraction(1)})))
+                for m in self.std_monomials]
         return tuple(zip(*cols))
-
-    def a_infinity(self) -> tuple[tuple[Fraction, ...], ...]:
-        n = self.dim
-        return tuple(
-            tuple(self.mono_degree(self.std_monomials[i]) if i == j else Fraction(0)
-                  for j in range(n))
-            for i in range(n)
-        )
 
     def top_degree(self) -> Fraction:
         return max(self.mono_degree(m) for m in self.std_monomials)
 
-    def top_pairing(self, u, v) -> Fraction:
+    def top_pairing(self, u: Class, v: Class) -> Fraction:
         """Coefficient of the top standard monomial in u*v (top monomial pairs to 1)."""
         top = self.top_degree()
         tops = [m for m in self.std_monomials if self.mono_degree(m) == top]
         if len(tops) != 1:
             raise RingError(f"top degree is {len(tops)}-dimensional; pairing undefined")
-        return self.mul(u, v)[self._index[tops[0]]]
-
-    def pairing_nondegenerate(self) -> bool:
-        basis = [self.class_of({m: Fraction(1)}) for m in self.std_monomials]
-        gram = [[self.top_pairing(u, v) for v in basis] for u in basis]
-        return rank(gram) == len(basis)
+        nums, den = self.mul(u, v)
+        return Fraction(nums[self._index[tops[0]]], den)
 
 
 def _std_monomials(gb, order: WeightedGrevlex, nvars: int):
@@ -480,7 +497,7 @@ def normalized_volume(ext: ExtendedStackyFan) -> int:
     return total
 
 
-def c1_class(ring: GradedQuotientRing, upto: int | None = None) -> tuple[Fraction, ...]:
+def c1_class(ring: GradedQuotientRing, upto: int | None = None) -> Class:
     """Class of D_1 + ... + D_upto (default: all variables)."""
     n = ring.nvars if upto is None else upto
     poly = {}
@@ -488,8 +505,3 @@ def c1_class(ring: GradedQuotientRing, upto: int | None = None) -> tuple[Fractio
         poly[tuple(int(j == i) for j in range(ring.nvars))] = Fraction(1)
     return ring.class_of(poly)
 
-
-def a_zero(ring: GradedQuotientRing, upto: int | None = None):
-    """Matrix of -c1 cup (the residue-connection constant part)."""
-    c1 = c1_class(ring, upto)
-    return ring.multiplication_matrix(ring.scale(c1, -1))

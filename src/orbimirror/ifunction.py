@@ -4,8 +4,9 @@ A LogSeries is a finite sum of terms
 
     c * chi^beta * (log chi_1)^{k_1} .. (log chi_r)^{k_r} * z^q * (log z)^j
 
-with c a cohomology class (coefficient vector over the ring's standard
-monomials), beta in Z^{r+e}_{>=0}, q rational. Logarithms of the extension
+with c a cohomology class (a canonical pair of int numerators over the ring's
+standard monomials and one denominator, see `cohomology.reduced_class`), beta
+in Z^{r+e}_{>=0}, q rational. Logarithms of the extension
 coordinates chi_{r+1}.. never occur. The truncation order N means every
 coefficient with total chi-degree <= N is complete.
 
@@ -14,8 +15,9 @@ an `i_function` call builds one table of the powers of each ray class
 D-bar_i and one sector class 1_v per sector it meets, and a series keeps the
 derivatives theta^s del^t E^u of itself that `apply_operator` has asked for.
 Only work a result reads is done: `apply_operator` forms the terms up to the
-chi-degree its caller reads, and class vectors are scaled and added only in
-their nonzero entries (a zero entry stays Fraction(0)).
+chi-degree its caller reads. Classes are added, scaled and multiplied as ints
+(the z-exponents q stay Fractions); `term_list`, `MirrorMap` and the
+annihilation residual give them as Fraction vectors.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, gcd
+from operator import add
 
-from .cohomology import GradedQuotientRing
+from .cohomology import GradedQuotientRing, class_vector, reduced_class
 from .operators import (
     LogDiffOp,
     chained_action,
@@ -45,26 +48,46 @@ TermKey = tuple  # (beta: tuple[int], logk: tuple[int], q: Fraction, j: int)
 
 
 def _acc(out, key, vec):
-    """out[key] += vec for class vectors, dropping the key when the sum is zero."""
+    """out[key] += vec for a class vec. Each sum is kept as a [numerators,
+    denominator] list over the lcm of its summands' denominators, neither
+    reduced nor dropped when zero, until `_classes(out)`."""
+    nums, den = vec
     cur = out.get(key)
     if cur is None:
-        if any(vec):
-            out[key] = vec
+        out[key] = [nums, den]
+    elif cur[1] == den:
+        cur[0] = [x + y for x, y in zip(cur[0], nums)]
     else:
-        s = tuple(a + b if b else a for a, b in zip(cur, vec))
-        if any(s):
-            out[key] = s
-        else:
-            del out[key]
+        g = gcd(cur[1], den)
+        fa, fb = den // g, cur[1] // g
+        cur[0] = [x * fa + y * fb for x, y in zip(cur[0], nums)]
+        cur[1] *= fa
 
 
-def _scaled(vec, c):
-    """c * vec, multiplying only the nonzero entries."""
-    return vec if c == 1 else tuple(x * c if x else x for x in vec)
+def _classes(out, d=1) -> dict:
+    """The sums that `_acc` kept in out, divided by the int d > 0, as
+    canonical classes; the zero ones are dropped."""
+    return {key: reduced_class(nums, den * d) for key, (nums, den) in out.items() if any(nums)}
+
+
+def _scaled(vec, c, d=1):
+    """(c / d) * vec for ints c != 0 and d > 0."""
+    nums, den = vec
+    if d != 1:
+        return reduced_class([x * c for x in nums], den * d)
+    if c == 1:
+        return vec
+    g = gcd(c, den)
+    if g != 1:
+        c, den = c // g, den // g
+    return tuple(x * c for x in nums), den
 
 
 @dataclass(frozen=True)
 class LogSeries:
+    """terms maps (beta, logk, q, j) to a class pair (see the module
+    docstring); a zero class is dropped."""
+
     r: int
     e: int
     dim: int
@@ -72,12 +95,8 @@ class LogSeries:
     order: int | None = None
 
     def __post_init__(self):
-        clean = {}
-        for key, vec in self.terms.items():
-            vec = tuple(x if type(x) is Fraction else Fraction(x) for x in vec)
-            if any(vec):
-                clean[key] = vec
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms",
+                           {key: vec for key, vec in self.terms.items() if any(vec[0])})
 
     @cached_property
     def _derivatives(self) -> dict:
@@ -110,7 +129,7 @@ class LogSeries:
                 "log_chi_exponents": list(logk),
                 "z_exponent": q,
                 "log_z_exponent": j,
-                "class": list(self.terms[key]),
+                "class": list(class_vector(self.terms[key])),
             })
         return out
 
@@ -129,13 +148,19 @@ def series_one(ring: GradedQuotientRing, r, e, order=None) -> LogSeries:
 
 
 def series_mul(a: LogSeries, b: LogSeries, ring: GradedQuotientRing) -> LogSeries:
+    # b's terms grouped by z-exponent: the Fraction q1 + q2 is made once per
+    # term of a and exponent of b, not once per pair of terms
+    by_q: dict = {}
+    for (b2, k2, q2, j2), v2 in b.terms.items():
+        by_q.setdefault(q2, []).append((b2, k2, j2, v2))
     out: dict = {}
     for (b1, k1, q1, j1), v1 in a.terms.items():
-        for (b2, k2, q2, j2), v2 in b.terms.items():
-            key = (tuple(x + y for x, y in zip(b1, b2)),
-                   tuple(x + y for x, y in zip(k1, k2)), q1 + q2, j1 + j2)
-            _acc(out, key, ring.mul(v1, v2))
-    return LogSeries(a.r, a.e, a.dim, out, _min_order(a.order, b.order))
+        for q2, group in by_q.items():
+            q = q1 + q2
+            for b2, k2, j2, v2 in group:
+                key = (tuple(map(add, b1, b2)), tuple(map(add, k1, k2)), q, j1 + j2)
+                _acc(out, key, ring.mul(v1, v2))
+    return LogSeries(a.r, a.e, a.dim, _classes(out), _min_order(a.order, b.order))
 
 
 # -- operator action -----------------------------------------------------------
@@ -153,15 +178,15 @@ def apply_operator(op: LogDiffOp, series: LogSeries, ring: GradedQuotientRing,
     if (op.r, op.e) != (series.r, series.e):
         raise SeriesError("operator and series shapes differ")
     total: dict = {}
-    for (obeta, ok, s_exp, t_exp, u_exp), coeff in op.terms.items():
+    for (obeta, ok, s_exp, t_exp, u_exp), coeff in op.nums.items():
         room = cap - sum(obeta)
         if room < 0:
             continue
         for (beta, logk, q, j), vec in series.derivative(s_exp, t_exp, u_exp).items():
             if sum(beta) <= room:
-                key = (tuple(x + y for x, y in zip(beta, obeta)), logk, q + ok, j)
+                key = (tuple(map(add, beta, obeta)), logk, q + ok if ok else q, j)
                 _acc(total, key, _scaled(vec, coeff))
-    return LogSeries(series.r, series.e, series.dim, total, series.order)
+    return LogSeries(series.r, series.e, series.dim, _classes(total, op.den), series.order)
 
 
 def _act_theta(terms, a):
@@ -173,7 +198,7 @@ def _act_theta(terms, a):
         if logk[a]:
             logk2 = tuple(x - int(i == a) for i, x in enumerate(logk))
             _acc(out, (beta, logk2, q + 1, j), _scaled(vec, logk[a]))
-    return out
+    return _classes(out)
 
 
 def _act_del(terms, r, b):
@@ -183,7 +208,7 @@ def _act_del(terms, r, b):
         if beta[r + b]:
             beta2 = tuple(x - int(i == r + b) for i, x in enumerate(beta))
             _acc(out, (beta2, logk, q + 1, j), _scaled(vec, beta[r + b]))
-    return out
+    return _classes(out)
 
 
 def _act_e(terms):
@@ -191,10 +216,10 @@ def _act_e(terms):
     out: dict = {}
     for (beta, logk, q, j), vec in terms.items():
         if q:
-            _acc(out, (beta, logk, q + 1, j), _scaled(vec, q))
+            _acc(out, (beta, logk, q + 1, j), _scaled(vec, q.numerator, q.denominator))
         if j:
             _acc(out, (beta, logk, q + 1, j - 1), _scaled(vec, j))
-    return out
+    return _classes(out)
 
 
 # -- degree enumeration and hypergeometric factors ------------------------------
@@ -236,7 +261,7 @@ def enumerate_degrees(mori: MoriData, order: int) -> list[dict]:
 def _powers(ring: GradedQuotientRing, cls):
     """1, cls, cls^2, ... up to the last nonzero power of a nilpotent class."""
     power = ring.one()
-    while any(power):
+    while any(power[0]):
         yield power
         power = ring.mul(power, cls)
 
@@ -246,36 +271,45 @@ def _laurent_mul(a: dict, b: dict, ring: GradedQuotientRing) -> dict:
     for q1, v1 in a.items():
         for q2, v2 in b.items():
             _acc(out, q1 + q2, ring.mul(v1, v2))
-    return out
+    return _classes(out)
 
 
-def factor_scalars(c: Fraction, length: int) -> list[Fraction]:
-    """a_0 .. a_{length-1} with, for any class D such that D^length = 0,
+def factor_scalars(c: Fraction, length: int) -> tuple[tuple[int, ...], int]:
+    """(a, den), the scalars a_0/den .. a_{length-1}/den in lowest terms, with,
+    for any class D such that D^length = 0,
 
         prod_{s=0}^{ceil c - 1} (D + (c - s) z)^{-1}   if ceil c >= 1,
         prod_{nu=ceil c}^{-1}   (D + (c - nu) z)       otherwise,
 
-    equal to sum_K a_K D^K z^{-ceil c - K}. In x = D/z each factor is
+    equal to sum_K (a_K / den) D^K z^{-ceil c - K}. In x = D/z each factor is
     (x + w)^{-1} or (x + w) up to a power of z, so it updates the
     coefficients f of x^K by g_K = (f_K - g_{K-1}) / w or g_K = w f_K + f_{K-1}.
+    With c = n/d, w = p/d and f_K = A_K/D these are g_K = C_K / (D p^{K+1})
+    for C_K = (A_K p^K - C_{K-1}) d, and g_K = (p A_K + d A_{K-1}) / (D d).
     """
-    ceil_c = -((-c.numerator) // c.denominator)
-    a = [Fraction(1)] + [Fraction(0)] * (length - 1)
+    n, d = c.numerator, c.denominator
+    ceil_c = -((-n) // d)
+    a, den = (1,) + (0,) * (length - 1), 1
     if ceil_c >= 1:
         for s in range(ceil_c):
-            w = c - s
-            if w == 0:
+            p = n - s * d
+            if p == 0:
                 raise SeriesError("uncancelled scalar-zero denominator factor")
-            prev = Fraction(0)
-            for k in range(length):
-                prev = a[k] = (a[k] - prev) / w
+            out, prev, pk = [], 0, 1
+            for x in a:
+                prev = (x * pk - prev) * d
+                pk *= p
+                out.append(prev)
+            # over the common denominator den p^length, with its sign made positive
+            sign = 1 if pk > 0 else -1
+            a, den = reduced_class([sign * x * p ** (length - 1 - k) for k, x in enumerate(out)],
+                                   sign * den * pk)
     else:
         for nu in range(ceil_c, 0):
-            w = c - nu
-            for k in range(length - 1, 0, -1):
-                a[k] = w * a[k] + a[k - 1]
-            a[0] *= w
-    return a
+            p = n - nu * d
+            a, den = reduced_class([p * a[0]] + [p * a[k] + d * a[k - 1]
+                                                 for k in range(1, length)], den * d)
+    return a, den
 
 
 class FactorTables:
@@ -313,16 +347,15 @@ def hypergeometric_factor(data: ExtendedPicardData, ring: GradedQuotientRing,
             if c.denominator != 1 or c < 0:
                 raise SeriesError("extension pairing not a nonnegative integer on K^eff")
             if c:
-                acc = {q - c: tuple(x / factorial(c.numerator) for x in v)
-                       for q, v in acc.items()}
+                acc = {q - c: _scaled(v, 1, factorial(c.numerator)) for q, v in acc.items()}
             continue
         ceil_c = -((-c.numerator) // c.denominator)
         if ceil_c == 0:
             continue
         powers = tables.powers[i]
-        factor = {Fraction(-ceil_c - k): _scaled(power, a)
-                  for k, (a, power) in enumerate(zip(factor_scalars(c, len(powers)), powers))
-                  if a}
+        scalars, den = factor_scalars(c, len(powers))
+        factor = {Fraction(-ceil_c - k): _scaled(power, a, den)
+                  for k, (a, power) in enumerate(zip(scalars, powers)) if a}
         acc = _laurent_mul(acc, factor, ring)
         if not acc:
             break
@@ -338,7 +371,7 @@ def log_prefactor(data: ExtendedPicardData, ring: GradedQuotientRing) -> LogSeri
     out = series_one(ring, r, e)
     for a in range(r):
         terms = {((0,) * (r + e), tuple(k if i == a else 0 for i in range(r)), Fraction(-k), 0):
-                 tuple(x / factorial(k) for x in power)
+                 _scaled(power, 1, factorial(k))
                  for k, power in enumerate(_powers(ring, pbar_class(data, ring, a)))}
         out = series_mul(out, LogSeries(r, e, ring.dim, terms), ring)
     return out
@@ -361,14 +394,14 @@ def i_function(data: ExtendedPicardData, ring: GradedQuotientRing,
         for q, vec in factor.items():
             key = (tuple(beta), (0,) * r, q, 0)
             _acc(body, key, vec)
-    series = LogSeries(r, e, ring.dim, body, order)
+    series = LogSeries(r, e, ring.dim, _classes(body), order)
     return series_mul(log_prefactor(data, ring), series, ring).truncate(order)
 
 
 @dataclass(frozen=True)
 class MirrorMap:
-    log_linear: tuple          # pbar_a classes, a = 1..r
-    analytic: dict             # chi-exponent tuple -> class
+    log_linear: tuple          # pbar_a classes as Fraction vectors, a = 1..r
+    analytic: dict             # chi-exponent tuple -> class as a Fraction vector
     order: int
 
     def analytic_list(self):
@@ -400,11 +433,12 @@ def mirror_map(series: LogSeries, ring: GradedQuotientRing,
         deg = _max_component_degree(ring, vec)
         if deg is not None and deg > 1:
             raise SeriesError("mirror map has a component outside H^{<=2}")
-    return MirrorMap(tuple(log_linear), analytic, series.order)
+    return MirrorMap(tuple(map(class_vector, log_linear)),
+                     {beta: class_vector(vec) for beta, vec in analytic.items()}, series.order)
 
 
 def _max_component_degree(ring: GradedQuotientRing, vec):
-    degs = [ring.mono_degree(m) for m, c in zip(ring.std_monomials, vec) if c]
+    degs = [ring.mono_degree(m) for m, c in zip(ring.std_monomials, vec[0]) if c]
     return max(degs) if degs else None
 
 
@@ -412,21 +446,18 @@ def tilde_i(series: LogSeries, ring: GradedQuotientRing,
             data: ExtendedPicardData) -> LogSeries:
     """I-tilde: apply z^mu (scale degree-q pieces by z^q), then z^{-rho-bar}."""
     r, e = series.r, series.e
+    degrees = [ring.mono_degree(m) for m in ring.std_monomials]
     graded: dict = {}
-    for (beta, logk, q, j), vec in series.terms.items():
+    for (beta, logk, q, j), (nums, den) in series.terms.items():
         by_deg: dict = {}
-        for mono, coeff in zip(ring.std_monomials, vec):
-            if coeff:
-                d = ring.mono_degree(mono)
-                by_deg.setdefault(d, [Fraction(0)] * ring.dim)
-        for idx, (mono, coeff) in enumerate(zip(ring.std_monomials, vec)):
-            if coeff:
-                by_deg[ring.mono_degree(mono)][idx] = coeff
-        for d, v in by_deg.items():
-            _acc(graded, (beta, logk, q + d, j), tuple(v))
-    scaled = LogSeries(r, e, ring.dim, graded, series.order)
+        for idx, x in enumerate(nums):
+            if x:
+                by_deg.setdefault(degrees[idx], [0] * len(nums))[idx] = x
+        for d, part in by_deg.items():
+            _acc(graded, (beta, logk, q + d, j), (part, den))
+    scaled = LogSeries(r, e, ring.dim, _classes(graded), series.order)
     terms = {((0,) * (r + e), (0,) * r, Fraction(0), k):
-             tuple((-1) ** k * x / factorial(k) for x in power)
+             _scaled(power, (-1) ** k, factorial(k))
              for k, power in enumerate(_powers(ring, rho_bar_class(data, ring)))}
     zrho = LogSeries(r, e, ring.dim, terms, series.order)
     return series_mul(scaled, zrho, ring)
@@ -449,11 +480,11 @@ def annihilation_check(op: LogDiffOp, series: LogSeries,
     """
     if series.order is None:
         raise SeriesError("series carries no truncation order")
-    lower = max((sum(t) for (_, _, _, t, _) in op.terms), default=0)
+    lower = max((sum(t) for (_, _, _, t, _) in op.nums), default=0)
     bound = series.order - lower
     residual = apply_operator(op, series, ring, bound)
     offending = tuple(
-        {"key": key, "class": list(vec)}
+        {"key": key, "class": list(class_vector(vec))}
         for key, vec in sorted(residual.terms.items(),
                                key=lambda kv: (sum(kv[0][0]), kv[0][0], kv[0][1], kv[0][2], kv[0][3]))
     )

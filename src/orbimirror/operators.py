@@ -8,7 +8,10 @@ E = z^2 d/dz. Products are computed through the commutation rules
     [E, z^k] = k z^{k+1}            [E, theta_a] = z theta_a
     [E, del_b] = z del_b
 
-which pin the normal order "functions left, derivations right".
+which pin the normal order "functions left, derivations right". An operator
+keeps int numerators over one denominator, so products and sums of operators
+are int arithmetic; `terms` and `term_list` give the coefficients as
+Fractions, which reports print as "num/den" strings.
 
 The FL-GKZ operators of the lambda chart live in the same algebra with r = 0
 and e = n: lambda_i is chi(0, n, i), z d/dlambda_i is dell(0, n, i) and
@@ -26,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 
 from .cohomology import (
     GradedQuotientRing,
@@ -54,14 +59,33 @@ Key = tuple  # (beta: tuple[int r+e], k: int, s: tuple[int r], t: tuple[int e], 
 
 @dataclass(frozen=True)
 class LogDiffOp:
+    """A normal-ordered operator: int numerators `nums` of its terms over one
+    positive denominator `den`, with gcd 1 and no zero numerator, so equal
+    operators are equal. Coefficients may be given as ints or Fractions;
+    `terms` is the Fraction view."""
+
     r: int
     e: int
-    terms: dict = field(default_factory=dict)
+    nums: dict = field(default_factory=dict)
+    den: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "terms",
-                           {k: c if type(c) is Fraction else Fraction(c)
-                            for k, c in self.terms.items() if c})
+        nums, den = self.nums, self.den
+        if any(type(c) is not int for c in nums.values()):
+            scale = lcm(*(Fraction(c).denominator for c in nums.values()))
+            nums = {k: int(Fraction(c) * scale) for k, c in nums.items()}
+            den *= scale
+        nums = {k: c for k, c in nums.items() if c}
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {k: c // g for k, c in nums.items()}
+            den //= g
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    @property
+    def terms(self) -> dict:
+        return {k: Fraction(c, self.den) for k, c in self.nums.items()}
 
     # -- constructors -------------------------------------------------------
 
@@ -71,55 +95,58 @@ class LogDiffOp:
 
     @staticmethod
     def one(r, e) -> "LogDiffOp":
-        return LogDiffOp(r, e, {_key0(r, e): Fraction(1)})
+        return LogDiffOp(r, e, {_key0(r, e): 1})
 
     @staticmethod
     def chi(r, e, a, power=1) -> "LogDiffOp":
         beta = tuple(power if i == a else 0 for i in range(r + e))
-        return LogDiffOp(r, e, {(beta, 0, (0,) * r, (0,) * e, 0): Fraction(1)})
+        return LogDiffOp(r, e, {(beta, 0, (0,) * r, (0,) * e, 0): 1})
 
     @staticmethod
     def z(r, e, power=1) -> "LogDiffOp":
-        return LogDiffOp(r, e, {((0,) * (r + e), power, (0,) * r, (0,) * e, 0): Fraction(1)})
+        return LogDiffOp(r, e, {((0,) * (r + e), power, (0,) * r, (0,) * e, 0): 1})
 
     @staticmethod
     def theta(r, e, a) -> "LogDiffOp":
         """z chi_a d/dchi_a for a < r; chi_a * del for a >= r (same operator)."""
         if a < r:
             s = tuple(int(i == a) for i in range(r))
-            return LogDiffOp(r, e, {((0,) * (r + e), 0, s, (0,) * e, 0): Fraction(1)})
+            return LogDiffOp(r, e, {((0,) * (r + e), 0, s, (0,) * e, 0): 1})
         beta = tuple(int(i == a) for i in range(r + e))
         t = tuple(int(i == a - r) for i in range(e))
-        return LogDiffOp(r, e, {(beta, 0, (0,) * r, t, 0): Fraction(1)})
+        return LogDiffOp(r, e, {(beta, 0, (0,) * r, t, 0): 1})
 
     @staticmethod
     def dell(r, e, b) -> "LogDiffOp":
         """z d/dchi_{r+b} for b in 0..e-1."""
         t = tuple(int(i == b) for i in range(e))
-        return LogDiffOp(r, e, {((0,) * (r + e), 0, (0,) * r, t, 0): Fraction(1)})
+        return LogDiffOp(r, e, {((0,) * (r + e), 0, (0,) * r, t, 0): 1})
 
     @staticmethod
     def euler_z(r, e) -> "LogDiffOp":
         """E = z^2 d/dz."""
-        return LogDiffOp(r, e, {((0,) * (r + e), 0, (0,) * r, (0,) * e, 1): Fraction(1)})
+        return LogDiffOp(r, e, {((0,) * (r + e), 0, (0,) * r, (0,) * e, 1): 1})
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other) -> "LogDiffOp":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            add_term(out, k, c)
-        return LogDiffOp(self.r, self.e, out)
+        den = lcm(self.den, other.den)
+        out = {k: c * (den // self.den) for k, c in self.nums.items()}
+        scale = den // other.den
+        for k, c in other.nums.items():
+            add_term(out, k, c * scale)
+        return LogDiffOp(self.r, self.e, out, den)
 
     def __sub__(self, other) -> "LogDiffOp":
         return self + other.scale(-1)
 
     def scale(self, c) -> "LogDiffOp":
-        c = Fraction(c)
-        return LogDiffOp(self.r, self.e, {k: v * c for k, v in self.terms.items()})
+        """c * self for an int or Fraction c."""
+        return LogDiffOp(self.r, self.e, {k: v * c.numerator for k, v in self.nums.items()},
+                         self.den * c.denominator)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __mul__(self, other) -> "LogDiffOp":
         if (self.r, self.e) != (other.r, other.e):
@@ -134,32 +161,32 @@ class LogDiffOp:
             return _mul_e(r, e, terms)
 
         # theta^s del^t E^u * other for each (s, t, u) of self, shared by its terms
-        moved = {((0,) * r, (0,) * e, 0): other.terms}
+        moved = {((0,) * r, (0,) * e, 0): other.nums}
         out: dict = {}
-        for (beta, k, s, t, u), c in self.terms.items():
+        for (beta, k, s, t, u), c in self.nums.items():
             for (beta2, k2, s2, t2, u2), c2 in chained_action(moved, (s, t, u), move).items():
-                nk = (tuple(x + y for x, y in zip(beta, beta2)), k + k2, s2, t2, u2)
+                nk = (tuple(map(add, beta, beta2)), k + k2, s2, t2, u2)
                 add_term(out, nk, c * c2)
-        return LogDiffOp(r, e, out)
+        return LogDiffOp(r, e, out, self.den * other.den)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, LogDiffOp) and self.r == other.r
-                and self.e == other.e and self.terms == other.terms)
+        return (isinstance(other, LogDiffOp) and self.r == other.r and self.e == other.e
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.r, self.e, tuple(sorted(self.terms.items()))))
+        return hash((self.r, self.e, self.den, tuple(sorted(self.nums.items()))))
 
     # -- views ----------------------------------------------------------------
 
     def order(self) -> int:
-        return max((sum(s) + sum(t) + u for (_, _, s, t, u) in self.terms), default=0)
+        return max((sum(s) + sum(t) + u for (_, _, s, t, u) in self.nums), default=0)
 
     def term_list(self):
         """Deterministic serialization: sorted (coeff, beta, k, s, t, u)."""
         out = []
-        for (beta, k, s, t, u) in sorted(self.terms):
+        for (beta, k, s, t, u) in sorted(self.nums):
             out.append({
-                "coefficient": self.terms[(beta, k, s, t, u)],
+                "coefficient": Fraction(self.nums[(beta, k, s, t, u)], self.den),
                 "chi_exponents": list(beta),
                 "z_power": k,
                 "theta_exponents": list(s),
@@ -392,9 +419,9 @@ def degenerate_limit(op: LogDiffOp) -> LogDiffOp:
     Keeps exactly the terms with no chi or z coefficient and no z^2 dz factor;
     inside ray operators this drops the a > r pieces, producing the bold-D's.
     """
-    kept = {key: c for key, c in op.terms.items()
+    kept = {key: c for key, c in op.nums.items()
             if not any(key[0]) and key[1] == 0 and key[4] == 0}
-    return LogDiffOp(op.r, op.e, kept)
+    return LogDiffOp(op.r, op.e, kept, op.den)
 
 
 def limit_poly(op: LogDiffOp) -> Poly:
@@ -412,22 +439,11 @@ def full_symbol(op: LogDiffOp) -> dict:
     Keys are full (beta, k, s, t, u) tuples; the grading counts every
     derivation generator (theta, del and z^2 dz) once.
     """
-    if not op.terms:
+    if not op.nums:
         return {}
     top = op.order()
     return {key: c for key, c in op.terms.items()
             if sum(key[2]) + sum(key[3]) + key[4] == top}
-
-
-def symbol_mul(r, e, sa: dict, sb: dict) -> dict:
-    out: dict = {}
-    for (b1, k1, s1, t1, u1), c1 in sa.items():
-        for (b2, k2, s2, t2, u2), c2 in sb.items():
-            key = (tuple(x + y for x, y in zip(b1, b2)), k1 + k2,
-                   tuple(x + y for x, y in zip(s1, s2)),
-                   tuple(x + y for x, y in zip(t1, t2)), u1 + u2)
-            add_term(out, key, c1 * c2)
-    return out
 
 
 def symbol_at_origin(op: LogDiffOp) -> Poly:
@@ -606,7 +622,7 @@ def generator_classes(data: ExtendedPicardData, ring: GradedQuotientRing):
 def check_unfolding_conditions(data: ExtendedPicardData, ring: GradedQuotientRing) -> dict:
     """(IC) injectivity, (GC) generation, (EC) eigenvector, for the section 1."""
     gens = generator_classes(data, ring)
-    ic = rank(gens) == len(gens)
+    ic = rank([g[0] for g in gens]) == len(gens)
     span = [ring.one()]  # kept linearly independent, so its rank is len(span)
     frontier = [ring.one()]
     while frontier:
@@ -614,7 +630,7 @@ def check_unfolding_conditions(data: ExtendedPicardData, ring: GradedQuotientRin
         for v in frontier:
             for g in gens:
                 w = ring.mul(g, v)
-                if rank(span + [w]) > len(span):
+                if rank([u[0] for u in span] + [w[0]]) > len(span):
                     span.append(w)
                     new.append(w)
         frontier = new

@@ -1,10 +1,11 @@
 """Shared corpus fixtures: the desk-scale fans every suite runs against."""
 
+from fractions import Fraction
 import json
 from pathlib import Path
 import sys
 
-from orbimirror.cohomology import presentation
+from orbimirror.cohomology import _mono_mul, class_pair, class_vector, presentation
 from orbimirror.crepant import (
     build_global_fan,
     check_gen_equals_new_rays,
@@ -116,12 +117,52 @@ def weighted_planes():
         yield f"P(1,{a},{b})", ext_of_doc(weighted_projective_plane(a, b))
 
 
-def series_fans():
+def series_fans(fans=None):
     """(name, picard data with basis, cohomology ring, mori data) for each
-    `differential_fans()` fan whose rho lies in its extended Kaehler cone, so
-    that the p-basis and the I-function exist."""
-    for name, ext in differential_fans():
+    fan of `fans`, (name, extended fan) pairs, by default `differential_fans()`,
+    whose rho lies in its extended Kaehler cone, so that the p-basis and the
+    I-function exist."""
+    for name, ext in differential_fans() if fans is None else fans:
         picard = extended_pl_and_pic(ext)
         if rho_membership(picard)[0]:
             data = choose_basis_p(picard)
             yield name, data, presentation(ext), mori_lattices(data)
+
+
+# -- classes as Fraction vectors: the former ring arithmetic, kept as oracles ----
+
+
+def scale_class(cls, c):
+    """c * cls for a class pair and a rational c (the former ring.scale)."""
+    return class_pair([x * Fraction(c) for x in class_vector(cls)])
+
+
+def add_classes(u, v):
+    """u + v for class pairs (the former ring.add)."""
+    return class_pair([a + b for a, b in zip(class_vector(u), class_vector(v))])
+
+
+def fraction_products(ring):
+    """The former product table: row i, column j is class_of(m_i * m_j) of
+    standard monomials as its nonzero (index, Fraction coefficient) pairs."""
+    std = ring.std_monomials
+    table = [[()] * len(std) for _ in std]
+    for i, a in enumerate(std):
+        for j in range(i, len(std)):
+            vec = class_vector(ring.class_of({_mono_mul(a, std[j]): Fraction(1)}))
+            table[i][j] = table[j][i] = tuple((k, c) for k, c in enumerate(vec) if c)
+    return table
+
+
+def mul_oracle(table, u, v):
+    """The former GradedQuotientRing.mul: the product of Fraction vectors
+    over `fraction_products(ring)`."""
+    out = [Fraction(0)] * len(table)
+    for row, a in zip(table, u):
+        if a:
+            for entries, b in zip(row, v):
+                if b:
+                    ab = a * b
+                    for k, c in entries:
+                        out[k] += ab * c
+    return tuple(out)

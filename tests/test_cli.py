@@ -1,3 +1,6 @@
+from collections import Counter
+import fractions
+from fractions import Fraction
 import json
 import os
 import subprocess
@@ -134,6 +137,47 @@ def test_missing_resolution_flag(capsys):
     code, _, err = run_cli(capsys, "crepant", str(DATA / "p112.json"))
     assert code == 1
     assert "resolution" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("bogus", "p1.json"),
+    ("ifunction", "p123.json", "--order", "x"),
+    ("ifunction", "p123.json", "--order", "-1"),
+    ("all", "p123.json", "--order", "-1"),
+    ("validate",),
+    ("validate", "p1.json", "--no-such-flag"),
+])
+def test_usage_errors_exit_1_with_a_json_error(capsys, argv):
+    # exit 2 is kept for invariant failures, so a usage error must not use it
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "usage" and error["message"]
+
+
+def test_order_zero_is_valid(capsys):
+    code, out, _ = run_cli(capsys, "ifunction", str(DATA / "p123.json"), "--order", "0")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["order"] == 0 and [d["beta"] for d in results["degrees"]] == [[0] * 4]
+    code, out, _ = run_cli(capsys, "all", str(DATA / "p123.json"), "--order", "0")
+    assert code == 0 and json.loads(out)["results"]["failed"] == []
+
+
+def test_a_run_imports_no_terminal_or_compression_module():
+    # the default argparse formatter asks the terminal for its width, which
+    # imports shutil and, through it, zlib, bz2 and lzma on every run
+    src = str(Path(orbimirror.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import io, contextlib\n"
+            "from orbimirror.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['validate', {str(DATA / 'p1.json')!r}]) == 0\n"
+            "print(sorted(m for m in ('shutil', 'bz2', 'lzma') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_nonnef_fan_downstream_commands_fail_cleanly(capsys):
@@ -294,6 +338,52 @@ def test_commands_derive_each_stage_once(capsys, monkeypatch):
     # ray's falling products twice makes 132 of them
     assert formed == within == 2547
     assert falling == 90
+
+
+def test_series_engine_makes_no_fraction_from_classes_or_coefficients(capsys, monkeypatch):
+    """On p123 `all --order 5` the ring product and the operator product make
+    no Fraction (the ring's first product builds its table through class_of,
+    whose normal forms are Fraction polynomials; a Fraction made there counts
+    for class_of). The series product, the operator action and the derivative
+    steps make Fractions only by adding to the z-exponent q of a term key
+    (the keys keep q as a Fraction): none by a product, a quotient, a negation
+    or a Fraction(...) call, which class or coefficient arithmetic would need."""
+    made, calls, inside = Counter(), Counter(), []
+    real_new = Fraction.__dict__["__new__"]
+
+    def counting_new(cls, *args, **kwargs):
+        if inside:
+            caller = sys._getframe(1).f_code
+            kind = caller.co_name if caller.co_filename == fractions.__file__ else "Fraction()"
+            made[inside[-1], kind] += 1
+        return real_new(cls, *args, **kwargs)
+
+    def tracked(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            inside.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapper
+
+    ring_class = cohomology.GradedQuotientRing
+    monkeypatch.setattr(ring_class, "mul", tracked("mul", ring_class.mul))
+    monkeypatch.setattr(ring_class, "class_of", tracked("class_of", ring_class.class_of))
+    monkeypatch.setattr(LogDiffOp, "__mul__", tracked("LogDiffOp.__mul__", LogDiffOp.__mul__))
+    series_steps = ("series_mul", "apply_operator", "_act_theta", "_act_del", "_act_e")
+    for name in series_steps:
+        monkeypatch.setattr(ifunction, name, tracked(name, getattr(ifunction, name)))
+    Fraction.__new__ = staticmethod(counting_new)
+    try:
+        assert run_cli(capsys, "all", str(DATA / "p123.json"), "--order", "5")[0] == 0
+    finally:
+        Fraction.__new__ = real_new
+    assert all(calls[name] for name in ("mul", "LogDiffOp.__mul__") + series_steps), calls
+    series_made = {kind for name, kind in made if name in series_steps}
+    assert {name for name, _ in made} <= {"class_of", *series_steps}
+    assert series_made == {"_add"}
 
 
 def test_reports_byte_identical_across_runs(capsys):

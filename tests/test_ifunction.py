@@ -1,19 +1,26 @@
 from fractions import Fraction
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import CORPUS, box_operators, pipeline, series_fans
+from corpus import (
+    CORPUS,
+    add_classes,
+    box_operators,
+    fraction_products,
+    mul_oracle,
+    pipeline,
+    scale_class,
+    series_fans,
+    weighted_planes,
+)
+from orbimirror.cohomology import class_pair, class_vector
 from orbimirror.ifunction import (
     AnnihilationReport,
     FactorTables,
     LogSeries,
     SeriesError,
-    _acc,
-    _act_del,
-    _act_e,
-    _act_theta,
-    _laurent_mul,
     _powers,
     annihilation_check,
     apply_operator,
@@ -33,6 +40,8 @@ from orbimirror.operators import (
     dbar_class,
     euler_check,
     operator_families,
+    pbar_class,
+    rho_bar_class,
     sector_class,
 )
 
@@ -101,7 +110,7 @@ def test_i_function_matches_classical_oracle(name, n):
         for q, hvec in laurent.items():
             expected = ring.zero_class()
             for k, c in enumerate(hvec):
-                expected = ring.add(expected, ring.scale(powers[k], c))
+                expected = add_classes(expected, scale_class(powers[k], c))
             got = engine.get((d, Fraction(q)), ring.zero_class())
             assert got == expected, (name, d, q)
 
@@ -144,7 +153,7 @@ def test_hypergeometric_factor_p1_d1():
     h = ring.class_of_var(0)
     # 1/(h+z)^2 = z^{-2} - 2 h z^{-3}
     assert factor[Fraction(-2)] == ring.one()
-    assert factor[Fraction(-3)] == ring.scale(h, -2)
+    assert factor[Fraction(-3)] == scale_class(h, -2)
 
 
 def test_hypergeometric_factor_twisted_sector_support():
@@ -178,15 +187,16 @@ def test_mirror_map_p112_twisted_corrections_stable():
     mm3 = mirror_map(i_function(data, ring, mori, 3), ring, data)
     mm4 = mirror_map(i_function(data, ring, mori, 4), ring, data)
     twisted = ring.class_of_var(3)
-    assert mm3.analytic[(0, 1)] == twisted
+    assert mm3.analytic[(0, 1)] == class_vector(twisted)
     # hand telescope for chi_2^3: (D1 - z/2)(D3 - z/2)/(6 z^3) cupped with the
     # twisted unit has z^{-1} coefficient (1/24) * twisted
-    assert mm3.analytic[(0, 3)] == ring.scale(twisted, Fraction(1, 24))
+    assert mm3.analytic[(0, 3)] == class_vector(scale_class(twisted, Fraction(1, 24)))
     assert set(mm3.analytic) == {(0, 1), (0, 3)}
     for key, value in mm3.analytic.items():
         assert mm4.analytic[key] == value
     for vec in mm3.analytic.values():
-        assert ring.class_degree(vec) is not None and ring.class_degree(vec) <= 1
+        degree = ring.class_degree(class_pair(vec))
+        assert degree is not None and degree <= 1
 
 
 def test_mirror_map_values_in_h_leq_2():
@@ -204,9 +214,9 @@ def test_tilde_i_of_constant():
     tilde = tilde_i(one, ring, data)
     key0 = ((0,), (0,), Fraction(0), 0)
     key1 = ((0,), (0,), Fraction(0), 1)
-    rho = ring.scale(ring.class_of_var(0), 2)  # rho-bar = 2h on P1
+    rho = scale_class(ring.class_of_var(0), 2)  # rho-bar = 2h on P1
     assert tilde.terms[key0] == ring.one()
-    assert tilde.terms[key1] == ring.scale(rho, -1)
+    assert tilde.terms[key1] == scale_class(rho, -1)
     # rho-bar^2 = 0 on P1: log z degree stays <= 1
     assert all(k[3] <= 1 for k in tilde.terms)
 
@@ -351,7 +361,7 @@ def test_mirror_map_rejects_bad_leading_term():
 
     _, data, ring, _ = pipeline("P1")
     series = LogSeries(1, 0, ring.dim,
-                       {((0,), (0,), Fraction(0), 0): ring.scale(ring.one(), 2)},
+                       {((0,), (0,), Fraction(0), 0): scale_class(ring.one(), 2)},
                        order=2)
     with pytest.raises(SeriesError, match="class 1"):
         mirror_map(series, ring, data)
@@ -373,21 +383,122 @@ def test_i_function_order_zero_is_prefactor():
 # Before the series engine shared its work, every factor (D_i + w z)^{-1}
 # rebuilt the powers of D_i, every degree recomputed its sector class and its
 # pairings (three times), and every operator term rebuilt its derivatives of
-# the whole series. These are those routines, unchanged.
+# the whole series. These are those routines, on classes as Fraction vectors
+# with the former Fraction class arithmetic (`_acc_oracle`, `_scaled_oracle`,
+# `corpus.mul_oracle`, the derivative steps), from before the series engine
+# kept classes as int numerators over one denominator.
 
 SERIES_FANS = list(series_fans())
 ORDERS = range(8)
 
 
-def _invert_linear_oracle(ring, cls, w):
+class _FractionRing:
+    """A ring's classes as Fraction vectors, multiplied by the former product."""
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.table = fraction_products(ring)
+
+    def mul(self, u, v):
+        return mul_oracle(self.table, u, v)
+
+    def one(self):
+        return class_vector(self.ring.one())
+
+
+def _pairs(terms):
+    """{key: Fraction vector} as {key: class pair}, without the zero classes."""
+    return {key: class_pair(vec) for key, vec in terms.items() if any(vec)}
+
+
+def _vectors(terms):
+    return {key: class_vector(cls) for key, cls in terms.items()}
+
+
+def _acc_oracle(out, key, vec):
+    """out[key] += vec for Fraction vectors, dropping the key when the sum is zero."""
+    cur = out.get(key)
+    if cur is None:
+        if any(vec):
+            out[key] = vec
+    else:
+        s = tuple(a + b if b else a for a, b in zip(cur, vec))
+        if any(s):
+            out[key] = s
+        else:
+            del out[key]
+
+
+def _scaled_oracle(vec, c):
+    """c * vec, multiplying only the nonzero entries."""
+    return vec if c == 1 else tuple(x * c if x else x for x in vec)
+
+
+def _powers_oracle(fring, cls):
+    power = fring.one()
+    while any(power):
+        yield power
+        power = fring.mul(power, cls)
+
+
+def _laurent_mul_oracle(a, b, fring):
+    out = {}
+    for q1, v1 in a.items():
+        for q2, v2 in b.items():
+            _acc_oracle(out, q1 + q2, fring.mul(v1, v2))
+    return out
+
+
+def _series_mul_oracle(a, b, fring):
+    """The former series_mul, on {key: Fraction vector} terms."""
+    out = {}
+    for (b1, k1, q1, j1), v1 in a.items():
+        for (b2, k2, q2, j2), v2 in b.items():
+            key = (tuple(x + y for x, y in zip(b1, b2)),
+                   tuple(x + y for x, y in zip(k1, k2)), q1 + q2, j1 + j2)
+            _acc_oracle(out, key, fring.mul(v1, v2))
+    return out
+
+
+def _act_theta_oracle(terms, a):
+    out = {}
+    for (beta, logk, q, j), vec in terms.items():
+        if beta[a]:
+            _acc_oracle(out, (beta, logk, q + 1, j), _scaled_oracle(vec, beta[a]))
+        if logk[a]:
+            logk2 = tuple(x - int(i == a) for i, x in enumerate(logk))
+            _acc_oracle(out, (beta, logk2, q + 1, j), _scaled_oracle(vec, logk[a]))
+    return out
+
+
+def _act_del_oracle(terms, r, b):
+    out = {}
+    for (beta, logk, q, j), vec in terms.items():
+        if beta[r + b]:
+            beta2 = tuple(x - int(i == r + b) for i, x in enumerate(beta))
+            _acc_oracle(out, (beta2, logk, q + 1, j), _scaled_oracle(vec, beta[r + b]))
+    return out
+
+
+def _act_e_oracle(terms):
+    out = {}
+    for (beta, logk, q, j), vec in terms.items():
+        if q:
+            _acc_oracle(out, (beta, logk, q + 1, j), _scaled_oracle(vec, q))
+        if j:
+            _acc_oracle(out, (beta, logk, q + 1, j - 1), _scaled_oracle(vec, j))
+    return out
+
+
+def _invert_linear_oracle(fring, cls, w):
     """(cls + w z)^{-1} as {z-exponent: class}; cls nilpotent, w nonzero."""
     if w == 0:
         raise SeriesError("cannot invert a scalar-zero factor")
     return {Fraction(-k - 1): tuple((-1) ** k * x / w ** (k + 1) for x in power)
-            for k, power in enumerate(_powers(ring, cls))}
+            for k, power in enumerate(_powers_oracle(fring, cls))}
 
 
-def _ray_factor_oracle(ring, acc, dbar, c):
+def _ray_factor_oracle(fring, acc, dbar, c):
     """acc times the telescoped factor ratio of one index, factor by factor."""
     ceil_c = -((-c.numerator) // c.denominator)
     if ceil_c >= 1:
@@ -398,26 +509,26 @@ def _ray_factor_oracle(ring, acc, dbar, c):
             if not any(dbar):
                 acc = {q - 1: tuple(x / w for x in v) for q, v in acc.items()}
             else:
-                acc = _laurent_mul(acc, _invert_linear_oracle(ring, dbar, w), ring)
+                acc = _laurent_mul_oracle(acc, _invert_linear_oracle(fring, dbar, w), fring)
     else:
         for nu in range(ceil_c, 0):
             w = c - nu
-            lin = {Fraction(1): tuple(Fraction(w) * x for x in ring.one())}
+            lin = {Fraction(1): tuple(Fraction(w) * x for x in fring.one())}
             if any(dbar):
                 lin[Fraction(0)] = dbar
-            acc = _laurent_mul(acc, lin, ring)
+            acc = _laurent_mul_oracle(acc, lin, fring)
     return acc
 
 
-def _hypergeometric_factor_oracle(data, ring, degree):
-    ext = data.ext
-    acc = {Fraction(0): sector_class(data, ring, degree["sector"])}
+def _hypergeometric_factor_oracle(data, fring, degree):
+    ext, ring = data.ext, fring.ring
+    acc = {Fraction(0): class_vector(sector_class(data, ring, degree["sector"]))}
     for i in range(ext.n):
         c = Fraction(degree["pairings"][i])
-        dbar = dbar_class(data, ring, i)
+        dbar = class_vector(dbar_class(data, ring, i))
         if i >= ext.m and (c.denominator != 1 or c < 0):
             raise SeriesError("extension pairing not a nonnegative integer on K^eff")
-        acc = _ray_factor_oracle(ring, acc, dbar, c)
+        acc = _ray_factor_oracle(fring, acc, dbar, c)
         if not acc:
             break
     return acc
@@ -445,35 +556,65 @@ def _enumerate_degrees_oracle(mori, order):
     return out
 
 
-def _i_function_oracle(data, ring, mori, order, factors):
+def _log_prefactor_oracle(data, fring):
+    r, e = data.r, data.e
+    out = {((0,) * (r + e), (0,) * r, Fraction(0), 0): fring.one()}
+    for a in range(r):
+        pbar = class_vector(pbar_class(data, fring.ring, a))
+        terms = {((0,) * (r + e), tuple(k if i == a else 0 for i in range(r)), Fraction(-k), 0):
+                 tuple(x / factorial(k) for x in power)
+                 for k, power in enumerate(_powers_oracle(fring, pbar))}
+        out = _series_mul_oracle(out, terms, fring)
+    return out
+
+
+def _i_function_oracle(data, fring, mori, order, factors):
     """The former i_function, reading each degree's factor from `factors`,
     {beta: _hypergeometric_factor_oracle of that degree}."""
     r, e = data.r, data.e
     body = {}
     for degree in _enumerate_degrees_oracle(mori, order):
         for q, vec in factors[degree["beta"]].items():
-            _acc(body, (tuple(degree["beta"]), (0,) * r, q, 0), vec)
-    series = LogSeries(r, e, ring.dim, body, order)
-    return series_mul(log_prefactor(data, ring), series, ring).truncate(order)
+            _acc_oracle(body, (tuple(degree["beta"]), (0,) * r, q, 0), vec)
+    terms = _series_mul_oracle(_log_prefactor_oracle(data, fring), body, fring)
+    return LogSeries(r, e, fring.ring.dim, _pairs(terms), order).truncate(order)
+
+
+def _tilde_i_oracle(terms, fring, data):
+    """The former tilde_i, on {key: Fraction vector} terms."""
+    ring, r, e = fring.ring, data.r, data.e
+    graded = {}
+    for (beta, logk, q, j), vec in terms.items():
+        by_deg = {}
+        for idx, (mono, coeff) in enumerate(zip(ring.std_monomials, vec)):
+            if coeff:
+                by_deg.setdefault(ring.mono_degree(mono), [Fraction(0)] * ring.dim)[idx] = coeff
+        for d, v in by_deg.items():
+            _acc_oracle(graded, (beta, logk, q + d, j), tuple(v))
+    rho = class_vector(rho_bar_class(data, ring))
+    zrho = {((0,) * (r + e), (0,) * r, Fraction(0), k):
+            tuple((-1) ** k * x / factorial(k) for x in power)
+            for k, power in enumerate(_powers_oracle(fring, rho))}
+    return _series_mul_oracle(graded, zrho, fring)
 
 
 def _apply_operator_oracle(op, series, ring):
     r, e = op.r, op.e
     total = {}
     for (obeta, ok, s_exp, t_exp, u_exp), coeff in op.terms.items():
-        current = {k: v for k, v in series.terms.items()}
+        current = _vectors(series.terms)
         for _ in range(u_exp):
-            current = _act_e(current)
+            current = _act_e_oracle(current)
         for b in range(e):
             for _ in range(t_exp[b]):
-                current = _act_del(current, r, b)
+                current = _act_del_oracle(current, r, b)
         for a in range(r):
             for _ in range(s_exp[a]):
-                current = _act_theta(current, a)
+                current = _act_theta_oracle(current, a)
         for (beta, logk, q, j), vec in current.items():
             key = (tuple(x + y for x, y in zip(beta, obeta)), logk, q + ok, j)
-            _acc(total, key, tuple(x * coeff for x in vec))
-    return LogSeries(series.r, series.e, series.dim, total, series.order)
+            _acc_oracle(total, key, tuple(x * coeff for x in vec))
+    return LogSeries(series.r, series.e, series.dim, _pairs(total), series.order)
 
 
 @pytest.mark.parametrize("name, data, ring, mori", SERIES_FANS,
@@ -483,18 +624,34 @@ def test_enumerate_degrees_matches_replaced_routine(name, data, ring, mori):
         assert enumerate_degrees(mori, order) == _enumerate_degrees_oracle(mori, order)
 
 
+def _check_series_against_oracles(data, ring, mori, orders):
+    """hypergeometric_factor, i_function, and up to order 3 tilde_i and
+    series_mul, against their Fraction oracles; returns the I-functions."""
+    fring = _FractionRing(ring)
+    tables = FactorTables(data, ring)
+    factors = {}
+    # the degrees of the top order include those of every lower order
+    for degree in enumerate_degrees(mori, orders[-1]):
+        factors[degree["beta"]] = _hypergeometric_factor_oracle(data, fring, degree)
+        assert hypergeometric_factor(data, ring, degree, tables) == _pairs(
+            factors[degree["beta"]])
+    out = []
+    for order in orders:
+        series = i_function(data, ring, mori, order)
+        assert series == _i_function_oracle(data, fring, mori, order, factors)
+        if order <= 3:
+            tilde = tilde_i(series, ring, data)
+            assert tilde.terms == _pairs(_tilde_i_oracle(_vectors(series.terms), fring, data))
+            assert series_mul(tilde, series, ring).terms == _pairs(_series_mul_oracle(
+                _vectors(tilde.terms), _vectors(series.terms), fring))
+        out.append(series)
+    return out
+
+
 @pytest.mark.parametrize("name, data, ring, mori", SERIES_FANS,
                          ids=[fan[0] for fan in SERIES_FANS])
 def test_hypergeometric_factor_matches_replaced_routine(name, data, ring, mori):
-    # the degrees of order 7 include those of every lower order
-    tables = FactorTables(data, ring)
-    factors = {}
-    for degree in enumerate_degrees(mori, ORDERS[-1]):
-        factors[degree["beta"]] = _hypergeometric_factor_oracle(data, ring, degree)
-        assert hypergeometric_factor(data, ring, degree, tables) == factors[degree["beta"]]
-    for order in ORDERS:
-        series = i_function(data, ring, mori, order)
-        assert series == _i_function_oracle(data, ring, mori, order, factors)
+    _check_series_against_oracles(data, ring, mori, ORDERS)
 
 
 def _annihilation_report_oracle(op, series, ring):
@@ -503,7 +660,7 @@ def _annihilation_report_oracle(op, series, ring):
     bound = series.order - lower
     residual = _apply_operator_oracle(op, series, ring)
     offending = tuple(
-        {"key": key, "class": list(vec)}
+        {"key": key, "class": list(class_vector(vec))}
         for key, vec in sorted(residual.terms.items(),
                                key=lambda kv: (sum(kv[0][0]), kv[0][0], kv[0][1], kv[0][2], kv[0][3]))
         if sum(key[0]) <= bound
@@ -565,6 +722,7 @@ def test_series_derivatives_live_on_their_series():
 
 
 _RING = pipeline("P1113")[2]
+_FRING = _FractionRing(_RING)
 
 
 @settings(max_examples=150, deadline=None)
@@ -578,10 +736,32 @@ def test_factor_scalars_match_the_direct_product(num, den, coeffs):
     ring, c = _RING, Fraction(num, den)
     dbar = ring.zero_class()
     for i, coeff in enumerate(coeffs):
-        dbar = ring.add(dbar, ring.scale(ring.class_of_var(i), coeff))
+        dbar = add_classes(dbar, scale_class(ring.class_of_var(i), coeff))
     powers = list(_powers(ring, dbar))
     ceil_c = -((-c.numerator) // c.denominator)
+    scalars, d = factor_scalars(c, len(powers))
+    assert len(scalars) == len(powers) and d > 0 and gcd(d, *scalars) == 1
     closed = {}
-    for k, (a, power) in enumerate(zip(factor_scalars(c, len(powers)), powers)):
-        _acc(closed, Fraction(-ceil_c - k), tuple(a * x for x in power))
-    assert closed == _ray_factor_oracle(ring, {Fraction(0): ring.one()}, dbar, c)
+    for k, (a, power) in enumerate(zip(scalars, powers)):
+        _acc_oracle(closed, Fraction(-ceil_c - k),
+                    tuple(Fraction(a, d) * x for x in class_vector(power)))
+    assert closed == _ray_factor_oracle(
+        _FRING, {Fraction(0): _FRING.one()}, class_vector(dbar), c)
+
+
+# The weighted planes have larger boxes than any corpus fan, so more sectors,
+# extension variables and fractional z-exponents; orders up to 5.
+WEIGHTED_SERIES = list(series_fans(weighted_planes()))
+
+
+@pytest.mark.parametrize("name, data, ring, mori", WEIGHTED_SERIES,
+                         ids=[fan[0] for fan in WEIGHTED_SERIES])
+def test_series_kernel_matches_fraction_oracles_on_weighted_planes(name, data, ring, mori):
+    orders = range(6) if ring.dim < 10 else range(4)
+    ops = _checked_operators(data, ring)
+    for series in _check_series_against_oracles(data, ring, mori, orders):
+        tilde = tilde_i(series, ring, data)
+        for op in ops:
+            assert _whole(op, tilde, ring) == _apply_operator_oracle(op, tilde, ring), name
+            assert annihilation_check(op, tilde, ring) == _annihilation_report_oracle(
+                op, tilde, ring), name
