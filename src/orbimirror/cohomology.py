@@ -1,15 +1,24 @@
 """Graded quotient-ring presentations of orbifold cohomology.
 
-A small exact multivariate polynomial engine (weighted grevlex Buchberger over
-Fraction) drives everything: lattice-ideal saturation per maximal cone, the
-global presentation, standard monomials, multiplication matrices and the
+One exact Groebner engine (weighted grevlex Buchberger) drives everything:
+lattice-ideal saturation per maximal cone, the global presentation, the
+residue and symbol rings, standard monomials, multiplication matrices and the
 top-degree pairing. The rational grading is cleared to positive integer
 weights for the monomial order, so standard monomials stay homogeneous.
 
-Buchberger keeps its S-pairs in a heap keyed once, when each pair is made, by
-the order key of the pair's lcm, and reduces in place. Each quotient ring
-builds its Groebner lead triples and standard-monomial index once, and on its
-first product a table of the reduced products of all pairs of standard
+The engine keeps each basis element monic, as a lead, the lead's support mask
+(its short exponent vector: bit i set iff x_i divides it) and the tail terms.
+A lead can divide a monomial only if its mask lies inside the monomial's, so
+every divisibility test (reducer search, coprime leads, lcm chains,
+minimalization, the staircase) compares masks before exponents. A reduction
+pops the terms of the polynomial from a heap keyed once per monomial, and a
+coefficient stays an int while it is integral, so a reduction step of an
+integral basis multiplies and never divides. S-pairs wait in a heap keyed by
+their lcm and are pruned by the Gebauer-Moeller criteria. The reduced basis
+it returns is unique: monic, with Fraction coefficients.
+
+Each quotient ring builds its reducers and standard-monomial index once, and
+on its first product a table of the reduced products of all pairs of standard
 monomials, so a product of classes is a bilinear sum over that table.
 
 A class is a canonical pair (nums, den): its int coordinates over the standard
@@ -26,7 +35,9 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import gcd, lcm
+from operator import add, le, mul, neg, sub
 
 from .fan import ExtendedStackyFan, generalized_primitive_collections
 from .linalg import IntMatrix, kernel_basis, normalized_simplex_volume
@@ -45,6 +56,7 @@ class ResourceLimitError(RuntimeError):
 
 
 STD_MONOMIAL_CAP = 200000
+GROEBNER_PAIR_CAP = 1000000  # S-pairs one groebner_basis call may reduce
 
 
 # -- monomial order ----------------------------------------------------------
@@ -62,29 +74,38 @@ class WeightedGrevlex:
         self.elim = int(elim_block)
         if any(w <= 0 for w in self.weights):
             raise RingError("monomial order weights must be positive")
+        self._tail_weights = (0,) * self.elim + self.weights[self.elim:]
+        self._bits = tuple(1 << i for i in range(len(self.weights)))
 
     def key(self, m: Mono):
-        head = sum(m[: self.elim])
         tail = m[self.elim:]
-        w = self.weights[self.elim:]
-        deg = sum(e * wi for e, wi in zip(tail, w))
-        return (head, deg, tuple(-e for e in reversed(tail)))
+        return (sum(m[: self.elim]), self.degree(m), tuple(map(neg, reversed(tail))))
+
+    def degree(self, m: Mono) -> int:
+        """The weighted degree of m outside the elimination block."""
+        return sum(map(mul, m, self._tail_weights))
+
+    def descending_key(self, m: Mono):
+        """A key whose least value is the greatest monomial: `key` reversed,
+        for elim_block <= 1 (the trailing exponents of the block only break
+        ties that `key` leaves)."""
+        return (-sum(m[: self.elim]), -self.degree(m), m[::-1])
+
+    def support_mask(self, m: Mono) -> int:
+        """The bitmask of m's support: bit i set iff m[i] > 0."""
+        return sum(compress(self._bits, m))
 
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _mono_divides(a: Mono, b: Mono) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _mono_div(a: Mono, b: Mono) -> Mono:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple([x if x > y else y for x, y in zip(a, b)])
 
 
 def add_term(out: dict, key, c) -> None:
@@ -109,84 +130,156 @@ def poly_const(nvars: int, c=1) -> Poly:
     return {tuple(0 for _ in range(nvars)): Fraction(c)}
 
 
-def _lead(p: Poly, order: WeightedGrevlex) -> tuple[Mono, Fraction]:
-    m = max(p, key=order.key)
-    return m, p[m]
+def _reducer(p: Poly, order: WeightedGrevlex):
+    """p made monic, as the engine reduces with it: (lead, lead mask, tail
+    terms), the lead term left out because a reduction step cancels it
+    exactly. A coefficient stays an int while it is integral, so a reduction
+    step is one multiplication per term."""
+    lm = max(p, key=order.key)
+    quotients = ((m, Fraction(c) / p[lm]) for m, c in p.items() if m != lm)
+    tail = tuple((m, q.numerator if q.denominator == 1 else q) for m, q in quotients)
+    return lm, order.support_mask(lm), tail
 
 
-def normal_form(p: Poly, triples, order: WeightedGrevlex) -> Poly:
-    """Full reduction of p modulo [(lead_mono, lead_coeff, poly), ...]."""
+def _divides(a: Mono, amask: int, b: Mono, bmask: int) -> bool:
+    """a | b, testing the support masks before the exponents."""
+    return not amask & ~bmask and all(map(le, a, b))
+
+
+def normal_form(p: Poly, reducers, order: WeightedGrevlex) -> Poly:
+    """Full reduction of p modulo monic reducers [(lead, lead mask, tail), ...]
+    as `_reducer` makes them; the first reducer whose lead divides wins.
+
+    The terms wait in a heap keyed once per monomial, greatest first, so the
+    remainder's terms come in descending order. A lead is tried as a divisor
+    only when its mask lies inside the monomial's.
+    """
     rem: Poly = {}
     work = dict(p)
-    while work:
-        m, c = _lead(work, order)
-        for lm, lc, g in triples:
-            if _mono_divides(lm, m):
-                factor = _mono_div(m, lm)
-                ratio = c / lc
-                for gm, gc in g.items():
-                    add_term(work, _mono_mul(factor, gm), -gc * ratio)
+    heap_key = order.descending_key
+    heap = [(heap_key(m), m) for m in work]
+    heapq.heapify(heap)
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m, 0)
+        if not c:  # cancelled, or a second entry of a monomial already done
+            continue
+        outside = ~order.support_mask(m)
+        for lm, lmask, tail in reducers:
+            if not lmask & outside and all(map(le, lm, m)):
+                factor = tuple(map(sub, m, lm))
+                for gm, gc in tail:
+                    t = tuple(map(add, factor, gm))
+                    if t not in work:
+                        heapq.heappush(heap, (heap_key(t), t))
+                    add_term(work, t, -c * gc)
                 break
         else:
             rem[m] = c
-            del work[m]
     return rem
 
 
 def groebner_basis(gens, order: WeightedGrevlex) -> list[Poly]:
-    """Reduced monic Groebner basis (Buchberger; coprime-lead criterion).
+    """Reduced monic Groebner basis, its elements sorted by lead and their
+    terms in descending order, every coefficient a Fraction.
 
-    Pairs wait in a heap keyed once, when the pair is made, by the order key
-    of their lcm; the least lcm goes first (the normal strategy).
+    Buchberger with the Gebauer-Moeller update (J. Symbolic Comput. 6,
+    1988). A new element h drops the waiting pairs its lead makes redundant
+    (criterion B); pairs with the active elements whose lcm with h no other
+    new pair's lcm divides (criterion M), a pair whose S-polynomial is zero
+    (coprime leads, or two monomials) blocking others but never waiting; and
+    retires the active elements whose lead its lead divides. Pairs wait in a
+    heap keyed by their lcm; the least goes first (the normal strategy).
+    Every lead and lcm carries its support mask, which screens each
+    divisibility test. Reducing more than GROEBNER_PAIR_CAP S-pairs raises
+    ResourceLimitError.
     """
-    work = []
-    for g in gens:
-        g = {m: Fraction(c) for m, c in g.items() if c}
-        if g:
-            lm, lc = _lead(g, order)
-            work.append((lm, lc, g))
-    work.sort(key=lambda t: order.key(t[0]))
-    pairs = []
+    elements = []  # every element made: (lead, lead mask, tail), monic
+    active = []    # indices of the elements the reductions use
+    waiting = {}   # (i, j) -> (lcm, lcm mask) of each pair not yet reduced
+    pairs = []     # heap of (order.key(lcm), i, j)
 
-    def push_pairs(j):
-        lmj = work[j][0]
-        for i in range(j):
-            lmi = work[i][0]
-            if any(a and b for a, b in zip(lmi, lmj)):
-                heapq.heappush(pairs, (order.key(_mono_lcm(lmi, lmj)), i, j))
+    def update(p):
+        h = len(elements)
+        lm, mask, tail = new = _reducer(p, order)
+        elements.append(new)
+        # B: a waiting pair whose lcm lm divides, and differs from the lcms of
+        # both its elements with lm, is redundant.
+        for (i, j), (l, lmask) in list(waiting.items()):
+            if (not mask & ~lmask and all(map(le, lm, l))
+                    and l != _mono_lcm(elements[i][0], lm)
+                    and l != _mono_lcm(elements[j][0], lm)):
+                del waiting[i, j]
+        # A pair's S-polynomial is zero unless its leads share a variable and
+        # one of the two has a tail.
+        useful = {g for g in active if elements[g][1] & mask and (tail or elements[g][2])}
+        if useful:
+            support = [(k, e) for k, e in enumerate(lm) if e]
+            new_pairs = []
+            for g in active:
+                lg, gmask, _ = elements[g]
+                l = list(lg)  # lcm(lg, lm): lg raised on the support of lm
+                for k, e in support:
+                    if e > l[k]:
+                        l[k] = e
+                l = tuple(l)
+                new_pairs.append((sum(l), g in useful, g, l, gmask | mask))
+            # M: a new pair whose lcm an earlier pair's lcm divides is
+            # redundant. A proper divisor has a lower total degree, and among
+            # equal lcms the zero S-polynomials come first, so only earlier
+            # pairs block, and those after the last useful one block nothing.
+            new_pairs.sort()
+            while not new_pairs[-1][1]:
+                new_pairs.pop()
+            minimal = []
+            for _, needed, g, l, lmask in new_pairs:
+                if not any(not m2 & ~lmask and all(map(le, l2, l)) for l2, m2 in minimal):
+                    minimal.append((l, lmask))
+                    if needed:
+                        waiting[g, h] = (l, lmask)
+                        heapq.heappush(pairs, (order.key(l), g, h))
+        active[:] = [g for g in active
+                     if mask & ~elements[g][1] or not all(map(le, lm, elements[g][0]))]
+        active.append(h)
 
-    for j in range(len(work)):
-        push_pairs(j)
+    polys = filter(None, ({m: c for m, c in g.items() if c} for g in gens))
+    for p in sorted(polys, key=lambda p: order.key(max(p, key=order.key))):
+        update(p)
+    inputs = len(elements)
+    reduced_pairs = 0
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        lmi, lci, gi = work[i]
-        lmj, lcj, gj = work[j]
-        lcm = _mono_lcm(lmi, lmj)
-        s = {_mono_mul(_mono_div(lcm, lmi), m): c / lci for m, c in gi.items()}
-        for m, c in gj.items():
-            add_term(s, _mono_mul(_mono_div(lcm, lmj), m), -c / lcj)
-        s = normal_form(s, work, order)
-        if s:
-            lm, lc = _lead(s, order)
-            work.append((lm, lc, s))
-            push_pairs(len(work) - 1)
-    # Minimalize: drop elements whose lead is divisible by another lead.
-    keep = []
-    for idx, (lm, lc, g) in enumerate(work):
-        if any(k != idx and _mono_divides(work[k][0], lm)
-               and (work[k][0] != lm or k < idx) for k in range(len(work))):
+        if waiting.pop((i, j), None) is None:
             continue
-        keep.append((lm, lc, g))
-    # Inter-reduce tails and normalize monic.
+        if reduced_pairs == GROEBNER_PAIR_CAP:
+            raise ResourceLimitError(
+                f"Groebner basis: more than {GROEBNER_PAIR_CAP} S-pairs")
+        reduced_pairs += 1
+        (li, _, ti), (lj, _, tj) = elements[i], elements[j]
+        l = _mono_lcm(li, lj)
+        fi, fj = _mono_div(l, li), _mono_div(l, lj)
+        s = {_mono_mul(fi, m): c for m, c in ti}
+        for m, c in tj:
+            add_term(s, _mono_mul(fj, m), -c)
+        s = normal_form(s, [elements[k] for k in active], order)
+        if s:
+            update(s)
+    # Minimalize, then inter-reduce the tails; no other lead divides a kept
+    # lead, so each lead stays as it is. A remainder's lead is divisible by no
+    # active lead, and a later lead that divides it retires it, so only an
+    # input can stay active behind a divisor (never an equal one).
+    basis = [elements[g] for g in active]
+    keep = [(lm, mask, tail) for g, (lm, mask, tail) in zip(active, basis)
+            if g >= inputs
+            or not any(l2 != lm and _divides(l2, m2, lm, mask) for l2, m2, _ in basis)]
     reduced = []
-    for idx, (lm, lc, g) in enumerate(keep):
-        others = [t for k, t in enumerate(keep) if k != idx]
-        nf = normal_form(g, others, order)
-        if nf:
-            m, c = _lead(nf, order)
-            reduced.append({mm: cc / c for mm, cc in nf.items()})
-    reduced.sort(key=lambda g: order.key(_lead(g, order)[0]))
-    return reduced
+    for idx, (lm, _, tail) in enumerate(keep):
+        rest = normal_form(dict(tail), keep[:idx] + keep[idx + 1:], order) if tail else {}
+        g = {lm: Fraction(1)}
+        g.update((m, Fraction(c)) for m, c in rest.items())
+        reduced.append((order.key(lm), g))
+    reduced.sort(key=lambda kg: kg[0])
+    return [g for _, g in reduced]
 
 
 def lattice_ideal_groebner(relations, weights) -> list[Poly]:
@@ -286,8 +379,8 @@ class GradedQuotientRing:
         return dict(sorted(out.items()))
 
     @cached_property
-    def _triples(self):
-        return [(*_lead(g, self.order), g) for g in self.groebner]
+    def _reducers(self):
+        return [_reducer(g, self.order) for g in self.groebner]
 
     @cached_property
     def _index(self) -> dict[Mono, int]:
@@ -312,7 +405,7 @@ class GradedQuotientRing:
         return table, den
 
     def nf(self, p: Poly) -> Poly:
-        return normal_form(p, self._triples, self.order)
+        return normal_form(p, self._reducers, self.order)
 
     # classes are canonical (numerators, denominator) pairs over the standard
     # monomials (see `reduced_class`)
@@ -375,16 +468,17 @@ class GradedQuotientRing:
 def _std_monomials(gb, order: WeightedGrevlex, nvars: int):
     """Staircase below the GB leads, or None when infinite-dimensional."""
     leads = [max(g, key=order.key) for g in gb]
-    for i in range(nvars):
-        if not any(all(lm[j] == 0 for j in range(nvars) if j != i) for lm in leads):
-            return None
+    leads = [(lm, order.support_mask(lm)) for lm in leads]
+    masks = {mask for _, mask in leads}
+    if 0 not in masks and not {1 << i for i in range(nvars)} <= masks:
+        return None  # some variable has no pure power among the leads
     zero = tuple(0 for _ in range(nvars))
     seen = {zero}
-    queue = [zero]
+    queue = [(zero, 0)]
     out = []
     while queue:
-        m = queue.pop()
-        if any(_mono_divides(lm, m) for lm in leads):
+        m, mask = queue.pop()
+        if any(_divides(lm, lmask, m, mask) for lm, lmask in leads):
             continue
         out.append(m)
         if len(out) > STD_MONOMIAL_CAP:
@@ -395,7 +489,7 @@ def _std_monomials(gb, order: WeightedGrevlex, nvars: int):
             nxt = tuple(e + int(j == i) for j, e in enumerate(m))
             if nxt not in seen:
                 seen.add(nxt)
-                queue.append(nxt)
+                queue.append((nxt, mask | 1 << i))
     return tuple(sorted(out, key=order.key))
 
 

@@ -15,7 +15,6 @@ from math import gcd
 
 from .linalg import (
     IntMatrix,
-    hermite_row_basis,
     kernel_basis,
     null_vector,
     smith_normal_form,
@@ -190,10 +189,6 @@ class StackyFan:
         """Exact coordinates of `point` in the ray basis of a maximal cone."""
         mat = [[Fraction(self.rays[i][k]) for i in cone] for k in range(self.rank)]
         return solve_unique(mat, point)
-
-    def minimal_cone(self, point) -> tuple[int, ...]:
-        """Index set of the unique minimal cone containing `point`."""
-        return self.fractional_coordinates(point)[0]
 
     def fractional_coordinates(self, point):
         """(minimal cone, coordinates) with the coordinates aligned to the cone.
@@ -425,16 +420,3 @@ def generalized_primitive_collections(ext: ExtendedStackyFan) -> list[tuple[int,
         faces = level
     return collections
 
-
-def cone_relations(ext: ExtendedStackyFan, cone) -> list[tuple[int, ...]]:
-    """HNF Z-basis of the relations among the generators lying in `cone`, in Z^n."""
-    support = ext.generators_in_cone(cone)
-    gens = ext.generators
-    mat = IntMatrix([[gens[i][k] for i in support] for k in range(ext.d)])
-    lifted = []
-    for rel in kernel_basis(mat):
-        full = [0] * ext.n
-        for idx, val in zip(support, rel):
-            full[idx] = val
-        lifted.append(tuple(full))
-    return hermite_row_basis(lifted)

@@ -1,4 +1,4 @@
-"""Exact integer/rational linear algebra: SNF, HNF, kernels, splittings, saturation.
+"""Exact integer/rational linear algebra: SNF, HNF, kernels, splittings.
 
 Everything here is arbitrary precision (int / Fraction); no floats. There is
 one elimination, `_reduce`: a fraction-free (Bareiss) Gauss-Jordan on integer
@@ -78,9 +78,6 @@ class IntMatrix:
             raise LinAlgError("determinant of a non-square matrix")
         pivots, d, sign = _reduce([list(r) for r in self.data], self.cols)
         return sign * d if len(pivots) == self.cols else 0
-
-    def is_unimodular(self) -> bool:
-        return self.rows == self.cols and self.det() in (1, -1)
 
 
 @dataclass(frozen=True)
@@ -265,18 +262,6 @@ def kernel_basis(m: IntMatrix) -> list[Vec]:
         return []
     cols = [snf.v.col(j) for j in range(rank, m.cols)]
     return hermite_row_basis(cols)
-
-
-def saturate(vectors) -> list[Vec]:
-    """HNF basis of (Q-span of the input) intersected with Z^k."""
-    rows = [v for v in vectors if any(v)]
-    if not rows:
-        return []
-    w = IntMatrix(rows)
-    snf = smith_normal_form(w)
-    rank = snf.rank()
-    vinv = unimodular_inverse(snf.v)
-    return hermite_row_basis([vinv.row(i) for i in range(rank)])
 
 
 def reduce_mod_lattice(vector, hnf_basis) -> Vec:

@@ -15,6 +15,12 @@ from orbimirror.crepant import (
 )
 from orbimirror.fan import StackyFan, extend
 from orbimirror.fandoc import parse_fan
+from orbimirror.linalg import (
+    IntMatrix,
+    hermite_row_basis,
+    smith_normal_form,
+    unimodular_inverse,
+)
 from orbimirror.operators import _family_union, box_x, operator_families
 from orbimirror.picard import (
     choose_basis_p,
@@ -127,6 +133,28 @@ def series_fans(fans=None):
         if rho_membership(picard)[0]:
             data = choose_basis_p(picard)
             yield name, data, presentation(ext), mori_lattices(data)
+
+
+# -- lattice and fan helpers without a caller in the package -------------------
+
+
+def saturate(vectors):
+    """HNF basis of (Q-span of the input) intersected with Z^k."""
+    rows = [v for v in vectors if any(v)]
+    if not rows:
+        return []
+    snf = smith_normal_form(IntMatrix(rows))
+    vinv = unimodular_inverse(snf.v)
+    return hermite_row_basis([vinv.row(i) for i in range(snf.rank())])
+
+
+def is_unimodular(m: IntMatrix) -> bool:
+    return m.rows == m.cols and m.det() in (1, -1)
+
+
+def minimal_cone(fan, point):
+    """Index set of the unique minimal cone of `fan` containing `point`."""
+    return fan.fractional_coordinates(point)[0]
 
 
 # -- classes as Fraction vectors: the former ring arithmetic, kept as oracles ----

@@ -426,6 +426,17 @@ def test_resource_limit_exit_code(capsys, monkeypatch):
     assert json.loads(err)["error"]["kind"] == "resource-limit"
 
 
+def test_groebner_pair_budget_exit_code(capsys, monkeypatch):
+    import orbimirror.cohomology as coh
+
+    monkeypatch.setattr(coh, "GROEBNER_PAIR_CAP", 2)
+    code, out, err = run_cli(capsys, "cohomology", str(DATA / "p123.json"))
+    assert code == 3 and out == ""
+    error = json.loads(err)["error"]
+    assert error == {"kind": "resource-limit",
+                     "message": "Groebner basis: more than 2 S-pairs"}
+
+
 @pytest.mark.parametrize("command", ("crepant", "global-moduli"))
 def test_unreadable_resolution_is_an_input_error(capsys, tmp_path, command):
     malformed = tmp_path / "malformed.json"

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import heapq
 from math import lcm
 import random
 
@@ -8,22 +9,25 @@ from itertools import chain
 
 from corpus import (
     CORPUS,
+    box_operators,
     differential_fans,
+    ext_of,
+    ext_of_doc,
     fraction_products,
     mul_oracle,
     pipeline,
     scale_class,
+    series_fans,
     weighted_planes,
 )
-from orbimirror import cohomology
+from orbimirror import cohomology, operators
 from orbimirror.cohomology import (
     RingError,
     WeightedGrevlex,
-    _lead,
     _mono_div,
-    _mono_divides,
     _mono_lcm,
     _mono_mul,
+    _reducer,
     add_term,
     c1_class,
     binomial_relation_vectors,
@@ -40,6 +44,7 @@ from orbimirror.cohomology import (
 )
 from orbimirror.fan import StackyFan, extend
 from orbimirror.linalg import IntMatrix, kernel_basis, rank
+from perfbench.workloads import smooth_polygon, weighted_projective_plane
 
 
 def test_presentation_p1():
@@ -267,17 +272,102 @@ def test_groebner_reduced_basis_is_canonical():
     gb1 = groebner_basis(gens, order)
     gb2 = groebner_basis(list(reversed(gens)), order)
     assert gb1 == gb2
-    rem = normal_form({(2, 0): Fraction(1)},
-                      [(max(g, key=order.key), g[max(g, key=order.key)], g) for g in gb1],
-                      order)
+    rem = normal_form({(2, 0): Fraction(1)}, [_reducer(g, order) for g in gb1], order)
     assert rem == {}
 
 
-# -- the algebra core against the re-sorting Buchberger oracle ------------------
+# -- the algebra core against the former Buchberger engines ---------------------
+
+
+def _lead(p, order):
+    m = max(p, key=order.key)
+    return m, p[m]
+
+
+def _mono_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _strict(basis):
+    """A basis as lists of (monomial, type, coefficient) in term order: the
+    form in which `--emit-certificates` tells 1 from Fraction(1)."""
+    return [[(m, type(c), c) for m, c in g.items()] for g in basis]
+
+
+def _normal_form_heap_oracle(p, triples, order):
+    """The former normal_form: finds each lead by `max` and each reducer by
+    scanning every (lead, lead coefficient, poly) triple."""
+    rem = {}
+    work = dict(p)
+    while work:
+        m, c = _lead(work, order)
+        for lm, lc, g in triples:
+            if _mono_divides(lm, m):
+                factor = _mono_div(m, lm)
+                ratio = c / lc
+                for gm, gc in g.items():
+                    add_term(work, _mono_mul(factor, gm), -gc * ratio)
+                break
+        else:
+            rem[m] = c
+            del work[m]
+    return rem
+
+
+def _groebner_basis_heap_oracle(gens, order):
+    """The former groebner_basis: Buchberger over Fraction with the
+    coprime-lead criterion only, pairs in a heap keyed by their lcm."""
+    work = []
+    for g in gens:
+        g = {m: Fraction(c) for m, c in g.items() if c}
+        if g:
+            lm, lc = _lead(g, order)
+            work.append((lm, lc, g))
+    work.sort(key=lambda t: order.key(t[0]))
+    pairs = []
+
+    def push_pairs(j):
+        lmj = work[j][0]
+        for i in range(j):
+            lmi = work[i][0]
+            if any(a and b for a, b in zip(lmi, lmj)):
+                heapq.heappush(pairs, (order.key(_mono_lcm(lmi, lmj)), i, j))
+
+    for j in range(len(work)):
+        push_pairs(j)
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
+        lmi, lci, gi = work[i]
+        lmj, lcj, gj = work[j]
+        lcm = _mono_lcm(lmi, lmj)
+        s = {_mono_mul(_mono_div(lcm, lmi), m): c / lci for m, c in gi.items()}
+        for m, c in gj.items():
+            add_term(s, _mono_mul(_mono_div(lcm, lmj), m), -c / lcj)
+        s = _normal_form_heap_oracle(s, work, order)
+        if s:
+            lm, lc = _lead(s, order)
+            work.append((lm, lc, s))
+            push_pairs(len(work) - 1)
+    keep = []
+    for idx, (lm, lc, g) in enumerate(work):
+        if any(k != idx and _mono_divides(work[k][0], lm)
+               and (work[k][0] != lm or k < idx) for k in range(len(work))):
+            continue
+        keep.append((lm, lc, g))
+    reduced = []
+    for idx, (lm, lc, g) in enumerate(keep):
+        others = [t for k, t in enumerate(keep) if k != idx]
+        nf = _normal_form_heap_oracle(g, others, order)
+        if nf:
+            m, c = _lead(nf, order)
+            reduced.append({mm: cc / c for mm, cc in nf.items()})
+    reduced.sort(key=lambda g: order.key(_lead(g, order)[0]))
+    return reduced
 
 
 def _normal_form_oracle(p, triples, order):
-    """The former normal_form: copies `work` through a subtraction per step."""
+    """The normal_form before the heap oracle: copies `work` through a
+    subtraction per step."""
     rem = {}
     work = dict(p)
     while work:
@@ -303,7 +393,8 @@ def _poly_sub(p, q):
 
 
 def _groebner_basis_oracle(gens, order):
-    """The former groebner_basis: re-sorts the whole pair list on every pop."""
+    """The groebner_basis before the heap oracle: re-sorts the whole pair
+    list on every pop."""
     work = []
     for g in gens:
         g = {m: Fraction(c) for m, c in g.items() if c}
@@ -345,11 +436,8 @@ def _groebner_basis_oracle(gens, order):
     return reduced
 
 
-def test_groebner_bases_match_resorting_oracle(monkeypatch):
-    # Every groebner_basis call a presentation makes: the Rabinowitsch
-    # elimination of each per-cone lattice ideal and the global basis of the
-    # generator families, on the data
-    # documents, the corpus specs and the smooth m-ray fans for m = 5..10.
+def _record_groebner_calls(monkeypatch):
+    """Every later groebner_basis call as (gens, order, basis)."""
     calls = []
 
     def recording(gens, order):
@@ -359,15 +447,113 @@ def test_groebner_bases_match_resorting_oracle(monkeypatch):
         return basis
 
     monkeypatch.setattr(cohomology, "groebner_basis", recording)
+    return calls
+
+
+def test_groebner_bases_match_resorting_oracle(monkeypatch):
+    # Every groebner_basis call a presentation makes: the Rabinowitsch
+    # elimination of each per-cone lattice ideal and the global basis of the
+    # generator families, on the data
+    # documents, the corpus specs and the smooth m-ray fans for m = 5..10.
+    calls = _record_groebner_calls(monkeypatch)
     eliminations = 0
     for name, ext in differential_fans(range(5, 11)):
         calls.clear()
         ring = presentation(ext)
         assert calls[-1][2] == list(ring.groebner), name
         for gens, order, basis in calls:
-            assert basis == _groebner_basis_oracle(gens, order), name
+            assert _strict(basis) == _strict(_groebner_basis_oracle(gens, order)), name
         eliminations += sum(order.elim == 1 for _, order, _ in calls)
     assert eliminations == 8  # one per cone with more generators than its dimension
+
+
+def _assert_nf_matches_heap_oracle(ring, name):
+    """ring.nf against the heap oracle's normal form, strictly, on every
+    variable and every product of two standard monomials."""
+    triples = [(*_lead(g, ring.order), g) for g in ring.groebner]
+    polys = [{tuple(int(j == i) for j in range(ring.nvars)): Fraction(1)}
+             for i in range(ring.nvars)]
+    std = ring.std_monomials
+    polys += [{_mono_mul(a, b): Fraction(1), b: Fraction(-2, 3)}
+              for k, a in enumerate(std) for b in std[k:]]
+    for p in polys:
+        assert _strict([ring.nf(p)]) == _strict(
+            [_normal_form_heap_oracle(p, triples, ring.order)]), name
+
+
+def test_groebner_bases_match_heap_oracle_on_large_rings(monkeypatch):
+    """The Gebauer-Moeller engine against the former heap Buchberger, strictly:
+    the presentations of the smooth 12- and 16-ray fans (with every call they
+    make) and the lattice ideals of P(1,4,9) and P(1,5,11)."""
+    calls = _record_groebner_calls(monkeypatch)
+    docs = {"smooth12": smooth_polygon(12), "smooth16": smooth_polygon(16),
+            "P(1,4,9)": weighted_projective_plane(4, 9),
+            "P(1,5,11)": weighted_projective_plane(5, 11)}
+    for name, doc in docs.items():
+        calls.clear()
+        ring = presentation(ext_of_doc(doc))
+        for gens, order, basis in calls:
+            assert _strict(basis) == _strict(_groebner_basis_heap_oracle(gens, order)), name
+        assert any(order.elim == 1 for _, order, _ in calls) == name.startswith("P("), name
+        _assert_nf_matches_heap_oracle(ring, name)
+
+
+def test_residue_and_symbol_rings_match_heap_oracle(monkeypatch):
+    """The residue and symbol rings of every series fan: each basis strictly
+    as the heap oracle gives it, and ring.nf as the oracle's normal form."""
+    calls = _record_groebner_calls(monkeypatch)
+    compared = 0
+    for name, data, ring, _ in series_fans():
+        ops = box_operators(data, ring)
+        calls.clear()
+        rings = [operators.residue_algebra(data, ops)]
+        operators.symbol_fiber_dimension(data, ops)
+        assert len(calls) == 2, name
+        for gens, order, basis in calls:
+            assert _strict(basis) == _strict(_groebner_basis_heap_oracle(gens, order)), name
+        names, degrees = operators._limit_variable_names_degrees(data)
+        rings.append(quotient_ring(names, degrees, {"symbols": calls[1][0]}))
+        for r in rings:
+            if r.finite:
+                _assert_nf_matches_heap_oracle(r, name)
+                compared += 1
+    assert compared >= 10
+
+
+def test_groebner_reductions_on_smooth10_are_counted(monkeypatch):
+    """The Gebauer-Moeller criteria keep the smooth 10-ray presentation to 107
+    reductions (28 nonzero, 79 to zero); the coprime-lead criterion alone made
+    418 (51 nonzero, 367 to zero)."""
+    counted = {"calls": 0}
+    inner = cohomology.normal_form
+
+    def counting(*args):
+        counted["calls"] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(cohomology, "normal_form", counting)
+    presentation(ext_of_doc(smooth_polygon(10)))
+    assert counted["calls"] <= 107
+
+
+@pytest.mark.parametrize("name", ["P2", "F2"] + [f"smooth{m}" for m in range(5, 11)])
+def test_unit_weight_presentations_match_sympy(name):
+    """The reduced basis of a unit-weight presentation equals sympy's grevlex
+    basis (x0 > x1 > ...), as a set of expanded polynomials."""
+    sympy = pytest.importorskip("sympy")
+    ext = ext_of(CORPUS[name]) if name in CORPUS else ext_of_doc(smooth_polygon(int(name[6:])))
+    ring = presentation(ext)
+    assert ring.order.weights == (1,) * ring.nvars
+    xs = sympy.symbols(f"x0:{ring.nvars}")
+
+    def expr(p):
+        return sympy.expand(sum(sympy.Rational(c.numerator, c.denominator)
+                                * sympy.Mul(*(x ** e for x, e in zip(xs, m)))
+                                for m, c in p.items()))
+
+    gens = [g for fam in ring.generators.values() for g in fam]
+    expected = sympy.groebner([expr(g) for g in gens], *xs, order="grevlex", domain="QQ")
+    assert {expr(g) for g in ring.groebner} == {sympy.expand(g) for g in expected.exprs}
 
 
 def _lattice_ideal_groebner_oracle(relations, weights):

@@ -2,7 +2,18 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import DATA, F2, P112, P113, P2, data_z, fan_of, global_fan, pipeline
+from corpus import (
+    DATA,
+    F2,
+    P112,
+    P113,
+    P2,
+    data_z,
+    fan_of,
+    global_fan,
+    is_unimodular,
+    pipeline,
+)
 from orbimirror.cohomology import presentation
 from orbimirror.crepant import (
     CrepantError,
@@ -113,7 +124,7 @@ def test_build_global_fan_p112_f2():
     assert gm.q_basis[0] == (0, 1)  # q_i = p_i for i <= r
     assert gm.q_basis == ((0, 1), (2, 0))
     assert gm.shared_face == ((Fraction(0), Fraction(1)),)
-    assert IntMatrix([list(r) for r in gm.transition]).is_unimodular()
+    assert is_unimodular(IntMatrix([list(r) for r in gm.transition]))
     # the shared face contains K_X = the ray through p_1
     assert gm.cone_x.contains((0, 1)) and gm.cone_z.contains((0, 1))
 
@@ -122,7 +133,7 @@ def test_build_global_fan_trivial_pair():
     pair = ResolutionPair(fan_of(F2), fan_of(F2))
     gm = global_fan(pair)
     assert set(gm.p_basis) == set(gm.q_basis)
-    assert IntMatrix([list(r) for r in gm.transition]).is_unimodular()
+    assert is_unimodular(IntMatrix([list(r) for r in gm.transition]))
 
 
 def test_build_global_fan_accepts_explicit_q():
@@ -173,7 +184,7 @@ def test_weighted_p123_crepant_suite():
     ring_z = presentation(extend(z))
     assert ring_x.dim == ring_z.dim == 6
     gm = global_fan(pair)
-    assert IntMatrix([list(r) for r in gm.transition]).is_unimodular()
+    assert is_unimodular(IntMatrix([list(r) for r in gm.transition]))
     assert gm.q_basis[0] == gm.p_basis[0]
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corpus import DATA, ext_of_doc
+from corpus import DATA, ext_of_doc, is_unimodular, saturate
 from orbimirror import linalg, picard
 from orbimirror.linalg import (
     IntMatrix,
@@ -22,7 +22,6 @@ from orbimirror.linalg import (
     null_vector,
     rank,
     reduce_mod_lattice,
-    saturate,
     smith_normal_form,
     solve_general,
     solve_unique,
@@ -46,7 +45,7 @@ def test_snf_diag_2_3():
     snf = smith_normal_form(m)
     assert snf.diagonal() == (1, 6)
     assert snf.u * m * snf.v == snf.s
-    assert snf.u.is_unimodular() and snf.v.is_unimodular()
+    assert is_unimodular(snf.u) and is_unimodular(snf.v)
 
 
 def test_snf_identity():
@@ -70,7 +69,7 @@ def test_snf_properties(rows):
     m = IntMatrix(rows)
     snf = smith_normal_form(m)
     assert snf.u * m * snf.v == snf.s
-    assert snf.u.is_unimodular() and snf.v.is_unimodular()
+    assert is_unimodular(snf.u) and is_unimodular(snf.v)
     diag = snf.diagonal()
     assert all(d >= 0 for d in diag)
     for a, b in zip(diag, diag[1:]):

@@ -13,11 +13,13 @@ from corpus import (
     ext_of,
     ext_of_doc,
     fan_of,
+    minimal_cone,
     pipeline,
+    saturate,
 )
 from orbimirror.cones import RationalCone, is_face, lp_feasible
 from orbimirror.fan import generalized_primitive_collections
-from orbimirror.linalg import hermite_row_basis, saturate
+from orbimirror.linalg import hermite_row_basis
 from orbimirror.picard import (
     PicardError,
     box_coset_map,
@@ -329,7 +331,7 @@ def _nonneg_decompositions(ext, vector, cone):
 
 
 def _oracle_on_ambient_cone(ext, vector):
-    sigma = ext.fan.minimal_cone(vector)
+    sigma = minimal_cone(ext.fan, vector)
     ambient = next(c for c in ext.fan.max_cones if set(sigma) <= set(c))
     return sigma, _nonneg_decompositions(ext, vector, ambient)
 
