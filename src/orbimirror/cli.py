@@ -400,7 +400,7 @@ def cmd_all(job):
           {"table_size": len(table), "box_size": len(ext.box)})
     # box_x checks the factorization of each operator it builds: the family
     # relations' in job.box_ops above, ten random relations of L here. For
-    # e = 0 its only check is the integrality of the p-pairings.
+    # e = 0 its only check is that l is a relation, made by p_pairings.
     families = job.families
     family_rels = families["l_basis"] + families["cone"] + families["primitive"]
     for _ in range(10):

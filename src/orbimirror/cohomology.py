@@ -590,12 +590,3 @@ def normalized_volume(ext: ExtendedStackyFan) -> int:
         total += normalized_simplex_volume([ext.fan.rays[i] for i in cone])
     return total
 
-
-def c1_class(ring: GradedQuotientRing, upto: int | None = None) -> Class:
-    """Class of D_1 + ... + D_upto (default: all variables)."""
-    n = ring.nvars if upto is None else upto
-    poly = {}
-    for i in range(n):
-        poly[tuple(int(j == i) for j in range(ring.nvars))] = Fraction(1)
-    return ring.class_of(poly)
-

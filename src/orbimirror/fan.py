@@ -19,6 +19,7 @@ from .linalg import (
     null_vector,
     smith_normal_form,
     solve_unique,
+    splitting_maps,
     unimodular_inverse,
 )
 
@@ -323,6 +324,13 @@ class ExtendedStackyFan:
     @property
     def l_rank(self) -> int:
         return self.n - self.d
+
+    @cached_property
+    def splitting(self) -> IntMatrix | None:
+        """The splitting s: Z^n -> L of 0 -> L -> Z^n -> N -> 0 in `l_basis`
+        coordinates (s l^(j) = e_j), computed once; None when L = 0. The
+        L-coordinates of any v in L (x) Q are s v."""
+        return splitting_maps(self.a_matrix)[0]
 
     def degree(self, i: int) -> Fraction:
         """deg(a_i): 1 on rays, the age on extension generators."""

@@ -22,7 +22,11 @@ box_x(l) once for each operator it builds, through `factorization_residual`,
 and raises OperatorError naming the relation when it fails. For e = 0 the two
 sides are the same product, so the check is skipped there. Each half of both
 sides holds the same product of ray falling products (`ray_products`), built
-once per relation and shared by the operator and its check.
+once per relation and shared by the operator and its check. Each chi/del
+prefactor is one normal-ordered term (`_monomial`); box_tilde's extension
+factors, falling products of theta_{r+k} = D~_{m+k}, multiply on the left of
+the ray product, with which they commute. The exponents p_a(l) are N l, read
+off the fan's splitting with no solve.
 """
 
 from __future__ import annotations
@@ -40,14 +44,8 @@ from .cohomology import (
     poly_mul,
     quotient_ring,
 )
-from .linalg import rank, solve_general
-from .picard import (
-    ExtendedPicardData,
-    PicardError,
-    _l_coords,
-    distinguished_relations,
-    min_decomposition,
-)
+from .linalg import rank
+from .picard import ExtendedPicardData, min_decomposition
 
 
 class OperatorError(ValueError):
@@ -268,14 +266,6 @@ def _mul_e(r, e, terms):
 # -- pulled-back operators in the chi chart -------------------------------------
 
 
-def script_d(data: ExtendedPicardData, i) -> LogDiffOp:
-    """The operator D_i of the chart: sum_a m_{ia} z chi_a dchi_a for rays,
-    z dchi_{i-m+r} for extension indices."""
-    if i < data.ext.m:
-        return script_d_tilde(data, i)
-    return LogDiffOp.dell(data.r, data.e, i - data.ext.m)
-
-
 def script_d_tilde(data: ExtendedPicardData, i) -> LogDiffOp:
     """sum_a m_{ia} z chi_a dchi_a for every i (the box-tilde building block)."""
     r, e = data.r, data.e
@@ -288,15 +278,15 @@ def script_d_tilde(data: ExtendedPicardData, i) -> LogDiffOp:
 
 
 def p_pairings(data: ExtendedPicardData, l) -> tuple[int, ...]:
-    """p_a(l) for an integer relation vector l in Z^n."""
-    coords = _l_coords(data.ext, [Fraction(x) for x in l])
-    vals = data.pairing_p(coords)
-    out = []
-    for v in vals:
-        if v.denominator != 1:
-            raise OperatorError("p-pairing of a lattice relation is not integral")
-        out.append(int(v))
-    return tuple(out)
+    """p_a(l) for an integer relation vector l in L: N l, an integer vector."""
+    if any(sum(g[k] * x for g, x in zip(data.ext.generators, l)) for k in range(data.ext.d)):
+        raise OperatorError(f"{list(l)} is not a relation of the generators")
+    return data.pairing_p(l)
+
+
+def _monomial(r, e, beta, t) -> LogDiffOp:
+    """chi^beta del^t, a single term already in normal order."""
+    return LogDiffOp(r, e, {(tuple(beta), 0, (0,) * r, tuple(t), 0): 1})
 
 
 def _falling_product(base: LogDiffOp, count: int) -> LogDiffOp:
@@ -327,23 +317,22 @@ def ray_products(data: ExtendedPicardData, l) -> tuple[LogDiffOp, LogDiffOp]:
 
 def box_tilde(data: ExtendedPicardData, l, rays) -> LogDiffOp:
     """The pulled-back GKZ box operator in the (chi, z) chart; `rays` is
-    `ray_products(data, l)`."""
-    r, e = data.r, data.e
+    `ray_products(data, l)`.
+
+    Each half is chi^{p(l)} times the extension falling products times the
+    ray product. D~_{m+k} = theta_{r+k}, as m_{m+k,a} = delta_{r+k,a}, and the
+    extension factors commute with the ray product, so they multiply on its
+    left."""
+    r, e, m = data.r, data.e, data.ext.m
     p_of_l = p_pairings(data, l)
-    ext = data.ext
 
     def half(sign, ray):
-        out = LogDiffOp.one(r, e)
-        for a in range(r + e):
-            power = sign * p_of_l[a]
-            if power > 0:
-                out = out * LogDiffOp.chi(r, e, a, power)
-        out = out * ray
-        for i in range(ext.m, ext.n):
-            li = sign * (-l[i])
-            if li > 0:
-                out = out * _falling_product(script_d_tilde(data, i), li)
-        return out
+        out = _monomial(r, e, [max(sign * p, 0) for p in p_of_l], (0,) * e)
+        for k in range(e):
+            lk = sign * -l[m + k]
+            if lk > 0:
+                out = out * _falling_product(LogDiffOp.theta(r, e, r + k), lk)
+        return out * ray
 
     return half(+1, rays[0]) - half(-1, rays[1])
 
@@ -351,30 +340,20 @@ def box_tilde(data: ExtendedPicardData, l, rays) -> LogDiffOp:
 def box_x(data: ExtendedPicardData, l) -> LogDiffOp:
     """Box^X_l: chi-prefactors only over a <= r, extension derivations factored out.
 
-    Within each term the extension factors D_i^{|l_i|} (i > m) multiply on the
-    left of the ray factors; this ordering makes the factorization
+    Each half is the monomial chi^{p(l)} del^{|l_ext|} on the left of its ray
+    product; this ordering makes the factorization
     box_tilde(l) = prod_k chi_{r+k}^{|l_{m+k}|} * box_x(l) an exact operator
     identity for every l in L. It is checked here, once per operator, when
     e > 0 (for e = 0 both sides are the same product); both sides read the
     one `ray_products(data, l)`.
     """
-    r, e = data.r, data.e
+    r, e, m = data.r, data.e, data.ext.m
     p_of_l = p_pairings(data, l)
-    ext = data.ext
     rays = ray_products(data, l)
 
     def half(sign, ray):
-        out = LogDiffOp.one(r, e)
-        for a in range(r):
-            power = sign * p_of_l[a]
-            if power > 0:
-                out = out * LogDiffOp.chi(r, e, a, power)
-        for i in range(ext.m, ext.n):
-            li = sign * (-l[i])
-            if li > 0:
-                for _ in range(li):
-                    out = out * script_d(data, i)
-        return out * ray
+        beta = [max(sign * p, 0) for p in p_of_l[:r]] + [0] * e
+        return _monomial(r, e, beta, [max(sign * -x, 0) for x in l[m:]]) * ray
 
     op = half(+1, rays[0]) - half(-1, rays[1])
     if e and not factorization_residual(data, l, op, rays).is_zero():
@@ -393,21 +372,12 @@ def euler_check(data: ExtendedPicardData) -> LogDiffOp:
     return out
 
 
-def chi_prefactor_for_factorization(data: ExtendedPicardData, l) -> LogDiffOp:
-    """prod_{k} chi_{r+k}^{|l_{m+k}|}."""
-    r, e = data.r, data.e
-    out = LogDiffOp.one(r, e)
-    for k in range(e):
-        power = abs(l[data.ext.m + k])
-        if power:
-            out = out * LogDiffOp.chi(r, e, r + k, power)
-    return out
-
-
 def factorization_residual(data: ExtendedPicardData, l, op: LogDiffOp, rays) -> LogDiffOp:
-    """box_tilde(l) - prod chi^{|l|} * op for op = box_x(l), with `rays` as for
-    `box_tilde`; zero exactly when the lemma holds."""
-    return box_tilde(data, l, rays) - chi_prefactor_for_factorization(data, l) * op
+    """box_tilde(l) - prod_k chi_{r+k}^{|l_{m+k}|} * op for op = box_x(l), with
+    `rays` as for `box_tilde`; zero exactly when the lemma holds."""
+    r, e = data.r, data.e
+    prefactor = _monomial(r, e, [0] * r + [abs(x) for x in l[data.ext.m:]], (0,) * e)
+    return box_tilde(data, l, rays) - prefactor * op
 
 
 # -- degeneration, residue algebra, symbols --------------------------------------
@@ -433,27 +403,11 @@ def limit_poly(op: LogDiffOp) -> Poly:
     return out
 
 
-def full_symbol(op: LogDiffOp) -> dict:
-    """Top-order part of the operator as a commutative polynomial.
-
-    Keys are full (beta, k, s, t, u) tuples; the grading counts every
-    derivation generator (theta, del and z^2 dz) once.
-    """
-    if not op.nums:
-        return {}
-    top = op.order()
-    return {key: c for key, c in op.terms.items()
-            if sum(key[2]) + sum(key[3]) + key[4] == top}
-
-
 def symbol_at_origin(op: LogDiffOp) -> Poly:
-    """sigma(op) evaluated at z = chi = 0, in the r+e symbol variables."""
-    out: Poly = {}
-    for (beta, k, s, t, u), c in full_symbol(op).items():
-        if any(beta) or k or u:
-            continue
-        add_term(out, tuple(s) + tuple(t), c)
-    return out
+    """sigma(op) evaluated at z = chi = 0, in the r+e symbol variables: the
+    part of `limit_poly(op)` of degree op.order()."""
+    top = op.order()
+    return {mono: c for mono, c in limit_poly(op).items() if sum(mono) == top}
 
 
 def primitive_relation(data: ExtendedPicardData, collection) -> tuple[int, ...]:
@@ -568,21 +522,13 @@ def symbol_fiber_dimension(data: ExtendedPicardData, box_ops):
 
 
 def pbar_class(data: ExtendedPicardData, ring: GradedQuotientRing, a: int):
-    """Untwisted H^2 class of p_a (a < r) via a PL lift truncated to the rays."""
-    ext = data.ext
-    rows = [list(rel) for rel in distinguished_relations(ext)]
-    rhs = [Fraction(0)] * len(rows)
-    for j, l in enumerate(ext.l_basis):
-        rows.append([Fraction(x) for x in l])
-        rhs.append(Fraction(data.p_basis[a][j]))
-    sol = solve_general(rows, rhs)
-    if sol is None:
-        raise PicardError(f"p_{a + 1} has no PL lift")
-    x, _null = sol
-    poly: Poly = {}
-    for i in range(ext.m):
-        if x[i]:
-            poly[tuple(int(j == i) for j in range(ext.n))] = Fraction(x[i])
+    """Untwisted H^2 class of p_a (a < r): the ray part sum_{i<m} n_{ai} D_i
+    of its PL lift p_a o s. p_a is orthogonal to the distinguished relations,
+    so this lift differs from any other by a linear function, whose ray part
+    is an Euler form."""
+    n = data.ext.n
+    poly = {tuple(int(j == i) for j in range(n)): Fraction(col[a])
+            for i, col in enumerate(data.n_matrix[:data.ext.m]) if col[a]}
     return ring.class_of(poly) if poly else ring.zero_class()
 
 

@@ -3,7 +3,8 @@
 Coordinates: elements of L* are stored as pairing vectors against the chosen
 HNF basis of L (so [D_i] has coordinates (l^(1)_i, ..., l^(k)_i)). Elements of
 NE^e and K are stored by their p-basis pairings once the basis is chosen, and
-by L-basis coordinates before that.
+by L-basis coordinates before that. Both are read off the fan's splitting s,
+with no solve: v in L (x) Q has L-coordinates s v and p-pairings N v.
 
 `min_decomposition` is the one N-decomposition search. Its bound is exact: a
 branch ends when a remainder coordinate in the minimal cone's ray basis goes
@@ -29,8 +30,6 @@ from .linalg import (
     inverse,
     kernel_basis,
     qvec,
-    solve_unique,
-    splitting_maps,
 )
 
 
@@ -97,9 +96,11 @@ class ExtendedPicardData:
     def rank(self) -> int:
         return self.r + self.ext.e
 
-    def pairing_p(self, l_coords) -> tuple[Fraction, ...]:
-        """p_a-pairings of an element of L (x) Q given in L-basis coordinates."""
-        return tuple(dot(p, l_coords) for p in self.p_basis)
+    def pairing_p(self, v) -> tuple:
+        """p_a-pairings of an element v of L (x) Q given in Q^n: N v, since
+        n_{ai} = p_a(s(e_i)) and s v is v's L-basis coordinate vector."""
+        return tuple(sum(col[a] * x for col, x in zip(self.n_matrix, v))
+                     for a in range(self.rank))
 
     def d_pairings(self, t) -> tuple[Fraction, ...]:
         """<D_i, d> for d given by its p-basis pairings t (via the M matrix)."""
@@ -107,11 +108,11 @@ class ExtendedPicardData:
                      for row in self.m_matrix)
 
 
-def _l_coords(ext: ExtendedStackyFan, vec_qn) -> tuple[Fraction, ...]:
-    """Coordinates in the L basis of an element of L (x) Q given in Q^n."""
-    basis = ext.l_basis
-    mat = [[Fraction(b[i]) for b in basis] for i in range(ext.n)]
-    return solve_unique(mat, vec_qn)
+def _l_coords(ext: ExtendedStackyFan, vec_qn) -> tuple:
+    """Coordinates in the L basis of an element of L (x) Q given in Q^n: s v
+    for the fan's splitting s."""
+    s = ext.splitting
+    return tuple(sum(s[j, i] * x for i, x in enumerate(vec_qn)) for j in range(ext.l_rank))
 
 
 def extended_pl_and_pic(ext: ExtendedStackyFan) -> ExtendedPicardData:
@@ -293,11 +294,11 @@ def _search_combinations(prim, r, validate):
 def _superpotential(data: ExtendedPicardData, p_rows):
     """N matrix (n_{ai} = p_a(s(e_i))) and the Landau-Ginzburg term list."""
     ext = data.ext
-    s, _g = splitting_maps(ext.a_matrix)
+    s = ext.splitting
     n_cols = []
     terms = []
     for i in range(ext.n):
-        s_ei = [s[j, i] for j in range(ext.l_rank)] if s is not None else []
+        s_ei = [s[j, i] for j in range(ext.l_rank)]
         col = tuple(int(dot(p, s_ei)) for p in p_rows)
         n_cols.append(col)
         terms.append((-1, col, ext.generators[i]))
@@ -403,8 +404,7 @@ def box_coset_map(mori: MoriData) -> list[dict]:
         rel = [Fraction(x) for x in n_vec]
         for i, rfrac in zip(b.min_cone, b.fractional):
             rel[i] -= rfrac
-        d_coords = _l_coords(ext, rel)
-        t = data.pairing_p(d_coords)
+        t = data.pairing_p(rel)
         vals = mori.d_pairings(t)
         if not mori.in_k(t, vals):
             raise PicardError(f"d_v for box element {list(b.vector)} is not in K")

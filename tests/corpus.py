@@ -17,8 +17,10 @@ from orbimirror.fan import StackyFan, extend
 from orbimirror.fandoc import parse_fan
 from orbimirror.linalg import (
     IntMatrix,
+    dot,
     hermite_row_basis,
     smith_normal_form,
+    solve_unique,
     unimodular_inverse,
 )
 from orbimirror.operators import _family_union, box_x, operator_families
@@ -155,6 +157,23 @@ def is_unimodular(m: IntMatrix) -> bool:
 def minimal_cone(fan, point):
     """Index set of the unique minimal cone of `fan` containing `point`."""
     return fan.fractional_coordinates(point)[0]
+
+
+# -- L-coordinates by solving: the former picard routines, kept as oracles -----
+
+
+def l_coords_oracle(ext, vec_qn):
+    """The former picard._l_coords: coordinates in the L basis of an element
+    of L (x) Q given in Q^n, by a solve against the basis columns."""
+    basis = ext.l_basis
+    mat = [[Fraction(b[i]) for b in basis] for i in range(ext.n)]
+    return solve_unique(mat, vec_qn)
+
+
+def pairing_p_oracle(data, l_coords):
+    """The former ExtendedPicardData.pairing_p: p_a-pairings of an element of
+    L (x) Q given in L-basis coordinates."""
+    return tuple(dot(p, l_coords) for p in data.p_basis)
 
 
 # -- classes as Fraction vectors: the former ring arithmetic, kept as oracles ----

@@ -11,7 +11,7 @@ import pytest
 
 import orbimirror
 from corpus import ext_of_doc
-from orbimirror import cli, cohomology, fan, ifunction, operators
+from orbimirror import cli, cohomology, fan, ifunction, linalg, operators, picard
 from orbimirror.cli import main
 from orbimirror.cones import RationalCone
 from orbimirror.fan import StackyFan
@@ -338,6 +338,39 @@ def test_commands_derive_each_stage_once(capsys, monkeypatch):
     # ray's falling products twice makes 132 of them
     assert formed == within == 2547
     assert falling == 90
+
+
+def test_l_coordinates_are_read_off_one_splitting(capsys, monkeypatch):
+    """On p123 `all` the L-coordinates, p-pairings and p-bar classes make no
+    elimination: each is read off the fan's one splitting s and the N matrix.
+    Not counted: the eliminations that compute s, on first use, and the
+    N-decompositions under box_coset_map, which solve in cone coordinates."""
+    watched = {f.__code__: f.__name__ for f in (picard._l_coords, operators.p_pairings,
+                                                operators.pbar_class, picard.box_coset_map)}
+    exempt = {picard.min_decomposition.__code__, linalg.splitting_maps.__code__}
+    solved_under = Counter()
+    real_reduce = linalg._reduce
+
+    def reduce(rows, width):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in exempt:
+            if frame.f_code in watched:
+                solved_under[watched[frame.f_code]] += 1
+                break
+            frame = frame.f_back
+        return real_reduce(rows, width)
+
+    splittings = []
+    real_splitting = linalg.splitting_maps
+    monkeypatch.setattr(linalg, "_reduce", reduce)
+    for module in (linalg, fan, picard):
+        if "splitting_maps" in vars(module):
+            monkeypatch.setattr(module, "splitting_maps",
+                                lambda a: splittings.append(a) or real_splitting(a))
+    doc = DATA / "p123.json"
+    assert run_cli(capsys, "all", str(doc), "--order", "3")[0] == 0
+    assert solved_under == Counter()
+    assert splittings == [ext_of_doc(json.loads(doc.read_text())).a_matrix]
 
 
 def test_series_engine_makes_no_fraction_from_classes_or_coefficients(capsys, monkeypatch):

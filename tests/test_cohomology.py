@@ -29,7 +29,6 @@ from orbimirror.cohomology import (
     _mono_mul,
     _reducer,
     add_term,
-    c1_class,
     binomial_relation_vectors,
     class_pair,
     class_vector,
@@ -45,6 +44,15 @@ from orbimirror.cohomology import (
 from orbimirror.fan import StackyFan, extend
 from orbimirror.linalg import IntMatrix, kernel_basis, rank
 from perfbench.workloads import smooth_polygon, weighted_projective_plane
+
+
+def c1_class(ring, upto=None):
+    """Class of D_1 + ... + D_upto (default: all variables)."""
+    n = ring.nvars if upto is None else upto
+    poly = {}
+    for i in range(n):
+        poly[tuple(int(j == i) for j in range(ring.nvars))] = Fraction(1)
+    return ring.class_of(poly)
 
 
 def test_presentation_p1():

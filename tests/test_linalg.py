@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corpus import DATA, ext_of_doc, is_unimodular, saturate
-from orbimirror import linalg, picard
+from orbimirror import fan, linalg, picard
 from orbimirror.linalg import (
     IntMatrix,
     LinAlgError,
@@ -547,7 +547,7 @@ def test_each_exact_solve_is_one_reduction(monkeypatch):
         reductions.clear()
         view()
         assert len(reductions) == 1
-    for module in (linalg, picard):
+    for module in (linalg, fan):  # the package's bindings of solve_unique
         monkeypatch.setattr(module, "solve_unique",
                             lambda *args: unique_solves.append(args) or solve_unique(*args))
     monkeypatch.setattr(picard, "inverse",

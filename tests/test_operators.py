@@ -14,6 +14,8 @@ from corpus import (
     box_operators,
     differential_fans,
     ext_of_doc,
+    l_coords_oracle,
+    pairing_p_oracle,
     pipeline,
     series_fans,
     weighted_planes,
@@ -27,7 +29,7 @@ from orbimirror.cohomology import (
     presentation,
 )
 from orbimirror.fan import generalized_primitive_collections
-from orbimirror.linalg import IntMatrix, kernel_basis
+from orbimirror.linalg import IntMatrix, kernel_basis, solve_general
 from orbimirror.operators import (
     LogDiffOp,
     OperatorError,
@@ -36,11 +38,9 @@ from orbimirror.operators import (
     box_tilde,
     box_x,
     check_unfolding_conditions,
-    chi_prefactor_for_factorization,
     degenerate_limit,
     euler_check,
     factorization_residual,
-    full_symbol,
     limit_poly,
     operator_families,
     p_pairings,
@@ -49,12 +49,16 @@ from orbimirror.operators import (
     ray_products,
     residue_algebra,
     residue_map_well_defined,
-    script_d,
     script_d_tilde,
     symbol_at_origin,
     symbol_fiber_dimension,
 )
-from orbimirror.picard import choose_basis_p, extended_pl_and_pic
+from orbimirror.picard import (
+    PicardError,
+    choose_basis_p,
+    distinguished_relations,
+    extended_pl_and_pic,
+)
 
 
 # -- normal-ordered algebra -----------------------------------------------------
@@ -132,6 +136,19 @@ def test_product_matches_replaced_routine(monkeypatch):
             m.setattr(LogDiffOp, "__mul__", _mul_oracle)
             expected = [euler_check(data) * euler_check(data)] + box_operators(data, ring)
         assert ops == expected, name
+
+
+def full_symbol(op: LogDiffOp) -> dict:
+    """Top-order part of the operator as a commutative polynomial.
+
+    Keys are full (beta, k, s, t, u) tuples; the grading counts every
+    derivation generator (theta, del and z^2 dz) once.
+    """
+    if not op.nums:
+        return {}
+    top = op.order()
+    return {key: c for key, c in op.terms.items()
+            if sum(key[2]) + sum(key[3]) + key[4] == top}
 
 
 def symbol_mul(r, e, sa: dict, sb: dict) -> dict:
@@ -226,6 +243,25 @@ def test_euler_hats_build():
 
 
 # -- pulled-back operators ---------------------------------------------------------
+
+
+def script_d(data, i) -> LogDiffOp:
+    """The operator D_i of the chart: sum_a m_{ia} z chi_a dchi_a for rays,
+    z dchi_{i-m+r} for extension indices."""
+    if i < data.ext.m:
+        return script_d_tilde(data, i)
+    return LogDiffOp.dell(data.r, data.e, i - data.ext.m)
+
+
+def chi_prefactor_for_factorization(data, l) -> LogDiffOp:
+    """prod_{k} chi_{r+k}^{|l_{m+k}|}."""
+    r, e = data.r, data.e
+    out = LogDiffOp.one(r, e)
+    for k in range(e):
+        power = abs(l[data.ext.m + k])
+        if power:
+            out = out * LogDiffOp.chi(r, e, r + k, power)
+    return out
 
 
 def test_box_tilde_p1_is_chi_minus_theta_squared():
@@ -386,6 +422,148 @@ def test_box_x_builds_each_ray_falling_product_once(monkeypatch):
         # share the rays' (i < m), and only box_tilde builds the extensions'
         assert made == Counter((script_d_tilde(data, i), abs(l[i]))
                                for i in range(ext.n) if l[i]), l
+
+
+# -- L-coordinates by solving: the former routines, kept as oracles -------------
+
+
+def _p_pairings_oracle(data, l):
+    """The former operators.p_pairings: a solve for l's L-coordinates, then
+    their p-pairings, each checked integral."""
+    coords = l_coords_oracle(data.ext, [Fraction(x) for x in l])
+    vals = pairing_p_oracle(data, coords)
+    out = []
+    for v in vals:
+        if v.denominator != 1:
+            raise OperatorError("p-pairing of a lattice relation is not integral")
+        out.append(int(v))
+    return tuple(out)
+
+
+def _pbar_class_oracle(data, ring, a):
+    """The former operators.pbar_class: a PL lift of p_a solved for, then
+    truncated to the rays."""
+    ext = data.ext
+    rows = [list(rel) for rel in distinguished_relations(ext)]
+    rhs = [Fraction(0)] * len(rows)
+    for j, l in enumerate(ext.l_basis):
+        rows.append([Fraction(x) for x in l])
+        rhs.append(Fraction(data.p_basis[a][j]))
+    sol = solve_general(rows, rhs)
+    if sol is None:
+        raise PicardError(f"p_{a + 1} has no PL lift")
+    x, _null = sol
+    poly = {}
+    for i in range(ext.m):
+        if x[i]:
+            poly[tuple(int(j == i) for j in range(ext.n))] = Fraction(x[i])
+    return ring.class_of(poly) if poly else ring.zero_class()
+
+
+def _symbol_at_origin_oracle(op):
+    """The former operators.symbol_at_origin: the full symbol at z = chi = 0."""
+    out = {}
+    for (beta, k, s, t, u), c in full_symbol(op).items():
+        if any(beta) or k or u:
+            continue
+        add_term(out, tuple(s) + tuple(t), c)
+    return out
+
+
+def _box_tilde_chained(data, l, rays):
+    """The former box_tilde: chi-prefactors one factor at a time, then the ray
+    product, then the extension falling products on its right."""
+    r, e = data.r, data.e
+    p_of_l = _p_pairings_oracle(data, l)
+    ext = data.ext
+
+    def half(sign, ray):
+        out = LogDiffOp.one(r, e)
+        for a in range(r + e):
+            power = sign * p_of_l[a]
+            if power > 0:
+                out = out * LogDiffOp.chi(r, e, a, power)
+        out = out * ray
+        for i in range(ext.m, ext.n):
+            li = sign * (-l[i])
+            if li > 0:
+                out = out * operators._falling_product(script_d_tilde(data, i), li)
+        return out
+
+    return half(+1, rays[0]) - half(-1, rays[1])
+
+
+def _box_x_chained(data, l):
+    """The former box_x: its prefactor as a chain of one-factor products, and
+    its factorization checked against `_box_tilde_chained`."""
+    r, e = data.r, data.e
+    p_of_l = _p_pairings_oracle(data, l)
+    ext = data.ext
+    rays = ray_products(data, l)
+
+    def half(sign, ray):
+        out = LogDiffOp.one(r, e)
+        for a in range(r):
+            power = sign * p_of_l[a]
+            if power > 0:
+                out = out * LogDiffOp.chi(r, e, a, power)
+        for i in range(ext.m, ext.n):
+            li = sign * (-l[i])
+            if li > 0:
+                for _ in range(li):
+                    out = out * script_d(data, i)
+        return out * ray
+
+    op = half(+1, rays[0]) - half(-1, rays[1])
+    residual = (_box_tilde_chained(data, l, rays)
+                - chi_prefactor_for_factorization(data, l) * op)
+    if e and not residual.is_zero():
+        raise OperatorError(f"factorization identity failed for relation {list(l)}")
+    return op
+
+
+def _series_relations():
+    """(name, data, ring, relations) for every `series_fans()` fan: its family
+    relations, then 10 seeded random relations of L."""
+    for name, data, ring, _ in series_fans():
+        ext, rng = data.ext, random.Random(47)
+        relations = _family_union(operator_families(data, ring))
+        for _ in range(10):
+            coeffs = [rng.randint(-3, 3) for _ in ext.l_basis]
+            relations.append(tuple(sum(c * b[i] for c, b in zip(coeffs, ext.l_basis))
+                                   for i in range(ext.n)))
+        yield name, data, ring, relations
+
+
+def test_p_pairings_and_pbar_classes_match_replaced_solves():
+    for name, data, ring, relations in _series_relations():
+        for l in relations:
+            assert p_pairings(data, l) == _p_pairings_oracle(data, l), (name, l)
+        for a in range(data.r):
+            assert pbar_class(data, ring, a) == _pbar_class_oracle(data, ring, a), (name, a)
+
+
+def test_p_pairings_rejects_a_non_relation():
+    _, data, _, _ = pipeline("P112")
+    with pytest.raises(OperatorError, match="not a relation"):
+        p_pairings(data, (1, 0, 0, 0))
+
+
+def test_box_operators_and_symbols_match_replaced_assembly():
+    count = 0
+    for name, data, _ring, relations in _series_relations():
+        r, e, m = data.r, data.e, data.ext.m
+        for k in range(e):
+            # D~_{m+k} = theta_{r+k}: box_tilde builds its extension factors on it
+            assert script_d_tilde(data, m + k) == LogDiffOp.theta(r, e, r + k), name
+        for l in relations:
+            rays = ray_products(data, l)
+            op = box_x(data, l)
+            assert op == _box_x_chained(data, l), (name, l)
+            assert box_tilde(data, l, rays) == _box_tilde_chained(data, l, rays), (name, l)
+            assert symbol_at_origin(op) == _symbol_at_origin_oracle(op), (name, l)
+            count += 1
+    assert count >= 200
 
 
 def test_euler_check_p112():

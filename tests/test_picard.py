@@ -13,19 +13,24 @@ from corpus import (
     ext_of,
     ext_of_doc,
     fan_of,
+    l_coords_oracle,
     minimal_cone,
+    pairing_p_oracle,
     pipeline,
     saturate,
+    series_fans,
 )
 from orbimirror.cones import RationalCone, is_face, lp_feasible
 from orbimirror.fan import generalized_primitive_collections
 from orbimirror.linalg import hermite_row_basis
 from orbimirror.picard import (
     PicardError,
+    _l_coords,
     box_coset_map,
     choose_basis_p,
     extended_kahler_contains,
     extended_pl_and_pic,
+    distinguished_relations,
     kahler_cone,
     min_decomposition,
     pl_lattice,
@@ -286,6 +291,53 @@ def test_lattice_inclusion_chain():
             assert mori.in_ne(t)
         for entry in box_coset_map(mori):
             assert mori.in_ne(entry["d_p_pairings"])
+
+
+# -- L-coordinates off the splitting, against the former solves ------------------
+
+
+def _box_relations(ext):
+    """For each box element with a decomposition, its N-decomposition less
+    its fractional coordinates: the element of L (x) Q whose class is d_v."""
+    for b in ext.box:
+        n_vec = min_decomposition(ext, b.vector)
+        if n_vec is None:
+            continue
+        rel = [Fraction(x) for x in n_vec]
+        for i, rfrac in zip(b.min_cone, b.fractional):
+            rel[i] -= rfrac
+        yield tuple(rel)
+
+
+def _l_vectors(ext):
+    """Walls, distinguished relations and box-element relations of `ext`, in
+    Q^n: every kind of vector whose L-coordinates the package reads."""
+    walls = [w + (0,) * ext.e for w in ext.fan.wall_relations]
+    return walls + distinguished_relations(ext) + list(_box_relations(ext))
+
+
+def test_splitting_is_a_section_of_the_l_basis():
+    for name, ext in differential_fans(smooth_rays=(5, 6, 7, 8)):
+        s = ext.splitting
+        assert s is ext.splitting, name  # once per extended fan
+        for j, l in enumerate(ext.l_basis):
+            assert _l_coords(ext, l) == tuple(int(k == j) for k in range(ext.l_rank)), name
+        if not ext.l_rank:
+            assert s is None, name
+
+
+def test_l_coords_and_p_pairings_match_replaced_solves():
+    fans = list(differential_fans(smooth_rays=(5, 6, 7, 8)))
+    for name, ext in fans:
+        for v in _l_vectors(ext):
+            assert _l_coords(ext, v) == l_coords_oracle(ext, v), (name, v)
+    # the p-pairings need a p-basis: the fans whose rho lies in K^e
+    with_basis = list(series_fans(fans))
+    assert len(with_basis) >= 15
+    for name, data, _, _ in with_basis:
+        for v in _l_vectors(data.ext):
+            expected = pairing_p_oracle(data, l_coords_oracle(data.ext, v))
+            assert data.pairing_p(v) == expected, (name, v)
 
 
 def test_wall_relations_sum_to_anticanonical_degree():
