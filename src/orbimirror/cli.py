@@ -20,6 +20,7 @@ import json
 import random
 import sys
 import time
+from fractions import Fraction
 from functools import cached_property, partial
 
 from .cohomology import (
@@ -310,11 +311,13 @@ def cmd_gkz(job):
 
 
 def cmd_ifunction(job):
+    den = job.data.m_ints[1]
     results = {
         "order": job.args.order,
-        "degrees": job.degrees,
+        "degrees": [{**d, "pairings": tuple(Fraction(x, den) for x in d["pairings"])}
+                    for d in job.degrees],
         "standard_monomials": job.ring.std_monomials,
-        "terms": job.series.term_list(),
+        "terms": job.series.term_list(job.ring),
     }
     return results, {}, 0
 

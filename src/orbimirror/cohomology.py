@@ -371,6 +371,16 @@ class GradedQuotientRing:
     def mono_degree(self, m: Mono) -> Fraction:
         return sum((e * d for e, d in zip(m, self.degrees)), Fraction(0))
 
+    @cached_property
+    def int_degrees(self) -> tuple[tuple[int, ...], int]:
+        """(nums, den): the degree of each standard monomial as an int over den,
+        the lcm of their denominators (the series engine's z-exponents too)."""
+        scale = lcm(*(d.denominator for d in self.degrees))
+        weights = [d.numerator * (scale // d.denominator) for d in self.degrees]
+        nums = [sum(map(mul, m, weights)) for m in self.std_monomials]
+        den = scale // gcd(scale, *nums)
+        return tuple(x * den // scale for x in nums), den
+
     def graded_dims(self) -> dict[Fraction, int]:
         out: dict[Fraction, int] = {}
         for m in self.std_monomials:

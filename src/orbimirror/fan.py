@@ -15,7 +15,7 @@ from math import gcd
 
 from .linalg import (
     IntMatrix,
-    kernel_basis,
+    SNFDecomposition,
     null_vector,
     smith_normal_form,
     solve_unique,
@@ -312,8 +312,13 @@ class ExtendedStackyFan:
         return IntMatrix([[g[k] for g in gens] for k in range(self.d)])
 
     @cached_property
+    def snf(self) -> SNFDecomposition:
+        """The SNF of the a-matrix: `extend`'s check, the L basis and the splitting."""
+        return smith_normal_form(self.a_matrix)
+
+    @cached_property
     def _kernel(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(kernel_basis(self.a_matrix))
+        return tuple(self.snf.kernel())
 
     @property
     def l_basis(self) -> tuple[tuple[int, ...], ...]:
@@ -330,7 +335,7 @@ class ExtendedStackyFan:
         """The splitting s: Z^n -> L of 0 -> L -> Z^n -> N -> 0 in `l_basis`
         coordinates (s l^(j) = e_j), computed once; None when L = 0. The
         L-coordinates of any v in L (x) Q are s v."""
-        return splitting_maps(self.a_matrix)[0]
+        return splitting_maps(self.a_matrix, self.snf)[0]
 
     def degree(self, i: int) -> Fraction:
         """deg(a_i): 1 on rays, the age on extension generators."""
@@ -372,9 +377,8 @@ def extend(fan: StackyFan, extra_vectors=None) -> ExtendedStackyFan:
         if len(set(b.vector for b in chosen)) != len(chosen):
             raise FanError("duplicate extra generators")
     ext = ExtendedStackyFan(fan, tuple(chosen))
-    snf = smith_normal_form(ext.a_matrix)
-    diag = snf.diagonal()
-    if snf.rank() < fan.rank or any(x != 1 for x in diag):
+    diag = ext.snf.diagonal()
+    if ext.snf.rank() < fan.rank or any(x != 1 for x in diag):
         raise FanError(
             f"extended generator map is not surjective; invariant factors {list(diag)}"
         )

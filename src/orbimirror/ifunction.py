@@ -15,9 +15,10 @@ an `i_function` call builds one table of the powers of each ray class
 D-bar_i and one sector class 1_v per sector it meets, and a series keeps the
 derivatives theta^s del^t E^u of itself that `apply_operator` has asked for.
 Only work a result reads is done: `apply_operator` forms the terms up to the
-chi-degree its caller reads. Classes are added, scaled and multiplied as ints
-(the z-exponents q stay Fractions); `term_list`, `MirrorMap` and the
-annihilation residual give them as Fraction vectors.
+chi-degree its caller reads. Classes, the z-exponents q (numerators over the
+ring's `int_degrees` denominator Q) and the degree pairings (over M's `m_ints`
+denominator) are ints; `term_list`, `MirrorMap`, the annihilation residual and
+the `SeriesError` texts give them as Fractions.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class SeriesError(ValueError):
     pass
 
 
-TermKey = tuple  # (beta: tuple[int], logk: tuple[int], q: Fraction, j: int)
+TermKey = tuple  # (beta: tuple[int], logk: tuple[int], q * Q: int, j: int)
 
 
 def _acc(out, key, vec):
@@ -103,16 +104,16 @@ class LogSeries:
         """(s, t, u) -> theta^s del^t E^u applied to the terms (see `derivative`)."""
         return {((0,) * self.r, (0,) * self.e, 0): self.terms}
 
-    def derivative(self, s, t, u) -> dict:
-        """theta^s del^t E^u applied to the terms, as a terms dict. Kept for
-        the life of this series, and built from the longest kept prefix by
-        one action step per factor (`operators.chained_action`)."""
+    def derivative(self, s, t, u, zden) -> dict:
+        """theta^s del^t E^u applied to the terms (z-exponents over zden).
+        Kept for the life of this series, and built from the longest kept
+        prefix by one action step per factor (`operators.chained_action`)."""
         def act(terms, kind, i):
             if kind == "theta":
-                return _act_theta(terms, i)
+                return _act_theta(terms, i, zden)
             if kind == "del":
-                return _act_del(terms, self.r, i)
-            return _act_e(terms)
+                return _act_del(terms, self.r, i, zden)
+            return _act_e(terms, zden)
 
         return chained_action(self._derivatives, (s, t, u), act)
 
@@ -120,14 +121,15 @@ class LogSeries:
         kept = {k: v for k, v in self.terms.items() if sum(k[0]) <= order}
         return LogSeries(self.r, self.e, self.dim, kept, order)
 
-    def term_list(self):
+    def term_list(self, ring: GradedQuotientRing):
+        zden = ring.int_degrees[1]
         out = []
-        for key in sorted(self.terms, key=lambda k: (sum(k[0]), k[0], k[1], k[2], k[3])):
+        for key in sorted(self.terms, key=lambda k: (sum(k[0]), k)):
             beta, logk, q, j = key
             out.append({
                 "chi_exponents": list(beta),
                 "log_chi_exponents": list(logk),
-                "z_exponent": q,
+                "z_exponent": Fraction(q, zden),
                 "log_z_exponent": j,
                 "class": list(class_vector(self.terms[key])),
             })
@@ -143,13 +145,13 @@ def _min_order(a, b):
 
 
 def series_one(ring: GradedQuotientRing, r, e, order=None) -> LogSeries:
-    key = ((0,) * (r + e), (0,) * r, Fraction(0), 0)
+    key = ((0,) * (r + e), (0,) * r, 0, 0)
     return LogSeries(r, e, ring.dim, {key: ring.one()}, order)
 
 
 def series_mul(a: LogSeries, b: LogSeries, ring: GradedQuotientRing) -> LogSeries:
-    # b's terms grouped by z-exponent: the Fraction q1 + q2 is made once per
-    # term of a and exponent of b, not once per pair of terms
+    # b's terms grouped by z-exponent: q1 + q2 is made once per term of a
+    # and exponent of b, not once per pair of terms
     by_q: dict = {}
     for (b2, k2, q2, j2), v2 in b.terms.items():
         by_q.setdefault(q2, []).append((b2, k2, j2, v2))
@@ -177,48 +179,50 @@ def apply_operator(op: LogDiffOp, series: LogSeries, ring: GradedQuotientRing,
     """
     if (op.r, op.e) != (series.r, series.e):
         raise SeriesError("operator and series shapes differ")
+    zden = ring.int_degrees[1]
     total: dict = {}
     for (obeta, ok, s_exp, t_exp, u_exp), coeff in op.nums.items():
         room = cap - sum(obeta)
         if room < 0:
             continue
-        for (beta, logk, q, j), vec in series.derivative(s_exp, t_exp, u_exp).items():
+        shift = ok * zden
+        for (beta, logk, q, j), vec in series.derivative(s_exp, t_exp, u_exp, zden).items():
             if sum(beta) <= room:
-                key = (tuple(map(add, beta, obeta)), logk, q + ok if ok else q, j)
+                key = (tuple(map(add, beta, obeta)), logk, q + shift, j)
                 _acc(total, key, _scaled(vec, coeff))
     return LogSeries(series.r, series.e, series.dim, _classes(total, op.den), series.order)
 
 
-def _act_theta(terms, a):
-    """z chi_a d/dchi_a on each term."""
+def _act_theta(terms, a, zden):
+    """z chi_a d/dchi_a on each term, for z-exponents over zden."""
     out: dict = {}
     for (beta, logk, q, j), vec in terms.items():
         if beta[a]:
-            _acc(out, (beta, logk, q + 1, j), _scaled(vec, beta[a]))
+            _acc(out, (beta, logk, q + zden, j), _scaled(vec, beta[a]))
         if logk[a]:
             logk2 = tuple(x - int(i == a) for i, x in enumerate(logk))
-            _acc(out, (beta, logk2, q + 1, j), _scaled(vec, logk[a]))
+            _acc(out, (beta, logk2, q + zden, j), _scaled(vec, logk[a]))
     return _classes(out)
 
 
-def _act_del(terms, r, b):
-    """z d/dchi_{r+b} on each term."""
+def _act_del(terms, r, b, zden):
+    """z d/dchi_{r+b} on each term, for z-exponents over zden."""
     out: dict = {}
     for (beta, logk, q, j), vec in terms.items():
         if beta[r + b]:
             beta2 = tuple(x - int(i == r + b) for i, x in enumerate(beta))
-            _acc(out, (beta2, logk, q + 1, j), _scaled(vec, beta[r + b]))
+            _acc(out, (beta2, logk, q + zden, j), _scaled(vec, beta[r + b]))
     return _classes(out)
 
 
-def _act_e(terms):
-    """z^2 d/dz on each term."""
+def _act_e(terms, zden):
+    """z^2 d/dz on each term, for z-exponents over zden."""
     out: dict = {}
     for (beta, logk, q, j), vec in terms.items():
         if q:
-            _acc(out, (beta, logk, q + 1, j), _scaled(vec, q.numerator, q.denominator))
+            _acc(out, (beta, logk, q + zden, j), _scaled(vec, q, zden))
         if j:
-            _acc(out, (beta, logk, q + 1, j - 1), _scaled(vec, j))
+            _acc(out, (beta, logk, q + zden, j - 1), _scaled(vec, j))
     return _classes(out)
 
 
@@ -230,17 +234,17 @@ def enumerate_degrees(mori: MoriData, order: int) -> list[dict]:
 
     Effective degrees are parametrized by their p-pairing vectors beta in
     Z^{rank}_{>=0} (d = sum beta_a q_a), which become the chi-exponents. The
-    pairings <D_i, d> = M beta are carried down the recursion, one column of
-    M added per step, so each degree's are computed once.
+    pairings <D_i, d> = M beta, numerators over M's `m_ints` denominator, are
+    carried down the recursion, one column of M added per step.
     """
     rank = mori.picard.rank
-    m_matrix = mori.picard.m_matrix
-    columns = list(zip(*m_matrix))
+    rows = mori.picard.m_ints[0]
+    columns = list(zip(*rows))
     out = []
 
     def rec(beta, pairings, remaining):
         if len(beta) == rank:
-            if mori.in_k_eff(beta, pairings):
+            if mori.integer_pattern(beta, True, pairings) in mori.anticones_e:
                 out.append({
                     "beta": beta,
                     "pairings": pairings,
@@ -253,7 +257,7 @@ def enumerate_degrees(mori: MoriData, order: int) -> list[dict]:
                 pairings = tuple(x + y for x, y in zip(pairings, column))
             rec(beta + (c,), pairings, remaining - c)
 
-    rec((), tuple(Fraction(0) for _ in m_matrix), order)
+    rec((), (0,) * len(rows), order)
     out.sort(key=lambda t: (sum(t["beta"]), t["beta"]))
     return out
 
@@ -274,9 +278,9 @@ def _laurent_mul(a: dict, b: dict, ring: GradedQuotientRing) -> dict:
     return _classes(out)
 
 
-def factor_scalars(c: Fraction, length: int) -> tuple[tuple[int, ...], int]:
+def factor_scalars(c: tuple[int, int], length: int) -> tuple[tuple[int, ...], int]:
     """(a, den), the scalars a_0/den .. a_{length-1}/den in lowest terms, with,
-    for any class D such that D^length = 0,
+    for c = n/d given as the reduced pair (n, d) and any class D with D^length = 0,
 
         prod_{s=0}^{ceil c - 1} (D + (c - s) z)^{-1}   if ceil c >= 1,
         prod_{nu=ceil c}^{-1}   (D + (c - nu) z)       otherwise,
@@ -287,7 +291,7 @@ def factor_scalars(c: Fraction, length: int) -> tuple[tuple[int, ...], int]:
     With c = n/d, w = p/d and f_K = A_K/D these are g_K = C_K / (D p^{K+1})
     for C_K = (A_K p^K - C_{K-1}) d, and g_K = (p A_K + d A_{K-1}) / (D d).
     """
-    n, d = c.numerator, c.denominator
+    n, d = c
     ceil_c = -((-n) // d)
     a, den = (1,) + (0,) * (length - 1), 1
     if ceil_c >= 1:
@@ -333,28 +337,31 @@ def hypergeometric_factor(data: ExtendedPicardData, ring: GradedQuotientRing,
                           degree: dict, tables: FactorTables | None = None) -> dict:
     """The product over i of the telescoped factor ratios, cupped with 1_{v(d)}.
 
-    Returns {z-exponent: class}. Each ray's product is `factor_scalars` times
-    the powers of its class in `tables` (new tables when none are given).
+    Returns {z-exponent over Q: class}. Each ray's product is `factor_scalars`
+    times the powers of its class in `tables` (new tables when none are given).
     Extension indices carry no divisor class, so theirs is a scalar; a
     scalar-zero denominator factor (impossible on K^eff) raises SeriesError.
     """
     ext = data.ext
     tables = tables or FactorTables(data, ring)
-    acc = {Fraction(0): tables.sector(degree["sector"])}
+    zden, mden = ring.int_degrees[1], data.m_ints[1]
+    acc = {0: tables.sector(degree["sector"])}
     for i in range(ext.n):
-        c = Fraction(degree["pairings"][i])
+        n = degree["pairings"][i]
         if i >= ext.m:
-            if c.denominator != 1 or c < 0:
+            if n % mden or n < 0:
                 raise SeriesError("extension pairing not a nonnegative integer on K^eff")
-            if c:
-                acc = {q - c: _scaled(v, 1, factorial(c.numerator)) for q, v in acc.items()}
+            if n:
+                c = n // mden
+                acc = {q - c * zden: _scaled(v, 1, factorial(c)) for q, v in acc.items()}
             continue
-        ceil_c = -((-c.numerator) // c.denominator)
+        n, d = n // gcd(n, mden), mden // gcd(n, mden)
+        ceil_c = -((-n) // d)
         if ceil_c == 0:
             continue
         powers = tables.powers[i]
-        scalars, den = factor_scalars(c, len(powers))
-        factor = {Fraction(-ceil_c - k): _scaled(power, a, den)
+        scalars, den = factor_scalars((n, d), len(powers))
+        factor = {(-ceil_c - k) * zden: _scaled(power, a, den)
                   for k, (a, power) in enumerate(zip(scalars, powers)) if a}
         acc = _laurent_mul(acc, factor, ring)
         if not acc:
@@ -367,10 +374,10 @@ def hypergeometric_factor(data: ExtendedPicardData, ring: GradedQuotientRing,
 
 def log_prefactor(data: ExtendedPicardData, ring: GradedQuotientRing) -> LogSeries:
     """exp(sum_{a<=r} pbar_a log chi_a / z), expanded finitely by nilpotency."""
-    r, e = data.r, data.e
+    r, e, zden = data.r, data.e, ring.int_degrees[1]
     out = series_one(ring, r, e)
     for a in range(r):
-        terms = {((0,) * (r + e), tuple(k if i == a else 0 for i in range(r)), Fraction(-k), 0):
+        terms = {((0,) * (r + e), tuple(k if i == a else 0 for i in range(r)), -k * zden, 0):
                  _scaled(power, 1, factorial(k))
                  for k, power in enumerate(_powers(ring, pbar_class(data, ring, a)))}
         out = series_mul(out, LogSeries(r, e, ring.dim, terms), ring)
@@ -413,40 +420,35 @@ def mirror_map(series: LogSeries, ring: GradedQuotientRing,
                data: ExtendedPicardData) -> MirrorMap:
     """tau from the z^{-1} coefficient of I - 1; validates the 1 + tau/z + o(1/z) shape."""
     r, e = series.r, series.e
-    one_key = ((0,) * (r + e), (0,) * r, Fraction(0), 0)
+    degrees, zden = ring.int_degrees
+    one_key = ((0,) * (r + e), (0,) * r, 0, 0)
     rest = dict(series.terms)
     const = rest.pop(one_key, None)
     if const is None or const != ring.one():
         raise SeriesError("I-function does not start with the class 1")
-    bad = [k for k in rest if k[2] > -1]
+    bad = sorted({Fraction(k[2], zden) for k in rest if k[2] > -zden})
     if bad:
-        raise SeriesError(f"asymptotic shape violated: z-exponents {sorted({k[2] for k in bad})} > -1")
+        raise SeriesError(f"asymptotic shape violated: z-exponents {bad} > -1")
     log_linear = []
     for a in range(r):
-        key = ((0,) * (r + e), tuple(int(i == a) for i in range(r)), Fraction(-1), 0)
+        key = ((0,) * (r + e), tuple(int(i == a) for i in range(r)), -zden, 0)
         log_linear.append(series.terms.get(key, ring.zero_class()))
     analytic = {}
     for (beta, logk, q, j), vec in rest.items():
-        if q == -1 and j == 0 and not any(logk) and any(beta):
+        if q == -zden and j == 0 and not any(logk) and any(beta):
             analytic[beta] = vec
-    for vec in list(analytic.values()) + log_linear:
-        deg = _max_component_degree(ring, vec)
-        if deg is not None and deg > 1:
+    for nums, _ in list(analytic.values()) + log_linear:
+        if any(x and deg > zden for x, deg in zip(nums, degrees)):
             raise SeriesError("mirror map has a component outside H^{<=2}")
     return MirrorMap(tuple(map(class_vector, log_linear)),
                      {beta: class_vector(vec) for beta, vec in analytic.items()}, series.order)
-
-
-def _max_component_degree(ring: GradedQuotientRing, vec):
-    degs = [ring.mono_degree(m) for m, c in zip(ring.std_monomials, vec[0]) if c]
-    return max(degs) if degs else None
 
 
 def tilde_i(series: LogSeries, ring: GradedQuotientRing,
             data: ExtendedPicardData) -> LogSeries:
     """I-tilde: apply z^mu (scale degree-q pieces by z^q), then z^{-rho-bar}."""
     r, e = series.r, series.e
-    degrees = [ring.mono_degree(m) for m in ring.std_monomials]
+    degrees = ring.int_degrees[0]
     graded: dict = {}
     for (beta, logk, q, j), (nums, den) in series.terms.items():
         by_deg: dict = {}
@@ -456,7 +458,7 @@ def tilde_i(series: LogSeries, ring: GradedQuotientRing,
         for d, part in by_deg.items():
             _acc(graded, (beta, logk, q + d, j), (part, den))
     scaled = LogSeries(r, e, ring.dim, _classes(graded), series.order)
-    terms = {((0,) * (r + e), (0,) * r, Fraction(0), k):
+    terms = {((0,) * (r + e), (0,) * r, 0, k):
              _scaled(power, (-1) ** k, factorial(k))
              for k, power in enumerate(_powers(ring, rho_bar_class(data, ring)))}
     zrho = LogSeries(r, e, ring.dim, terms, series.order)
@@ -476,16 +478,17 @@ def annihilation_check(op: LogDiffOp, series: LogSeries,
 
     Degrees g of the output are complete when g + (max chi-lowering of op) <= N,
     since del-factors shift chi-degree down by at most their total order. Only
-    the residual in those degrees is formed.
+    the residual in those degrees is formed; its keys give q as a Fraction.
     """
     if series.order is None:
         raise SeriesError("series carries no truncation order")
     lower = max((sum(t) for (_, _, _, t, _) in op.nums), default=0)
     bound = series.order - lower
     residual = apply_operator(op, series, ring, bound)
+    zden = ring.int_degrees[1]
     offending = tuple(
-        {"key": key, "class": list(class_vector(vec))}
-        for key, vec in sorted(residual.terms.items(),
-                               key=lambda kv: (sum(kv[0][0]), kv[0][0], kv[0][1], kv[0][2], kv[0][3]))
+        {"key": (beta, logk, Fraction(q, zden), j), "class": list(class_vector(vec))}
+        for (beta, logk, q, j), vec in sorted(residual.terms.items(),
+                                              key=lambda kv: (sum(kv[0][0]), kv[0]))
     )
     return AnnihilationReport(bound, offending, not offending)

@@ -95,6 +95,11 @@ class SNFDecomposition:
     def rank(self) -> int:
         return sum(1 for d in self.diagonal() if d != 0)
 
+    def kernel(self) -> list[Vec]:
+        """Canonical (HNF) Z-basis of {x : M x = 0}; automatically saturated."""
+        rank, n = self.rank(), self.v.cols
+        return hermite_row_basis([self.v.col(j) for j in range(rank, n)]) if rank < n else []
+
 
 def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
     """Smith normal form with deterministic smallest-pivot selection.
@@ -256,12 +261,7 @@ def _exgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def kernel_basis(m: IntMatrix) -> list[Vec]:
     """Canonical (HNF) Z-basis of {x : M x = 0}; automatically saturated."""
-    snf = smith_normal_form(m)
-    rank = snf.rank()
-    if rank == m.cols:
-        return []
-    cols = [snf.v.col(j) for j in range(rank, m.cols)]
-    return hermite_row_basis(cols)
+    return smith_normal_form(m).kernel()
 
 
 def reduce_mod_lattice(vector, hnf_basis) -> Vec:
@@ -275,22 +275,22 @@ def reduce_mod_lattice(vector, hnf_basis) -> Vec:
     return tuple(v)
 
 
-def splitting_maps(a: IntMatrix) -> tuple[IntMatrix | None, IntMatrix]:
-    """Section data (s, g) for a surjective lattice map a: Z^n -> Z^d.
+def splitting_maps(a: IntMatrix, snf: SNFDecomposition) -> tuple[IntMatrix | None, IntMatrix]:
+    """Section data (s, g) for a surjective lattice map a: Z^n -> Z^d, from
+    the Smith normal form snf of a.
 
     With t the kernel basis (columns), the four identities hold exactly:
     s@t = id, a@g = id, a@t = 0, s@g = 0. Deterministic: g is the SNF
     right-inverse reduced to the canonical coset representative mod ker(a).
     For a trivial kernel (a invertible) s is None and g = a^{-1}.
     """
-    snf = smith_normal_form(a)
     d, n = a.rows, a.cols
     diag = snf.diagonal()
     if snf.rank() < d or any(x != 1 for x in diag):
         raise LinAlgError(
             "map is not surjective onto Z^%d; invariant factors %s" % (d, list(diag))
         )
-    ker = hermite_row_basis([snf.v.col(j) for j in range(d, n)])
+    ker = snf.kernel()
     # g0 = V [I;0] U  is a right inverse: a @ g0 = id.
     g0 = IntMatrix([[sum(snf.v[i, k] * snf.u[k, j] for k in range(d)) for j in range(d)]
                     for i in range(n)])

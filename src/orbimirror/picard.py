@@ -16,7 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
+from math import lcm
+from operator import mul
 
 from .cohomology import is_nef
 from .cones import RationalCone, lp_feasible
@@ -102,10 +105,13 @@ class ExtendedPicardData:
         return tuple(sum(col[a] * x for col, x in zip(self.n_matrix, v))
                      for a in range(self.rank))
 
-    def d_pairings(self, t) -> tuple[Fraction, ...]:
-        """<D_i, d> for d given by its p-basis pairings t (via the M matrix)."""
-        return tuple(sum((row[a] * Fraction(t[a]) for a in range(self.rank)), Fraction(0))
-                     for row in self.m_matrix)
+    @cached_property
+    def m_ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(rows, den): the M matrix as int numerators over den, the lcm of
+        its entries' denominators."""
+        den = lcm(*(x.denominator for row in self.m_matrix for x in row))
+        return tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+                     for row in self.m_matrix), den
 
 
 def _l_coords(ext: ExtendedStackyFan, vec_qn) -> tuple:
@@ -313,24 +319,26 @@ class MoriData:
     picard: ExtendedPicardData
     anticones_e: tuple
 
-    def d_pairings(self, t) -> tuple[Fraction, ...]:
-        return self.picard.d_pairings(t)
+    def pairing_nums(self, t) -> tuple:
+        """<D_i, d> as numerators over M's denominator (`picard.m_ints`)."""
+        return tuple(sum(map(mul, row, t)) for row in self.picard.m_ints[0])
 
-    # The membership tests and the ceiling map read d's pairings <D_i, d>
-    # from `pairings` when the caller already has them, and from t otherwise.
+    # The Fraction pairings, the membership tests and the ceiling map read the
+    # numerators of d's pairings from `pairings` when the caller has them, and
+    # from t otherwise.
+
+    def d_pairings(self, t, pairings=None) -> tuple[Fraction, ...]:
+        den = self.picard.m_ints[1]
+        return tuple(Fraction(x, den) for x in pairings or self.pairing_nums(t))
 
     def integer_pattern(self, t, nonneg: bool, pairings=None) -> tuple[int, ...]:
-        vals = self.d_pairings(t) if pairings is None else pairings
-        if nonneg:
-            return tuple(i for i, v in enumerate(vals)
-                         if v.denominator == 1 and v >= 0)
-        return tuple(i for i, v in enumerate(vals) if v.denominator == 1)
+        nums = self.pairing_nums(t) if pairings is None else pairings
+        den = self.picard.m_ints[1]
+        return tuple(i for i, v in enumerate(nums)
+                     if v % den == 0 and (v >= 0 or not nonneg))
 
     def in_k(self, t, pairings=None) -> bool:
         return self.integer_pattern(t, False, pairings) in self.anticones_e
-
-    def in_k_eff(self, t, pairings=None) -> bool:
-        return self.integer_pattern(t, True, pairings) in self.anticones_e
 
     def in_ne(self, t) -> bool:
         return all(Fraction(x).denominator == 1 for x in t)
@@ -338,10 +346,11 @@ class MoriData:
     def v_of(self, t, pairings=None) -> tuple[int, ...]:
         """Ceiling map K -> Box: v(d) = sum ceil(<D_i, d>) a_i."""
         ext = self.picard.ext
-        vals = self.d_pairings(t) if pairings is None else pairings
+        nums = self.pairing_nums(t) if pairings is None else pairings
+        den = self.picard.m_ints[1]
         out = [0] * ext.d
-        for i, v in enumerate(vals):
-            c = -((-v.numerator) // v.denominator)  # ceil
+        for i, v in enumerate(nums):
+            c = -((-v) // den)  # ceil
             for k in range(ext.d):
                 out[k] += c * ext.generators[i][k]
         return tuple(out)
@@ -405,12 +414,12 @@ def box_coset_map(mori: MoriData) -> list[dict]:
         for i, rfrac in zip(b.min_cone, b.fractional):
             rel[i] -= rfrac
         t = data.pairing_p(rel)
-        vals = mori.d_pairings(t)
-        if not mori.in_k(t, vals):
+        nums = mori.pairing_nums(t)
+        if not mori.in_k(t, nums):
             raise PicardError(f"d_v for box element {list(b.vector)} is not in K")
         if not mori.in_ne(t):
             raise PicardError(f"d_v for box element {list(b.vector)} is not in NE^e")
-        v_back = mori.v_of(t, vals)
+        v_back = mori.v_of(t, nums)
         if v_back != b.vector:
             raise PicardError(
                 f"ceiling map round-trip failed: v(d_v) = {list(v_back)} != {list(b.vector)}"
@@ -422,6 +431,6 @@ def box_coset_map(mori: MoriData) -> list[dict]:
             "box_element": b.vector,
             "age": b.age,
             "d_p_pairings": t,
-            "d_pairings": vals,
+            "d_pairings": mori.d_pairings(t, nums),
         })
     return table

@@ -213,3 +213,33 @@ def mul_oracle(table, u, v):
                     for k, c in entries:
                         out[k] += ab * c
     return tuple(out)
+
+
+# -- the Mori-side tests on Fraction pairings: the former ones, kept as oracles --
+
+
+def d_pairings(mori, t):
+    """The pairings <D_i, d> = M t of d, given by its p-pairings t, as
+    Fractions, straight from the Fraction M matrix."""
+    rank = mori.picard.rank
+    return tuple(sum((row[a] * Fraction(t[a]) for a in range(rank)), Fraction(0))
+                 for row in mori.picard.m_matrix)
+
+
+def in_k_eff(mori, t):
+    """The former `MoriData.in_k_eff`: d lies in K^eff when the indices i with
+    <D_i, d> a nonnegative integer form an extended anticone."""
+    pattern = tuple(i for i, v in enumerate(d_pairings(mori, t))
+                    if v.denominator == 1 and v >= 0)
+    return pattern in mori.anticones_e
+
+
+def v_of(mori, t):
+    """The former ceiling map v(d) = sum ceil(<D_i, d>) a_i, on Fraction
+    pairings."""
+    ext = mori.picard.ext
+    out = [0] * ext.d
+    for v, generator in zip(d_pairings(mori, t), ext.generators):
+        c = -((-v.numerator) // v.denominator)  # ceil
+        out = [x + c * g for x, g in zip(out, generator)]
+    return tuple(out)

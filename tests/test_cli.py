@@ -316,7 +316,7 @@ def test_commands_derive_each_stage_once(capsys, monkeypatch):
         nonlocal within
         out = real_apply(op, series, ring, cap)
         within += sum(1 for (obeta, _, s, t, u) in op.terms
-                      for beta, *_ in series.derivative(s, t, u)
+                      for beta, *_ in series.derivative(s, t, u, ring.int_degrees[1])
                       if sum(beta) + sum(obeta) <= cap)
         return out
 
@@ -366,21 +366,39 @@ def test_l_coordinates_are_read_off_one_splitting(capsys, monkeypatch):
     for module in (linalg, fan, picard):
         if "splitting_maps" in vars(module):
             monkeypatch.setattr(module, "splitting_maps",
-                                lambda a: splittings.append(a) or real_splitting(a))
+                                lambda a, snf: splittings.append(a) or real_splitting(a, snf))
     doc = DATA / "p123.json"
     assert run_cli(capsys, "all", str(doc), "--order", "3")[0] == 0
     assert solved_under == Counter()
     assert splittings == [ext_of_doc(json.loads(doc.read_text())).a_matrix]
 
 
+def test_one_smith_normal_form_per_extended_fan(capsys, monkeypatch):
+    """On p123 `all` the surjectivity check of `extend`, the L basis and the
+    splitting read one Smith normal form of the a-matrix, held on the fan."""
+    doc = DATA / "p123.json"
+    a_matrix = ext_of_doc(json.loads(doc.read_text())).a_matrix
+    factored = []
+    real_snf = linalg.smith_normal_form
+    for module in (linalg, fan, cohomology, picard):
+        if "smith_normal_form" in vars(module):
+            monkeypatch.setattr(module, "smith_normal_form",
+                                lambda m: factored.append(m) or real_snf(m))
+    assert run_cli(capsys, "all", str(doc), "--order", "3")[0] == 0
+    assert factored.count(a_matrix) == 1
+
+
 def test_series_engine_makes_no_fraction_from_classes_or_coefficients(capsys, monkeypatch):
     """On p123 `all --order 5` the ring product and the operator product make
     no Fraction (the ring's first product builds its table through class_of,
     whose normal forms are Fraction polynomials; a Fraction made there counts
-    for class_of). The series product, the operator action and the derivative
-    steps make Fractions only by adding to the z-exponent q of a term key
-    (the keys keep q as a Fraction): none by a product, a quotient, a negation
-    or a Fraction(...) call, which class or coefficient arithmetic would need."""
+    for class_of). The series steps make no Fraction at all: the degree
+    enumeration, the hypergeometric factors, their Laurent products, I-tilde,
+    the series product, the operator action and the derivative steps. Their
+    classes and coefficients are ints over one denominator, and so are the
+    z-exponents of their term keys and the degree pairings. The unit, sector
+    and anticanonical classes they read are made from Fraction polynomials,
+    like class_of, and count for themselves."""
     made, calls, inside = Counter(), Counter(), []
     real_new = Fraction.__dict__["__new__"]
 
@@ -404,19 +422,27 @@ def test_series_engine_makes_no_fraction_from_classes_or_coefficients(capsys, mo
     ring_class = cohomology.GradedQuotientRing
     monkeypatch.setattr(ring_class, "mul", tracked("mul", ring_class.mul))
     monkeypatch.setattr(ring_class, "class_of", tracked("class_of", ring_class.class_of))
+    monkeypatch.setattr(ring_class, "one", tracked("one", ring_class.one))
     monkeypatch.setattr(LogDiffOp, "__mul__", tracked("LogDiffOp.__mul__", LogDiffOp.__mul__))
-    series_steps = ("series_mul", "apply_operator", "_act_theta", "_act_del", "_act_e")
-    for name in series_steps:
+    for name in ("sector_class", "rho_bar_class"):
         monkeypatch.setattr(ifunction, name, tracked(name, getattr(ifunction, name)))
+    builders = ("one", "sector_class", "rho_bar_class")
+    series_steps = ("enumerate_degrees", "hypergeometric_factor", "_laurent_mul", "tilde_i",
+                    "series_mul", "apply_operator", "_act_theta", "_act_del", "_act_e")
+    for name in series_steps:
+        tracked_step = tracked(name, getattr(ifunction, name))
+        for module in (ifunction, cli):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, tracked_step)
     Fraction.__new__ = staticmethod(counting_new)
     try:
         assert run_cli(capsys, "all", str(DATA / "p123.json"), "--order", "5")[0] == 0
     finally:
         Fraction.__new__ = real_new
-    assert all(calls[name] for name in ("mul", "LogDiffOp.__mul__") + series_steps), calls
+    assert all(calls[name] for name in ("mul", "LogDiffOp.__mul__", *builders, *series_steps))
     series_made = {kind for name, kind in made if name in series_steps}
-    assert {name for name, _ in made} <= {"class_of", *series_steps}
-    assert series_made == {"_add"}
+    assert {name for name, _ in made} <= {"class_of", *builders, *series_steps}
+    assert series_made == set()
 
 
 def test_reports_byte_identical_across_runs(capsys):

@@ -1,5 +1,9 @@
+from dataclasses import replace
 from fractions import Fraction
+from itertools import product
+import json
 from math import factorial, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,11 +12,14 @@ from corpus import (
     CORPUS,
     add_classes,
     box_operators,
+    d_pairings,
     fraction_products,
+    in_k_eff,
     mul_oracle,
     pipeline,
     scale_class,
     series_fans,
+    v_of,
     weighted_planes,
 )
 from orbimirror.cohomology import class_pair, class_vector
@@ -309,8 +316,9 @@ def test_i_function_leading_shape():
         _, data, ring, mori = pipeline(name)
         series = i_function(data, ring, mori, 2)
         key0 = ((0,) * (series.r + series.e), (0,) * series.r, Fraction(0), 0)
-        assert series.terms[key0] == ring.one()
-        for key in series.terms:
+        terms = _fraction_view(series.terms, ring.int_degrees[1])
+        assert terms[key0] == ring.one()
+        for key in terms:
             if key != key0:
                 assert key[2] <= -1  # asymptotic shape: everything beyond 1 decays in z
 
@@ -348,8 +356,10 @@ def test_hypergeometric_factor_rejects_ineffective_degree():
     from orbimirror.ifunction import SeriesError
 
     _, data, ring, _ = pipeline("P112")
-    fake = {"beta": (0, -1), "pairings": (F(1, 2), F(0), F(1, 2), F(-1)),
+    den = data.m_ints[1]
+    fake = {"beta": (0, -1), "pairings": tuple(x * den // 2 for x in (1, 0, 1, -2)),
             "sector": (0, 0)}
+    assert _fraction_view([fake], den)[0]["pairings"] == (F(1, 2), F(0), F(1, 2), F(-1))
     with pytest.raises(SeriesError, match="extension pairing"):
         hypergeometric_factor(data, ring, fake)
 
@@ -404,6 +414,20 @@ class _FractionRing:
 
     def one(self):
         return class_vector(self.ring.one())
+
+
+def _fraction_view(value, den):
+    """The engine's int numerators over den as the Fractions that the oracles
+    and the reports use: the z-exponents of a LogSeries, of a terms dict or of
+    a hypergeometric factor {q: class} (den the ring's Q), or the pairings of
+    a list of degrees (den the M matrix's denominator)."""
+    if isinstance(value, LogSeries):
+        return replace(value, terms=_fraction_view(value.terms, den))
+    if isinstance(value, list):
+        return [{**d, "pairings": tuple(Fraction(x, den) for x in d["pairings"])}
+                for d in value]
+    return {(k[0], k[1], Fraction(k[2], den), k[3]) if isinstance(k, tuple)
+            else Fraction(k, den): vec for k, vec in value.items()}
 
 
 def _pairs(terms):
@@ -541,11 +565,11 @@ def _enumerate_degrees_oracle(mori, order):
     def rec(prefix, remaining):
         if len(prefix) == rank:
             beta = tuple(prefix)
-            if mori.in_k_eff(beta):
+            if in_k_eff(mori, beta):
                 out.append({
                     "beta": beta,
-                    "pairings": mori.d_pairings(beta),
-                    "sector": mori.v_of(beta),
+                    "pairings": d_pairings(mori, beta),
+                    "sector": v_of(mori, beta),
                 })
             return
         for c in range(remaining + 1):
@@ -621,7 +645,8 @@ def _apply_operator_oracle(op, series, ring):
                          ids=[fan[0] for fan in SERIES_FANS])
 def test_enumerate_degrees_matches_replaced_routine(name, data, ring, mori):
     for order in ORDERS:
-        assert enumerate_degrees(mori, order) == _enumerate_degrees_oracle(mori, order)
+        assert _fraction_view(enumerate_degrees(mori, order), data.m_ints[1]) == (
+            _enumerate_degrees_oracle(mori, order))
 
 
 def _check_series_against_oracles(data, ring, mori, orders):
@@ -629,21 +654,25 @@ def _check_series_against_oracles(data, ring, mori, orders):
     series_mul, against their Fraction oracles; returns the I-functions."""
     fring = _FractionRing(ring)
     tables = FactorTables(data, ring)
+    zden = ring.int_degrees[1]
     factors = {}
     # the degrees of the top order include those of every lower order
-    for degree in enumerate_degrees(mori, orders[-1]):
-        factors[degree["beta"]] = _hypergeometric_factor_oracle(data, fring, degree)
-        assert hypergeometric_factor(data, ring, degree, tables) == _pairs(
-            factors[degree["beta"]])
+    degrees = enumerate_degrees(mori, orders[-1])
+    for degree, fraction_degree in zip(degrees, _fraction_view(degrees, data.m_ints[1])):
+        factors[degree["beta"]] = _hypergeometric_factor_oracle(data, fring, fraction_degree)
+        assert _fraction_view(hypergeometric_factor(data, ring, degree, tables), zden) == (
+            _pairs(factors[degree["beta"]]))
     out = []
     for order in orders:
         series = i_function(data, ring, mori, order)
-        assert series == _i_function_oracle(data, fring, mori, order, factors)
+        view = _fraction_view(series, zden)
+        assert view == _i_function_oracle(data, fring, mori, order, factors)
         if order <= 3:
             tilde = tilde_i(series, ring, data)
-            assert tilde.terms == _pairs(_tilde_i_oracle(_vectors(series.terms), fring, data))
-            assert series_mul(tilde, series, ring).terms == _pairs(_series_mul_oracle(
-                _vectors(tilde.terms), _vectors(series.terms), fring))
+            tilde_view = _fraction_view(tilde.terms, zden)
+            assert tilde_view == _pairs(_tilde_i_oracle(_vectors(view.terms), fring, data))
+            assert _fraction_view(series_mul(tilde, series, ring).terms, zden) == _pairs(
+                _series_mul_oracle(_vectors(tilde_view), _vectors(view.terms), fring))
         out.append(series)
     return out
 
@@ -655,7 +684,8 @@ def test_hypergeometric_factor_matches_replaced_routine(name, data, ring, mori):
 
 
 def _annihilation_report_oracle(op, series, ring):
-    """The former annihilation_check: the whole residual, filtered at the bound."""
+    """The former annihilation_check: the whole residual, filtered at the
+    bound; on a series with Fraction z-exponents."""
     lower = max((sum(t) for (_, _, _, t, _) in op.terms), default=0)
     bound = series.order - lower
     residual = _apply_operator_oracle(op, series, ring)
@@ -682,13 +712,15 @@ def test_apply_operator_matches_replaced_routine(name, data, ring, mori):
     # read the derivatives that earlier ones left there; with its cap at the
     # top degree the action is the whole one, and below it the part up to the cap
     ops = [euler_check(data)] + box_operators(data, ring)
+    zden = ring.int_degrees[1]
     for order in ORDERS:
         series = tilde_i(i_function(data, ring, mori, order), ring, data)
+        view = _fraction_view(series, zden)
         for op in ops:
-            expected = _apply_operator_oracle(op, series, ring)
-            assert _whole(op, series, ring) == expected
+            expected = _apply_operator_oracle(op, view, ring)
+            assert _fraction_view(_whole(op, series, ring), zden) == expected
             cap = order // 2
-            assert apply_operator(op, series, ring, cap).terms == {
+            assert _fraction_view(apply_operator(op, series, ring, cap).terms, zden) == {
                 key: vec for key, vec in expected.terms.items() if sum(key[0]) <= cap}
 
 
@@ -698,9 +730,10 @@ def test_annihilation_check_matches_unbounded_oracle(name, data, ring, mori):
     ops = _checked_operators(data, ring)
     for order in ORDERS:
         series = tilde_i(i_function(data, ring, mori, order), ring, data)
+        view = _fraction_view(series, ring.int_degrees[1])
         for op in ops:
             assert annihilation_check(op, series, ring) == _annihilation_report_oracle(
-                op, series, ring), (name, order)
+                op, view, ring), (name, order)
 
 
 def test_series_derivatives_live_on_their_series():
@@ -739,7 +772,7 @@ def test_factor_scalars_match_the_direct_product(num, den, coeffs):
         dbar = add_classes(dbar, scale_class(ring.class_of_var(i), coeff))
     powers = list(_powers(ring, dbar))
     ceil_c = -((-c.numerator) // c.denominator)
-    scalars, d = factor_scalars(c, len(powers))
+    scalars, d = factor_scalars((c.numerator, c.denominator), len(powers))
     assert len(scalars) == len(powers) and d > 0 and gcd(d, *scalars) == 1
     closed = {}
     for k, (a, power) in enumerate(zip(scalars, powers)):
@@ -759,9 +792,77 @@ WEIGHTED_SERIES = list(series_fans(weighted_planes()))
 def test_series_kernel_matches_fraction_oracles_on_weighted_planes(name, data, ring, mori):
     orders = range(6) if ring.dim < 10 else range(4)
     ops = _checked_operators(data, ring)
+    zden = ring.int_degrees[1]
     for series in _check_series_against_oracles(data, ring, mori, orders):
         tilde = tilde_i(series, ring, data)
+        view = _fraction_view(tilde, zden)
         for op in ops:
-            assert _whole(op, tilde, ring) == _apply_operator_oracle(op, tilde, ring), name
+            assert _fraction_view(_whole(op, tilde, ring), zden) == _apply_operator_oracle(
+                op, view, ring), name
             assert annihilation_check(op, tilde, ring) == _annihilation_report_oracle(
-                op, tilde, ring), name
+                op, view, ring), name
+
+
+@pytest.mark.parametrize("name, data, ring, mori", SERIES_FANS + WEIGHTED_SERIES,
+                         ids=[fan[0] for fan in SERIES_FANS + WEIGHTED_SERIES])
+def test_int_cone_tests_and_ceiling_match_fraction_oracles(name, data, ring, mori):
+    """The int tests of K and K^eff and the int ceiling map v(d), on the int
+    pairings enumerate_degrees carries and on t alone, against the former
+    Fraction `in_k_eff`, `in_k` and `v_of`, on every candidate degree that
+    enumerate_degrees tries up to order 7."""
+    den = data.m_ints[1]
+    for beta in product(range(max(ORDERS) + 1), repeat=data.rank):
+        if sum(beta) > max(ORDERS):
+            continue
+        fractions = d_pairings(mori, beta)
+        nums = mori.pairing_nums(beta)
+        assert nums == tuple(x * den for x in fractions) and mori.d_pairings(beta) == fractions
+        effective = in_k_eff(mori, beta)
+        assert (mori.integer_pattern(beta, True, nums) in mori.anticones_e) == effective
+        assert (mori.integer_pattern(beta, True) in mori.anticones_e) == effective
+        assert mori.in_k(beta, nums) == mori.in_k(beta) == (tuple(
+            i for i, v in enumerate(fractions) if v.denominator == 1) in mori.anticones_e)
+        assert mori.v_of(beta, nums) == mori.v_of(beta) == v_of(mori, beta)
+
+
+def test_reports_give_z_exponents_and_pairings_as_fractions(capsys):
+    """The int z-exponents and pairings become Fractions at the report
+    boundary: in the mirror map's shape error, in term_list (integral ones
+    print as "-1/1"), in the annihilation residual's keys and in the
+    ifunction report's degree pairings. P(1,1,3) has the ring denominator
+    Q = 3, so its keys are not the Fractions they stand for."""
+    from orbimirror.cli import main
+    from orbimirror.fandoc import to_jsonable
+
+    _, data, ring, mori = next(fan for fan in SERIES_FANS if fan[0] == "p113")
+    zden = ring.int_degrees[1]
+    assert zden == 3
+    one_key = ((0, 0), (0,), 0, 0)
+    shape = LogSeries(1, 1, ring.dim, {one_key: ring.one(), ((0, 1), (0,), -1, 0): ring.one()})
+    with pytest.raises(SeriesError, match=r"z-exponents \[Fraction\(-1, 3\)\] > -1"):
+        mirror_map(shape, ring, data)
+
+    series = i_function(data, ring, mori, 2)
+    tilde = tilde_i(series, ring, data)
+    for each in (series, tilde):
+        terms = each.term_list(ring)
+        assert all(type(term["z_exponent"]) is Fraction for term in terms)
+        assert [term["z_exponent"] for term in terms] == [
+            Fraction(key[2], zden) for key in sorted(each.terms, key=lambda k: (sum(k[0]), k))]
+    printed = {term["z_exponent"] for term in to_jsonable(series.term_list(ring))}
+    assert {"0/1", "-1/1", "-2/1"} <= printed
+    printed = {term["z_exponent"] for term in to_jsonable(tilde.term_list(ring))}
+    assert {"-1/3", "-2/3"} <= printed
+
+    residual = annihilation_check(LogDiffOp.chi(1, 1, 1, 2), tilde, ring).residual_terms
+    assert residual and all(type(term["key"][2]) is Fraction for term in residual)
+    assert {term["key"][2] for term in residual} == {
+        Fraction(key[2], zden) for key in tilde.terms if sum(key[0]) == 0}
+
+    assert main(["ifunction", str(Path(__file__).parent / "data" / "p113.json"),
+                 "--order", "2"]) == 0
+    degrees = json.loads(capsys.readouterr().out)["results"]["degrees"]
+    assert [d["pairings"] for d in degrees] == [
+        [f"{x.numerator}/{x.denominator}" for x in d_pairings(mori, d["beta"])]
+        for d in degrees]
+    assert ["-1/3", "0/1", "-1/3", "1/1"] in [d["pairings"] for d in degrees]

@@ -114,20 +114,21 @@ def test_kernel_properties(rows):
 
 def test_splitting_p1():
     a = IntMatrix([[1, -1]])
-    s, g = splitting_maps(a)
+    s, g = splitting_maps(a, smith_normal_form(a))
     t = (1, 1)
     assert sum(s[0, j] * t[j] for j in range(2)) == 1
 
 
 def test_splitting_identity():
-    s, g = splitting_maps(IntMatrix.identity(2))
+    a = IntMatrix.identity(2)
+    s, g = splitting_maps(a, smith_normal_form(a))
     assert s is None
-    assert g == IntMatrix.identity(2)
+    assert g == a
 
 
 def test_splitting_p112_identities():
     a = IntMatrix([[1, 0, -1, 0], [0, 1, -2, -1]])
-    s, g = splitting_maps(a)  # raises internally if any identity fails
+    s, g = splitting_maps(a, smith_normal_form(a))  # raises internally if any identity fails
     ker = kernel_basis(a)
     t = IntMatrix(list(zip(*ker)))
     assert s * t == IntMatrix.identity(2)
@@ -136,7 +137,8 @@ def test_splitting_p112_identities():
 
 def test_splitting_rejects_non_surjective():
     with pytest.raises(LinAlgError, match="invariant factors"):
-        splitting_maps(IntMatrix([[2, 0], [0, 2]]))
+        a = IntMatrix([[2, 0], [0, 2]])
+        splitting_maps(a, smith_normal_form(a))
 
 
 def test_saturate_examples():

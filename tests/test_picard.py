@@ -13,6 +13,7 @@ from corpus import (
     ext_of,
     ext_of_doc,
     fan_of,
+    in_k_eff,
     l_coords_oracle,
     minimal_cone,
     pairing_p_oracle,
@@ -239,14 +240,14 @@ def test_superpotential_p1_shape():
 
 def test_mori_membership_examples():
     _, data, _, mori = pipeline("P1")
-    assert mori.in_k_eff((1,)) and mori.in_k((1,))
+    assert in_k_eff(mori, (1,)) and mori.in_k((1,))
     assert mori.d_pairings((1,)) == (Fraction(1), Fraction(1))
-    assert mori.in_k_eff((0,))
+    assert in_k_eff(mori, (0,))
     _, data, _, mori = pipeline("P112")
     twisted = (0, 1)  # p-pairings of d_v
     assert mori.d_pairings(twisted) == (Fraction(-1, 2), Fraction(0),
                                         Fraction(-1, 2), Fraction(1))
-    assert mori.in_k(twisted) and mori.in_k_eff(twisted)
+    assert mori.in_k(twisted) and in_k_eff(mori, twisted)
     assert mori.integer_pattern(twisted, nonneg=True) == (1, 3)
 
 
