@@ -40,7 +40,7 @@ from math import gcd, lcm
 from operator import add, le, mul, neg, sub
 
 from .fan import ExtendedStackyFan, generalized_primitive_collections
-from .linalg import IntMatrix, kernel_basis, normalized_simplex_volume
+from .linalg import kernel_basis, normalized_simplex_volume, over_lcm
 
 Mono = tuple[int, ...]
 Poly = dict[Mono, Fraction]
@@ -335,8 +335,7 @@ def reduced_class(nums, den: int) -> Class:
 
 def class_pair(vec) -> Class:
     """The canonical pair of a vector of ints or Fractions."""
-    den = lcm(*(x.denominator for x in vec))
-    return reduced_class([x.numerator * (den // x.denominator) for x in vec], den)
+    return reduced_class(*over_lcm(vec))
 
 
 def class_vector(cls: Class) -> tuple[Fraction, ...]:
@@ -375,8 +374,7 @@ class GradedQuotientRing:
     def int_degrees(self) -> tuple[tuple[int, ...], int]:
         """(nums, den): the degree of each standard monomial as an int over den,
         the lcm of their denominators (the series engine's z-exponents too)."""
-        scale = lcm(*(d.denominator for d in self.degrees))
-        weights = [d.numerator * (scale // d.denominator) for d in self.degrees]
+        weights, scale = over_lcm(self.degrees)
         nums = [sum(map(mul, m, weights)) for m in self.std_monomials]
         den = scale // gcd(scale, *nums)
         return tuple(x * den // scale for x in nums), den
@@ -508,12 +506,10 @@ def quotient_ring(var_names, degrees, generator_families: dict) -> GradedQuotien
     degrees = tuple(Fraction(d) for d in degrees)
     if any(d <= 0 for d in degrees):
         raise RingError("variable degrees must be positive")
-    denom = lcm(*(d.denominator for d in degrees))
-    weights = tuple(int(d * denom) for d in degrees)
-    order = WeightedGrevlex(weights)
+    order = WeightedGrevlex(over_lcm(degrees)[0])
     gens = [g for fam in generator_families.values() for g in fam]
     gb = groebner_basis(gens, order)
-    std = _std_monomials(gb, order, len(weights))
+    std = _std_monomials(gb, order, len(degrees))
     return GradedQuotientRing(
         var_names=tuple(var_names),
         degrees=degrees,
@@ -534,9 +530,9 @@ def cone_lattice_groebner(ext: ExtendedStackyFan, cone) -> list[Poly]:
     support = ext.generators_in_cone(cone)
     gens_vectors = ext.generators
     mat = [[gens_vectors[i][k] for i in support] for k in range(ext.d)]
-    local_rels = kernel_basis(IntMatrix(mat)) if support else []
-    denom = lcm(*(ext.degree(i).denominator for i in range(ext.n)))
-    weights = [int(ext.degree(i) * denom) for i in support]
+    local_rels = kernel_basis(mat) if support else []
+    all_weights = over_lcm(ext.degree(i) for i in range(ext.n))[0]
+    weights = [all_weights[i] for i in support]
     local_gb = lattice_ideal_groebner(local_rels, weights) if local_rels else []
 
     def lift(m):

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import lcm, prod
+from math import prod
 
-from .linalg import _integer_row, null_vector, qvec, rank
+from .linalg import null_vector, over_lcm, qvec, rank
 
 
 class ConeError(ValueError):
@@ -38,9 +38,8 @@ def _simplex_phase1(a_rows, b):
     n = len(a_rows[0]) if m else 0
     scales, rows = [], []
     for row, rhs in zip(a_rows, b):
-        row = list(row) + [rhs]
-        r = _integer_row(row)
-        scales.append(lcm(*(x.denominator for x in row)))
+        r, scale = over_lcm(list(row) + [rhs])
+        scales.append(scale)
         rows.append([-x for x in r] if r[n] < 0 else r)
     d = prod(scales)
     # Tableau d * [A | I | b] over variables y_0..y_{n-1}, artificials n..n+m-1.
@@ -161,7 +160,7 @@ class RationalCone:
             # Scaling the point or a functional by a positive number changes
             # neither the sign of their pairing nor whether it vanishes.
             if not all(type(c) is int for c in x):
-                x = _integer_row(qvec(x))
+                x = over_lcm(x)[0]
             ineqs, eqs = self._integer_functionals
             return (all(sum(a * b for a, b in zip(f, x)) >= 0 for f in ineqs)
                     and all(sum(a * b for a, b in zip(f, x)) == 0 for f in eqs))
@@ -170,8 +169,8 @@ class RationalCone:
     @cached_property
     def _integer_functionals(self) -> tuple[list[list[int]], list[list[int]]]:
         """(inequalities, equalities), each scaled by the lcm of its denominators."""
-        return ([_integer_row(f) for f in self.inequalities or ()],
-                [_integer_row(f) for f in self.equalities or ()])
+        return ([over_lcm(f)[0] for f in self.inequalities or ()],
+                [over_lcm(f)[0] for f in self.equalities or ()])
 
     def extremal_rays(self) -> list[tuple[int, ...]]:
         """Primitive integer generators of the extremal rays of a pointed H-cone,

@@ -14,7 +14,7 @@ from itertools import combinations, islice, product
 
 from .cones import RationalCone, common_face_witness, is_face
 from .fan import ExtendedStackyFan, StackyFan, gen_elements
-from .linalg import IntMatrix, LinAlgError, inverse
+from .linalg import LinAlgError, det, inverse
 from .picard import ExtendedPicardData, is_basis_of
 
 
@@ -39,8 +39,7 @@ class ResolutionPair:
                     f"(mismatch at ray {i + 1})"
                 )
         for cone in self.resolution.max_cones:
-            mat = self.resolution.cone_matrix(cone)
-            if abs(mat.det()) != 1:
+            if abs(det(self.resolution.cone_matrix(cone))) != 1:
                 raise CrepantError(
                     f"resolution cone {[i + 1 for i in cone]} is not smooth"
                 )
@@ -196,8 +195,7 @@ def build_global_fan(data_x: ExtendedPicardData, data_z: ExtendedPicardData,
     if any(c.denominator != 1 for row in transition for c in row):
         raise CrepantError("transition matrix is not integral")
     transition = [tuple(int(c) for c in row) for row in transition]
-    det = IntMatrix(transition).det()
-    if det not in (1, -1):
+    if det(transition) not in (1, -1):
         raise CrepantError("transition matrix is not unimodular")
     return GlobalModuliFan(
         p_basis=tuple(p_rows),
@@ -235,8 +233,7 @@ def _complete_q_basis(p_rows, r, e, kz, valid_q, bound=3, cap=300000):
             by_quotient[quot] = (key, x)
     cands = sorted((key, quot, x) for quot, (key, x) in by_quotient.items())
     for subset in islice(combinations(cands, e), cap):
-        mat = IntMatrix([list(item[1]) for item in subset])
-        if mat.det() in (1, -1):
+        if det([item[1] for item in subset]) in (1, -1):
             rows = list(p_rows[:r]) + [item[2] for item in subset]
             if valid_q(rows):
                 return rows

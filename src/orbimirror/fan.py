@@ -14,8 +14,9 @@ from itertools import combinations
 from math import gcd
 
 from .linalg import (
-    IntMatrix,
+    Matrix,
     SNFDecomposition,
+    det,
     null_vector,
     smith_normal_form,
     solve_unique,
@@ -70,9 +71,9 @@ class StackyFan:
     def n_rays(self) -> int:
         return len(self.rays)
 
-    def cone_matrix(self, cone) -> IntMatrix:
+    def cone_matrix(self, cone) -> Matrix:
         # columns are the ray generators of the cone
-        return IntMatrix([[self.rays[i][k] for i in cone] for k in range(self.rank)])
+        return tuple(tuple(self.rays[i][k] for i in cone) for k in range(self.rank))
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -97,7 +98,7 @@ class StackyFan:
             if any(i < 0 or i >= self.n_rays for i in c):
                 issues.append(ValidationIssue("cone-index", f"cone {_one(c)} has an out-of-range index"))
                 continue
-            if self.cone_matrix(c).det() == 0:
+            if det(self.cone_matrix(c)) == 0:
                 issues.append(ValidationIssue("cone-degenerate", f"cone {_one(c)} is not simplicial (zero determinant)"))
         if len(set(self.max_cones)) != len(self.max_cones):
             issues.append(ValidationIssue("cone-duplicate", "duplicate maximal cones"))
@@ -230,15 +231,14 @@ def box_elements(fan: StackyFan) -> list[BoxElement]:
     d = fan.rank
     found: dict[tuple[int, ...], BoxElement] = {}
     for cone in fan.max_cones:
-        mat = fan.cone_matrix(cone)
-        snf = smith_normal_form(mat)
+        snf = smith_normal_form(fan.cone_matrix(cone))
         uinv = unimodular_inverse(snf.u)
         diag = snf.diagonal()
         reps = [()]
         for s in diag:
             reps = [r + (c,) for r in reps for c in range(s)]
         for rep in reps:
-            x = tuple(sum(uinv[k, j] * rep[j] for j in range(d)) for k in range(d))
+            x = tuple(sum(uinv[k][j] * rep[j] for j in range(d)) for k in range(d))
             coords = fan.cone_coordinates(cone, x)
             frac = [c - (c.numerator // c.denominator) for c in coords]
             v = tuple(
@@ -306,10 +306,9 @@ class ExtendedStackyFan:
         return self.fan.rays + tuple(b.vector for b in self.extra)
 
     @cached_property
-    def a_matrix(self) -> IntMatrix:
+    def a_matrix(self) -> Matrix:
         """d x n matrix of the total map a: Z^n -> N."""
-        gens = self.generators
-        return IntMatrix([[g[k] for g in gens] for k in range(self.d)])
+        return tuple(zip(*self.generators))
 
     @cached_property
     def snf(self) -> SNFDecomposition:
@@ -317,7 +316,8 @@ class ExtendedStackyFan:
         return smith_normal_form(self.a_matrix)
 
     @cached_property
-    def _kernel(self) -> tuple[tuple[int, ...], ...]:
+    def _kernel(self) -> Matrix:
+        """The HNF basis of ker(a), reduced once per instance."""
         return tuple(self.snf.kernel())
 
     @property
@@ -331,11 +331,11 @@ class ExtendedStackyFan:
         return self.n - self.d
 
     @cached_property
-    def splitting(self) -> IntMatrix | None:
+    def splitting(self) -> Matrix | None:
         """The splitting s: Z^n -> L of 0 -> L -> Z^n -> N -> 0 in `l_basis`
         coordinates (s l^(j) = e_j), computed once; None when L = 0. The
         L-coordinates of any v in L (x) Q are s v."""
-        return splitting_maps(self.a_matrix, self.snf)[0]
+        return splitting_maps(self.a_matrix, self.snf, self._kernel)[0]
 
     def degree(self, i: int) -> Fraction:
         """deg(a_i): 1 on rays, the age on extension generators."""

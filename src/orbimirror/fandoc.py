@@ -25,14 +25,19 @@ def _expect(cond, message, pointer):
         raise DocumentError(message, pointer)
 
 
+def _is_int(x) -> bool:
+    """An integer that is not a bool (JSON true/false parse as bools, which
+    are ints to Python)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _int_vector(value, length, pointer):
     """The integer list at `pointer` as a tuple; any length if `length` is None."""
     _expect(isinstance(value, list), "expected a list", pointer)
     if length is not None:
         _expect(len(value) == length, f"expected length {length}, got {len(value)}", pointer)
     for k, x in enumerate(value):
-        _expect(isinstance(x, int) and not isinstance(x, bool),
-                "expected an integer", f"{pointer}/{k}")
+        _expect(_is_int(x), "expected an integer", f"{pointer}/{k}")
     return tuple(value)
 
 
@@ -44,7 +49,7 @@ def parse_fan(doc: dict):
     _expect(isinstance(doc, dict), "expected an object", "/")
     _expect("rank" in doc, "missing field 'rank'", "/rank")
     rank = doc["rank"]
-    _expect(isinstance(rank, int) and rank >= 1, "rank must be a positive integer", "/rank")
+    _expect(_is_int(rank) and rank >= 1, "rank must be a positive integer", "/rank")
     _expect(isinstance(doc.get("rays"), list) and doc["rays"],
             "missing or empty field 'rays'", "/rays")
     rays = [
@@ -56,7 +61,7 @@ def parse_fan(doc: dict):
     for i, cone in enumerate(doc["max_cones"]):
         _expect(isinstance(cone, list), "expected a list", f"/max_cones/{i}")
         for k, idx in enumerate(cone):
-            _expect(isinstance(idx, int) and 1 <= idx <= len(rays),
+            _expect(_is_int(idx) and 1 <= idx <= len(rays),
                     f"ray index out of range 1..{len(rays)}", f"/max_cones/{i}/{k}")
         cones.append(tuple(idx - 1 for idx in cone))
     known = {"rank", "rays", "max_cones", "extra_generators", "p_basis", "q_basis"}

@@ -3,7 +3,11 @@
 Everything here is arbitrary precision (int / Fraction); no floats. There is
 one elimination, `_reduce`: a fraction-free (Bareiss) Gauss-Jordan on integer
 rows. `solve_general`, `solve_unique`, `coordinates`, `rank`, `null_vector`,
-`inverse`, `unimodular_inverse` and `IntMatrix.det` are views of it.
+`inverse`, `unimodular_inverse` and `det` are views of it.
+
+A matrix is a tuple of int rows (`Matrix`); functions accept any sequence of
+int rows. `over_lcm` is the one scaler of a rational vector to int numerators
+over the lcm of its denominators.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 class LinAlgError(ValueError):
@@ -18,97 +23,46 @@ class LinAlgError(ValueError):
 
 
 Vec = tuple[int, ...]
+Matrix = tuple[Vec, ...]
 
 
-def _as_rows(data) -> tuple[Vec, ...]:
-    rows = tuple(tuple(int(x) for x in row) for row in data)
-    if not rows or not rows[0]:
-        raise LinAlgError("matrix must have positive dimensions")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise LinAlgError("ragged matrix")
-    return rows
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    data: tuple[Vec, ...]
-
-    def __init__(self, data):
-        object.__setattr__(self, "data", _as_rows(data))
-
-    @property
-    def rows(self) -> int:
-        return len(self.data)
-
-    @property
-    def cols(self) -> int:
-        return len(self.data[0])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
-    def row(self, i) -> Vec:
-        return self.data[i]
-
-    def col(self, j) -> Vec:
-        return tuple(r[j] for r in self.data)
-
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise LinAlgError("dimension mismatch in product")
-        bt = list(zip(*other.data))
-        return IntMatrix(
-            tuple(sum(a * b for a, b in zip(r, c)) for c in bt) for r in self.data
-        )
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntMatrix) and self.data == other.data
-
-    def __hash__(self):
-        return hash(self.data)
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    def det(self) -> int:
-        if self.rows != self.cols:
-            raise LinAlgError("determinant of a non-square matrix")
-        pivots, d, sign = _reduce([list(r) for r in self.data], self.cols)
-        return sign * d if len(pivots) == self.cols else 0
+def det(rows) -> int:
+    """Determinant of a square integer matrix."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise LinAlgError("determinant of a non-square matrix")
+    pivots, d, sign = _reduce([list(r) for r in rows], n)
+    return sign * d if len(pivots) == n else 0
 
 
 @dataclass(frozen=True)
 class SNFDecomposition:
     """U @ M @ V == S, U and V unimodular, diag(S) a divisibility chain."""
 
-    u: IntMatrix
-    s: IntMatrix
-    v: IntMatrix
+    u: Matrix
+    s: Matrix
+    v: Matrix
 
     def diagonal(self) -> tuple[int, ...]:
-        k = min(self.s.rows, self.s.cols)
-        return tuple(self.s[i, i] for i in range(k))
+        return tuple(self.s[i][i] for i in range(min(len(self.s), len(self.v))))
 
     def rank(self) -> int:
         return sum(1 for d in self.diagonal() if d != 0)
 
     def kernel(self) -> list[Vec]:
         """Canonical (HNF) Z-basis of {x : M x = 0}; automatically saturated."""
-        rank, n = self.rank(), self.v.cols
-        return hermite_row_basis([self.v.col(j) for j in range(rank, n)]) if rank < n else []
+        rank, n = self.rank(), len(self.v)
+        return hermite_row_basis(list(zip(*self.v))[rank:]) if rank < n else []
 
 
-def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
+def smith_normal_form(m) -> SNFDecomposition:
     """Smith normal form with deterministic smallest-pivot selection.
 
     Pivot rule: nonzero entry of minimal |value| in the active submatrix,
     ties by row then column index. Diagonal entries are normalized >= 0.
     """
-    a = [list(r) for r in m.data]
-    nr, nc = m.rows, m.cols
+    a = [list(r) for r in m]
+    nr, nc = len(a), len(a[0])
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
 
@@ -182,15 +136,15 @@ def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
             a[k] = [-x for x in a[k]]
             u[k] = [-x for x in u[k]]
 
-    return SNFDecomposition(IntMatrix(u), IntMatrix(a), IntMatrix(v))
+    return SNFDecomposition(*(tuple(map(tuple, x)) for x in (u, a, v)))
 
 
-def unimodular_inverse(m: IntMatrix) -> IntMatrix:
+def unimodular_inverse(m) -> Matrix:
     """Exact inverse of a unimodular integer matrix."""
-    inv = inverse(m.data)
+    inv = inverse(m)
     if any(x.denominator != 1 for row in inv for x in row):
         raise LinAlgError("matrix is not unimodular")
-    return IntMatrix(inv)
+    return tuple(tuple(x.numerator for x in row) for row in inv)
 
 
 def hermite_row_basis(vectors) -> list[Vec]:
@@ -259,7 +213,7 @@ def _exgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def kernel_basis(m: IntMatrix) -> list[Vec]:
+def kernel_basis(m) -> list[Vec]:
     """Canonical (HNF) Z-basis of {x : M x = 0}; automatically saturated."""
     return smith_normal_form(m).kernel()
 
@@ -275,62 +229,57 @@ def reduce_mod_lattice(vector, hnf_basis) -> Vec:
     return tuple(v)
 
 
-def splitting_maps(a: IntMatrix, snf: SNFDecomposition) -> tuple[IntMatrix | None, IntMatrix]:
+def splitting_maps(a, snf: SNFDecomposition, ker) -> tuple[Matrix | None, Matrix]:
     """Section data (s, g) for a surjective lattice map a: Z^n -> Z^d, from
-    the Smith normal form snf of a.
+    the Smith normal form snf of a and the HNF basis ker of its kernel.
 
     With t the kernel basis (columns), the four identities hold exactly:
     s@t = id, a@g = id, a@t = 0, s@g = 0. Deterministic: g is the SNF
     right-inverse reduced to the canonical coset representative mod ker(a).
     For a trivial kernel (a invertible) s is None and g = a^{-1}.
     """
-    d, n = a.rows, a.cols
+    d, n = len(a), len(a[0])
     diag = snf.diagonal()
     if snf.rank() < d or any(x != 1 for x in diag):
         raise LinAlgError(
             "map is not surjective onto Z^%d; invariant factors %s" % (d, list(diag))
         )
-    ker = snf.kernel()
     # g0 = V [I;0] U  is a right inverse: a @ g0 = id.
-    g0 = IntMatrix([[sum(snf.v[i, k] * snf.u[k, j] for k in range(d)) for j in range(d)]
-                    for i in range(n)])
+    g0 = _product([row[:d] for row in snf.v], snf.u)
     if not ker:
         _check_splitting(a, None, g0, None)
         return None, g0
-    gcols = [reduce_mod_lattice(g0.col(j), ker) for j in range(d)]
-    g = IntMatrix(list(zip(*gcols)))
-    t = IntMatrix(list(zip(*ker)))
-    b = IntMatrix([list(t.row(i)) + list(g.row(i)) for i in range(n)])
-    binv = unimodular_inverse(b)
-    s = IntMatrix([binv.row(i) for i in range(n - d)])
+    g = tuple(zip(*(reduce_mod_lattice(col, ker) for col in zip(*g0))))
+    t = tuple(zip(*ker))
+    s = unimodular_inverse([tr + gr for tr, gr in zip(t, g)])[:n - d]
     _check_splitting(a, s, g, t)
     return s, g
 
 
+def _product(x, y) -> Matrix:
+    cols = list(zip(*y))
+    return tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in x)
+
+
+def _identity(n: int) -> Matrix:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def _check_splitting(a, s, g, t):
-    d, n = a.rows, a.cols
-    ag = a * g
-    if ag != IntMatrix.identity(d):
+    if _product(a, g) != _identity(len(a)):
         raise LinAlgError("splitting check failed: a@g != id")
     if t is not None:
-        at = a * t
-        if any(x != 0 for row in at.data for x in row):
+        if any(any(row) for row in _product(a, t)):
             raise LinAlgError("splitting check failed: a@t != 0")
-        st = s * t
-        if st != IntMatrix.identity(n - d):
+        if _product(s, t) != _identity(len(s)):
             raise LinAlgError("splitting check failed: s@t != id")
-        sg = s * g
-        if any(x != 0 for row in sg.data for x in row):
+        if any(any(row) for row in _product(s, g)):
             raise LinAlgError("splitting check failed: s@g != 0")
 
 
 def normalized_simplex_volume(vectors) -> int:
     """|det| of d integer vectors in Z^d (the d!-normalized simplex volume)."""
-    vecs = [tuple(int(x) for x in v) for v in vectors]
-    d = len(vecs)
-    if any(len(v) != d for v in vecs):
-        raise LinAlgError("need exactly d vectors of length d")
-    return abs(IntMatrix(vecs).det())
+    return abs(det(vectors))
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +292,13 @@ def qvec(v) -> QVec:
     return tuple(Fraction(x) for x in v)
 
 
-def _integer_row(row) -> list[int]:
-    """The row (ints / Fractions) scaled by the lcm of its denominators, which
-    leaves the row space unchanged."""
-    s = lcm(*(x.denominator for x in row))
-    return [x.numerator * (s // x.denominator) for x in row]
+def over_lcm(values) -> tuple[list[int], int]:
+    """(nums, den): ints or Fractions as int numerators over den, the lcm of
+    their denominators (1 for no values). Scaling a row so leaves its span
+    unchanged."""
+    values = list(values)
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def _reduce(rows: list[list[int]], width: int) -> tuple[list[int], int, int]:
@@ -398,7 +349,7 @@ def solve_general(a_rows, b):
     Read off the reduced echelon form of [A | b]. It is unique, and its pivots
     are the leftmost independent columns, so the result is deterministic.
     """
-    rows = [_integer_row(list(r) + [x]) for r, x in zip(a_rows, b)]
+    rows = [over_lcm(list(r) + [x])[0] for r, x in zip(a_rows, b)]
     ncols = len(rows[0]) - 1 if rows else 0
     pivots, d, _ = _reduce(rows, ncols)
     if any(row[ncols] for row in rows[len(pivots):]):
@@ -420,7 +371,7 @@ def rank(rows) -> int:
     """Rank over Q of the given rows (0 for no rows)."""
     if not rows:
         return 0
-    ints = [_integer_row(r) for r in rows]
+    ints = [over_lcm(r)[0] for r in rows]
     return len(_reduce(ints, len(ints[0]))[0])
 
 
@@ -458,7 +409,7 @@ def inverse(rows) -> tuple[QVec, ...]:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise LinAlgError("inverse of a non-square matrix")
-    aug = [_integer_row(list(r) + [int(i == j) for j in range(n)])
+    aug = [over_lcm(list(r) + [int(i == j) for j in range(n)])[0]
            for i, r in enumerate(rows)]
     pivots, d, _ = _reduce(aug, n)
     if len(pivots) < n:
@@ -471,11 +422,8 @@ def dot(u, v) -> Fraction:
 
 
 def clear_denominators(v) -> Vec:
-    """Scale a rational vector to a primitive integer vector (gcd 1), keeping direction."""
-    fracs = [Fraction(x) for x in v]
-    if all(x == 0 for x in fracs):
-        return tuple(0 for _ in fracs)
-    denom = lcm(*(x.denominator for x in fracs))
-    ints = [int(x * denom) for x in fracs]
-    g = gcd(*ints)
-    return tuple(x // g for x in ints)
+    """Scale a rational vector to a primitive integer vector (gcd 1), keeping
+    direction; the zero vector stays zero."""
+    nums = over_lcm(v)[0]
+    g = gcd(*nums) or 1
+    return tuple(x // g for x in nums)

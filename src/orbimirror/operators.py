@@ -44,7 +44,7 @@ from .cohomology import (
     poly_mul,
     quotient_ring,
 )
-from .linalg import rank
+from .linalg import over_lcm, rank
 from .picard import ExtendedPicardData, min_decomposition
 
 
@@ -70,8 +70,8 @@ class LogDiffOp:
     def __post_init__(self):
         nums, den = self.nums, self.den
         if any(type(c) is not int for c in nums.values()):
-            scale = lcm(*(Fraction(c).denominator for c in nums.values()))
-            nums = {k: int(Fraction(c) * scale) for k, c in nums.items()}
+            values, scale = over_lcm(nums.values())
+            nums = dict(zip(nums, values))
             den *= scale
         nums = {k: c for k, c in nums.items() if c}
         g = gcd(den, *nums.values())
@@ -497,24 +497,14 @@ def symbol_fiber_dimension(data: ExtendedPicardData, box_ops):
     """Dimension of Q[xi]/(symbols of the box operators at z = chi = 0).
 
     `box_ops` are as for `residue_algebra`. Returns an int, or the string
-    "infinite". Includes the Euler symbol relations (which vanish identically
-    in these generators).
+    "infinite". The Euler forms sum_{i<m} a_i^k bold-D_i are not among the
+    generators, as they vanish identically: for a < r their t_a-coefficient is
+    sum_{i<m} a_i^k m_{ia} = <sum_i a_i^k D_i, q_a> = 0, since m_{m+k,a} = 0
+    and sum_i a_i^k D_i vanishes on L.
     """
     polys = [p for p in map(symbol_at_origin, box_ops) if p]
-    gens = {"box_symbols": polys}
-    euler_polys = []
-    for k in range(data.ext.d):
-        poly: Poly = {}
-        for i in range(data.ext.m):
-            coeff = data.ext.fan.rays[i][k]
-            if coeff:
-                for mono, c in bold_d_poly(data, i).items():
-                    add_term(poly, mono, coeff * c)
-        if poly:
-            euler_polys.append(poly)
-    gens["euler"] = euler_polys
     names, degrees = _limit_variable_names_degrees(data)
-    ring = quotient_ring(names, degrees, gens)
+    ring = quotient_ring(names, degrees, {"box_symbols": polys})
     return ring.dim if ring.finite else "infinite"
 
 

@@ -18,20 +18,19 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from math import lcm
 from operator import mul
 
 from .cohomology import is_nef
 from .cones import RationalCone, lp_feasible
 from .fan import ExtendedStackyFan, anticones
 from .linalg import (
-    IntMatrix,
     clear_denominators,
     coordinates,
     dot,
     hermite_row_basis,
     inverse,
     kernel_basis,
+    over_lcm,
     qvec,
 )
 
@@ -65,12 +64,7 @@ def pl_lattice(ext: ExtendedStackyFan) -> list[tuple[int, ...]]:
     if not rels:
         return [tuple(int(i == j) for j in range(ext.n)) for i in range(ext.n)]
     cleared = [clear_denominators(r) for r in rels]
-    return kernel_basis(IntMatrix(cleared))
-
-
-def _pairing_with_l_basis(ext: ExtendedStackyFan, x) -> tuple[Fraction, ...]:
-    """Image of x in L* (coordinates = pairings with the L basis)."""
-    return tuple(dot(x, l) for l in ext.l_basis)
+    return kernel_basis(cleared)
 
 
 @dataclass(frozen=True)
@@ -80,7 +74,7 @@ class ExtendedPicardData:
     pic_theta_basis: tuple = field(repr=False)   # theta(Pic(X)) basis in L*
     pic_basis: tuple = field(repr=False)         # Pic^e(X) HNF basis in L*
     r: int = 0
-    d_classes: tuple = ()                        # [D_i] in L* coordinates
+    d_classes: tuple = ()                        # [D_i] in L* coordinates, ints
     rho: tuple = ()
     wall_classes: tuple = ()                     # wall relations in L-basis coords
     distinguished_classes: tuple = ()            # distinguished relations in L coords
@@ -109,32 +103,28 @@ class ExtendedPicardData:
     def m_ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(rows, den): the M matrix as int numerators over den, the lcm of
         its entries' denominators."""
-        den = lcm(*(x.denominator for row in self.m_matrix for x in row))
-        return tuple(tuple(x.numerator * (den // x.denominator) for x in row)
-                     for row in self.m_matrix), den
+        nums, den = over_lcm(x for row in self.m_matrix for x in row)
+        w = self.rank
+        return tuple(tuple(nums[i:i + w]) for i in range(0, len(nums), w)), den
 
 
 def _l_coords(ext: ExtendedStackyFan, vec_qn) -> tuple:
     """Coordinates in the L basis of an element of L (x) Q given in Q^n: s v
     for the fan's splitting s."""
     s = ext.splitting
-    return tuple(sum(s[j, i] * x for i, x in enumerate(vec_qn)) for j in range(ext.l_rank))
+    return tuple(sum(map(mul, s[j], vec_qn)) for j in range(ext.l_rank))
 
 
 def extended_pl_and_pic(ext: ExtendedStackyFan) -> ExtendedPicardData:
     """Lattice layer: Theta(PL), PL(Sigma^e), theta(Pic) and Pic^e bases, and
     the Kaehler cone K."""
     pl = pl_lattice(ext)
-    theta_img = [_pairing_with_l_basis(ext, x) for x in pl]
-    theta_int = [tuple(int(v) for v in row) for row in theta_img]
-    if any(any(x.denominator != 1 for x in row) for row in theta_img):
-        raise PicardError("Theta(PL) image has a non-integral pairing with L")
-    pic_theta = hermite_row_basis(theta_int) or []
-    d_classes = tuple(
-        tuple(Fraction(l[i]) for l in ext.l_basis) for i in range(ext.n)
-    )
-    ext_rows = [tuple(int(x) for x in d_classes[ext.m + k]) for k in range(ext.e)]
-    pic_full = hermite_row_basis(list(pic_theta) + ext_rows)
+    # the image of Theta(PL) in L*: an integral x pairs integrally with L
+    theta_img = [tuple(sum(map(mul, x, l)) for l in ext.l_basis) for x in pl]
+    pic_theta = hermite_row_basis(theta_img)
+    # [D_i] pairs with l^(j) to l^(j)_i: the columns of the L basis
+    d_classes = tuple(zip(*ext.l_basis))
+    pic_full = hermite_row_basis(pic_theta + list(d_classes[ext.m:]))
     r = len(pic_full) - ext.e
     if r != ext.m - ext.d:
         raise PicardError(
@@ -219,7 +209,7 @@ def choose_basis_p(data: ExtendedPicardData, override=None) -> ExtendedPicardDat
     ext = data.ext
     cone = data.kahler
     e, r = ext.e, data.r
-    forced = [tuple(int(x) for x in data.d_classes[ext.m + k]) for k in range(e)]
+    forced = list(data.d_classes[ext.m:])
 
     def validate(cands) -> bool:
         rows = [tuple(int(v) for v in c) for c in cands]
@@ -253,8 +243,8 @@ def choose_basis_p(data: ExtendedPicardData, override=None) -> ExtendedPicardDat
     p_rows = [qvec(row) for row in chosen] + [qvec(f) for f in forced]
     # q = dual basis: columns of P^{-1} where P rows are the p_a.
     q_basis = tuple(zip(*inverse(p_rows)))  # q_a in L-basis coordinates
-    # m_{ia} = <D_i, q_a>, with D_i the i-th column of the L basis
-    m_matrix = tuple(tuple(dot(col, q) for q in q_basis) for col in zip(*ext.l_basis))
+    # m_{ia} = <D_i, q_a>
+    m_matrix = tuple(tuple(dot(col, q) for q in q_basis) for col in data.d_classes)
     for k in range(e):
         expected = tuple(Fraction(int(a == r + k)) for a in range(r + e))
         if m_matrix[ext.m + k] != expected:
@@ -304,7 +294,7 @@ def _superpotential(data: ExtendedPicardData, p_rows):
     n_cols = []
     terms = []
     for i in range(ext.n):
-        s_ei = [s[j, i] for j in range(ext.l_rank)]
+        s_ei = [s[j][i] for j in range(ext.l_rank)]
         col = tuple(int(dot(p, s_ei)) for p in p_rows)
         n_cols.append(col)
         terms.append((-1, col, ext.generators[i]))

@@ -16,7 +16,7 @@ from orbimirror.crepant import (
 from orbimirror.fan import StackyFan, extend
 from orbimirror.fandoc import parse_fan
 from orbimirror.linalg import (
-    IntMatrix,
+    det,
     dot,
     hermite_row_basis,
     smith_normal_form,
@@ -145,13 +145,25 @@ def saturate(vectors):
     rows = [v for v in vectors if any(v)]
     if not rows:
         return []
-    snf = smith_normal_form(IntMatrix(rows))
-    vinv = unimodular_inverse(snf.v)
-    return hermite_row_basis([vinv.row(i) for i in range(snf.rank())])
+    snf = smith_normal_form(rows)
+    return hermite_row_basis(unimodular_inverse(snf.v)[:snf.rank()])
 
 
-def is_unimodular(m: IntMatrix) -> bool:
-    return m.rows == m.cols and m.det() in (1, -1)
+def is_unimodular(rows) -> bool:
+    return all(len(r) == len(rows) for r in rows) and det(rows) in (1, -1)
+
+
+def mat_product(*factors):
+    """The product of integer matrices given as rows, as a tuple of rows."""
+    out = tuple(map(tuple, factors[0]))
+    for m in factors[1:]:
+        cols = list(zip(*m))
+        out = tuple(tuple(sum(a * b for a, b in zip(r, c)) for c in cols) for r in out)
+    return out
+
+
+def identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def minimal_cone(fan, point):

@@ -22,7 +22,7 @@ from orbimirror.fandoc import (
     serialize_fan,
     to_jsonable,
 )
-from orbimirror.linalg import IntMatrix
+from orbimirror.linalg import det
 from orbimirror.operators import LogDiffOp
 from perfbench.workloads import corpus_documents, ladder_documents, seeded_documents
 
@@ -58,6 +58,21 @@ def test_schema_error_pointer():
     with pytest.raises(DocumentError, match="unknown field"):
         parse_fan({"rank": 1, "rays": [[1], [-1]], "max_cones": [[1], [2]],
                             "surplus": 1})
+
+
+@pytest.mark.parametrize("doc, pointer", [
+    ({"rank": True, "rays": [[1], [-1]], "max_cones": [[True], [2]]}, "/rank"),
+    ({"rank": 1, "rays": [[1], [-1]], "max_cones": [[True], [2]]}, "/max_cones/0/0"),
+])
+def test_boolean_rank_and_cone_index_exit_1(capsys, tmp_path, doc, pointer):
+    # JSON true parses as a bool, which Python counts as the int 1
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "DocumentError"
+    assert error["message"].startswith(f"{pointer}: ")
 
 
 def test_extra_generator_must_be_box_element():
@@ -334,9 +349,10 @@ def test_commands_derive_each_stage_once(capsys, monkeypatch):
     monkeypatch.setattr(ifunction, "_acc", acc)
     monkeypatch.setattr(operators, "_falling_product", falling_product)
     assert run_cli(capsys, "all", str(DATA / "p123.json"), "--order", "5")[0] == 0
-    # an unbounded residual forms 6,661 products here, and building each
-    # ray's falling products twice makes 132 of them
-    assert formed == within == 2547
+    # an unbounded residual forms 6,047 products here, applying the repeated
+    # family entries' box operators again forms 2,547, and building each ray's
+    # falling products twice makes 132 of them
+    assert formed == within == 2304
     assert falling == 90
 
 
@@ -366,7 +382,8 @@ def test_l_coordinates_are_read_off_one_splitting(capsys, monkeypatch):
     for module in (linalg, fan, picard):
         if "splitting_maps" in vars(module):
             monkeypatch.setattr(module, "splitting_maps",
-                                lambda a, snf: splittings.append(a) or real_splitting(a, snf))
+                                lambda a, snf, ker: splittings.append(a)
+                                or real_splitting(a, snf, ker))
     doc = DATA / "p123.json"
     assert run_cli(capsys, "all", str(doc), "--order", "3")[0] == 0
     assert solved_under == Counter()
@@ -386,6 +403,22 @@ def test_one_smith_normal_form_per_extended_fan(capsys, monkeypatch):
                                 lambda m: factored.append(m) or real_snf(m))
     assert run_cli(capsys, "all", str(doc), "--order", "3")[0] == 0
     assert factored.count(a_matrix) == 1
+
+
+def test_one_hermite_basis_per_extended_fan_kernel(capsys, monkeypatch):
+    """On p123 `all` the L basis and the splitting read one HNF of the
+    a-matrix's kernel, held on the fan: 7 HNFs in all, the kernel's once."""
+    doc = DATA / "p123.json"
+    l_basis = list(ext_of_doc(json.loads(doc.read_text())).l_basis)
+    bases = []
+    real_hnf = linalg.hermite_row_basis
+    for module in (linalg, fan, cohomology, picard):
+        if "hermite_row_basis" in vars(module):
+            monkeypatch.setattr(module, "hermite_row_basis",
+                                lambda vectors: bases.append(real_hnf(vectors)) or bases[-1])
+    assert run_cli(capsys, "all", str(doc), "--order", "3")[0] == 0
+    assert len(bases) == 7
+    assert bases.count(l_basis) == 1
 
 
 def test_series_engine_makes_no_fraction_from_classes_or_coefficients(capsys, monkeypatch):
@@ -541,7 +574,7 @@ def test_global_moduli_p123_pair_at_every_seed(capsys, tmp_path, seed):
                              "--resolution", str(tmp_path / "p123_resolution.json"))
     assert code == 0, err
     transition = json.loads(out)["results"]["transition_matrix"]
-    assert IntMatrix(transition).det() in (1, -1)
+    assert det(transition) in (1, -1)
 
 
 def test_global_moduli_e3_pair(capsys):

@@ -42,7 +42,7 @@ from orbimirror.cohomology import (
     quotient_ring,
 )
 from orbimirror.fan import StackyFan, extend
-from orbimirror.linalg import IntMatrix, kernel_basis, rank
+from orbimirror.linalg import kernel_basis, rank
 from perfbench.workloads import smooth_polygon, weighted_projective_plane
 
 
@@ -593,7 +593,7 @@ def test_lattice_ideal_groebner_matches_double_buchberger_oracle():
         for cone in ext.fan.max_cones:
             support = ext.generators_in_cone(cone)
             mat = [[ext.generators[i][k] for i in support] for k in range(ext.d)]
-            rels = kernel_basis(IntMatrix(mat))
+            rels = kernel_basis(mat)
             weights = [int(degrees[i] * denom) for i in support]
             basis = lattice_ideal_groebner(rels, weights)
             oracle = _lattice_ideal_groebner_oracle(rels, weights)

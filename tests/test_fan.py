@@ -30,7 +30,6 @@ from orbimirror.fan import (
     generalized_primitive_collections,
 )
 from orbimirror.linalg import (
-    IntMatrix,
     clear_denominators,
     hermite_row_basis,
     kernel_basis,
@@ -154,7 +153,7 @@ def _box_elements_oracle(fan):
         for s in diag:
             reps = [r + (c,) for r in reps for c in range(s)]
         for rep in reps:
-            x = tuple(sum(uinv[k, j] * rep[j] for j in range(d)) for k in range(d))
+            x = tuple(sum(uinv[k][j] * rep[j] for j in range(d)) for k in range(d))
             coords = fan.cone_coordinates(cone, x)
             frac = [c - (c.numerator // c.denominator) for c in coords]
             v = tuple(
@@ -293,7 +292,7 @@ def cone_relations(ext, cone):
     """HNF Z-basis of the relations among the generators lying in `cone`, in Z^n."""
     support = ext.generators_in_cone(cone)
     gens = ext.generators
-    mat = IntMatrix([[gens[i][k] for i in support] for k in range(ext.d)])
+    mat = [[gens[i][k] for i in support] for k in range(ext.d)]
     lifted = []
     for rel in kernel_basis(mat):
         full = [0] * ext.n

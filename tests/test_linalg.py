@@ -6,20 +6,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corpus import DATA, ext_of_doc, is_unimodular, saturate
+from corpus import DATA, ext_of_doc, identity, is_unimodular, mat_product, saturate
 from orbimirror import fan, linalg, picard
 from orbimirror.linalg import (
-    IntMatrix,
     LinAlgError,
     clear_denominators,
-    _integer_row,
     coordinates,
+    det,
     dot,
     hermite_row_basis,
     inverse,
     kernel_basis,
     normalized_simplex_volume,
     null_vector,
+    over_lcm,
     rank,
     reduce_mod_lattice,
     smith_normal_form,
@@ -41,34 +41,33 @@ small_matrices = st.integers(1, 4).flatmap(
 
 
 def test_snf_diag_2_3():
-    m = IntMatrix([[2, 0], [0, 3]])
+    m = ((2, 0), (0, 3))
     snf = smith_normal_form(m)
     assert snf.diagonal() == (1, 6)
-    assert snf.u * m * snf.v == snf.s
+    assert mat_product(snf.u, m, snf.v) == snf.s
     assert is_unimodular(snf.u) and is_unimodular(snf.v)
 
 
 def test_snf_identity():
-    m = IntMatrix.identity(3)
+    m = identity(3)
     snf = smith_normal_form(m)
     assert snf.s == m and snf.u == m and snf.v == m
 
 
 def test_snf_p112_ray_matrix():
     # the P(1,1,2) ray matrix, 2x3: S = [diag(1,1) | 0]
-    m = IntMatrix([[1, 0, -1], [0, 1, -2]])
+    m = ((1, 0, -1), (0, 1, -2))
     snf = smith_normal_form(m)
     assert snf.diagonal() == (1, 1)
-    assert all(snf.s[i, 2] == 0 for i in range(2))
-    assert snf.u * m * snf.v == snf.s
+    assert all(snf.s[i][2] == 0 for i in range(2))
+    assert mat_product(snf.u, m, snf.v) == snf.s
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrices)
-def test_snf_properties(rows):
-    m = IntMatrix(rows)
+def test_snf_properties(m):
     snf = smith_normal_form(m)
-    assert snf.u * m * snf.v == snf.s
+    assert mat_product(snf.u, m, snf.v) == snf.s
     assert is_unimodular(snf.u) and is_unimodular(snf.v)
     diag = snf.diagonal()
     assert all(d >= 0 for d in diag)
@@ -78,67 +77,68 @@ def test_snf_properties(rows):
         else:
             assert b % a == 0
     # off-diagonal entries vanish
-    for i in range(m.rows):
-        for j in range(m.cols):
+    for i in range(len(m)):
+        for j in range(len(m[0])):
             if i != j:
-                assert snf.s[i, j] == 0
+                assert snf.s[i][j] == 0
 
 
 def test_kernel_p1():
-    assert kernel_basis(IntMatrix([[1, -1]])) == [(1, 1)]
+    assert kernel_basis([[1, -1]]) == [(1, 1)]
 
 
 def test_kernel_p112_extended():
-    a = IntMatrix([[1, 0, -1, 0], [0, 1, -2, -1]])
+    a = ((1, 0, -1, 0), (0, 1, -2, -1))
     basis = kernel_basis(a)
     assert basis == [(1, 0, 1, -2), (0, 1, 0, 1)]
     for vec in basis:
-        assert all(sum(a[i, j] * vec[j] for j in range(4)) == 0 for i in range(2))
+        assert all(sum(a[i][j] * vec[j] for j in range(4)) == 0 for i in range(2))
 
 
 def test_kernel_invertible_is_trivial():
-    assert kernel_basis(IntMatrix([[2, 1], [1, 1]])) == []
+    assert kernel_basis([[2, 1], [1, 1]]) == []
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrices)
-def test_kernel_properties(rows):
-    m = IntMatrix(rows)
+def test_kernel_properties(m):
     basis = kernel_basis(m)
     snf = smith_normal_form(m)
-    assert len(basis) == m.cols - snf.rank()
+    assert len(basis) == len(m[0]) - snf.rank()
     for vec in basis:
-        assert all(sum(m[i, j] * vec[j] for j in range(m.cols)) == 0
-                   for i in range(m.rows))
+        assert all(sum(row[j] * vec[j] for j in range(len(row))) == 0 for row in m)
+
+
+def _splitting(a):
+    """splitting_maps(a, ...) on a's SNF and the HNF basis of its kernel."""
+    snf = smith_normal_form(a)
+    return splitting_maps(a, snf, snf.kernel())
 
 
 def test_splitting_p1():
-    a = IntMatrix([[1, -1]])
-    s, g = splitting_maps(a, smith_normal_form(a))
+    s, g = _splitting(((1, -1),))
     t = (1, 1)
-    assert sum(s[0, j] * t[j] for j in range(2)) == 1
+    assert sum(s[0][j] * t[j] for j in range(2)) == 1
 
 
 def test_splitting_identity():
-    a = IntMatrix.identity(2)
-    s, g = splitting_maps(a, smith_normal_form(a))
+    a = identity(2)
+    s, g = _splitting(a)
     assert s is None
     assert g == a
 
 
 def test_splitting_p112_identities():
-    a = IntMatrix([[1, 0, -1, 0], [0, 1, -2, -1]])
-    s, g = splitting_maps(a, smith_normal_form(a))  # raises internally if any identity fails
-    ker = kernel_basis(a)
-    t = IntMatrix(list(zip(*ker)))
-    assert s * t == IntMatrix.identity(2)
-    assert a * g == IntMatrix.identity(2)
+    a = ((1, 0, -1, 0), (0, 1, -2, -1))
+    s, g = _splitting(a)  # raises internally if any identity fails
+    t = tuple(zip(*kernel_basis(a)))
+    assert mat_product(s, t) == identity(2)
+    assert mat_product(a, g) == identity(2)
 
 
 def test_splitting_rejects_non_surjective():
     with pytest.raises(LinAlgError, match="invariant factors"):
-        a = IntMatrix([[2, 0], [0, 2]])
-        splitting_maps(a, smith_normal_form(a))
+        _splitting(((2, 0), (0, 2)))
 
 
 def test_saturate_examples():
@@ -150,7 +150,7 @@ def test_saturate_examples():
 def test_saturate_matches_kernel_characterization_p112():
     # Theta(PL) for P(1,1,2): kernel of pairing with the distinguished relation
     # (-1, 0, -1, 2); saturating the raw PL image must give the same lattice.
-    k = kernel_basis(IntMatrix([[-1, 0, -1, 2]]))
+    k = kernel_basis([[-1, 0, -1, 2]])
     doubled = [tuple(2 * x for x in v) for v in k] + [k[0]]
     assert saturate(doubled + k) == k
 
@@ -222,7 +222,13 @@ def test_hermite_basis_is_canonical(case):
 
 def test_unimodular_inverse_rejects_singular():
     with pytest.raises(LinAlgError):
-        unimodular_inverse(IntMatrix([[2, 0], [0, 1]]))
+        unimodular_inverse([[2, 0], [0, 1]])
+
+
+def test_over_lcm_examples():
+    assert over_lcm([Fraction(1, 2), 3, Fraction(-5, 6)]) == ([3, 18, -5], 6)
+    assert over_lcm(x for x in (Fraction(2, 4), 1)) == ([1, 2], 2)
+    assert over_lcm([]) == ([], 1)
 
 
 def test_clear_denominators():
@@ -269,13 +275,13 @@ def _solve_general_oracle(a_rows, b):
     return tuple(part), null
 
 
-def _unimodular_inverse_oracle(m: IntMatrix) -> IntMatrix:
+def _unimodular_inverse_oracle(m):
     """The former linalg.unimodular_inverse: its own Fraction Gauss-Jordan."""
-    if m.rows != m.cols:
+    n = len(m)
+    if any(len(row) != n for row in m):
         raise LinAlgError("inverse of a non-square matrix")
-    n = m.rows
     aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m.data)]
+           for i, row in enumerate(m)]
     for k in range(n):
         piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
         if piv is None:
@@ -292,8 +298,8 @@ def _unimodular_inverse_oracle(m: IntMatrix) -> IntMatrix:
         vals = row[n:]
         if any(x.denominator != 1 for x in vals):
             raise LinAlgError("matrix is not unimodular")
-        out.append([int(x) for x in vals])
-    return IntMatrix(out)
+        out.append(tuple(int(x) for x in vals))
+    return tuple(out)
 
 
 def _det_bareiss_oracle(a: list[list[int]]) -> int:
@@ -391,7 +397,7 @@ def test_rank_and_coordinates_match_replaced_routines(system):
 @settings(max_examples=60, deadline=None)
 @given(small_matrices)
 def test_rank_matches_oracle_and_snf_on_integer_matrices(rows):
-    assert rank(rows) == _rank_oracle(rows) == smith_normal_form(IntMatrix(rows)).rank()
+    assert rank(rows) == _rank_oracle(rows) == smith_normal_form(rows).rank()
 
 
 def test_rank_and_coordinates_examples():
@@ -427,7 +433,7 @@ def _null_vector_oracle(rows):
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(small_matrices,
-                 rational_systems().map(lambda s: [_integer_row(r) for r in s[0]])))
+                 rational_systems().map(lambda s: [over_lcm(r)[0] for r in s[0]])))
 def test_null_vector_matches_cleared_rational_null_basis(rows):
     assert null_vector(rows) == _null_vector_oracle(rows)
 
@@ -484,21 +490,20 @@ def square_integer_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(square_integer_matrices())
 def test_det_and_unimodular_inverse_match_replaced_routines(rows):
-    m = IntMatrix(rows)
-    assert m.det() == _det_bareiss_oracle([list(r) for r in rows])
-    assert _outcome(unimodular_inverse, m) == _outcome(_unimodular_inverse_oracle, m)
+    assert det(rows) == _det_bareiss_oracle([list(r) for r in rows])
+    assert _outcome(unimodular_inverse, rows) == _outcome(_unimodular_inverse_oracle, rows)
 
 
 def test_unimodular_inverse_and_det_examples():
-    swap = IntMatrix([[0, 1], [1, 0]])
-    assert swap.det() == -1 and unimodular_inverse(swap) == swap
-    assert IntMatrix([[0, 2], [3, 0]]).det() == -6
+    swap = ((0, 1), (1, 0))
+    assert det(swap) == -1 and unimodular_inverse(swap) == swap
+    assert det([[0, 2], [3, 0]]) == -6
     with pytest.raises(LinAlgError, match="not unimodular"):
-        unimodular_inverse(IntMatrix([[0, 2], [3, 0]]))
+        unimodular_inverse([[0, 2], [3, 0]])
     with pytest.raises(LinAlgError, match="non-square"):
-        unimodular_inverse(IntMatrix([[1, 0]]))
+        unimodular_inverse([[1, 0]])
     with pytest.raises(LinAlgError, match="non-square"):
-        IntMatrix([[1, 0]]).det()
+        det([[1, 0]])
 
 
 @st.composite
@@ -542,8 +547,8 @@ def test_each_exact_solve_is_one_reduction(monkeypatch):
         lambda: coordinates((1, 0, 2), m),
         lambda: rank(m),
         lambda: inverse(m),
-        lambda: unimodular_inverse(IntMatrix(m)),
-        lambda: IntMatrix(m).det(),
+        lambda: unimodular_inverse(m),
+        lambda: det(m),
     ]
     for view in views:
         reductions.clear()

@@ -29,7 +29,7 @@ from orbimirror.cohomology import (
     presentation,
 )
 from orbimirror.fan import generalized_primitive_collections
-from orbimirror.linalg import IntMatrix, kernel_basis, solve_general
+from orbimirror.linalg import kernel_basis, solve_general
 from orbimirror.operators import (
     LogDiffOp,
     OperatorError,
@@ -725,7 +725,7 @@ def _cone_lattice_groebner_oracle(ext, cone):
     support = ext.generators_in_cone(cone)
     gens_vectors = ext.generators
     mat = [[gens_vectors[i][k] for i in support] for k in range(ext.d)]
-    local_rels = kernel_basis(IntMatrix(mat)) if support else []
+    local_rels = kernel_basis(mat) if support else []
     denom = lcm(*(ext.degree(i).denominator for i in range(ext.n)))
     weights = [int(ext.degree(i) * denom) for i in support]
     local_gb = lattice_ideal_groebner(local_rels, weights) if local_rels else []
