@@ -1,27 +1,31 @@
 """Command-line interface.
 
-    orbimirror <command> FAN.json [--order N] [--resolution Z.json]
+    orbimirror COMMAND FAN.json [--order N] [--resolution Z.json]
                [--basis-file B.json] [--emit-certificates] [--timing]
+    orbimirror -h | --help
+    COMMAND: validate box cohomology picard superpotential gkz ifunction
+             mirror-map crepant global-moduli all
 
-Each command is a view over one `Job`, whose stages (the S-extended fan, its
-extended Picard data and Kaehler cone, rho in K^e, the p-basis, the
-presentation, the operator families and box operators, the I-function, and
-for a resolution pair its checks and both sides' Picard data) are derived on
-first use and kept, so no command derives a stage twice.
+A flag may come before, between or after the two positionals and takes its
+value as `--order N` or `--order=N`; the last of a repeated flag counts, and
+an abbreviated flag (`--ord`) is a usage error.
 
-Exit codes: 0 success, 1 validation failure (a usage error too), 2 invariant
-failure, 3 resource limit.
+Each command is a view over one `Job`.
+
+Exit codes: 0 success (and -h/--help), 1 validation failure (a usage error
+too), 2 invariant failure, 3 resource limit.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
+import re
 import sys
 import time
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
+from types import SimpleNamespace
 
 from .cohomology import (
     ResourceLimitError,
@@ -91,9 +95,12 @@ def _load(path: str) -> dict:
 
 
 class Job:
-    """One command on one fan document. A stage is derived on first access
-    and kept; one that raises keeps nothing, so its error surfaces where the
-    command first reads it."""
+    """One command on one fan document. Its stages (the S-extended fan, its
+    extended Picard data and Kaehler cone, rho in K^e, the p-basis, the
+    presentation, the operator families and box operators, the I-function, and
+    for a resolution pair its checks and both sides' Picard data) are derived
+    on first access and kept, so no command derives a stage twice; one that
+    raises keeps nothing, so its error surfaces where the command first reads it."""
 
     def __init__(self, doc: dict, args, zdoc: dict | None = None):
         self.doc = doc
@@ -462,47 +469,60 @@ class UsageError(ValueError):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        """Raise instead of exiting 2, which the CLI keeps for invariant failures."""
-        raise UsageError(message)
+def _flag_like(arg: str) -> bool:
+    """An option; "-" alone and negative numbers (`--order -1`) are values."""
+    return arg[:1] == "-" and arg != "-" and not re.fullmatch(r"-\d+|-\d*\.\d+", arg)
 
 
-def order(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"order must be >= 0, got {value}")
-    return value
+def _order(text: str) -> int:
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise UsageError(f"argument --order: expected an integer >= 0, got {text!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # A fixed help width: the default formatter asks the terminal for its
-    # size, which imports shutil (and with it zlib, bz2 and lzma) on every run.
-    parser = _Parser(
-        prog="orbimirror",
-        description="Exact mirror-symmetry computations from stacky fans",
-        formatter_class=partial(argparse.HelpFormatter, width=80),
-    )
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("fan", help="path to the fan JSON document")
-    parser.add_argument("--order", type=order, default=3,
-                        help="series truncation order, >= 0 (default 3)")
-    parser.add_argument("--resolution", help="path to the resolution fan JSON")
-    parser.add_argument("--basis-file",
-                        help="JSON file with p_basis / q_basis overrides")
-    parser.add_argument("--emit-certificates", action="store_true",
-                        help="include LP and Groebner witnesses in the report")
-    parser.add_argument("--timing", action="store_true",
-                        help="record wall time (breaks byte-determinism)")
-    return parser
+def parse_args(argv) -> SimpleNamespace | None:
+    """The fields of a command line in the module's usage, or None for -h/--help;
+    a malformed line raises UsageError naming the offending argument."""
+    args = SimpleNamespace(order=3, resolution=None, basis_file=None,
+                           emit_certificates=False, timing=False)
+    positionals, rest = [], iter(argv)
+    for arg in rest:
+        flag, eq, value = arg.partition("=")
+        name = flag[2:].replace("-", "_")
+        if arg in ("-h", "--help"):
+            return None
+        if arg == "--":
+            positionals.extend(rest)
+        elif not _flag_like(arg):
+            positionals.append(arg)
+        elif flag in ("--emit-certificates", "--timing") and not eq:
+            setattr(args, name, True)
+        elif flag in ("--order", "--resolution", "--basis-file"):
+            value = value if eq else next(rest, None)
+            if value is None or (not eq and _flag_like(value)):
+                raise UsageError(f"argument {flag} expects a value")
+            setattr(args, name, _order(value) if flag == "--order" else value)
+        else:
+            raise UsageError(f"unrecognized argument {arg!r}")
+    if len(positionals) != 2 or positionals[0] not in COMMANDS:
+        raise UsageError(f"expected COMMAND FAN, COMMAND one of {', '.join(sorted(COMMANDS))}; "
+                         f"got {positionals}")
+    args.command, args.fan = positionals
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except UsageError as exc:
         print(json.dumps({"error": {"kind": "usage", "message": str(exc)}}), file=sys.stderr)
         return 1
+    if args is None:
+        print(__doc__.split("\n\n")[1])
+        return 0
     try:
         doc = _load(args.fan)
         overrides = _load(args.basis_file) if args.basis_file else {}

@@ -14,6 +14,7 @@ from itertools import combinations, islice, product
 
 from .cones import RationalCone, common_face_witness, is_face
 from .fan import ExtendedStackyFan, StackyFan, gen_elements
+from .fandoc import check_basis_shape
 from .linalg import LinAlgError, det, inverse
 from .picard import ExtendedPicardData, is_basis_of
 
@@ -164,8 +165,9 @@ def build_global_fan(data_x: ExtendedPicardData, data_z: ExtendedPicardData,
         return all(kz.contains(q) for q in rows) and is_basis_of(rows, data_x.pic_basis)
 
     if q_override is not None:
+        check_basis_shape(q_override, rank, rank, "q_basis")
         q_rows = [tuple(int(x) for x in row) for row in q_override]
-        if len(q_rows) != rank or q_rows[:r] != p_rows[:r] or not valid_q(q_rows):
+        if q_rows[:r] != p_rows[:r] or not valid_q(q_rows):
             raise CrepantError("supplied q-basis fails the two conditions")
     elif e == 0:
         q_rows = list(p_rows)

@@ -14,12 +14,13 @@ from itertools import combinations
 from math import gcd
 
 from .linalg import (
+    LinAlgError,
     Matrix,
     SNFDecomposition,
     det,
+    integer_inverse,
     null_vector,
     smith_normal_form,
-    solve_unique,
     splitting_maps,
     unimodular_inverse,
 )
@@ -187,10 +188,25 @@ class StackyFan:
 
     # -- geometry ----------------------------------------------------------
 
+    @cached_property
+    def _inverses(self) -> dict[tuple[int, ...], tuple[Matrix, int]]:
+        """Maximal cone -> integer_inverse of its ray matrix, made on first use."""
+        return {}
+
     def cone_coordinates(self, cone, point):
-        """Exact coordinates of `point` in the ray basis of a maximal cone."""
-        mat = [[Fraction(self.rays[i][k]) for i in cone] for k in range(self.rank)]
-        return solve_unique(mat, point)
+        """Exact coordinates of `point` in the ray basis of `cone`, a face of a
+        maximal cone tau, read off tau's inverse; LinAlgError when the point is
+        outside the span of `cone` (a tau-coordinate off `cone` is not 0) or
+        `cone` is not a face."""
+        tau = cone if len(cone) == self.rank else next(
+            (t for t in self.max_cones if set(cone) <= set(t)), cone)
+        if tau not in self._inverses:
+            self._inverses[tau] = integer_inverse(self.cone_matrix(tau))
+        adj, den = self._inverses[tau]
+        coords = dict(zip(tau, (sum(a * x for a, x in zip(row, point)) for row in adj)))
+        if any(c for i, c in coords.items() if i not in cone):
+            raise LinAlgError(f"point {list(point)} is outside the span of cone {_one(cone)}")
+        return tuple(Fraction(coords[i], den) for i in cone)
 
     def fractional_coordinates(self, point):
         """(minimal cone, coordinates) with the coordinates aligned to the cone.

@@ -41,6 +41,15 @@ def _int_vector(value, length, pointer):
     return tuple(value)
 
 
+def check_basis_shape(rows, count, length, key):
+    """DocumentError at the override `key` or its first bad row unless it has
+    `count` rows of `length` entries: a shape parse_fan cannot know, because
+    it depends on the extended fan."""
+    _expect(len(rows) == count, f"needs {count} row(s), got {len(rows)}", f"/{key}")
+    for i, row in enumerate(rows):
+        _expect(len(row) == length, f"needs length {length}, got {len(row)}", f"/{key}/{i}")
+
+
 def parse_fan(doc: dict):
     """(StackyFan, options) of a JSON fan document, its fields checked.
 

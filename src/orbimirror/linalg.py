@@ -3,7 +3,7 @@
 Everything here is arbitrary precision (int / Fraction); no floats. There is
 one elimination, `_reduce`: a fraction-free (Bareiss) Gauss-Jordan on integer
 rows. `solve_general`, `solve_unique`, `coordinates`, `rank`, `null_vector`,
-`inverse`, `unimodular_inverse` and `det` are views of it.
+`integer_inverse`, `inverse`, `unimodular_inverse` and `det` are views of it.
 
 A matrix is a tuple of int rows (`Matrix`); functions accept any sequence of
 int rows. `over_lcm` is the one scaler of a rational vector to int numerators
@@ -404,8 +404,10 @@ def coordinates(vec, rows):
     return sol[0]
 
 
-def inverse(rows) -> tuple[QVec, ...]:
-    """Exact inverse of a square rational matrix; raises if it is singular."""
+def integer_inverse(rows) -> tuple[Matrix, int]:
+    """(D, d), D an int matrix with D / d the inverse of a square rational
+    matrix (for an int matrix, D is +-its adjugate and d +-its determinant);
+    raises if it is singular."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise LinAlgError("inverse of a non-square matrix")
@@ -414,7 +416,13 @@ def inverse(rows) -> tuple[QVec, ...]:
     pivots, d, _ = _reduce(aug, n)
     if len(pivots) < n:
         raise LinAlgError("singular matrix")
-    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in aug)
+    return tuple(tuple(row[n:]) for row in aug), d
+
+
+def inverse(rows) -> tuple[QVec, ...]:
+    """Exact inverse of a square rational matrix; raises if it is singular."""
+    adj, d = integer_inverse(rows)
+    return tuple(tuple(Fraction(x, d) for x in row) for row in adj)
 
 
 def dot(u, v) -> Fraction:

@@ -23,6 +23,7 @@ from operator import mul
 from .cohomology import is_nef
 from .cones import RationalCone, lp_feasible
 from .fan import ExtendedStackyFan, anticones
+from .fandoc import check_basis_shape
 from .linalg import (
     clear_denominators,
     coordinates,
@@ -222,8 +223,9 @@ def choose_basis_p(data: ExtendedPicardData, override=None) -> ExtendedPicardDat
 
     chosen = None
     if override is not None:
+        check_basis_shape(override, r, r + e, "p_basis")
         rows = [tuple(int(x) for x in row) for row in override]
-        if len(rows) != r or not validate(rows):
+        if not validate(rows):
             raise PicardError("supplied p-basis fails the three basis conditions")
         chosen = rows
     elif r == 0:

@@ -1,3 +1,4 @@
+import argparse
 from collections import Counter
 import fractions
 from fractions import Fraction
@@ -181,18 +182,149 @@ def test_order_zero_is_valid(capsys):
 
 
 def test_a_run_imports_no_terminal_or_compression_module():
-    # the default argparse formatter asks the terminal for its width, which
-    # imports shutil and, through it, zlib, bz2 and lzma on every run
+    # argparse asked the terminal for its width (shutil, and through it zlib,
+    # bz2 and lzma) and translated its messages (gettext, which imports locale)
     src = str(Path(orbimirror.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import io, contextlib\n"
             "from orbimirror.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert main(['validate', {str(DATA / 'p1.json')!r}]) == 0\n"
-            "print(sorted(m for m in ('shutil', 'bz2', 'lzma') if m in sys.modules))")
+            "print(sorted(m for m in ('shutil', 'bz2', 'lzma', 'argparse', 'gettext', 'locale')\n"
+            "             if m in sys.modules))")
     result = subprocess.run([sys.executable, "-I", "-S", "-c", code],
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+class _Rejected(Exception):
+    pass
+
+
+class _OracleParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Rejected(message)
+
+
+def _oracle_order(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"order must be >= 0, got {value}")
+    return value
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI used before `cli.parse_args`: the oracle."""
+    parser = _OracleParser(prog="orbimirror")
+    parser.add_argument("command", choices=sorted(cli.COMMANDS))
+    parser.add_argument("fan")
+    parser.add_argument("--order", type=_oracle_order, default=3)
+    parser.add_argument("--resolution")
+    parser.add_argument("--basis-file")
+    parser.add_argument("--emit-certificates", action="store_true")
+    parser.add_argument("--timing", action="store_true")
+    return parser
+
+
+VALID_ARGVS = [
+    ["validate", "x.json"],
+    ["ifunction", "x.json", "--order", "5"],
+    ["--order", "5", "ifunction", "x.json"],
+    ["ifunction", "--order", "5", "x.json"],
+    ["ifunction", "x.json", "--order=5"],
+    ["ifunction", "x.json", "--order", "5", "--order=0", "--order", "2"],
+    ["ifunction", "x.json", "--order", "+4"],
+    ["ifunction", "x.json", "--order", "-0"],
+    ["ifunction", "x.json", "--order=007"],
+    ["crepant", "x.json", "--resolution", "z.json", "--basis-file", "b.json",
+     "--emit-certificates", "--timing"],
+    ["--timing", "--emit-certificates", "--timing", "all", "x.json"],
+    ["crepant", "--resolution=z.json", "x.json", "--resolution", "y.json"],
+    ["global-moduli", "x.json", "--resolution", "-", "--basis-file="],
+    ["validate", "-"],
+    ["validate", "-5"],
+    ["validate", "--", "x.json"],
+    ["--", "validate", "--timing"],
+]
+
+INVALID_ARGVS = [
+    [],
+    ["validate"],
+    ["--timing"],
+    ["bogus", "x.json"],
+    ["validate", "x.json", "y.json"],
+    ["validate", "x.json", "--no-such-flag"],
+    ["validate", "x.json", "-x"],
+    ["validate", "x.json", "--order"],
+    ["validate", "x.json", "--resolution"],
+    ["validate", "x.json", "--resolution", "--timing"],
+    ["validate", "x.json", "--basis-file", "-x"],
+    ["validate", "x.json", "--timing=x"],
+    ["validate", "x.json", "--emit-certificates=1"],
+    ["ifunction", "x.json", "--order", "x"],
+    ["ifunction", "x.json", "--order", ""],
+    ["ifunction", "x.json", "--order", "-1"],
+    ["ifunction", "x.json", "--order=-1"],
+    ["ifunction", "x.json", "--order", "1.5"],
+    ["ifunction", "x.json", "--order", "-1.5"],
+    ["ifunction", "x.json", "--order", "x", "--order", "3"],
+    ["validate", "--", "x.json", "--timing"],
+]
+
+# The one intended divergence: argparse took a unique prefix of a flag.
+ABBREVIATED_ARGVS = [
+    ["ifunction", "x.json", "--ord", "5"],
+    ["ifunction", "x.json", "--ord=5"],
+    ["crepant", "x.json", "--res", "z.json"],
+    ["picard", "x.json", "--basis", "b.json"],
+    ["validate", "x.json", "--tim"],
+    ["validate", "x.json", "--emit"],
+]
+
+
+@pytest.mark.parametrize("argv", VALID_ARGVS)
+def test_parse_args_matches_argparse_on_valid_lines(argv):
+    assert vars(cli.parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", INVALID_ARGVS)
+def test_parse_args_rejects_what_argparse_rejects(argv):
+    with pytest.raises(_Rejected):
+        build_parser().parse_args(argv)
+    with pytest.raises(cli.UsageError):
+        cli.parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", ABBREVIATED_ARGVS)
+def test_abbreviated_flags_are_usage_errors(argv):
+    build_parser().parse_args(argv)
+    with pytest.raises(cli.UsageError, match=repr(argv[2])):
+        cli.parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["validate", "--help"],
+                                  ["validate", "x.json", "--order", "3", "-h"]])
+def test_help_is_not_a_command_line(argv):
+    assert cli.parse_args(argv) is None
+
+
+@pytest.mark.parametrize("argv, code, stream, expected", [
+    (["validate", str(DATA / "p1.json")], 0, "stdout", '"valid": true'),
+    (["validate", str(DATA / "p1.json"), "--no-such-flag"], 1, "stderr",
+     '{"error": {"kind": "usage", "message": "unrecognized argument \'--no-such-flag\'"}}'),
+    (["--help"], 0, "stdout", "orbimirror COMMAND FAN.json [--order N]"),
+])
+def test_module_run_reads_sys_argv(argv, code, stream, expected):
+    # `python -m orbimirror.cli ARGV` and the `orbimirror` console script both
+    # call main() with no argument, so it reads sys.argv
+    src = str(Path(orbimirror.__file__).resolve().parents[1])
+    run = (f"import runpy, sys; sys.path.insert(0, {src!r}); "
+           "runpy.run_module('orbimirror.cli', run_name='__main__', alter_sys=True)")
+    result = subprocess.run([sys.executable, "-I", "-S", "-c", run, *argv],
+                            capture_output=True, text=True)
+    assert result.returncode == code
+    assert expected in getattr(result, stream)
+    assert (result.stderr if stream == "stdout" else result.stdout) == ""
 
 
 def test_nonnef_fan_downstream_commands_fail_cleanly(capsys):
@@ -405,6 +537,27 @@ def test_one_smith_normal_form_per_extended_fan(capsys, monkeypatch):
     assert factored.count(a_matrix) == 1
 
 
+@pytest.mark.parametrize("argv", [("all", "p123.json", "--order", "3"),
+                                  ("global-moduli", "p123.json", "--resolution",
+                                   "p123_resolution.json")])
+def test_each_maximal_cone_is_inverted_once(capsys, monkeypatch, argv):
+    """Cone coordinates are read off one integer inverse per maximal cone and
+    fan, and no longer solved per call."""
+    inverted, solved = [], []
+    real_inverse, real_solve = fan.integer_inverse, linalg.solve_unique
+    monkeypatch.setattr(fan, "integer_inverse",
+                        lambda rows: inverted.append(rows) or real_inverse(rows))
+    monkeypatch.setattr(linalg, "solve_unique",
+                        lambda *args: solved.append(args) or real_solve(*args))
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    assert run_cli(capsys, *argv)[0] == 0
+    assert inverted and solved == []
+    fans = [parse_fan(json.loads(Path(a).read_text()))[0] for a in argv if a.endswith(".json")]
+    # X and its resolution share the cone of rays 1, 2, so that matrix may come twice
+    cones = Counter(f.cone_matrix(c) for f in fans for c in f.max_cones)
+    assert all(n <= cones[m] for m, n in Counter(inverted).items())
+
+
 def test_one_hermite_basis_per_extended_fan_kernel(capsys, monkeypatch):
     """On p123 `all` the L basis and the splitting read one HNF of the
     a-matrix's kernel, held on the fan: 7 HNFs in all, the kernel's once."""
@@ -555,6 +708,26 @@ def test_basis_file_override(capsys, tmp_path):
                            "--basis-file", str(bad))
     assert code == 1
     assert "basis conditions" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("command, basis, pointer", [
+    ("picard", {"p_basis": [[1, 2, 3, 4, 5]]}, "/p_basis/0"),
+    ("picard", {"p_basis": [[0, 1], [1, 0]]}, "/p_basis"),
+    ("global-moduli", {"p_basis": [[0, 1, 0]]}, "/p_basis/0"),
+    ("global-moduli", {"q_basis": [[0, 1], [2, 0, 1]]}, "/q_basis/1"),
+    ("global-moduli", {"q_basis": [[0, 1]]}, "/q_basis"),
+])
+def test_wrong_shape_basis_override_points_to_it(capsys, tmp_path, command, basis, pointer):
+    # p112 (r = e = 1): a p_basis is 1 row of length 2, a q_basis 2 rows of length 2
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(basis))
+    resolution = ["--resolution", str(DATA / "f2.json")] if command == "global-moduli" else []
+    code, out, err = run_cli(capsys, command, str(DATA / "p112.json"), *resolution,
+                             "--basis-file", str(path))
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "DocumentError"
+    assert error["message"].startswith(pointer + ": needs ")
 
 
 def test_all_command_e3_fan(capsys):

@@ -30,6 +30,7 @@ from orbimirror.fan import (
     generalized_primitive_collections,
 )
 from orbimirror.linalg import (
+    LinAlgError,
     clear_denominators,
     hermite_row_basis,
     kernel_basis,
@@ -337,6 +338,33 @@ def test_box_fractional_coordinates_in_unit_interval():
                 for k in range(spec["rank"])
             )
             assert rebuilt == b.vector
+
+
+def _cone_coordinates_oracle(fan, cone, point):
+    """The former StackyFan.cone_coordinates: one solve per call."""
+    mat = [[Fraction(fan.rays[i][k]) for i in cone] for k in range(fan.rank)]
+    return solve_unique(mat, point)
+
+
+def test_cone_coordinates_match_the_solve_oracle():
+    """On every face of every maximal cone: the box elements, the generators
+    and the rays of every fan of the same rank (so the new rays of each
+    resolution pair), each read off the face's coordinates or outside its span."""
+    fans = list(differential_fans())
+    for name, ext in fans:
+        fan = ext.fan
+        rays = {r for _, other in fans if other.fan.rank == fan.rank for r in other.fan.rays}
+        points = [b.vector for b in ext.box] + list(ext.generators) + sorted(rays)
+        faces = sorted({face for c in fan.max_cones for k in range(1, fan.rank + 1)
+                        for face in combinations(c, k)})
+        for cone, point in product(faces, points):
+            try:
+                expected = _cone_coordinates_oracle(fan, cone, point)
+            except LinAlgError:
+                with pytest.raises(LinAlgError):
+                    fan.cone_coordinates(cone, point)
+            else:
+                assert fan.cone_coordinates(cone, point) == tuple(expected), (name, cone, point)
 
 
 def _minimal_cone_oracle(fan, point):

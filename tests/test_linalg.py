@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corpus import DATA, ext_of_doc, identity, is_unimodular, mat_product, saturate
-from orbimirror import fan, linalg, picard
+from orbimirror import linalg, picard
 from orbimirror.linalg import (
     LinAlgError,
     clear_denominators,
@@ -15,6 +15,7 @@ from orbimirror.linalg import (
     det,
     dot,
     hermite_row_basis,
+    integer_inverse,
     inverse,
     kernel_basis,
     normalized_simplex_volume,
@@ -547,6 +548,7 @@ def test_each_exact_solve_is_one_reduction(monkeypatch):
         lambda: coordinates((1, 0, 2), m),
         lambda: rank(m),
         lambda: inverse(m),
+        lambda: integer_inverse(m),
         lambda: unimodular_inverse(m),
         lambda: det(m),
     ]
@@ -554,9 +556,8 @@ def test_each_exact_solve_is_one_reduction(monkeypatch):
         reductions.clear()
         view()
         assert len(reductions) == 1
-    for module in (linalg, fan):  # the package's bindings of solve_unique
-        monkeypatch.setattr(module, "solve_unique",
-                            lambda *args: unique_solves.append(args) or solve_unique(*args))
+    monkeypatch.setattr(linalg, "solve_unique",
+                        lambda *args: unique_solves.append(args) or solve_unique(*args))
     monkeypatch.setattr(picard, "inverse",
                         lambda rows: inverses.append(rows) or real_inverse(rows))
     choose_basis_p(p123)
