@@ -528,13 +528,17 @@ def main(argv=None) -> int:
         overrides = _load(args.basis_file) if args.basis_file else {}
         zdoc = _load(args.resolution) if args.resolution else None
     except (OSError, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": {"kind": "input", "message": str(exc)}}),
-              file=sys.stderr)
+        message = str(exc)
+    else:
+        message = None if isinstance(overrides, dict) else (
+            f"{args.basis_file}: expected an object with p_basis and/or q_basis")
+    if message is not None:
+        print(json.dumps({"error": {"kind": "input", "message": message}}), file=sys.stderr)
         return 1
-    for key in ("p_basis", "q_basis"):
-        if key in overrides:
-            doc = dict(doc)
-            doc[key] = overrides[key]
+    # a fan document that is not an object is left to parse_fan to reject
+    if isinstance(doc, dict):
+        doc = {**doc, **{key: overrides[key] for key in ("p_basis", "q_basis")
+                         if key in overrides}}
     start = time.monotonic()
     try:
         results, certificates, code = COMMANDS[args.command](Job(doc, args, zdoc))

@@ -17,23 +17,34 @@ The FL-GKZ operators of the lambda chart live in the same algebra with r = 0
 and e = n: lambda_i is chi(0, n, i), z d/dlambda_i is dell(0, n, i) and
 z lambda_i d/dlambda_i is theta(0, n, i).
 
+The box operators are built without these one-step products. Every
+D~_i = sum_a m_ia theta_a is an Euler operator, and these commute with each
+other and with z, so the ray product R of each half of a box operator is a
+commutative int polynomial in (z, theta_1..theta_{r+e}) over M's `m_ints`
+denominator (`ray_products`), built one linear factor (D~_i - nu z) at a
+time. theta_a (a <= r) is kept in the monomial basis and theta_{r+b} in the
+falling-factorial basis x^(j) = chi_{r+b}^j del_b^j, where
+x * x^(j) = x^(j+1) + j z x^(j); so each term of R is already one
+normal-ordered term, and chi-prefactors add to its chi exponents.
+
 `box_x` checks the factorization box_tilde(l) = prod_k chi_{r+k}^{|l_{m+k}|} *
 box_x(l) once for each operator it builds, through `factorization_residual`,
 and raises OperatorError naming the relation when it fails. For e = 0 the two
-sides are the same product, so the check is skipped there. Each half of both
-sides holds the same product of ray falling products (`ray_products`), built
-once per relation and shared by the operator and its check. Each chi/del
-prefactor is one normal-ordered term (`_monomial`); box_tilde's extension
-factors, falling products of theta_{r+k} = D~_{m+k}, multiply on the left of
-the ray product, with which they commute. The exponents p_a(l) are N l, read
-off the fan's splitting with no solve.
+sides are the same product, so the check is skipped there. Both sides read the
+one pair (R+, R-) of the relation and reach normal order by independent routes:
+box_x moves its del^{|l_ext|} prefix past R one whole power at a time,
+del^t chi^j del^j = sum_i C(t, i) (j)_i z^i chi^{j-i} del^{t+j-i}, while
+box_tilde multiplies its extension falling products, in theta_{r+k} =
+D~_{m+k}, into R one linear factor at a time. The residual is formed as
+`LogDiffOp`s and must be exactly zero. The exponents p_a(l) are N l, read off
+the fan's splitting with no solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm, perm
 from operator import add
 
 from .cohomology import (
@@ -264,17 +275,12 @@ def _mul_e(r, e, terms):
 
 
 # -- pulled-back operators in the chi chart -------------------------------------
-
-
-def script_d_tilde(data: ExtendedPicardData, i) -> LogDiffOp:
-    """sum_a m_{ia} z chi_a dchi_a for every i (the box-tilde building block)."""
-    r, e = data.r, data.e
-    out = LogDiffOp.zero(r, e)
-    for a in range(r + e):
-        coeff = data.m_matrix[i][a]
-        if coeff:
-            out = out + LogDiffOp.theta(r, e, a).scale(coeff)
-    return out
+#
+# A ray polynomial (module docstring) is an int dict keyed by
+# (k, s_0..s_{r-1}, j_0..j_{e-1}) for z^k theta^s x^(j): the normal-ordered
+# term with chi exponents (0..0, j), z power k, theta exponents s, del
+# exponents j and no E. A coefficient that cancels to 0 stays until the
+# LogDiffOp made of the polynomial drops it.
 
 
 def p_pairings(data: ExtendedPicardData, l) -> tuple[int, ...]:
@@ -289,30 +295,62 @@ def _monomial(r, e, beta, t) -> LogDiffOp:
     return LogDiffOp(r, e, {(tuple(beta), 0, (0,) * r, tuple(t), 0): 1})
 
 
-def _falling_product(base: LogDiffOp, count: int) -> LogDiffOp:
-    """prod_{nu=0}^{count-1} (base - nu z)."""
-    r, e = base.r, base.e
-    out = LogDiffOp.one(r, e)
-    for nu in range(count):
-        out = out * (base - LogDiffOp.z(r, e).scale(nu))
+def _times_linear(poly: dict, r, row, shift) -> dict:
+    """The ray polynomial poly * (sum_a row[a] theta_a - shift z), for ints
+    row[a] and shift: theta_a raises s_a for a < r, and
+    x * x^(j) = x^(j+1) + j z x^(j) for a >= r."""
+    support = [(1 + a, w, a >= r) for a, w in enumerate(row) if w]
+    out: dict = {}
+    get = out.get
+    for key, c in poly.items():
+        z_coeff = -shift
+        for pos, w, falling in support:
+            up = key[:pos] + (key[pos] + 1,) + key[pos + 1:]
+            out[up] = get(up, 0) + c * w
+            if falling:
+                z_coeff += w * key[pos]
+        if z_coeff:
+            up = (key[0] + 1,) + key[1:]
+            out[up] = get(up, 0) + c * z_coeff
     return out
 
 
-def ray_products(data: ExtendedPicardData, l) -> tuple[LogDiffOp, LogDiffOp]:
+def _del_past(poly: dict, pos, t) -> dict:
+    """del_b^t moved past each term chi_b^j del_b^j of the ray polynomial, j
+    at key position `pos`, in one closed form per whole power:
+
+        del^t chi^j del^j = sum_i C(t, i) (j)_i z^i chi^{j-i} del^{t+j-i}.
+
+    Position `pos` then holds the chi_b exponent j - i; the del_b exponent is
+    t more."""
+    out: dict = {}
+    get = out.get
+    for key, c in poly.items():
+        j = key[pos]
+        for i in range(min(t, j) + 1):
+            moved = (key[0] + i,) + key[1:pos] + (j - i,) + key[pos + 1:]
+            out[moved] = get(moved, 0) + c * comb(t, i) * perm(j, i)
+    return out
+
+
+def ray_products(data: ExtendedPicardData, l) -> tuple:
     """(R+, R-), the ray part of the two halves of box_x(l) and of box_tilde(l):
     R+ is the product over the rays i < m with l_i < 0, and R- over those with
-    l_i > 0, of prod_{nu=0}^{|l_i|-1} (D_i - nu z)."""
+    l_i > 0, of prod_{nu=0}^{|l_i|-1} (D~_i - nu z). Each is a ray polynomial
+    with its denominator, (poly, den^N) for M's `m_ints` = (rows, den) and N
+    linear factors, one factor multiplied in at a time."""
+    rows, den = data.m_ints
     r, e = data.r, data.e
 
-    def product(sign):
-        out = LogDiffOp.one(r, e)
+    def falling(sign):
+        poly, factors = {(0,) * (1 + r + e): 1}, 0
         for i in range(data.ext.m):
-            li = sign * (-l[i])
-            if li > 0:
-                out = out * _falling_product(script_d_tilde(data, i), li)
-        return out
+            for nu in range(sign * -l[i]):
+                poly = _times_linear(poly, r, rows[i], nu * den)
+                factors += 1
+        return poly, den ** factors
 
-    return product(+1), product(-1)
+    return falling(+1), falling(-1)
 
 
 def box_tilde(data: ExtendedPicardData, l, rays) -> LogDiffOp:
@@ -320,21 +358,24 @@ def box_tilde(data: ExtendedPicardData, l, rays) -> LogDiffOp:
     `ray_products(data, l)`.
 
     Each half is chi^{p(l)} times the extension falling products times the
-    ray product. D~_{m+k} = theta_{r+k}, as m_{m+k,a} = delta_{r+k,a}, and the
-    extension factors commute with the ray product, so they multiply on its
-    left."""
+    ray product. D~_{m+k} = theta_{r+k}, as m_{m+k,a} = delta_{r+k,a}, so the
+    extension factors multiply into the ray polynomial one linear factor at a
+    time, and the chi^{p(l)} prefactor adds to each term's chi exponents."""
     r, e, m = data.r, data.e, data.ext.m
     p_of_l = p_pairings(data, l)
 
     def half(sign, ray):
-        out = _monomial(r, e, [max(sign * p, 0) for p in p_of_l], (0,) * e)
+        poly, den = ray
         for k in range(e):
-            lk = sign * -l[m + k]
-            if lk > 0:
-                out = out * _falling_product(LogDiffOp.theta(r, e, r + k), lk)
-        return out * ray
+            unit = tuple(int(a == r + k) for a in range(r + e))
+            for nu in range(sign * -l[m + k]):
+                poly = _times_linear(poly, r, unit, nu)
+        prefix = [max(sign * p, 0) for p in p_of_l]
+        nums = {(tuple(prefix[:r]) + tuple(map(add, prefix[r:], key[1 + r:])),
+                 key[0], key[1:1 + r], key[1 + r:], 0): c for key, c in poly.items()}
+        return nums, den
 
-    return half(+1, rays[0]) - half(-1, rays[1])
+    return LogDiffOp(r, e, *half(+1, rays[0])) - LogDiffOp(r, e, *half(-1, rays[1]))
 
 
 def box_x(data: ExtendedPicardData, l) -> LogDiffOp:
@@ -343,19 +384,28 @@ def box_x(data: ExtendedPicardData, l) -> LogDiffOp:
     Each half is the monomial chi^{p(l)} del^{|l_ext|} on the left of its ray
     product; this ordering makes the factorization
     box_tilde(l) = prod_k chi_{r+k}^{|l_{m+k}|} * box_x(l) an exact operator
-    identity for every l in L. It is checked here, once per operator, when
-    e > 0 (for e = 0 both sides are the same product); both sides read the
-    one `ray_products(data, l)`.
+    identity for every l in L. The del prefix moves past the ray polynomial
+    one whole power del_b^t at a time (`_del_past`). The factorization is
+    checked here, once per operator, when e > 0 (for e = 0 both sides are the
+    same product); both sides read the one `ray_products(data, l)`, and reach
+    normal order by two independent routes: box_tilde multiplies the
+    extension factors in one at a time, box_x uses the closed form.
     """
     r, e, m = data.r, data.e, data.ext.m
     p_of_l = p_pairings(data, l)
     rays = ray_products(data, l)
 
     def half(sign, ray):
-        beta = [max(sign * p, 0) for p in p_of_l[:r]] + [0] * e
-        return _monomial(r, e, beta, [max(sign * -x, 0) for x in l[m:]]) * ray
+        poly, den = ray
+        chi = tuple(max(sign * p, 0) for p in p_of_l[:r])
+        dels = tuple(max(sign * -x, 0) for x in l[m:])
+        for b, t in enumerate(dels):
+            if t:
+                poly = _del_past(poly, 1 + r + b, t)
+        return {(chi + key[1 + r:], key[0], key[1:1 + r],
+                 tuple(map(add, dels, key[1 + r:])), 0): c for key, c in poly.items()}, den
 
-    op = half(+1, rays[0]) - half(-1, rays[1])
+    op = LogDiffOp(r, e, *half(+1, rays[0])) - LogDiffOp(r, e, *half(-1, rays[1]))
     if e and not factorization_residual(data, l, op, rays).is_zero():
         raise OperatorError(f"factorization identity failed for relation {list(l)}")
     return op

@@ -452,12 +452,13 @@ def test_commands_derive_each_stage_once(capsys, monkeypatch):
     # the checks of `all` form only what their verdicts read: the annihilation
     # residual only up to its bound (every product of an operator term and a
     # derivative term that apply_operator forms is one it could not skip),
-    # and each ray falling product of a box operator once, shared with its
+    # and one ray-polynomial pair per box operator, shared with its
     # factorization check
-    formed = within = falling = 0
+    formed = within = 0
     real_apply = ifunction.apply_operator
     real_acc = ifunction._acc
-    real_falling = operators._falling_product
+    real_rays, real_residual = operators.ray_products, operators.factorization_residual
+    pairs, checked = [], []
 
     def apply_operator(op, series, ring, cap):
         nonlocal within
@@ -472,20 +473,28 @@ def test_commands_derive_each_stage_once(capsys, monkeypatch):
         formed += sys._getframe(1).f_code is real_apply.__code__
         return real_acc(out, key, vec)
 
-    def falling_product(base, count):
-        nonlocal falling
-        falling += 1
-        return real_falling(base, count)
+    def ray_products(data, l):
+        pairs.append(real_rays(data, l))
+        return pairs[-1]
+
+    def factorization_residual(data, l, op, rays):
+        checked.append(rays)
+        return real_residual(data, l, op, rays)
 
     monkeypatch.setattr(ifunction, "apply_operator", apply_operator)
     monkeypatch.setattr(ifunction, "_acc", acc)
-    monkeypatch.setattr(operators, "_falling_product", falling_product)
+    monkeypatch.setattr(operators, "ray_products", ray_products)
+    monkeypatch.setattr(operators, "factorization_residual", factorization_residual)
+    monkeypatch.setattr(cli, "box_x", _counting(calls, "box_x", cli.box_x))
+    calls.clear()
     assert run_cli(capsys, "all", str(DATA / "p123.json"), "--order", "5")[0] == 0
-    # an unbounded residual forms 6,047 products here, applying the repeated
-    # family entries' box operators again forms 2,547, and building each ray's
-    # falling products twice makes 132 of them
+    # an unbounded residual forms 6,047 products here, and applying the
+    # repeated family entries' box operators again forms 2,547
     assert formed == within == 2304
-    assert falling == 90
+    # p123 has e = 3, so every box operator is checked: 12 distinct family
+    # relations and 10 random ones, each with the pair its operator was built on
+    assert calls["box_x"] == len(pairs) == len(checked) == 22
+    assert all(rays is pair for rays, pair in zip(checked, pairs))
 
 
 def test_l_coordinates_are_read_off_one_splitting(capsys, monkeypatch):
@@ -631,6 +640,48 @@ def test_series_engine_makes_no_fraction_from_classes_or_coefficients(capsys, mo
     assert series_made == set()
 
 
+def test_box_x_makes_no_commutation_step_and_no_fraction(capsys, monkeypatch):
+    """On p123 `all --order 5` each box operator is built from commutative
+    ray polynomials of ints: no one-step commutation (`_mul_theta`,
+    `_mul_del`) runs under box_x, its factorization check included, and no
+    Fraction is made there."""
+    made, steps, inside, built = Counter(), Counter(), [], []
+    real_new = Fraction.__dict__["__new__"]
+
+    def counting_new(cls, *args, **kwargs):
+        if inside:
+            made[sys._getframe(1).f_code.co_name] += 1
+        return real_new(cls, *args, **kwargs)
+
+    def counted_step(name, fn):
+        def wrapper(*args):
+            if inside:
+                steps[name] += 1
+            return fn(*args)
+        return wrapper
+
+    real_box_x = cli.box_x
+
+    def box_x(data, l):
+        inside.append(l)
+        built.append(l)
+        try:
+            return real_box_x(data, l)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(cli, "box_x", box_x)
+    for name in ("_mul_theta", "_mul_del"):
+        monkeypatch.setattr(operators, name, counted_step(name, getattr(operators, name)))
+    Fraction.__new__ = staticmethod(counting_new)
+    try:
+        assert run_cli(capsys, "all", str(DATA / "p123.json"), "--order", "5")[0] == 0
+    finally:
+        Fraction.__new__ = real_new
+    assert len(built) == 22
+    assert made == Counter() and steps == Counter()
+
+
 def test_reports_byte_identical_across_runs(capsys):
     outputs = []
     for _ in range(3):
@@ -708,6 +759,32 @@ def test_basis_file_override(capsys, tmp_path):
                            "--basis-file", str(bad))
     assert code == 1
     assert "basis conditions" in json.loads(err)["error"]["message"]
+
+
+def test_non_object_fan_document_with_a_basis_file_is_a_document_error(capsys, tmp_path):
+    # the overrides merge only into an object; any other document fails in
+    # parse_fan as it does without a basis file, with no traceback
+    doc = tmp_path / "list.json"
+    doc.write_text(json.dumps([1, 2]))
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps({"p_basis": [[0, 1]], "q_basis": [[1, 0], [0, 1]]}))
+    without = run_cli(capsys, "picard", str(doc))
+    assert run_cli(capsys, "picard", str(doc), "--basis-file", str(basis)) == without
+    code, out, err = without
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == {"kind": "DocumentError", "message": "/: expected an object"}
+
+
+@pytest.mark.parametrize("overrides", [[[0, 1]], "p_basis", 3, None])
+def test_non_object_basis_file_is_an_input_error(capsys, tmp_path, overrides):
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps(overrides))
+    code, out, err = run_cli(capsys, "picard", str(DATA / "p112.json"),
+                             "--basis-file", str(basis))
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "input"
+    assert error["message"].startswith(f"{basis}: expected an object")
 
 
 @pytest.mark.parametrize("command, basis, pointer", [

@@ -13,6 +13,7 @@ from corpus import (
     DATA,
     box_operators,
     differential_fans,
+    ext_of,
     ext_of_doc,
     l_coords_oracle,
     pairing_p_oracle,
@@ -49,7 +50,6 @@ from orbimirror.operators import (
     ray_products,
     residue_algebra,
     residue_map_well_defined,
-    script_d_tilde,
     symbol_at_origin,
     symbol_fiber_dimension,
 )
@@ -245,6 +245,44 @@ def test_euler_hats_build():
 # -- pulled-back operators ---------------------------------------------------------
 
 
+def script_d_tilde(data, i) -> LogDiffOp:
+    """The former operators.script_d_tilde: sum_a m_{ia} z chi_a dchi_a for
+    every i, the box-tilde building block."""
+    r, e = data.r, data.e
+    out = LogDiffOp.zero(r, e)
+    for a in range(r + e):
+        coeff = data.m_matrix[i][a]
+        if coeff:
+            out = out + LogDiffOp.theta(r, e, a).scale(coeff)
+    return out
+
+
+def _falling_product(base: LogDiffOp, count: int) -> LogDiffOp:
+    """The former operators._falling_product: prod_{nu=0}^{count-1} (base - nu z),
+    multiplied out one LogDiffOp product at a time."""
+    r, e = base.r, base.e
+    out = LogDiffOp.one(r, e)
+    for nu in range(count):
+        out = out * (base - LogDiffOp.z(r, e).scale(nu))
+    return out
+
+
+def _ray_products_oracle(data, l):
+    """The former operators.ray_products: (R+, R-) as LogDiffOps, each the
+    product of the ray falling products of one sign of l."""
+    r, e = data.r, data.e
+
+    def product(sign):
+        out = LogDiffOp.one(r, e)
+        for i in range(data.ext.m):
+            li = sign * (-l[i])
+            if li > 0:
+                out = out * _falling_product(script_d_tilde(data, i), li)
+        return out
+
+    return product(+1), product(-1)
+
+
 def script_d(data, i) -> LogDiffOp:
     """The operator D_i of the chart: sum_a m_{ia} z chi_a dchi_a for rays,
     z dchi_{i-m+r} for extension indices."""
@@ -343,7 +381,7 @@ def _box_tilde_oracle(data, l):
         for i in range(ext.n):
             li = sign * (-l[i])
             if li > 0:
-                out = out * operators._falling_product(script_d_tilde(data, i), li)
+                out = out * _falling_product(script_d_tilde(data, i), li)
         return out
 
     return half(+1) - half(-1)
@@ -369,7 +407,7 @@ def _box_x_oracle(data, l):
         for i in range(ext.m):
             li = sign * (-l[i])
             if li > 0:
-                out = out * operators._falling_product(script_d(data, i), li)
+                out = out * _falling_product(script_d(data, i), li)
         return out
 
     return half(+1) - half(-1)
@@ -405,23 +443,54 @@ def test_box_operators_match_replaced_construction(name, e_positive):
         assert tilde == chi_prefactor_for_factorization(data, l) * expected, (name, l)
 
 
+# P(1,1,2) x P^1: r = 2 and e = 1, a shape no `differential_fans()` fan has
+P112_X_P1 = dict(rank=3, rays=[(1, 0, 0), (0, 1, 0), (-1, -2, 0), (0, 0, 1), (0, 0, -1)],
+                 cones=[cone + (k,) for cone in ((0, 1), (1, 2), (0, 2)) for k in (3, 4)])
+
+
+def test_box_operators_match_the_oracles_on_basis_and_random_relations():
+    """box_x and box_tilde against the one-product-at-a-time oracles on every
+    nef `differential_fans` fan, the smooth 5- and 6-ray polygons and
+    P(1,1,2) x P^1: on the l-basis and 15 random relations with |c| <= 3."""
+    shapes = set()
+    fans = chain(differential_fans(smooth_rays=(5, 6)), [("P112xP1", ext_of(P112_X_P1))])
+    for name, data, _ring, _mori in series_fans(fans):
+        ext, rng = data.ext, random.Random(53)
+        relations = list(ext.l_basis)
+        for _ in range(15):
+            coeffs = [rng.randint(-3, 3) for _ in ext.l_basis]
+            relations.append(tuple(sum(c * b[i] for c, b in zip(coeffs, ext.l_basis))
+                                   for i in range(ext.n)))
+        for l in relations:
+            assert box_x(data, l) == _box_x_oracle(data, l), (name, l)
+            assert box_tilde(data, l, ray_products(data, l)) == _box_tilde_oracle(data, l), (name, l)
+        shapes.add((name, data.r, data.e))
+    assert {"smooth5", "smooth6", "P112xP1"} <= {name for name, _, _ in shapes}
+    assert ("P112xP1", 2, 1) in shapes
+
+
 def test_box_x_builds_each_ray_falling_product_once(monkeypatch):
     _, data, _, _ = pipeline("P112")  # e = 1
-    ext = data.ext
+    ext, (rows, den), r = data.ext, data.m_ints, data.r
     made = Counter()
-    real = operators._falling_product
-    monkeypatch.setattr(operators, "_falling_product",
-                        lambda base, count: made.update([(base, count)]) or real(base, count))
+    real = operators._times_linear
+    monkeypatch.setattr(operators, "_times_linear",
+                        lambda poly, r, row, shift: made.update([(tuple(row), shift)])
+                        or real(poly, r, row, shift))
     rng = random.Random(43)
     for _ in range(10):
         coeffs = [rng.randint(-3, 3) for _ in ext.l_basis]
         l = tuple(sum(c * b[i] for c, b in zip(coeffs, ext.l_basis)) for i in range(ext.n))
         made.clear()
         box_x(data, l)
-        # one product per nonzero entry of l: the operator and its check
-        # share the rays' (i < m), and only box_tilde builds the extensions'
-        assert made == Counter((script_d_tilde(data, i), abs(l[i]))
-                               for i in range(ext.n) if l[i]), l
+        # each linear factor D~_i - nu z of each falling product once: the
+        # operator and its check share the rays' (i < m, over M's denominator),
+        # and only box_tilde multiplies in the extensions' (theta_{r+k} - nu z)
+        expected = Counter((rows[i], nu * den) for i in range(ext.m) for nu in range(abs(l[i])))
+        for k in range(data.e):
+            unit = tuple(int(a == r + k) for a in range(data.rank))
+            expected.update((unit, nu) for nu in range(abs(l[ext.m + k])))
+        assert made == expected, l
 
 
 # -- L-coordinates by solving: the former routines, kept as oracles -------------
@@ -487,7 +556,7 @@ def _box_tilde_chained(data, l, rays):
         for i in range(ext.m, ext.n):
             li = sign * (-l[i])
             if li > 0:
-                out = out * operators._falling_product(script_d_tilde(data, i), li)
+                out = out * _falling_product(script_d_tilde(data, i), li)
         return out
 
     return half(+1, rays[0]) - half(-1, rays[1])
@@ -499,7 +568,7 @@ def _box_x_chained(data, l):
     r, e = data.r, data.e
     p_of_l = _p_pairings_oracle(data, l)
     ext = data.ext
-    rays = ray_products(data, l)
+    rays = _ray_products_oracle(data, l)
 
     def half(sign, ray):
         out = LogDiffOp.one(r, e)
@@ -557,10 +626,10 @@ def test_box_operators_and_symbols_match_replaced_assembly():
             # D~_{m+k} = theta_{r+k}: box_tilde builds its extension factors on it
             assert script_d_tilde(data, m + k) == LogDiffOp.theta(r, e, r + k), name
         for l in relations:
-            rays = ray_products(data, l)
             op = box_x(data, l)
             assert op == _box_x_chained(data, l), (name, l)
-            assert box_tilde(data, l, rays) == _box_tilde_chained(data, l, rays), (name, l)
+            assert (box_tilde(data, l, ray_products(data, l))
+                    == _box_tilde_chained(data, l, _ray_products_oracle(data, l))), (name, l)
             assert symbol_at_origin(op) == _symbol_at_origin_oracle(op), (name, l)
             count += 1
     assert count >= 200
