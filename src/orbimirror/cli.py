@@ -28,7 +28,6 @@ from functools import cached_property
 from types import SimpleNamespace
 
 from .cohomology import (
-    ResourceLimitError,
     RingError,
     is_nef,
     normalized_volume,
@@ -63,7 +62,7 @@ from .ifunction import (
     mirror_map,
     tilde_i,
 )
-from .linalg import LinAlgError
+from .linalg import LinAlgError, ResourceLimitError
 from .operators import (
     OperatorError,
     _family_union,
@@ -527,7 +526,7 @@ def main(argv=None) -> int:
         doc = _load(args.fan)
         overrides = _load(args.basis_file) if args.basis_file else {}
         zdoc = _load(args.resolution) if args.resolution else None
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         message = str(exc)
     else:
         message = None if isinstance(overrides, dict) else (

@@ -40,7 +40,7 @@ from math import gcd, lcm
 from operator import add, le, mul, neg, sub
 
 from .fan import ExtendedStackyFan, generalized_primitive_collections
-from .linalg import kernel_basis, normalized_simplex_volume, over_lcm
+from .linalg import ResourceLimitError, kernel_basis, normalized_simplex_volume, over_lcm
 
 Mono = tuple[int, ...]
 Poly = dict[Mono, Fraction]
@@ -48,10 +48,6 @@ Class = tuple[tuple[int, ...], int]  # (numerators, denominator), canonical
 
 
 class RingError(ValueError):
-    pass
-
-
-class ResourceLimitError(RuntimeError):
     pass
 
 

@@ -2,10 +2,10 @@
 
 Cones carry a V-description (generators), an H-description (inequality and
 equality functionals), or both. The arithmetic is integer: each functional and
-each point is scaled by the positive lcm of its denominators, extremal rays are
-primitive integer null vectors, and all feasibility questions reduce to an
-exact phase-I simplex with Bland's rule pivoting on an integer tableau, so no
-tolerances appear.
+each point is scaled by the positive lcm of its denominators, extremal rays
+come from an integer double description with primitive rays, and all
+feasibility questions reduce to an exact phase-I simplex with Bland's rule
+pivoting on an integer tableau, so no tolerances appear.
 """
 
 from __future__ import annotations
@@ -13,14 +13,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from math import prod
+from operator import mul
 
-from .linalg import null_vector, over_lcm, qvec, rank
+from .linalg import (
+    ResourceLimitError,
+    clear_denominators,
+    independent_rows,
+    integer_inverse,
+    over_lcm,
+    qvec,
+)
 
 
 class ConeError(ValueError):
     pass
+
+
+EXTREMAL_RAY_CAP = 10000  # rays the double description of one cone may hold at once
 
 
 def _simplex_phase1(a_rows, b):
@@ -176,10 +186,18 @@ class RationalCone:
         """Primitive integer generators of the extremal rays of a pointed H-cone,
         sorted, as a fresh list; enumerated once per cone.
 
-        Enumerates the sets of k = dim - 1 - rank(equalities) inequalities
-        whose rows, together with the equalities, have corank one. Every row
-        set of corank one contains such a set with the same null space, so no
-        candidate ray is missed; exact and deterministic.
+        The double description method (Fukuda & Prodon, 1996) on ints. The
+        leftmost dim independent rows of (equalities, inequalities) take every
+        independent equality and k = dim - rank(equalities) inequalities; in
+        ker(equalities) those inequalities cut out a simplicial cone, whose
+        rays are the matching columns of the rows' inverse. The other
+        inequalities then cut it in index order. A cut keeps the rays on its
+        side and adds the primitive positive combination of each +/- pair
+        that is adjacent: the inequalities tight on both number at least
+        k - 2, and no other ray is tight on all of them.
+        Raises ConeError unless the cone is pointed (inequalities and
+        equalities of rank dim), and ResourceLimitError when more than
+        EXTREMAL_RAY_CAP rays are held at once.
         """
         return list(self._extremal_rays)
 
@@ -188,24 +206,43 @@ class RationalCone:
         if self.inequalities is None and self.equalities is None:
             raise ConeError("extremal_rays needs an H-description")
         ineqs, eqs = self._integer_functionals
-        if not ineqs and not eqs:
+        rows = eqs + ineqs
+        start = independent_rows(rows)  # every independent equality comes first
+        if len(start) < self.dim:
             raise ConeError("cone is not pointed")
-        eq_rank = rank(eqs)
-        if eq_rank == self.dim:
+        k = self.dim - sum(i < len(eqs) for i in start)  # the dimension of ker(eqs)
+        if not k:
             return ()  # the equalities cut the cone down to the origin
-        rays = {}
-        for subset in combinations(range(len(ineqs)), self.dim - 1 - eq_rank):
-            rows = eqs + [ineqs[i] for i in subset]
-            # An empty active set has corank dim, so there dim = 1.
-            v = null_vector(rows) if rows else (1,)
-            if v is None:
-                continue
-            for cand in (v, tuple(-x for x in v)):
-                if self.contains(cand):
-                    if self.contains(tuple(-x for x in cand)) and any(cand):
-                        raise ConeError("cone is not pointed")
-                    rays[cand] = True
-        return tuple(sorted(rays))
+        # Each ray is (vector, bitmask of the inequalities cut so far that are
+        # tight on it). The start cone is cut by the rows `start`; its ray j,
+        # column j of their inverse, is tight on all of them but row j.
+        adj, d = integer_inverse([rows[i] for i in start])
+        cut = sum(1 << i for i in start[self.dim - k:])
+        rays = [(clear_denominators(col if d > 0 else [-x for x in col]), cut & ~(1 << i))
+                for i, col in zip(start, zip(*adj)) if i >= len(eqs)]
+        for i in sorted(set(range(len(eqs), len(rows))) - set(start)):
+            f, bit = rows[i], 1 << i
+            kept, pos, neg = [], [], []
+            for ray, tight in rays:
+                s = sum(map(mul, f, ray))
+                if s >= 0:
+                    kept.append((ray, tight | bit if s == 0 else tight))
+                if s:
+                    (pos if s > 0 else neg).append((s, ray, tight))
+            masks = [tight for _, tight in rays]
+            for sp, p, tp in pos:
+                for sn, n, tn in neg:
+                    common = tp & tn
+                    if (common.bit_count() < k - 2
+                            or sum(t & common == common for t in masks) > 2):
+                        continue
+                    kept.append((clear_denominators([sp * y - sn * x for x, y in zip(p, n)]),
+                                 common | bit))
+                    if len(kept) > EXTREMAL_RAY_CAP:
+                        raise ResourceLimitError(
+                            f"extremal_rays: more than {EXTREMAL_RAY_CAP} rays")
+            rays = kept
+        return tuple(sorted(ray for ray, _ in rays))
 
 
 def is_face(face: RationalCone, cone: RationalCone) -> bool:

@@ -2,8 +2,9 @@
 
 Everything here is arbitrary precision (int / Fraction); no floats. There is
 one elimination, `_reduce`: a fraction-free (Bareiss) Gauss-Jordan on integer
-rows. `solve_general`, `solve_unique`, `coordinates`, `rank`, `null_vector`,
-`integer_inverse`, `inverse`, `unimodular_inverse` and `det` are views of it.
+rows. `solve_general`, `solve_unique`, `coordinates`, `rank`,
+`independent_rows`, `null_vector`, `integer_inverse`, `inverse`,
+`unimodular_inverse` and `det` are views of it.
 
 A matrix is a tuple of int rows (`Matrix`); functions accept any sequence of
 int rows. `over_lcm` is the one scaler of a rational vector to int numerators
@@ -20,6 +21,10 @@ from operator import mul
 
 class LinAlgError(ValueError):
     pass
+
+
+class ResourceLimitError(RuntimeError):
+    """A search went over its budget (exit 3); the message names the stage."""
 
 
 Vec = tuple[int, ...]
@@ -373,6 +378,14 @@ def rank(rows) -> int:
         return 0
     ints = [over_lcm(r)[0] for r in rows]
     return len(_reduce(ints, len(ints[0]))[0])
+
+
+def independent_rows(rows) -> list[int]:
+    """Indices of the leftmost rows that span the row space of integer rows:
+    the pivot columns of the transpose, so len() is the rank."""
+    if not rows:
+        return []
+    return _reduce([list(col) for col in zip(*rows)], len(rows))[0]
 
 
 def null_vector(rows) -> Vec | None:

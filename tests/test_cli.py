@@ -3,6 +3,7 @@ from collections import Counter
 import fractions
 from fractions import Fraction
 import json
+from math import gcd
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 import orbimirror
 from corpus import ext_of_doc
-from orbimirror import cli, cohomology, fan, ifunction, linalg, operators, picard
+from orbimirror import cli, cohomology, cones, fan, ifunction, linalg, operators, picard
 from orbimirror.cli import main
 from orbimirror.cones import RationalCone
 from orbimirror.fan import StackyFan
@@ -25,7 +26,12 @@ from orbimirror.fandoc import (
 )
 from orbimirror.linalg import det
 from orbimirror.operators import LogDiffOp
-from perfbench.workloads import corpus_documents, ladder_documents, seeded_documents
+from perfbench.workloads import (
+    corpus_documents,
+    ladder_documents,
+    seeded_documents,
+    smooth_polygon,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -744,6 +750,54 @@ def test_unreadable_resolution_is_an_input_error(capsys, tmp_path, command):
         error = json.loads(err)["error"]
         assert error["kind"] == "input"
         assert error["message"]
+
+
+@pytest.mark.parametrize("where", ("fan", "--basis-file", "--resolution"))
+def test_non_utf8_input_is_an_input_error(capsys, tmp_path, where):
+    garbled = tmp_path / "garbled.json"
+    garbled.write_bytes(bytes.fromhex("fffe7b7d"))  # a UTF-16 BOM and "{}"
+    argv = {"fan": ["picard", str(garbled)],
+            "--basis-file": ["picard", str(DATA / "p112.json"), "--basis-file", str(garbled)],
+            "--resolution": ["crepant", str(DATA / "p123.json"), "--resolution", str(garbled)]}
+    code, out, err = run_cli(capsys, *argv[where])
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "input"
+    assert "utf-8" in error["message"]
+
+
+def test_extremal_ray_budget_exit_code(capsys, monkeypatch, tmp_path):
+    doc = tmp_path / "smooth12.json"
+    doc.write_text(json.dumps(ladder_documents()["smooth12"]))
+    monkeypatch.setattr(cones, "EXTREMAL_RAY_CAP", 5)
+    code, out, err = run_cli(capsys, "picard", str(doc))
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == {"kind": "resource-limit",
+                                        "message": "extremal_rays: more than 5 rays"}
+
+
+def test_smooth_32_ray_picard_rays_carry_certificates(capsys, tmp_path):
+    """Each reported extremal ray of the smooth 32-ray fan's Kaehler cone lies
+    in the cone, and the inequalities tight on it, with the equalities, have
+    rank dim - 1; Fraction arithmetic, apart from the code under test."""
+    doc = tmp_path / "smooth32.json"
+    doc.write_text(json.dumps(smooth_polygon(32)))
+    code, out, _ = run_cli(capsys, "picard", str(doc))
+    assert code == 0
+    rays = json.loads(out)["results"]["kahler_extremal_rays"]
+    kahler = picard.extended_pl_and_pic(ext_of_doc(smooth_polygon(32))).kahler
+    ineqs, eqs = kahler.inequalities, kahler.equalities or ()
+    assert len(rays) == len(set(map(tuple, rays))) == kahler.dim == 30
+
+    def pairing(f, ray):
+        return sum((Fraction(a) * b for a, b in zip(f, ray)), Fraction(0))
+
+    for ray in rays:
+        assert all(type(x) is int for x in ray) and gcd(*ray) == 1
+        assert all(pairing(f, ray) == 0 for f in eqs)
+        assert all(pairing(f, ray) >= 0 for f in ineqs)
+        tight = [f for f in ineqs if pairing(f, ray) == 0]
+        assert linalg.rank(tight + list(eqs)) == kahler.dim - 1
 
 
 def test_basis_file_override(capsys, tmp_path):

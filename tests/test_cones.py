@@ -1,6 +1,5 @@
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 from unittest.mock import patch
 
 import pytest
@@ -18,7 +17,15 @@ from orbimirror.cones import (
     lp_feasible,
     nonneg_combination,
 )
-from orbimirror.linalg import clear_denominators, qvec, solve_general
+from orbimirror.linalg import (
+    ResourceLimitError,
+    clear_denominators,
+    null_vector,
+    over_lcm,
+    qvec,
+    rank,
+    solve_general,
+)
 from orbimirror.picard import extended_pl_and_pic
 
 QUADRANT = RationalCone.from_generators(2, [(1, 0), (0, 1)])
@@ -149,12 +156,13 @@ def _contains_oracle(cone, x):
 
 
 def _extremal_rays_oracle(cone):
-    """The former RationalCone.extremal_rays: every subset of inequalities."""
+    """An early RationalCone.extremal_rays: every subset of inequalities.
+    A cone is pointed exactly when its functionals have rank dim."""
     if cone.inequalities is None and cone.equalities is None:
         raise ConeError("extremal_rays needs an H-description")
     ineqs = list(cone.inequalities or ())
     eqs = list(cone.equalities or ())
-    if not ineqs and not eqs:
+    if rank(ineqs + eqs) < cone.dim:
         raise ConeError("cone is not pointed")
     rays = {}
     for k in range(len(ineqs) + 1):
@@ -175,9 +183,33 @@ def _extremal_rays_oracle(cone):
             v = clear_denominators(null[0])
             for cand in (v, tuple(-x for x in v)):
                 if _contains_oracle(cone, cand):
-                    if _contains_oracle(cone, tuple(-x for x in cand)) and any(cand):
-                        raise ConeError("cone is not pointed")
                     rays[cand] = True
+    return sorted(rays)
+
+
+def _extremal_rays_subsets_oracle(cone):
+    """The former RationalCone._extremal_rays: one integer null vector per set
+    of k = dim - 1 - rank(equalities) inequalities. Every row set of corank
+    one contains such a set with the same null space, so no ray is missed."""
+    if cone.inequalities is None and cone.equalities is None:
+        raise ConeError("extremal_rays needs an H-description")
+    ineqs = [over_lcm(f)[0] for f in cone.inequalities or ()]
+    eqs = [over_lcm(f)[0] for f in cone.equalities or ()]
+    if rank(ineqs + eqs) < cone.dim:
+        raise ConeError("cone is not pointed")
+    eq_rank = rank(eqs)
+    if eq_rank == cone.dim:
+        return []  # the equalities cut the cone down to the origin
+    rays = {}
+    for subset in combinations(range(len(ineqs)), cone.dim - 1 - eq_rank):
+        rows = eqs + [ineqs[i] for i in subset]
+        # An empty active set has corank dim, so there dim = 1.
+        v = null_vector(rows) if rows else (1,)
+        if v is None:
+            continue
+        for cand in (v, tuple(-x for x in v)):
+            if _contains_oracle(cone, cand):
+                rays[cand] = True
     return sorted(rays)
 
 
@@ -199,19 +231,86 @@ def test_extremal_rays_match_all_subsets_oracle_on_kahler_cones():
     assert checked == 23
 
 
-_functional = st.lists(st.integers(-2, 2), min_size=3, max_size=3)
+def _polygon_fan(vertices):
+    """The complete fan over a polygon's vertices, listed counterclockwise."""
+    m = len(vertices)
+    return {"rank": 2, "rays": [list(v) for v in vertices],
+            "max_cones": [[i + 1, (i + 1) % m + 1] for i in range(m)]}
+
+
+# dP6, and the two reflexive X whose Kaehler cones have r + 1 extremal rays
+NON_SIMPLICIAL_KAHLER = {
+    "dP6": _polygon_fan([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]),
+    "X(1,1)": _polygon_fan([(-2, -1), (-1, -1), (1, 0), (1, 1), (0, 1)]),
+    "X(2,1)": _polygon_fan([(-2, -1), (-1, -1), (1, 0), (2, 1), (0, 1)]),
+}
+
+
+def test_double_description_matches_subsets_oracle_on_kahler_cones():
+    # the Kaehler cones of the data documents, the corpus specs, the smooth
+    # m-ray polygon fans for m = 5..14 and three non-simplicial ones
+    fans = list(differential_fans(range(5, 15)))
+    fans += [(name, ext_of_doc(doc)) for name, doc in NON_SIMPLICIAL_KAHLER.items()]
+    for name, ext in fans:
+        cone = extended_pl_and_pic(ext).kahler
+        rays = cone.extremal_rays()
+        assert rays == _extremal_rays_subsets_oracle(cone), name
+        if name in NON_SIMPLICIAL_KAHLER:
+            assert len(rays) == cone.dim - rank(cone.equalities) + 1, name
+    assert len(fans) == 30
+
+
+# the coordinate rows make pointed cones with rays common among the draws
+_functional = st.one_of(st.lists(st.integers(-2, 2), min_size=5, max_size=5),
+                        st.sampled_from([[int(i == j) for j in range(5)] for i in range(5)]))
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 3), st.lists(_functional, max_size=5), st.lists(_functional, max_size=1))
+@given(st.integers(1, 5), st.lists(_functional, max_size=8), st.lists(_functional, max_size=2))
 @example(2, [[1, 0, 0]], [])  # a half-plane: not pointed
 @example(3, [[1, 0, 0]], [[0, 0, 1]])  # a half-plane inside z = 0: not pointed
 @example(3, [[1, 0, 0], [-1, 0, 0], [0, 1, 0]], [[0, 0, 1]])  # a ray; x = 0 from two inequalities
 @example(1, [], [[0, 0, 0]])  # the whole line, cut by a zero equality: not pointed
+@example(3, [[1, 0, 0]], [])  # a half-space: not pointed
+@example(4, [[1, 0, 0, 0], [0, 1, 0, 0]], [])  # a quadrant times a plane: not pointed
+@example(2, [], [[0, 0]])  # the plane, cut by a zero equality: not pointed
 def test_extremal_rays_match_all_subsets_oracle_on_h_cones(dim, ineqs, eqs):
     cone = RationalCone.from_inequalities(dim, [f[:dim] for f in ineqs],
                                           [f[:dim] for f in eqs])
-    assert _outcome(RationalCone.extremal_rays, cone) == _outcome(_extremal_rays_oracle, cone)
+    outcome = _outcome(RationalCone.extremal_rays, cone)
+    assert outcome == _outcome(_extremal_rays_subsets_oracle, cone)
+    if len(ineqs) <= 5:  # the Fraction oracle solves 2^len(ineqs) systems
+        assert outcome == _outcome(_extremal_rays_oracle, cone)
+
+
+@st.composite
+def orthant_cuts(draw):
+    """The positive orthant of Q^dim, dim <= 5, cut by random inequalities (8
+    in all) and at most two equalities: pointed, and often not simplicial.
+    The coordinate rows take random places among the cuts."""
+    dim = draw(st.integers(2, 5))
+    functional = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    cuts = draw(st.lists(functional, min_size=1, max_size=8 - dim))
+    units = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    ineqs = draw(st.permutations(cuts + units))
+    eqs = draw(st.lists(functional, max_size=2))
+    return RationalCone.from_inequalities(dim, ineqs, eqs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(orthant_cuts())
+def test_double_description_matches_subsets_oracle_on_orthant_cuts(cone):
+    assert cone.extremal_rays() == _extremal_rays_subsets_oracle(cone)
+
+
+def test_extremal_ray_budget(monkeypatch):
+    kahler = extended_pl_and_pic(ext_of_doc(smooth_polygon(12))).kahler
+    monkeypatch.setattr(cones, "EXTREMAL_RAY_CAP", 5)
+    with pytest.raises(ResourceLimitError, match="^extremal_rays: more than 5 rays$"):
+        kahler.extremal_rays()
+    monkeypatch.setattr(cones, "EXTREMAL_RAY_CAP", len(_extremal_rays_subsets_oracle(kahler)))
+    fresh = RationalCone.from_inequalities(kahler.dim, kahler.inequalities, kahler.equalities)
+    assert fresh.extremal_rays() == _extremal_rays_subsets_oracle(kahler)
 
 
 # -- membership: the Fraction dot test as the oracle ----------------------------
@@ -381,17 +480,14 @@ def test_lp_verdicts_and_witnesses_match_fraction_tableau(eqs, ineqs, gens_p, ge
 
 
 def test_integer_cone_routes_do_no_fraction_solves_or_dots(monkeypatch):
-    """extremal_rays reduces once per candidate active set (plus once for the
-    rank of the equalities) and solves nothing in Fractions; H-data contains
-    takes no Fraction dot products."""
-    kahler = extended_pl_and_pic(ext_of_doc(smooth_polygon(8))).kahler
+    """extremal_rays makes two reductions, however many inequalities the cone
+    has: one picks the start rows and one inverts them (the kernel of the
+    equalities is an SNF). It solves nothing in Fractions, and H-data
+    contains takes no Fraction dot products."""
+    small, large = (extended_pl_and_pic(ext_of_doc(smooth_polygon(m))).kahler for m in (8, 32))
     with_eq = RationalCone.from_inequalities(
         3, [(1, 0, Fraction(1, 2)), (0, 1, 0), (-1, -1, 3), (Fraction(2, 3), -1, 1)],
         eqs=[(0, 0, 1)])
-    expected = []
-    for cone in (kahler, with_eq):
-        k = cone.dim - 1 - linalg.rank(cone.equalities)
-        expected.append(comb(len(cone.inequalities), k) + bool(cone.equalities))
     calls = {"solve_general": 0, "dot": 0}
     for name in calls:
         real = getattr(linalg, name)
@@ -401,10 +497,13 @@ def test_integer_cone_routes_do_no_fraction_solves_or_dots(monkeypatch):
     real_reduce = linalg._reduce
     monkeypatch.setattr(linalg, "_reduce",
                         lambda rows, width: reductions.append(width) or real_reduce(rows, width))
-    for cone, count in zip((kahler, with_eq), expected):
+    counts = []
+    for cone in (small, large, with_eq):
         fresh = RationalCone.from_inequalities(cone.dim, cone.inequalities, cone.equalities)
         reductions.clear()
         fresh.extremal_rays()
-        assert len(reductions) == count
+        counts.append(len(reductions))
         fresh.contains(tuple(Fraction(1, 3) for _ in range(fresh.dim)))
+    assert (len(small.inequalities), len(large.inequalities)) == (8, 32)
+    assert counts == [2, 2, 2]
     assert calls == {"solve_general": 0, "dot": 0}
