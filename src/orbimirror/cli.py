@@ -90,7 +90,10 @@ USER_ERRORS = (DocumentError, FanError, PicardError, RingError, ConeError,
 
 def _load(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError: name the file
+            raise ValueError(f"{path}: {exc}") from None
 
 
 class Job:
@@ -526,7 +529,7 @@ def main(argv=None) -> int:
         doc = _load(args.fan)
         overrides = _load(args.basis_file) if args.basis_file else {}
         zdoc = _load(args.resolution) if args.resolution else None
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         message = str(exc)
     else:
         message = None if isinstance(overrides, dict) else (

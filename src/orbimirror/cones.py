@@ -1,11 +1,16 @@
 """Rational polyhedral cones with exact membership, face tests and extremal rays.
 
-Cones carry a V-description (generators), an H-description (inequality and
-equality functionals), or both. The arithmetic is integer: each functional and
-each point is scaled by the positive lcm of its denominators, extremal rays
-come from an integer double description with primitive rays, and all
-feasibility questions reduce to an exact phase-I simplex with Bland's rule
-pivoting on an integer tableau, so no tolerances appear.
+A `RationalCone` has one description: inequality and equality functionals
+(an H-cone). A cone spanned by a basis B is tested through B's integer
+inverse instead (`in_basis_cone`). The arithmetic is integer: each functional
+and each point is scaled by the positive lcm of its denominators, and extremal
+rays come from an integer double description with primitive rays. Membership
+and face tests are sign tests on those integers. An LP remains only where no
+sign test on a cone's own data decides: the functional separating two charts,
+which the global moduli report prints, and in `picard` an interior point of
+the Kaehler cone and rho in the extended Kaehler cone. It is an exact
+phase-I simplex with Bland's rule pivoting on an integer tableau, so no
+tolerances appear.
 """
 
 from __future__ import annotations
@@ -125,34 +130,13 @@ def lp_feasible(nvars: int, eqs=(), ineqs=()):
     return tuple(y[i] - y[nvars + i] for i in range(nvars))
 
 
-def nonneg_combination(generators, x):
-    """lambda >= 0 with sum(lambda_i * g_i) = x, or None."""
-    if not generators:
-        return () if all(Fraction(c) == 0 for c in x) else None
-    dim = len(x)
-    cols = [qvec(g) for g in generators]
-    a_rows = [[cols[j][i] for j in range(len(cols))] for i in range(dim)]
-    return _simplex_phase1(a_rows, qvec(x))
-
-
 @dataclass(frozen=True)
 class RationalCone:
-    """dim-dimensional ambient space; generators and/or (inequalities, equalities).
-
-    H-data means { x : f.x >= 0 for f in inequalities, g.x = 0 for g in equalities }.
-    """
+    """{ x in Q^dim : f.x >= 0 for f in inequalities, g.x = 0 for g in equalities }."""
 
     dim: int
-    generators: tuple | None = None
-    inequalities: tuple | None = None
-    equalities: tuple | None = None
-
-    @staticmethod
-    def from_generators(dim, gens) -> "RationalCone":
-        gens = tuple(qvec(g) for g in gens)
-        if any(len(g) != dim for g in gens):
-            raise ConeError("generator dimension mismatch")
-        return RationalCone(dim, generators=gens)
+    inequalities: tuple = ()
+    equalities: tuple = ()
 
     @staticmethod
     def from_inequalities(dim, ineqs, eqs=()) -> "RationalCone":
@@ -166,21 +150,25 @@ class RationalCone:
         x = tuple(x)
         if len(x) != self.dim:
             raise ConeError("point dimension mismatch")
-        if self.inequalities is not None or self.equalities is not None:
-            # Scaling the point or a functional by a positive number changes
-            # neither the sign of their pairing nor whether it vanishes.
-            if not all(type(c) is int for c in x):
-                x = over_lcm(x)[0]
-            ineqs, eqs = self._integer_functionals
-            return (all(sum(a * b for a, b in zip(f, x)) >= 0 for f in ineqs)
-                    and all(sum(a * b for a, b in zip(f, x)) == 0 for f in eqs))
-        return nonneg_combination(self.generators or (), x) is not None
+        # Scaling the point or a functional by a positive number changes
+        # neither the sign of their pairing nor whether it vanishes.
+        if not all(type(c) is int for c in x):
+            x = over_lcm(x)[0]
+        ineqs, eqs = self._integer_functionals
+        return (all(sum(a * b for a, b in zip(f, x)) >= 0 for f in ineqs)
+                and all(sum(a * b for a, b in zip(f, x)) == 0 for f in eqs))
+
+    def pullback(self, rows) -> "RationalCone":
+        """{ c : sum_a c_a rows_a in self }, the cone in coordinates on `rows`."""
+        ineqs, eqs = ([[sum(map(mul, f, row)) for row in rows] for f in fs]
+                      for fs in self._integer_functionals)
+        return RationalCone.from_inequalities(len(rows), ineqs, eqs)
 
     @cached_property
     def _integer_functionals(self) -> tuple[list[list[int]], list[list[int]]]:
         """(inequalities, equalities), each scaled by the lcm of its denominators."""
-        return ([over_lcm(f)[0] for f in self.inequalities or ()],
-                [over_lcm(f)[0] for f in self.equalities or ()])
+        return ([over_lcm(f)[0] for f in self.inequalities],
+                [over_lcm(f)[0] for f in self.equalities])
 
     def extremal_rays(self) -> list[tuple[int, ...]]:
         """Primitive integer generators of the extremal rays of a pointed H-cone,
@@ -203,8 +191,6 @@ class RationalCone:
 
     @cached_property
     def _extremal_rays(self) -> tuple[tuple[int, ...], ...]:
-        if self.inequalities is None and self.equalities is None:
-            raise ConeError("extremal_rays needs an H-description")
         ineqs, eqs = self._integer_functionals
         rows = eqs + ineqs
         start = independent_rows(rows)  # every independent equality comes first
@@ -245,50 +231,52 @@ class RationalCone:
         return tuple(sorted(ray for ray, _ in rays))
 
 
+def in_basis_cone(x, inverse) -> bool:
+    """x in Cone(B) for a basis B, given inverse = integer_inverse(B) = (D, d):
+    x's coordinates in B are x D / d, so they are >= 0 exactly when every
+    x.D_j has the sign of d (or vanishes)."""
+    adj, d = inverse
+    x = over_lcm(x)[0]  # a positive scaling keeps every sign
+    return all(d * sum(map(mul, x, col)) >= 0 for col in zip(*adj))
+
+
 def is_face(face: RationalCone, cone: RationalCone) -> bool:
-    """True iff face = cone ∩ {l = 0} for a functional l >= 0 on cone.
+    """True iff face = cone ∩ {l = 0} for a functional l >= 0 on cone, for two
+    pointed H-cones; raises ConeError when face is not contained in cone.
 
-    Both cones must have generator descriptions (convert first if needed).
-    Raises ConeError when face is not contained in cone.
+    The inequalities of cone tight on every ray of face cut out the least face
+    of cone containing face; face is that face exactly when every ray of cone
+    tight on all of them lies in face.
     """
-    fg = face.generators
-    cg = cone.generators
-    if fg is None or cg is None:
-        raise ConeError("is_face needs V-descriptions")
-    for g in fg:
-        if not cone.contains(g):
-            raise ConeError("face candidate is not contained in the cone")
-    inside = [g for g in cg if face.contains(g)]
-    outside = [g for g in cg if not face.contains(g)]
-    eqs = [(g, 0) for g in fg]
-    ineqs = [(g, 0) for g in inside] + [(g, 1) for g in outside]
-    witness = lp_feasible(cone.dim, eqs=eqs, ineqs=ineqs)
-    if witness is None:
-        return False
-    # With the witness, cone ∩ {l=0} = cone(inside); equality with face needs
-    # every inside generator to already lie in the face (checked above).
-    return True
+    face_rays = face.extremal_rays()
+    if not all(cone.contains(ray) for ray in face_rays):
+        raise ConeError("face candidate is not contained in the cone")
+    tight = [f for f in cone._integer_functionals[0]
+             if all(sum(map(mul, f, ray)) == 0 for ray in face_rays)]
+    return all(face.contains(ray) for ray in cone.extremal_rays()
+               if all(sum(map(mul, f, ray)) == 0 for f in tight))
 
 
-def common_face_witness(cone_p: RationalCone, cone_q: RationalCone):
-    """Separating functional certifying that cone_p ∩ cone_q is a common face.
+def common_face_witness(p_rows, q_rows):
+    """Separating functional certifying that Cone(p) ∩ Cone(q) is a common
+    face, for two bases p and q of Q^dim.
 
-    Returns (l, shared_generators) where l >= 0 on cone_p, <= 0 on cone_q and
-    strictly so outside the intersection; None when no such functional exists.
-    Requires simplicial V-descriptions.
+    Returns (l, shared) where l >= 0 on Cone(p), <= 0 on Cone(q) and strictly
+    so on the generators of each outside the other, and shared lists the p_a
+    in Cone(q); None when no such functional exists. Which generator lies in
+    the other cone is a sign test; the one LP finds l.
     """
-    pg = cone_p.generators
-    qg = cone_q.generators
-    if pg is None or qg is None:
-        raise ConeError("common_face_witness needs V-descriptions")
-    p_in = [g for g in pg if cone_q.contains(g)]
-    p_out = [g for g in pg if not cone_q.contains(g)]
-    q_out = [g for g in qg if not cone_p.contains(g)]
+    p_inv, q_inv = integer_inverse(p_rows), integer_inverse(q_rows)
+    p_rows, q_rows = [qvec(g) for g in p_rows], [qvec(g) for g in q_rows]
+    p_in = [g for g in p_rows if in_basis_cone(g, q_inv)]
+    p_out = [g for g in p_rows if not in_basis_cone(g, q_inv)]
+    q_in = [g for g in q_rows if in_basis_cone(g, p_inv)]
+    q_out = [g for g in q_rows if not in_basis_cone(g, p_inv)]
     ineqs = [(g, 0) for g in p_in]
     ineqs += [(g, 1) for g in p_out]
-    ineqs += [(tuple(-Fraction(x) for x in g), 0) for g in qg if cone_p.contains(g)]
-    ineqs += [(tuple(-Fraction(x) for x in g), 1) for g in q_out]
-    witness = lp_feasible(cone_p.dim, ineqs=ineqs)
+    ineqs += [(tuple(-x for x in g), 0) for g in q_in]
+    ineqs += [(tuple(-x for x in g), 1) for g in q_out]
+    witness = lp_feasible(len(p_rows), ineqs=ineqs)
     if witness is None:
         return None
     return witness, p_in

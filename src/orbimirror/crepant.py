@@ -11,11 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, product
+from operator import mul
 
-from .cones import RationalCone, common_face_witness, is_face
+from .cones import common_face_witness, in_basis_cone, is_face
 from .fan import ExtendedStackyFan, StackyFan, gen_elements
 from .fandoc import check_basis_shape
-from .linalg import LinAlgError, det, inverse
+from .linalg import det, integer_inverse, over_lcm
 from .picard import ExtendedPicardData, is_basis_of
 
 
@@ -122,8 +123,6 @@ def check_gluing_hypotheses(crepant: tuple[bool, list[dict]], sl: bool,
 class GlobalModuliFan:
     p_basis: tuple
     q_basis: tuple
-    cone_x: RationalCone
-    cone_z: RationalCone
     shared_face: tuple
     separating_functional: tuple
     transition: tuple  # q in terms of p, unimodular over Pic^e(X)
@@ -149,16 +148,14 @@ def build_global_fan(data_x: ExtendedPicardData, data_z: ExtendedPicardData,
     """
     if data_z.ext.l_basis != data_x.ext.l_basis:
         raise CrepantError("X and Z do not share the relation lattice basis")
-    kz = data_z.kahler
+    kx, kz = data_x.kahler, data_z.kahler
     r, e = data_x.r, data_x.e
     rank = r + e
     p_rows = [tuple(int(x) for x in row) for row in data_x.p_basis]
     for a in range(r):
         if not kz.contains(p_rows[a]):
             raise CrepantError(f"p_{a + 1} does not lie in K_Z (K_X not a face of K_Z?)")
-    kx_v = RationalCone.from_generators(rank, data_x.kahler.extremal_rays())
-    kz_v = RationalCone.from_generators(rank, kz.extremal_rays())
-    if not is_face(kx_v, kz_v):
+    if not is_face(kx, kz):
         raise CrepantError("K_X is not a face of K_Z")
 
     def valid_q(rows) -> bool:
@@ -176,34 +173,29 @@ def build_global_fan(data_x: ExtendedPicardData, data_z: ExtendedPicardData,
     if q_rows is None:
         raise CrepantError(
             "no q-basis found by the bounded search; supply q_basis explicitly "
-            f"(K_Z extremal rays: {[list(x) for x in kz_v.generators]})"
+            f"(K_Z extremal rays: {[list(x) for x in kz.extremal_rays()]})"
         )
-    cone_x = RationalCone.from_generators(rank, p_rows)
-    cone_z = RationalCone.from_generators(rank, q_rows)
-    witness = common_face_witness(cone_x, cone_z)
+    witness = common_face_witness(p_rows, q_rows)
     if witness is None:
         raise CrepantError("C_X and C_Z do not intersect in a common face")
     functional, shared = witness
-    for gen in kx_v.generators:
-        if not (cone_x.contains(gen) and cone_z.contains(gen)):
-            raise CrepantError("K_X is not contained in the shared face region")
+    # P^{-1} = D / den, read off the dual basis: column a of P^{-1} is q_a of X.
+    nums, den = over_lcm(x for row in zip(*data_x.q_basis) for x in row)
+    p_inv = (tuple(tuple(nums[i:i + rank]) for i in range(0, len(nums), rank)), den)
+    q_inv = integer_inverse(q_rows)
+    if not all(in_basis_cone(ray, p_inv) and in_basis_cone(ray, q_inv)
+               for ray in kx.extremal_rays()):
+        raise CrepantError("K_X is not contained in the shared face region")
     # Row a of the transition matrix is q_a in the p-basis: q_a P^{-1}.
-    try:
-        p_inv = inverse(p_rows)
-    except LinAlgError:
-        raise CrepantError("transition matrix is not integral") from None
-    transition = [tuple(sum(x * inv_row[a] for x, inv_row in zip(q, p_inv)) for a in range(rank))
-                  for q in q_rows]
-    if any(c.denominator != 1 for row in transition for c in row):
+    transition = [[sum(map(mul, q, col)) for col in zip(*p_inv[0])] for q in q_rows]
+    if any(c % den for row in transition for c in row):
         raise CrepantError("transition matrix is not integral")
-    transition = [tuple(int(c) for c in row) for row in transition]
+    transition = [tuple(c // den for c in row) for row in transition]
     if det(transition) not in (1, -1):
         raise CrepantError("transition matrix is not unimodular")
     return GlobalModuliFan(
         p_basis=tuple(p_rows),
         q_basis=tuple(tuple(q) for q in q_rows),
-        cone_x=cone_x,
-        cone_z=cone_z,
         shared_face=tuple(shared),
         separating_functional=tuple(functional),
         transition=tuple(transition),
@@ -220,15 +212,14 @@ def _complete_q_basis(p_rows, r, e, kz, valid_q, bound=3, cap=300000):
     search runs over deduplicated quotient images in norm order.
     """
     rank = r + e
+    in_kz = kz.pullback(p_rows)  # the p-coordinates of K_Z's points
     by_quotient = {}
     for coords in product(range(-bound, bound + 1), repeat=rank):
         quot = coords[r:]
-        if not any(quot):
+        if not any(quot) or not in_kz.contains(coords):
             continue
         x = tuple(sum(c * p_rows[a][j] for a, c in enumerate(coords))
                   for j in range(rank))
-        if not kz.contains(x):
-            continue
         key = (sum(abs(c) for c in coords), x)
         cur = by_quotient.get(quot)
         if cur is None or key < cur[0]:

@@ -21,7 +21,7 @@ from itertools import combinations, product
 from operator import mul
 
 from .cohomology import is_nef
-from .cones import RationalCone, lp_feasible
+from .cones import RationalCone, in_basis_cone, lp_feasible
 from .fan import ExtendedStackyFan, anticones
 from .fandoc import check_basis_shape
 from .linalg import (
@@ -29,6 +29,7 @@ from .linalg import (
     coordinates,
     dot,
     hermite_row_basis,
+    integer_inverse,
     inverse,
     kernel_basis,
     over_lcm,
@@ -175,9 +176,9 @@ def extended_kahler_contains(data: ExtendedPicardData, x) -> bool:
         # f.(x - sum_k t_k D_k) as (coefficients of t, constant) for lp_feasible
         return [-dot(f, c) for c in cols], -dot(f, x)
 
-    ineqs = [constraint(w) for w in data.kahler.inequalities or ()]
+    ineqs = [constraint(w) for w in data.kahler.inequalities]
     ineqs += [([int(j == k) for j in range(e)], 0) for k in range(e)]
-    eqs = [constraint(g) for g in data.kahler.equalities or ()]
+    eqs = [constraint(g) for g in data.kahler.equalities]
     return lp_feasible(e, eqs=eqs, ineqs=ineqs) is not None
 
 
@@ -216,10 +217,8 @@ def choose_basis_p(data: ExtendedPicardData, override=None) -> ExtendedPicardDat
         rows = [tuple(int(v) for v in c) for c in cands]
         if not all(cone.contains(row) for row in rows):
             return False
-        if not is_basis_of(rows + forced, data.pic_basis):
-            return False
-        coords = coordinates(data.rho, rows + forced)
-        return coords is not None and all(c >= 0 for c in coords)
+        return (is_basis_of(rows + forced, data.pic_basis)
+                and in_basis_cone(data.rho, integer_inverse(rows + forced)))
 
     chosen = None
     if override is not None:

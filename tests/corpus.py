@@ -1,7 +1,10 @@
 """Shared corpus fixtures: the desk-scale fans every suite runs against."""
 
 from fractions import Fraction
+from functools import cache, cmp_to_key
+from itertools import combinations, product
 import json
+from math import gcd
 from pathlib import Path
 import sys
 
@@ -135,6 +138,89 @@ def series_fans(fans=None):
         if rho_membership(picard)[0]:
             data = choose_basis_p(picard)
             yield name, data, presentation(ext), mori_lattices(data)
+
+
+# -- crepant pairs from the 16 reflexive polygons --------------------------------
+
+
+def _counterclockwise(points):
+    """Nonzero points of the plane sorted by angle, counterclockwise from the
+    positive x-axis."""
+    def cmp(u, v):
+        lower_u, lower_v = (w[1] < 0 or (w[1] == 0 and w[0] < 0) for w in (u, v))
+        return (lower_u - lower_v) or (u[1] * v[0] - u[0] * v[1])
+
+    return sorted(points, key=cmp_to_key(cmp))
+
+
+def _edges(cycle):
+    return list(zip(cycle, cycle[1:] + cycle[:1]))
+
+
+@cache
+def reflexive_polygons():
+    """One vertex cycle per GL_2(Z) class of reflexive polygons, in the order
+    first met: every set of 3 to 6 points of [-2, 2]^2 minus the origin that is
+    the vertex set of its own convex hull and whose hull has the origin as its
+    only interior lattice point (Pick's theorem). Each cycle runs
+    counterclockwise from its lexicographically least vertex. The class key is
+    the least canonical HNF of the 2 x k vertex matrix over every starting
+    vertex and both orientations."""
+    points = [p for p in product(range(-2, 3), repeat=2) if p != (0, 0)]
+    classes = {}
+    for k in range(3, 7):
+        for subset in combinations(points, k):
+            cycle = _counterclockwise(subset)
+            start = cycle.index(subset[0])
+            cycle = cycle[start:] + cycle[:start]
+            edges = _edges(cycle)
+            # the origin strictly inside, and a strict left turn at every vertex
+            if any(u[0] * v[1] - u[1] * v[0] <= 0 for u, v in edges):
+                continue
+            if any((v[0] - u[0]) * (w[1] - v[1]) - (v[1] - u[1]) * (w[0] - v[0]) <= 0
+                   for (u, v), w in zip(edges, cycle[2:] + cycle[:2])):
+                continue
+            twice_area = sum(u[0] * v[1] - u[1] * v[0] for u, v in edges)
+            boundary = sum(gcd(v[0] - u[0], v[1] - u[1]) for u, v in edges)
+            if twice_area - boundary + 2 != 2:
+                continue
+            key = min(tuple(map(tuple, hermite_row_basis([[x for x, _ in seq], [y for _, y in seq]])))
+                      for i in range(k)
+                      for seq in (cycle[i:] + cycle[:i], (cycle[i:] + cycle[:i])[::-1]))
+            classes.setdefault(key, tuple(cycle))
+    return list(classes.values())
+
+
+def _boundary_points(cycle):
+    """The lattice points on the polygon's boundary, counterclockwise from its
+    first vertex."""
+    out = []
+    for u, v in _edges(list(cycle)):
+        g = gcd(v[0] - u[0], v[1] - u[1])
+        out += [(u[0] + t * (v[0] - u[0]) // g, u[1] + t * (v[1] - u[1]) // g) for t in range(g)]
+    return out
+
+
+def _polygon_fan_document(rays, cycle):
+    """The complete 2-d fan on `rays` whose cones join neighbours of `cycle`."""
+    index = {v: i + 1 for i, v in enumerate(rays)}
+    return {"rank": 2, "rays": [list(v) for v in rays],
+            "max_cones": [[index[u], index[v]] for u, v in _edges(list(cycle))]}
+
+
+def reflexive_pairs():
+    """(name, X, Z) fan documents for the 16 reflexive polygons, by number of
+    boundary points: X is the fan over the vertices, Z its crepant resolution,
+    the fan over every boundary point. Z's rays are X's rays in X's order, then
+    the new points counterclockwise; both fans' cones follow the angle."""
+    out = []
+    for cycle in reflexive_polygons():
+        boundary = _boundary_points(cycle)
+        rays_z = list(cycle) + [p for p in boundary if p not in cycle]
+        name = f"b{len(boundary)}" + "".join(f"({x},{y})" for x, y in cycle)
+        out.append((len(boundary), name, _polygon_fan_document(cycle, cycle),
+                    _polygon_fan_document(rays_z, boundary)))
+    return [(name, x, z) for _, name, x, z in sorted(out, key=lambda item: item[0])]
 
 
 # -- lattice and fan helpers without a caller in the package -------------------

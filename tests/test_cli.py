@@ -13,7 +13,7 @@ import pytest
 
 import orbimirror
 from corpus import ext_of_doc
-from orbimirror import cli, cohomology, cones, fan, ifunction, linalg, operators, picard
+from orbimirror import cli, cohomology, cones, crepant, fan, ifunction, linalg, operators, picard
 from orbimirror.cli import main
 from orbimirror.cones import RationalCone
 from orbimirror.fan import StackyFan
@@ -743,13 +743,15 @@ def test_groebner_pair_budget_exit_code(capsys, monkeypatch):
 def test_unreadable_resolution_is_an_input_error(capsys, tmp_path, command):
     malformed = tmp_path / "malformed.json"
     malformed.write_text('{"rank": 2, "rays": [')
-    for path in (tmp_path / "missing.json", malformed):
+    missing = tmp_path / "missing.json"
+    # an OSError's own text names the file; a parse error gets the name prefixed
+    messages = {missing: f"[Errno 2] No such file or directory: '{missing}'",
+                malformed: f"{malformed}: Expecting value: line 1 column 22 (char 21)"}
+    for path, message in messages.items():
         code, out, err = run_cli(capsys, command, str(DATA / "p123.json"),
                                  "--resolution", str(path))
         assert code == 1 and out == ""
-        error = json.loads(err)["error"]
-        assert error["kind"] == "input"
-        assert error["message"]
+        assert json.loads(err)["error"] == {"kind": "input", "message": message}
 
 
 @pytest.mark.parametrize("where", ("fan", "--basis-file", "--resolution"))
@@ -764,6 +766,60 @@ def test_non_utf8_input_is_an_input_error(capsys, tmp_path, where):
     error = json.loads(err)["error"]
     assert error["kind"] == "input"
     assert "utf-8" in error["message"]
+
+
+@pytest.mark.parametrize("where", ("fan", "--basis-file", "--resolution"))
+@pytest.mark.parametrize("content, reason", (
+    (b'{"rank": 2, "rays": [', "Expecting value"),
+    (bytes.fromhex("fffe7b7d"), "utf-8"),  # a UTF-16 BOM and "{}"
+    (b'{"rank": ' + b"9" * 5000 + b"}", "Exceeds the limit"),  # int digit limit
+), ids=("malformed", "non-utf8", "oversized-int"))
+def test_undecodable_input_error_names_the_file(capsys, tmp_path, where, content, reason):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = {"fan": ["crepant", str(bad), "--resolution", str(DATA / "p123_resolution.json")],
+            "--basis-file": ["picard", str(DATA / "p112.json"), "--basis-file", str(bad)],
+            "--resolution": ["crepant", str(DATA / "p123.json"), "--resolution", str(bad)]}
+    code, out, err = run_cli(capsys, *argv[where])
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "input"
+    assert error["message"].startswith(f"{bad}: ")
+    assert reason in error["message"]
+
+
+def test_no_q_basis_refusal_lists_integer_rays(capsys, monkeypatch):
+    monkeypatch.setattr(crepant, "_complete_q_basis", lambda *args, **kwargs: None)
+    code, out, err = run_cli(capsys, "global-moduli", str(DATA / "p123.json"),
+                             "--resolution", str(DATA / "p123_resolution.json"))
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "CrepantError"
+    assert error["message"].startswith("no q-basis found by the bounded search")
+    assert "Fraction(" not in error["message"]
+    assert "(K_Z extremal rays: [[0, 1, 0, 0], " in error["message"]
+
+
+def test_build_global_fan_solves_one_lp_on_p123(capsys, monkeypatch):
+    """Membership and face tests inside build_global_fan are sign tests; the
+    one LP left finds the separating functional it reports."""
+    lps, inside = [], []
+    real_lp, real_build = cones._simplex_phase1, cli.build_global_fan
+    monkeypatch.setattr(cones, "_simplex_phase1",
+                        lambda *args: lps.append(bool(inside)) or real_lp(*args))
+
+    def build_global_fan(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real_build(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(cli, "build_global_fan", build_global_fan)
+    code, _, err = run_cli(capsys, "global-moduli", str(DATA / "p123.json"),
+                           "--resolution", str(DATA / "p123_resolution.json"))
+    assert code == 0, err
+    assert lps.count(True) == 1
 
 
 def test_extremal_ray_budget_exit_code(capsys, monkeypatch, tmp_path):

@@ -3,32 +3,94 @@ from itertools import combinations
 from unittest.mock import patch
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from corpus import differential_fans, ext_of_doc, smooth_polygon
+from corpus import differential_fans, ext_of_doc, reflexive_pairs, smooth_polygon
 from orbimirror import cones, linalg
 from orbimirror.cones import (
     ConeError,
     RationalCone,
     _simplex_phase1,
     common_face_witness,
+    in_basis_cone,
     is_face,
     lp_feasible,
-    nonneg_combination,
 )
+from orbimirror.fan import extend
+from orbimirror.fandoc import parse_fan
 from orbimirror.linalg import (
     ResourceLimitError,
     clear_denominators,
+    det,
+    integer_inverse,
+    kernel_basis,
     null_vector,
     over_lcm,
     qvec,
     rank,
     solve_general,
 )
-from orbimirror.picard import extended_pl_and_pic
+from orbimirror.picard import PicardError, choose_basis_p, extended_pl_and_pic
 
-QUADRANT = RationalCone.from_generators(2, [(1, 0), (0, 1)])
+QUADRANT = RationalCone.from_inequalities(2, [(1, 0), (0, 1)])
+
+
+# -- V-descriptions: the former LP routines, kept as oracles ----------------------
+
+
+def _nonneg_combination_oracle(generators, x):
+    """The former cones.nonneg_combination: lambda >= 0 with
+    sum(lambda_i * g_i) = x, or None, by one phase-I LP."""
+    if not generators:
+        return () if all(Fraction(c) == 0 for c in x) else None
+    cols = [qvec(g) for g in generators]
+    a_rows = [[col[i] for col in cols] for i in range(len(x))]
+    return cones._simplex_phase1(a_rows, qvec(x))
+
+
+def _v_contains(generators, x) -> bool:
+    return _nonneg_combination_oracle(generators, x) is not None
+
+
+def _is_face_oracle(dim, face_gens, cone_gens) -> bool:
+    """The former cones.is_face on V-descriptions: an LP for a functional l
+    vanishing on the face, >= 0 on the cone's generators in it and >= 1 on
+    the others."""
+    for g in face_gens:
+        if not _v_contains(cone_gens, g):
+            raise ConeError("face candidate is not contained in the cone")
+    inside = [g for g in cone_gens if _v_contains(face_gens, g)]
+    outside = [g for g in cone_gens if not _v_contains(face_gens, g)]
+    return lp_feasible(dim, eqs=[(g, 0) for g in face_gens],
+                       ineqs=[(g, 0) for g in inside] + [(g, 1) for g in outside]) is not None
+
+
+def _common_face_witness_oracle(p_gens, q_gens):
+    """The former cones.common_face_witness on V-descriptions: membership of
+    each generator in the other cone by an LP, then the separating LP."""
+    p_gens, q_gens = [qvec(g) for g in p_gens], [qvec(g) for g in q_gens]
+    p_in = [g for g in p_gens if _v_contains(q_gens, g)]
+    p_out = [g for g in p_gens if not _v_contains(q_gens, g)]
+    q_out = [g for g in q_gens if not _v_contains(p_gens, g)]
+    ineqs = [(g, 0) for g in p_in]
+    ineqs += [(g, 1) for g in p_out]
+    ineqs += [(tuple(-Fraction(x) for x in g), 0) for g in q_gens if _v_contains(p_gens, g)]
+    ineqs += [(tuple(-Fraction(x) for x in g), 1) for g in q_out]
+    witness = lp_feasible(len(p_gens[0]), ineqs=ineqs)
+    if witness is None:
+        return None
+    return witness, p_in
+
+
+def _h_cone_of(dim, generators) -> RationalCone:
+    """The H-cone Cone(generators): its equalities span the annihilator of the
+    generators, and its inequalities are the extremal rays of the dual cone
+    inside their span."""
+    gens = [g for g in generators if any(g)]
+    eqs = kernel_basis(gens) if gens else [[int(i == j) for j in range(dim)] for i in range(dim)]
+    dual = RationalCone.from_inequalities(dim, gens, eqs)
+    return RationalCone.from_inequalities(dim, dual.extremal_rays() if gens else [], eqs)
 
 
 def test_contains_quadrant():
@@ -37,10 +99,12 @@ def test_contains_quadrant():
 
 
 def test_contains_skew_cone():
-    cone = RationalCone.from_generators(2, [(1, 0), (1, 2)])
+    cone = RationalCone.from_inequalities(2, [(0, 1), (2, -1)])  # Cone((1, 0), (1, 2))
     assert cone.contains((1, 1))
     assert not cone.contains((0, 1))
-    lam = nonneg_combination([(1, 0), (1, 2)], (1, 1))
+    basis = integer_inverse([(1, 0), (1, 2)])
+    assert in_basis_cone((1, 1), basis) and not in_basis_cone((0, 1), basis)
+    lam = _nonneg_combination_oracle([(1, 0), (1, 2)], (1, 1))
     assert lam == (Fraction(1, 2), Fraction(1, 2))
 
 
@@ -70,6 +134,15 @@ def _oracle_2d(g1, g2, x):
     return False
 
 
+def _basis_membership(g1, g2, x):
+    """V-membership by the LP oracle; for a basis also by `in_basis_cone`,
+    which must agree."""
+    verdict = _v_contains([g1, g2], x)
+    if g1[0] * g2[1] != g1[1] * g2[0]:
+        assert in_basis_cone(x, integer_inverse([g1, g2])) == verdict
+    return verdict
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any),
        st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any),
@@ -77,19 +150,20 @@ def _oracle_2d(g1, g2, x):
        st.integers(1, 3))
 def test_membership_matches_grid_oracle(g1, g2, num, den):
     x = (Fraction(num[0], den), Fraction(num[1], den))
-    cone = RationalCone.from_generators(2, [g1, g2])
-    assert cone.contains(x) == _oracle_2d(g1, g2, x)
+    assert _basis_membership(g1, g2, x) == _oracle_2d(g1, g2, x)
 
 
 def test_is_face_examples():
-    assert is_face(RationalCone.from_generators(2, [(1, 0)]), QUADRANT)
-    assert not is_face(RationalCone.from_generators(2, [(1, 1)]), QUADRANT)
+    ray = lambda v: RationalCone.from_inequalities(2, [v], [(-v[1], v[0])])  # noqa: E731
+    assert is_face(ray((1, 0)), QUADRANT)
+    assert not is_face(ray((1, 1)), QUADRANT)
     assert is_face(QUADRANT, QUADRANT)
+    assert is_face(RationalCone.from_inequalities(2, [], [(1, 0), (0, 1)]), QUADRANT)
 
 
 def test_is_face_rejects_non_subcone():
     with pytest.raises(ConeError):
-        is_face(RationalCone.from_generators(2, [(-1, 0)]), QUADRANT)
+        is_face(RationalCone.from_inequalities(2, [(-1, 0)], [(0, 1)]), QUADRANT)
 
 
 def test_extremal_rays_h_cone():
@@ -117,26 +191,126 @@ def test_lp_feasible_infeasible():
 
 
 def test_common_face_witness():
-    cx = RationalCone.from_generators(2, [(0, 1), (-2, 1)])
-    cz = RationalCone.from_generators(2, [(0, 1), (2, 0)])
-    witness = common_face_witness(cx, cz)
+    witness = common_face_witness([(0, 1), (-2, 1)], [(0, 1), (2, 0)])
     assert witness is not None
     functional, shared = witness
     assert shared == [(Fraction(0), Fraction(1))]
     # overlapping cones have no separating functional
-    c_over = RationalCone.from_generators(2, [(1, 1), (-1, 1)])
-    assert common_face_witness(c_over, QUADRANT) is None
+    assert common_face_witness([(1, 1), (-1, 1)], [(1, 0), (0, 1)]) is None
 
 
 def test_membership_on_literal_rational_grid():
     # quarter-step grid sweep against the determinant oracle
-    cones = [((1, 0), (1, 2)), ((1, 1), (-1, 1)), ((0, 1), (2, -1))]
+    bases = [((1, 0), (1, 2)), ((1, 1), (-1, 1)), ((0, 1), (2, -1))]
     steps = [Fraction(k, 2) for k in range(-4, 5)]
-    for g1, g2 in cones:
-        cone = RationalCone.from_generators(2, [g1, g2])
+    for g1, g2 in bases:
         for x0 in steps:
             for x1 in steps:
-                assert cone.contains((x0, x1)) == _oracle_2d(g1, g2, (x0, x1))
+                assert _basis_membership(g1, g2, (x0, x1)) == _oracle_2d(g1, g2, (x0, x1))
+
+
+# -- the H-only routines against the V-description oracles ----------------------
+
+_entry = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3))
+
+
+@st.composite
+def bases(draw, dim):
+    rows = draw(st.lists(st.lists(_entry, min_size=dim, max_size=dim),
+                         min_size=dim, max_size=dim))
+    assume(rank(rows) == dim)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda dim: st.tuples(
+    bases(dim), st.lists(st.lists(_entry, min_size=dim, max_size=dim), min_size=1, max_size=4))))
+@example(([[1, 0], [1, 2]], [[1, 1], [0, 1], [0, 0], [Fraction(-1, 2), 0]]))
+@example(([[0, -1], [-1, 0]], [[Fraction(-1, 3), 0], [1, 1]]))  # d < 0: the signs flip
+def test_in_basis_cone_matches_nonneg_combination_oracle(basis_and_points):
+    basis, points = basis_and_points
+    inverse = integer_inverse(basis)
+    for x in points + basis:
+        assert in_basis_cone(x, inverse) == _v_contains(basis, x)
+
+
+@st.composite
+def cones_and_face_candidates(draw):
+    """A pointed H-cone (an orthant cut), its rays, and a face candidate
+    spanned by some of those rays and, sometimes, one more vector: a small one
+    (often outside the cone) or the sum of two rays (often no face)."""
+    cone = draw(orthant_cuts())
+    rays = cone.extremal_rays()
+    gens = draw(st.lists(st.sampled_from(rays), max_size=3, unique=True)) if rays else []
+    extra = draw(st.sampled_from(["none", "small", "sum"]))
+    if extra == "small":
+        gens.append(draw(st.lists(st.integers(-2, 2), min_size=cone.dim, max_size=cone.dim)))
+    elif extra == "sum" and rays:
+        u, v = draw(st.lists(st.sampled_from(rays), min_size=2, max_size=2))
+        gens.append(tuple(a + b for a, b in zip(u, v)))
+    return cone, rays, gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(cones_and_face_candidates())
+def test_is_face_matches_lp_oracle(cone_rays_gens):
+    cone, rays, gens = cone_rays_gens
+    face = _h_cone_of(cone.dim, gens)
+    assume(rank(face.inequalities + face.equalities) == cone.dim)  # pointed
+    face_rays = face.extremal_rays()
+    assert all(_v_contains(gens, ray) for ray in face_rays)
+    assert all(_v_contains(face_rays, g) for g in gens)
+    assert _result(lambda: is_face(face, cone)) == _result(lambda: _is_face_oracle(cone.dim, face_rays, rays))
+
+
+@st.composite
+def chart_bases(draw):
+    """Two bases p, q of Q^dim, dim <= 4, where q often starts with some of p's
+    rows, as a q-basis starts with p_1..p_r."""
+    dim = draw(st.integers(1, 4))
+    p, q = draw(bases(dim)), draw(bases(dim))
+    shared = draw(st.integers(0, dim - 1))
+    if rank(p[:shared] + q[shared:]) == dim:
+        q = p[:shared] + q[shared:]
+    return p, q
+
+
+@settings(max_examples=150, deadline=None)
+@given(chart_bases())
+@example(([[0, 1], [-2, 1]], [[0, 1], [2, 0]]))
+@example(([[1, 0], [0, 1]], [[1, 0], [0, 1]]))
+# reversing the LP rows, or putting the p_a outside Cone(q) first, moves the
+# vertex Bland's rule ends at
+@example(([[-2, 0, 0, 1], [-2, 0, 1, 2], [2, -2, 0, 1], [2, -1, 1, -1]],
+          [[-2, 0, 0, 1], [0, -2, -2, 1], [-1, 2, 2, 1], [1, 2, 0, -1]]))
+@example(([[-1, 2, -2, -2, 1], [0, 2, -1, 2, 2], [1, 2, 2, 0, -2], [-1, -2, 1, 0, 2],
+           [-2, 0, 2, -2, -2]],
+          [[-1, 2, -2, -2, 1], [0, 2, -1, 2, 2], [1, -1, -1, 2, 1], [-1, -1, -1, 1, 0],
+           [1, 0, -1, -1, -1]]))
+def test_common_face_witness_matches_lp_oracle(bases_pq):
+    p, q = bases_pq
+    assert common_face_witness(p, q) == _common_face_witness_oracle(p, q)
+
+
+def test_kahler_faces_of_reflexive_pairs_match_lp_oracles():
+    # K_X is a face of K_Z on each of the 16 pairs, as both routes find; where
+    # X has a p-basis, the sign test places K_X's rays as the LP does
+    checked = 0
+    for name, x, z in reflexive_pairs():
+        stacky, resolution = parse_fan(x)[0], parse_fan(z)[0]
+        data_x = extended_pl_and_pic(extend(stacky, extra_vectors=resolution.rays[stacky.n_rays:]))
+        kx, kz = data_x.kahler, extended_pl_and_pic(extend(resolution)).kahler
+        assert is_face(kx, kz), name
+        assert _is_face_oracle(kx.dim, kx.extremal_rays(), kz.extremal_rays()), name
+        try:
+            p_rows = choose_basis_p(data_x).p_basis
+        except PicardError:
+            continue
+        inverse = integer_inverse(p_rows)
+        for ray in kx.extremal_rays() + kz.extremal_rays():
+            assert in_basis_cone(ray, inverse) == _v_contains(p_rows, ray), name
+        checked += 1
+    assert checked == 14
 
 
 # -- extremal rays: the all-subsets enumeration as the oracle -------------------
@@ -460,16 +634,16 @@ _small_vector = st.lists(st.integers(-2, 2), min_size=2, max_size=2)
        st.lists(_small_vector, min_size=1, max_size=3),
        st.integers(0, 2))
 def test_lp_verdicts_and_witnesses_match_fraction_tableau(eqs, ineqs, gens_p, gens_q, face_size):
-    # the face candidate is a prefix of the cone's generators, so is_face
-    # reaches its LP; lp_feasible and common_face_witness return the vertex
-    face = RationalCone.from_generators(2, gens_q[:face_size])
-    cone_p = RationalCone.from_generators(2, gens_p)
-    cone_q = RationalCone.from_generators(2, gens_q)
-
+    # the face candidate is a prefix of the cone's generators, so the
+    # V-description is_face reaches its LP; lp_feasible and both
+    # common_face_witness routes return the vertex, the new one on bases
     def results():
-        return [_result(lambda: lp_feasible(2, eqs, ineqs)),
-                _result(lambda: is_face(face, cone_q)),
-                _result(lambda: common_face_witness(cone_p, cone_q))]
+        out = [_result(lambda: lp_feasible(2, eqs, ineqs)),
+               _result(lambda: _is_face_oracle(2, gens_q[:face_size], gens_q)),
+               _result(lambda: _common_face_witness_oracle(gens_p, gens_q))]
+        if all(len(g) == 2 and det(g) for g in (gens_p, gens_q)):
+            out.append(_result(lambda: common_face_witness(gens_p, gens_q)))
+        return out
 
     integer = results()
     with patch.object(cones, "_simplex_phase1", _simplex_phase1_oracle):

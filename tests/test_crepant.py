@@ -15,6 +15,7 @@ from corpus import (
     pipeline,
 )
 from orbimirror.cohomology import presentation
+from orbimirror.cones import in_basis_cone
 from orbimirror.crepant import (
     CrepantError,
     ResolutionPair,
@@ -27,7 +28,7 @@ from orbimirror.crepant import (
 )
 from orbimirror.fan import FanError, StackyFan, extend
 from orbimirror.fandoc import parse_fan
-from orbimirror.linalg import coordinates, det
+from orbimirror.linalg import coordinates, det, integer_inverse
 from perfbench.workloads import RESOLUTION_PAIRS, corpus_documents, seeded_documents
 
 
@@ -125,8 +126,12 @@ def test_build_global_fan_p112_f2():
     assert gm.q_basis == ((0, 1), (2, 0))
     assert gm.shared_face == ((Fraction(0), Fraction(1)),)
     assert is_unimodular(gm.transition)
-    # the shared face contains K_X = the ray through p_1
-    assert gm.cone_x.contains((0, 1)) and gm.cone_z.contains((0, 1))
+    # the shared face contains K_X = the ray through p_1, and C_X meets C_Z
+    # only there: q_2 lies outside C_X and p_2 outside C_Z
+    in_cx = lambda x: in_basis_cone(x, integer_inverse(gm.p_basis))  # noqa: E731
+    in_cz = lambda x: in_basis_cone(x, integer_inverse(gm.q_basis))  # noqa: E731
+    assert in_cx((0, 1)) and in_cz((0, 1))
+    assert not in_cx(gm.q_basis[1]) and not in_cz(gm.p_basis[1])
 
 
 def test_build_global_fan_trivial_pair():

@@ -100,9 +100,10 @@ def test_kahler_cone_f2_two_dimensional_with_p112_face():
     assert len(rays_x) == 1
     # both live in the same L* coordinates because the L bases coincide
     assert data_f2.ext.l_basis == data_x.ext.l_basis
-    face = RationalCone.from_generators(2, rays_x)
-    big = RationalCone.from_generators(2, rays_z)
-    assert is_face(face, big)
+    assert is_face(kx, kz)
+    # the ray through the sum of K_Z's two rays lies inside K_Z but is no face
+    mid = tuple(a + b for a, b in zip(*rays_z))
+    assert not is_face(RationalCone.from_inequalities(2, [mid], [(-mid[1], mid[0])]), kz)
 
 
 def test_rho_membership_corpus_and_counterexample():
