@@ -134,7 +134,7 @@ class Job:
 
     @cached_property
     def rho_in_kahler(self) -> tuple[bool, bool]:
-        """(LP verdict, degree-criterion verdict) for rho in K^e."""
+        """(sign-test verdict, degree-criterion verdict) for rho in K^e."""
         return rho_membership(self.picard)
 
     @cached_property

@@ -5,12 +5,11 @@ A `RationalCone` has one description: inequality and equality functionals
 inverse instead (`in_basis_cone`). The arithmetic is integer: each functional
 and each point is scaled by the positive lcm of its denominators, and extremal
 rays come from an integer double description with primitive rays. Membership
-and face tests are sign tests on those integers. An LP remains only where no
-sign test on a cone's own data decides: the functional separating two charts,
-which the global moduli report prints, and in `picard` an interior point of
-the Kaehler cone and rho in the extended Kaehler cone. It is an exact
-phase-I simplex with Bland's rule pivoting on an integer tableau, so no
-tolerances appear.
+and face tests are sign tests on those integers. The only LP left is the
+reported chart separator: the functional separating two charts, which the
+global moduli report prints (`common_face_witness`). It is an exact phase-I
+simplex with Bland's rule pivoting on an integer tableau, so no tolerances
+appear.
 """
 
 from __future__ import annotations

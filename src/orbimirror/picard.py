@@ -6,6 +6,10 @@ NE^e and K are stored by their p-basis pairings once the basis is chosen, and
 by L-basis coordinates before that. Both are read off the fan's splitting s,
 with no solve: v in L (x) Q has L-coordinates s v and p-pairings N v.
 
+No LP is solved here: K's interior and rho in K^e are sign tests on K's
+extremal rays and functionals. The only LP left in the package is the chart
+separator that the global moduli report prints (`cones.common_face_witness`).
+
 `min_decomposition` is the one N-decomposition search. Its bound is exact: a
 branch ends when a remainder coordinate in the minimal cone's ray basis goes
 negative. The Box coset table here, and the sector classes and primitive
@@ -21,10 +25,11 @@ from itertools import combinations, product
 from operator import mul
 
 from .cohomology import is_nef
-from .cones import RationalCone, in_basis_cone, lp_feasible
+from .cones import RationalCone, in_basis_cone
 from .fan import ExtendedStackyFan, anticones
 from .fandoc import check_basis_shape
 from .linalg import (
+    ResourceLimitError,
     clear_denominators,
     coordinates,
     dot,
@@ -39,6 +44,9 @@ from .linalg import (
 
 class PicardError(ValueError):
     pass
+
+
+P_BASIS_SEARCH_CAP = 50_000  # combinations built plus subsets tried by the p-basis fallback
 
 
 # -- fan-level relation vectors ------------------------------------------------
@@ -78,8 +86,6 @@ class ExtendedPicardData:
     r: int = 0
     d_classes: tuple = ()                        # [D_i] in L* coordinates, ints
     rho: tuple = ()
-    wall_classes: tuple = ()                     # wall relations in L-basis coords
-    distinguished_classes: tuple = ()            # distinguished relations in L coords
     kahler: RationalCone | None = None
     p_basis: tuple | None = None                 # rows: p_a in L* coordinates
     q_basis: tuple | None = None                 # rows: q_a in L-basis coordinates (rational)
@@ -112,14 +118,16 @@ class ExtendedPicardData:
 
 def _l_coords(ext: ExtendedStackyFan, vec_qn) -> tuple:
     """Coordinates in the L basis of an element of L (x) Q given in Q^n: s v
-    for the fan's splitting s."""
-    s = ext.splitting
-    return tuple(sum(map(mul, s[j], vec_qn)) for j in range(ext.l_rank))
+    for the fan's splitting s, summed over the nonzero entries of v."""
+    s, support = ext.splitting, [(i, x) for i, x in enumerate(vec_qn) if x]
+    return tuple(sum(s[j][i] * x for i, x in support) for j in range(ext.l_rank))
 
 
 def extended_pl_and_pic(ext: ExtendedStackyFan) -> ExtendedPicardData:
     """Lattice layer: Theta(PL), PL(Sigma^e), theta(Pic) and Pic^e bases, and
-    the Kaehler cone K."""
+    the Kaehler cone K: pairing >= 0 with every wall relation, = 0 with every
+    distinguished relation. Those relations span L (x) Q, so K is pointed, and
+    has interior iff no wall functional vanishes on all of its extremal rays."""
     pl = pl_lattice(ext)
     # the image of Theta(PL) in L*: an integral x pairs integrally with L
     theta_img = [tuple(sum(map(mul, x, l)) for l in ext.l_basis) for x in pl]
@@ -133,9 +141,13 @@ def extended_pl_and_pic(ext: ExtendedStackyFan) -> ExtendedPicardData:
             f"Pic^e rank {len(pic_full)} inconsistent with m - d + e = {ext.m - ext.d + ext.e}"
         )
     rho = tuple(sum((c[j] for c in d_classes), Fraction(0)) for j in range(ext.l_rank))
-    walls = tuple(_l_coords(ext, w + (0,) * ext.e) for w in ext.fan.wall_relations)
-    dist = tuple(_l_coords(ext, rel) for rel in distinguished_relations(ext))
-    data = ExtendedPicardData(
+    walls = [_l_coords(ext, w + (0,) * ext.e) for w in ext.fan.wall_relations]  # ints
+    dist = [_l_coords(ext, rel) for rel in distinguished_relations(ext)]
+    kahler = RationalCone.from_inequalities(ext.l_rank, walls, dist)
+    rays = kahler.extremal_rays()
+    if any(not any(sum(map(mul, w, ray)) for ray in rays) for w in walls):
+        raise PicardError("Kaehler cone has empty interior; fan is not projective")
+    return ExtendedPicardData(
         ext=ext,
         pl_basis=tuple(pl),
         pic_theta_basis=tuple(pic_theta),
@@ -143,52 +155,28 @@ def extended_pl_and_pic(ext: ExtendedStackyFan) -> ExtendedPicardData:
         r=r,
         d_classes=d_classes,
         rho=rho,
-        wall_classes=walls,
-        distinguished_classes=dist,
+        kahler=kahler,
     )
-    return replace(data, kahler=kahler_cone(data))
-
-
-def kahler_cone(data: ExtendedPicardData) -> RationalCone:
-    """K = image of Theta(CPL) in L* (x) Q, as an H-description.
-
-    Inequalities: pairing with every wall relation >= 0. Equalities: pairing
-    with every distinguished relation = 0 (cuts the theta(Pic)-subspace).
-    """
-    dim = data.ext.l_rank
-    ineqs = [qvec(w) for w in data.wall_classes]
-    eqs = [qvec(x) for x in data.distinguished_classes]
-    cone = RationalCone.from_inequalities(dim, ineqs, eqs)
-    interior = lp_feasible(dim, eqs=[(e, 0) for e in eqs],
-                           ineqs=[(i, 1) for i in ineqs])
-    if interior is None:
-        raise PicardError("Kaehler cone has empty interior; fan is not projective")
-    return cone
 
 
 def extended_kahler_contains(data: ExtendedPicardData, x) -> bool:
-    """Exact LP membership of x in K^e = K + sum_k Q>=0 [D_{m+k}]: is there a
-    t >= 0 with x - sum_k t_k [D_{m+k}] in K? The LP is over t only."""
-    e = data.ext.e
-    cols = [data.d_classes[data.ext.m + k] for k in range(e)]
-
-    def constraint(f):
-        # f.(x - sum_k t_k D_k) as (coefficients of t, constant) for lp_feasible
-        return [-dot(f, c) for c in cols], -dot(f, x)
-
-    ineqs = [constraint(w) for w in data.kahler.inequalities]
-    ineqs += [([int(j == k) for j in range(e)], 0) for k in range(e)]
-    eqs = [constraint(g) for g in data.kahler.equalities]
-    return lp_feasible(e, eqs=eqs, ineqs=ineqs) is not None
+    """x in K^e = K + sum_k Q>=0 [D_{m+k}], in closed form. The k-th equality
+    g_k of K pairs with [D_{m+l}] to delta_kl, so x = y + sum_k t_k [D_{m+k}]
+    with y in K forces t_k = g_k.x: x lies in K^e iff every t_k >= 0 and
+    x - sum_k t_k [D_{m+k}] lies in K."""
+    t = [dot(g, x) for g in data.kahler.equalities]
+    y = [a - sum(c * d[j] for c, d in zip(t, data.d_classes[data.ext.m:]))
+         for j, a in enumerate(x)]
+    return all(c >= 0 for c in t) and data.kahler.contains(y)
 
 
 def rho_membership(data: ExtendedPicardData) -> tuple[bool, bool]:
-    """(LP verdict, degree-criterion verdict) for rho in K^e; they must agree."""
-    by_lp = extended_kahler_contains(data, data.rho)
+    """(sign-test verdict, degree-criterion verdict) for rho in K^e; they must agree."""
+    by_cone = extended_kahler_contains(data, data.rho)
     by_degree = is_nef(data.ext) and all(
         data.ext.degree(data.ext.m + k) <= 1 for k in range(data.ext.e)
     )
-    return by_lp, by_degree
+    return by_cone, by_degree
 
 
 # -- p-basis, M, N ----------------------------------------------------------------
@@ -272,17 +260,19 @@ def _primitive_in_lattice(ray, hnf_basis):
 
 
 def _search_combinations(prim, r, validate):
-    if not prim:
-        return None
-    bound = 3
-    space = []
-    for coeffs in product(range(bound), repeat=len(prim)):
-        if not any(coeffs):
-            continue
-        vec = tuple(sum(c * p[j] for c, p in zip(coeffs, prim)) for j in range(len(prim[0])))
-        if vec not in space:
-            space.append(vec)
-    for cand in combinations(space, r):
+    """The first r-subset, in order, of the distinct nonzero combinations of
+    `prim` with coefficients 0..2 that passes `validate`, or None. Each
+    combination built and each subset tried counts against P_BASIS_SEARCH_CAP."""
+    over = ResourceLimitError(f"p-basis search: more than {P_BASIS_SEARCH_CAP} candidates")
+    built = 3 ** len(prim) - 1
+    if built > P_BASIS_SEARCH_CAP:
+        raise over
+    space = dict.fromkeys(  # dedup, first occurrence first
+        tuple(sum(c * p[j] for c, p in zip(coeffs, prim)) for j in range(len(prim[0])))
+        for coeffs in product(range(3), repeat=len(prim)) if any(coeffs))
+    for tried, cand in enumerate(combinations(space, r), built + 1):
+        if tried > P_BASIS_SEARCH_CAP:
+            raise over
         if validate(list(cand)):
             return list(cand)
     return None

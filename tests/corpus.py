@@ -223,6 +223,41 @@ def reflexive_pairs():
     return [(name, x, z) for _, name, x, z in sorted(out, key=lambda item: item[0])]
 
 
+def weighted_projective_space(*weights):
+    """The fan document of P(1, w_1, .., w_d): rays e_1..e_d and -(w_1..w_d),
+    every d-subset a cone."""
+    d = len(weights)
+    rays = [[int(i == j) for j in range(d)] for i in range(d)] + [[-w for w in weights]]
+    return {"rank": d, "rays": rays,
+            "max_cones": [list(c) for c in combinations(range(1, d + 2), d)]}
+
+
+def cube_boundary_fans():
+    """(name, fan document) for the 128 complete fans over the boundary of
+    the cube: rays (+-1, +-1, +-1), each square facet {x_k = +-1} split along
+    one of its two diagonals (64 fans), then the same with (1,1,1) moved to
+    (1,2,3) (64 more). Rays run from (1,1,1) down by coordinate sum, then
+    lexicographically downward; facets and their triangles follow that order."""
+    corners = sorted(product((1, -1), repeat=3), key=lambda v: (sum(v), v), reverse=True)
+    squares = []  # each square facet as its two diagonals, by 1-based ray index
+    for k, sign in product(range(3), (1, -1)):
+        # in ray order a facet's first and last corners differ in both free
+        # coordinates, and so do its middle two
+        a, b, c, d = (i for i, v in enumerate(corners, 1) if v[k] == sign)
+        squares.append(((a, d), (b, c)))
+    out = []
+    for top in ((1, 1, 1), (1, 2, 3)):
+        rays = [list(top)] + [list(v) for v in corners[1:]]
+        for split in product((0, 1), repeat=6):
+            cones = []
+            for (diag, other), s in zip(squares, split):
+                (u, w), (a, b) = (diag, other) if s == 0 else (other, diag)
+                cones += [[u, w, a], [u, w, b]]
+            name = f"cube{''.join(map(str, top))}-{''.join(map(str, split))}"
+            out.append((name, {"rank": 3, "rays": rays, "max_cones": cones}))
+    return out
+
+
 # -- lattice and fan helpers without a caller in the package -------------------
 
 

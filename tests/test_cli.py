@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import orbimirror
-from corpus import ext_of_doc
+from corpus import cube_boundary_fans, ext_of_doc
 from orbimirror import cli, cohomology, cones, crepant, fan, ifunction, linalg, operators, picard
 from orbimirror.cli import main
 from orbimirror.cones import RationalCone
@@ -420,7 +420,8 @@ def test_commands_derive_each_stage_once(capsys, monkeypatch):
     argv = (str(DATA / "p123.json"), "--resolution", str(DATA / "p123_resolution.json"))
     calls.clear()
     assert run_cli(capsys, "crepant", *argv)[0] == 0
-    assert calls == {**pair_stages, ("extended_pl_and_pic", 6): 1, "wall_relations": 1}
+    assert calls == {**pair_stages, ("extended_pl_and_pic", 6): 1, "wall_relations": 1,
+                     "_extremal_rays": 1}
     calls.clear()
     assert run_cli(capsys, "global-moduli", *argv)[0] == 0
     assert calls == {**pair_stages, ("extended_pl_and_pic", 3): 1,
@@ -801,8 +802,10 @@ def test_no_q_basis_refusal_lists_integer_rays(capsys, monkeypatch):
 
 
 def test_build_global_fan_solves_one_lp_on_p123(capsys, monkeypatch):
-    """Membership and face tests inside build_global_fan are sign tests; the
-    one LP left finds the separating functional it reports."""
+    """Every verdict is a sign test except the functional separating the two
+    charts, which the global moduli report prints: one LP per `global-moduli`
+    run on the p123 pair, inside build_global_fan, and none in any other
+    command."""
     lps, inside = [], []
     real_lp, real_build = cones._simplex_phase1, cli.build_global_fan
     monkeypatch.setattr(cones, "_simplex_phase1",
@@ -816,10 +819,44 @@ def test_build_global_fan_solves_one_lp_on_p123(capsys, monkeypatch):
             inside.pop()
 
     monkeypatch.setattr(cli, "build_global_fan", build_global_fan)
-    code, _, err = run_cli(capsys, "global-moduli", str(DATA / "p123.json"),
-                           "--resolution", str(DATA / "p123_resolution.json"))
-    assert code == 0, err
-    assert lps.count(True) == 1
+    pair = (str(DATA / "p123.json"), "--resolution", str(DATA / "p123_resolution.json"))
+    for argv, expected in ((("picard", str(DATA / "p123.json")), []),
+                           (("ifunction", str(DATA / "p123.json")), []),
+                           (("all", str(DATA / "p123.json")), []),
+                           (("crepant", *pair), []),
+                           (("global-moduli", *pair), [True])):
+        lps.clear()
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert lps == expected, argv[0]
+
+
+# a cube boundary fan (`corpus.cube_boundary_fans`) that is not projective
+NOT_PROJECTIVE_CUBE = {
+    "rank": 3,
+    "rays": [[1, 1, 1], [1, 1, -1], [1, -1, 1], [-1, 1, 1], [1, -1, -1], [-1, 1, -1],
+             [-1, -1, 1], [-1, -1, -1]],
+    "max_cones": [[1, 2, 3], [2, 5, 3], [4, 6, 8], [4, 8, 7], [1, 2, 4], [2, 6, 4],
+                  [3, 5, 7], [5, 8, 7], [1, 3, 7], [1, 7, 4], [2, 5, 6], [5, 8, 6]],
+}
+
+
+def test_not_projective_cube_is_a_generated_fan():
+    def key(doc):
+        return doc["rays"], sorted(sorted(cone) for cone in doc["max_cones"])
+
+    assert key(NOT_PROJECTIVE_CUBE) in [key(doc) for _, doc in cube_boundary_fans()]
+
+
+@pytest.mark.parametrize("command", ("picard", "superpotential", "all"))
+def test_not_projective_fan_exits_1(capsys, tmp_path, command):
+    doc = tmp_path / "cube.json"
+    doc.write_text(json.dumps(NOT_PROJECTIVE_CUBE))
+    code, out, err = run_cli(capsys, command, str(doc))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == {
+        "kind": "PicardError",
+        "message": "Kaehler cone has empty interior; fan is not projective"}
 
 
 def test_extremal_ray_budget_exit_code(capsys, monkeypatch, tmp_path):

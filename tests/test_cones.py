@@ -478,13 +478,18 @@ def test_double_description_matches_subsets_oracle_on_orthant_cuts(cone):
 
 
 def test_extremal_ray_budget(monkeypatch):
+    # extended_pl_and_pic has enumerated the rays of its K: each budget is
+    # tried on a fresh copy
     kahler = extended_pl_and_pic(ext_of_doc(smooth_polygon(12))).kahler
+
+    def fresh():
+        return RationalCone.from_inequalities(kahler.dim, kahler.inequalities, kahler.equalities)
+
     monkeypatch.setattr(cones, "EXTREMAL_RAY_CAP", 5)
     with pytest.raises(ResourceLimitError, match="^extremal_rays: more than 5 rays$"):
-        kahler.extremal_rays()
+        fresh().extremal_rays()
     monkeypatch.setattr(cones, "EXTREMAL_RAY_CAP", len(_extremal_rays_subsets_oracle(kahler)))
-    fresh = RationalCone.from_inequalities(kahler.dim, kahler.inequalities, kahler.equalities)
-    assert fresh.extremal_rays() == _extremal_rays_subsets_oracle(kahler)
+    assert fresh().extremal_rays() == _extremal_rays_subsets_oracle(kahler)
 
 
 # -- membership: the Fraction dot test as the oracle ----------------------------

@@ -100,10 +100,9 @@ def test_exceptional_not_in_kahler():
 
 def test_kahler_generator_is_in_kahler_cone():
     # sanity inverse: an actual nef class of Z does lie in K_Z
-    from orbimirror.picard import extended_pl_and_pic, kahler_cone
+    from orbimirror.picard import extended_pl_and_pic
 
-    data_z = extended_pl_and_pic(extend(fan_of(F2)))
-    kz = kahler_cone(data_z)
+    kz = extended_pl_and_pic(extend(fan_of(F2))).kahler
     for ray in kz.extremal_rays():
         assert kz.contains(ray)
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 import random
 
@@ -9,6 +10,7 @@ from corpus import (
     P1,
     P112,
     P2,
+    cube_boundary_fans,
     differential_fans,
     ext_of,
     ext_of_doc,
@@ -18,12 +20,14 @@ from corpus import (
     minimal_cone,
     pairing_p_oracle,
     pipeline,
+    reflexive_pairs,
     saturate,
     series_fans,
+    weighted_projective_space,
 )
 from orbimirror.cones import RationalCone, is_face, lp_feasible
 from orbimirror.fan import generalized_primitive_collections
-from orbimirror.linalg import hermite_row_basis
+from orbimirror.linalg import dot, hermite_row_basis
 from orbimirror.picard import (
     PicardError,
     _l_coords,
@@ -32,7 +36,6 @@ from orbimirror.picard import (
     extended_kahler_contains,
     extended_pl_and_pic,
     distinguished_relations,
-    kahler_cone,
     min_decomposition,
     pl_lattice,
     rho_membership,
@@ -85,17 +88,17 @@ def test_theta_pl_lattice_is_saturated():
 def test_kahler_cone_p1_and_p2_are_rays():
     for name in ("P1", "P2"):
         _, data, _, _ = pipeline(name)
-        cone = kahler_cone(data)
+        cone = data.kahler
         assert cone.extremal_rays() == [(1,)]
 
 
 def test_kahler_cone_f2_two_dimensional_with_p112_face():
     _, data_f2, _, _ = pipeline("F2")
-    kz = kahler_cone(data_f2)
+    kz = data_f2.kahler
     rays_z = kz.extremal_rays()
     assert len(rays_z) == 2
     _, data_x, _, _ = pipeline("P112")
-    kx = kahler_cone(data_x)
+    kx = data_x.kahler
     rays_x = kx.extremal_rays()
     assert len(rays_x) == 1
     # both live in the same L* coordinates because the L bases coincide
@@ -115,8 +118,40 @@ def test_rho_membership_corpus_and_counterexample():
     assert rho_membership(f3) == (False, False)
 
 
+def _kahler_cone_oracle(ext):
+    """K from the fan's walls and distinguished relations, and whether it has
+    interior by the former LP of picard.kahler_cone: a point of K at which
+    every wall functional is >= 1."""
+    walls = [_l_coords(ext, w + (0,) * ext.e) for w in ext.fan.wall_relations]
+    dist = [_l_coords(ext, rel) for rel in distinguished_relations(ext)]
+    interior = lp_feasible(ext.l_rank, eqs=[(g, 0) for g in dist],
+                           ineqs=[(w, 1) for w in walls])
+    return RationalCone.from_inequalities(ext.l_rank, walls, dist), interior is not None
+
+
+def test_kahler_interior_matches_replaced_lp():
+    """extended_pl_and_pic refuses exactly the fans whose K the former LP
+    finds no interior point of, and otherwise builds that K: on the 128 cube
+    boundary fans, 18 and 10 of them not projective, and the differential
+    fans, all projective."""
+    refused = Counter()
+    fans = [(name, ext_of_doc(doc)) for name, doc in cube_boundary_fans()]
+    for name, ext in fans + list(differential_fans()):
+        cone, projective = _kahler_cone_oracle(ext)
+        try:
+            data = extended_pl_and_pic(ext)
+        except PicardError as exc:
+            assert str(exc) == "Kaehler cone has empty interior; fan is not projective"
+            assert not projective, name
+            refused[name.split("-")[0]] += 1
+        else:
+            assert projective, name
+            assert data.kahler == cone, name
+    assert refused == {"cube111": 18, "cube123": 10}
+
+
 def _extended_kahler_contains_oracle(data, x) -> bool:
-    """The former picard.extended_kahler_contains: an LP over dim + e free
+    """An earlier picard.extended_kahler_contains: an LP over dim + e free
     variables with x restated as dim equalities."""
     dim = data.ext.l_rank
     e = data.ext.e
@@ -141,11 +176,49 @@ def _extended_kahler_contains_oracle(data, x) -> bool:
     return lp_feasible(nvars, eqs=eqs, ineqs=ineqs) is not None
 
 
+def _extended_kahler_contains_t_oracle(data, x) -> bool:
+    """The former picard.extended_kahler_contains: is there a t >= 0 with
+    x - sum_k t_k [D_{m+k}] in K? An LP over t only."""
+    e = data.ext.e
+    cols = [data.d_classes[data.ext.m + k] for k in range(e)]
+
+    def constraint(f):
+        # f.(x - sum_k t_k D_k) as (coefficients of t, constant) for lp_feasible
+        return [-dot(f, c) for c in cols], -dot(f, x)
+
+    ineqs = [constraint(w) for w in data.kahler.inequalities]
+    ineqs += [([int(j == k) for j in range(e)], 0) for k in range(e)]
+    eqs = [constraint(g) for g in data.kahler.equalities]
+    return lp_feasible(e, eqs=eqs, ineqs=ineqs) is not None
+
+
+def _rho_fans():
+    """The 16 reflexive X, each extended by the new rays of its resolution Z,
+    each Z, and P(1,1,1,3), P(1,1,2,4), P(1,2,3,6) and P(1,2,6,9) extended by
+    their Gen sets."""
+    for name, x, z in reflexive_pairs():
+        yield f"X{name}", ext_of_doc({**x, "extra_generators": z["rays"][len(x["rays"]):]})
+        yield f"Z{name}", ext_of_doc(z)
+    for weights in ((1, 1, 3), (1, 2, 4), (2, 3, 6), (2, 6, 9)):
+        yield f"P(1,{weights})", ext_of_doc(weighted_projective_space(*weights))
+
+
 def test_extended_kahler_contains_matches_replaced_lp():
-    """At rho, at rho - [D_{m+k}], and at the extremal rays of K, rho and each
+    """The closed form against both former LPs. On the differential fans: at
+    rho, at rho - [D_{m+k}], and at the extremal rays of K, rho and each
     [D_{m+k}] moved by 1/100 along every coordinate axis, which puts many of
-    them just outside K^e."""
+    them just outside K^e. On the reflexive X and Z and four weighted
+    projective 3-spaces: at rho, at every [D_i] and at three random rational
+    combinations of the [D_i]."""
+    rng = random.Random(0)
     verdicts = []
+
+    def check(name, data, x):
+        verdict = extended_kahler_contains(data, x)
+        assert verdict == _extended_kahler_contains_t_oracle(data, x), (name, x)
+        assert verdict == _extended_kahler_contains_oracle(data, x), (name, x)
+        verdicts.append((name, verdict))
+
     for name, ext in differential_fans():
         data = extended_pl_and_pic(ext)
         dim = ext.l_rank
@@ -156,11 +229,22 @@ def test_extended_kahler_contains_matches_replaced_lp():
                 for step in (Fraction(1, 100), Fraction(-1, 100)):
                     points.append(tuple(Fraction(c) + step * (i == j) for i, c in enumerate(base)))
         for x in points:
-            verdict = extended_kahler_contains(data, x)
-            assert verdict == _extended_kahler_contains_oracle(data, x), (name, x)
-            verdicts.append((name, verdict))
+            check(name, data, x)
     assert ("f3", False) in verdicts and ("p123", False) in verdicts
     assert sum(v for _, v in verdicts) > 50 and sum(not v for _, v in verdicts) > 50
+    verdicts.clear()
+    fans = list(_rho_fans())
+    for name, ext in fans:
+        data = extended_pl_and_pic(ext)
+        points = [data.rho] + list(data.d_classes)
+        for _ in range(3):
+            coeffs = [Fraction(rng.randint(-1, 3), rng.randint(1, 3)) for _ in data.d_classes]
+            points.append(tuple(sum(c * d[j] for c, d in zip(coeffs, data.d_classes))
+                                for j in range(ext.l_rank)))
+        for x in points:
+            check(name, data, x)
+    assert len(fans) == 36 and max(ext.e for _, ext in fans) == 7
+    assert sum(v for _, v in verdicts) > 100 and sum(not v for _, v in verdicts) > 20
 
 
 def test_choose_basis_p_p1():
@@ -172,7 +256,7 @@ def test_choose_basis_p_p1():
 def test_choose_basis_p_p112():
     _, data, _, _ = pipeline("P112")
     assert data.p_basis[1] == (Fraction(-2), Fraction(1))  # p2 = [D4]
-    cone = kahler_cone(data)
+    cone = data.kahler
     assert cone.contains(data.p_basis[0])
     assert data.m_matrix[3] == (Fraction(0), Fraction(1))  # row m+1 = e_{r+1}
 

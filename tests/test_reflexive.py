@@ -11,8 +11,10 @@ import json
 import pytest
 
 from corpus import ext_of_doc, reflexive_pairs
+from orbimirror import picard
 from orbimirror.cli import main
 from orbimirror.cohomology import presentation
+from orbimirror.linalg import ResourceLimitError
 
 PAIRS = {name: (x, z) for name, x, z in reflexive_pairs()}
 
@@ -107,3 +109,41 @@ def test_global_moduli_report(capsys, tmp_path, name):
             raise KnownRefusal(err)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == GLOBAL_MODULI_DIGESTS[name]
+
+
+# -- the p-basis search budget ----------------------------------------------------
+
+DP6 = "b6(-2,-1)(-1,-1)(1,0)(2,1)(1,1)(-1,0)"
+# SHA-256 of dP6's `picard` report, recorded before the search had a budget
+DP6_PICARD_DIGEST = "9099729b429a7b77dacba0b01a28987ec99e9ead481631a6a4883de6af3cb499"
+
+
+def _picard(capsys, tmp_path, doc):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(doc))
+    code = main(["picard", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_dp6_picard_report_within_the_p_basis_budget(capsys, tmp_path):
+    # the largest search that succeeds on these fans: 242 combinations built
+    # and 22,566 subsets tried
+    code, out, err = _picard(capsys, tmp_path, PAIRS[DP6][0])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == DP6_PICARD_DIGEST
+
+
+@pytest.mark.parametrize("cap", (241, 1000))  # over on the combinations, on the subsets
+def test_dp6_p_basis_search_raises_over_a_smaller_budget(monkeypatch, cap):
+    data = picard.extended_pl_and_pic(ext_of_doc(PAIRS[DP6][0]))
+    monkeypatch.setattr(picard, "P_BASIS_SEARCH_CAP", cap)
+    with pytest.raises(ResourceLimitError, match=f"^p-basis search: more than {cap} candidates$"):
+        picard.choose_basis_p(data)
+
+
+def test_picard_on_the_nine_point_z_ends_on_the_p_basis_budget(capsys, tmp_path):
+    code, out, err = _picard(capsys, tmp_path, PAIRS["b9(-2,-1)(1,-1)(1,2)"][1])
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == {"kind": "resource-limit",
+                                        "message": "p-basis search: more than 50000 candidates"}
