@@ -450,11 +450,33 @@ class GradedQuotientRing:
             return Fraction(0)
         return degs.pop() if len(degs) == 1 else None
 
+    def multiplication_columns(self, cls: Class):
+        """Cup product by `cls` as (columns, den): column j holds the nonzero
+        (index, numerator) pairs of cls * m_j for the j-th standard monomial
+        m_j, every numerator over the one denominator den."""
+        nums, cden = cls
+        table, den = self._products
+        support = [(row, x) for row, x in zip(table, nums) if x]
+        columns = []
+        for j in range(len(nums)):
+            out = [0] * len(nums)
+            for row, x in support:
+                for k, c in row[j]:
+                    out[k] += x * c
+            columns.append([(k, c) for k, c in enumerate(out) if c])
+        den *= cden
+        g = gcd(den, *(c for column in columns for _, c in column))
+        return tuple(tuple((k, c // g) for k, c in column) for column in columns), den // g
+
     def multiplication_matrix(self, cls: Class) -> tuple[tuple[Fraction, ...], ...]:
-        """Cup product by `cls` in the standard-monomial basis (columns = images)."""
-        cols = [class_vector(self.mul(cls, self.class_of({m: Fraction(1)})))
-                for m in self.std_monomials]
-        return tuple(zip(*cols))
+        """Cup product by `cls` in the standard-monomial basis (columns = images):
+        the Fraction view of `multiplication_columns`."""
+        columns, den = self.multiplication_columns(cls)
+        rows = [[Fraction(0)] * len(columns) for _ in columns]
+        for j, column in enumerate(columns):
+            for k, c in column:
+                rows[k][j] = Fraction(c, den)
+        return tuple(map(tuple, rows))
 
     def top_degree(self) -> Fraction:
         return max(self.mono_degree(m) for m in self.std_monomials)

@@ -11,9 +11,14 @@ coordinates chi_{r+1}.. never occur. The truncation order N means every
 coefficient with total chi-degree <= N is complete.
 
 Each piece of exact work is done once, and no table outlives its owner:
-an `i_function` call builds one table of the powers of each ray class
-D-bar_i and one sector class 1_v per sector it meets, and a series keeps the
-derivatives theta^s del^t E^u of itself that `apply_operator` has asked for.
+an `i_function` call builds the powers of each ray class D-bar_i, one factor
+class per (ray, pairing) and one sector class 1_v per sector it meets, so
+each degree's hypergeometric factor is one class, 1_v times one factor class
+per ray, split by degree into its z-powers. A product with a fixed class
+(the log prefactor's pbar_a, I-tilde's rho-bar) is one int operator,
+`ring.multiplication_columns`, applied along a chain per term that stops at
+its first zero product. A series keeps the derivatives theta^s del^t E^u of
+itself that `apply_operator` has asked for.
 Only work a result reads is done: `apply_operator` forms the terms up to the
 chi-degree its caller reads. Classes, the z-exponents q (numerators over the
 ring's `int_degrees` denominator Q) and the degree pairings (over M's `m_ints`
@@ -270,14 +275,6 @@ def _powers(ring: GradedQuotientRing, cls):
         power = ring.mul(power, cls)
 
 
-def _laurent_mul(a: dict, b: dict, ring: GradedQuotientRing) -> dict:
-    out: dict = {}
-    for q1, v1 in a.items():
-        for q2, v2 in b.items():
-            _acc(out, q1 + q2, ring.mul(v1, v2))
-    return _classes(out)
-
-
 def factor_scalars(c: tuple[int, int], length: int) -> tuple[tuple[int, ...], int]:
     """(a, den), the scalars a_0/den .. a_{length-1}/den in lowest terms, with,
     for c = n/d given as the reduced pair (n, d) and any class D with D^length = 0,
@@ -317,80 +314,148 @@ def factor_scalars(c: tuple[int, int], length: int) -> tuple[tuple[int, ...], in
 
 
 class FactorTables:
-    """What the hypergeometric factors of one `i_function` call share: the
-    powers 1, D-bar_i, D-bar_i^2, .. of each ray class up to the last nonzero
-    one, and the class 1_v of each sector v, made on its first use."""
+    """What the hypergeometric factors of one `i_function` call share, each
+    made on its first use: the powers 1, D-bar_i, D-bar_i^2, .. of each ray
+    class up to the last nonzero one; for each ray i and reduced pairing c
+    met with ceil c != 0, the class G = sum_K (a_K / den) D-bar_i^K of
+    `factor_scalars` (the ray's product at z = 1), combined from those powers
+    once; and each sector's class 1_v with its age.
+
+    Every D-bar_i must be homogeneous of degree 1 and every 1_v of degree
+    age(v), else SeriesError: then the degree-g part of 1_v prod_i G_i is the
+    coefficient of z^{-sum_i ceil c_i - (g - age v)}.
+    """
 
     def __init__(self, data: ExtendedPicardData, ring: GradedQuotientRing):
         self.data, self.ring = data, ring
-        self.powers = [list(_powers(ring, dbar_class(data, ring, i)))
-                       for i in range(data.ext.m)]
+        self.degrees, self.zden = ring.int_degrees
+        self.powers = []
+        for i in range(data.ext.m):
+            dbar = dbar_class(data, ring, i)
+            if any(x and g != self.zden for x, g in zip(dbar[0], self.degrees)):
+                raise SeriesError(f"ray class D{i + 1} is not homogeneous of degree 1")
+            self.powers.append(list(_powers(ring, dbar)))
+        self._ages = {b.vector: b.age for b in data.ext.box}
+        self._factors: dict = {}
         self._sectors: dict = {}
 
+    def factor(self, i, n, d):
+        """G for ray i and the reduced pairing c = n/d."""
+        key = i, n, d
+        if key not in self._factors:
+            powers = self.powers[i]
+            scalars, den = factor_scalars((n, d), len(powers))
+            out: dict = {}
+            for a, power in zip(scalars, powers):
+                if a:  # a_0 != 0, so G != 0
+                    _acc(out, key, _scaled(power, a, den))
+            self._factors.update(_classes(out))
+        return self._factors[key]
+
     def sector(self, v):
+        """(1_v, age(v) as a numerator over the ring's degree denominator)."""
         if v not in self._sectors:
-            self._sectors[v] = sector_class(self.data, self.ring, v)
+            cls = sector_class(self.data, self.ring, v)
+            age = self._ages[v]
+            degs = {g for x, g in zip(cls[0], self.degrees) if x}
+            if any(g * age.denominator != age.numerator * self.zden for g in degs):
+                raise SeriesError(f"sector class 1_{list(v)} is not homogeneous "
+                                  "of degree age(v)")
+            self._sectors[v] = cls, degs.pop() if degs else 0
         return self._sectors[v]
+
+
+def _graded_parts(nums, degrees) -> dict:
+    """{degree numerator: the numerators of nums in that degree} for the
+    nonzero entries of nums, the degrees of its coordinates given."""
+    parts: dict = {}
+    for idx, (x, g) in enumerate(zip(nums, degrees)):
+        if x:
+            parts.setdefault(g, [0] * len(nums))[idx] = x
+    return parts
 
 
 def hypergeometric_factor(data: ExtendedPicardData, ring: GradedQuotientRing,
                           degree: dict, tables: FactorTables | None = None) -> dict:
     """The product over i of the telescoped factor ratios, cupped with 1_{v(d)}.
 
-    Returns {z-exponent over Q: class}. Each ray's product is `factor_scalars`
-    times the powers of its class in `tables` (new tables when none are given).
-    Extension indices carry no divisor class, so theirs is a scalar; a
-    scalar-zero denominator factor (impossible on K^eff) raises SeriesError.
+    Returns {z-exponent over Q: class}. The product is formed as one class,
+    1_v times the class G of each ray with ceil c != 0 from `tables` (new
+    tables when none are given), one ring product per such ray, and is then
+    split by degree (see `FactorTables`). Extension indices carry no divisor
+    class, so theirs is the scalar z^{-c} / c!; a scalar-zero denominator
+    factor (impossible on K^eff) raises SeriesError.
     """
-    ext = data.ext
+    m = data.ext.m
     tables = tables or FactorTables(data, ring)
-    zden, mden = ring.int_degrees[1], data.m_ints[1]
-    acc = {0: tables.sector(degree["sector"])}
-    for i in range(ext.n):
-        n = degree["pairings"][i]
-        if i >= ext.m:
+    zden, mden = tables.zden, data.m_ints[1]
+    acc, age = tables.sector(degree["sector"])
+    shift, scale = 0, 1
+    for i, n in enumerate(degree["pairings"]):
+        if i >= m:
             if n % mden or n < 0:
                 raise SeriesError("extension pairing not a nonnegative integer on K^eff")
-            if n:
-                c = n // mden
-                acc = {q - c * zden: _scaled(v, 1, factorial(c)) for q, v in acc.items()}
+            shift += n // mden
+            scale *= factorial(n // mden)
             continue
-        n, d = n // gcd(n, mden), mden // gcd(n, mden)
+        g = gcd(n, mden)
+        n, d = n // g, mden // g
         ceil_c = -((-n) // d)
-        if ceil_c == 0:
-            continue
-        powers = tables.powers[i]
-        scalars, den = factor_scalars((n, d), len(powers))
-        factor = {(-ceil_c - k) * zden: _scaled(power, a, den)
-                  for k, (a, power) in enumerate(zip(scalars, powers)) if a}
-        acc = _laurent_mul(acc, factor, ring)
-        if not acc:
-            break
-    return acc
+        if ceil_c:
+            shift += ceil_c
+            acc = ring.mul(acc, tables.factor(i, n, d))
+            if not any(acc[0]):
+                return {}
+    nums, den = acc
+    top = age - shift * zden
+    return {top - deg: reduced_class(part, den * scale)
+            for deg, part in _graded_parts(nums, tables.degrees).items()}
 
 
 # -- the I-function ---------------------------------------------------------------
 
 
-def log_prefactor(data: ExtendedPicardData, ring: GradedQuotientRing) -> LogSeries:
-    """exp(sum_{a<=r} pbar_a log chi_a / z), expanded finitely by nilpotency."""
-    r, e, zden = data.r, data.e, ring.int_degrees[1]
-    out = series_one(ring, r, e)
-    for a in range(r):
-        terms = {((0,) * (r + e), tuple(k if i == a else 0 for i in range(r)), -k * zden, 0):
-                 _scaled(power, 1, factorial(k))
-                 for k, power in enumerate(_powers(ring, pbar_class(data, ring, a)))}
-        out = series_mul(out, LogSeries(r, e, ring.dim, terms), ring)
-    return out
+def _exp_chain(terms: dict, op, step, sign: int) -> dict:
+    """exp(sign C X) times the terms, for op = ring.multiplication_columns(C)
+    and X = (log chi)^dlogk z^dq (log z)^dj with step = (dlogk, dq, dj): each
+    term c X^0 becomes sum_k (sign^k / k!) (C^k c) X^k. The powers C^k c come
+    from applying op k times, and each chain stops at its first zero product.
+    """
+    columns, oden = op
+    dlogk, dq, dj = step
+    out: dict = {}
+    for key, vec in terms.items():
+        _acc(out, key, vec)
+        beta, logk, q, j = key
+        nums, den = vec
+        k = fact = 1
+        while True:
+            new = [0] * len(nums)
+            for x, column in zip(nums, columns):
+                if x:
+                    for idx, c in column:
+                        new[idx] += x * c
+            if not any(new):
+                break
+            nums, den = reduced_class(new, den * oden)
+            logk, q, j = tuple(map(add, logk, dlogk)), q + dq, j + dj
+            fact *= k
+            signed = nums if sign > 0 or k % 2 == 0 else [-x for x in nums]
+            _acc(out, (beta, logk, q, j), (signed, den * fact))
+            k += 1
+    return _classes(out)
 
 
 def i_function(data: ExtendedPicardData, ring: GradedQuotientRing,
                mori: MoriData, order: int, degrees: list | None = None) -> LogSeries:
-    """Truncated I-function: prefactor times the hypergeometric sum over K^eff.
+    """Truncated I-function: exp(sum_{a<=r} pbar_a log chi_a / z) times the
+    hypergeometric sum over K^eff, the exponential applied one a at a time
+    by `_exp_chain` (finite by nilpotency).
 
     `degrees` is `enumerate_degrees(mori, order)`, when the caller has it.
     """
     r, e = data.r, data.e
+    zden = ring.int_degrees[1]
     tables = FactorTables(data, ring)
     body: dict = {}
     for degree in enumerate_degrees(mori, order) if degrees is None else degrees:
@@ -401,8 +466,11 @@ def i_function(data: ExtendedPicardData, ring: GradedQuotientRing,
         for q, vec in factor.items():
             key = (tuple(beta), (0,) * r, q, 0)
             _acc(body, key, vec)
-    series = LogSeries(r, e, ring.dim, _classes(body), order)
-    return series_mul(log_prefactor(data, ring), series, ring).truncate(order)
+    terms = _classes(body)
+    for a in range(r):
+        op = ring.multiplication_columns(pbar_class(data, ring, a))
+        terms = _exp_chain(terms, op, (tuple(int(i == a) for i in range(r)), -zden, 0), 1)
+    return LogSeries(r, e, ring.dim, terms, order).truncate(order)
 
 
 @dataclass(frozen=True)
@@ -446,23 +514,17 @@ def mirror_map(series: LogSeries, ring: GradedQuotientRing,
 
 def tilde_i(series: LogSeries, ring: GradedQuotientRing,
             data: ExtendedPicardData) -> LogSeries:
-    """I-tilde: apply z^mu (scale degree-q pieces by z^q), then z^{-rho-bar}."""
+    """I-tilde: apply z^mu (scale degree-q pieces by z^q), then
+    z^{-rho-bar} = exp(-rho-bar log z) by `_exp_chain`."""
     r, e = series.r, series.e
     degrees = ring.int_degrees[0]
     graded: dict = {}
     for (beta, logk, q, j), (nums, den) in series.terms.items():
-        by_deg: dict = {}
-        for idx, x in enumerate(nums):
-            if x:
-                by_deg.setdefault(degrees[idx], [0] * len(nums))[idx] = x
-        for d, part in by_deg.items():
+        for d, part in _graded_parts(nums, degrees).items():
             _acc(graded, (beta, logk, q + d, j), (part, den))
-    scaled = LogSeries(r, e, ring.dim, _classes(graded), series.order)
-    terms = {((0,) * (r + e), (0,) * r, 0, k):
-             _scaled(power, (-1) ** k, factorial(k))
-             for k, power in enumerate(_powers(ring, rho_bar_class(data, ring)))}
-    zrho = LogSeries(r, e, ring.dim, terms, series.order)
-    return series_mul(scaled, zrho, ring)
+    op = ring.multiplication_columns(rho_bar_class(data, ring))
+    terms = _exp_chain(_classes(graded), op, ((0,) * r, 0, 1), -1)
+    return LogSeries(r, e, ring.dim, terms, series.order)
 
 
 @dataclass(frozen=True)

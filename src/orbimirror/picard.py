@@ -192,9 +192,9 @@ def choose_basis_p(data: ExtendedPicardData, override=None) -> ExtendedPicardDat
     """Deterministic p-basis satisfying the three conditions, plus M, N and W.
 
     Search: primitive lattice points on the extremal rays of K, then small
-    nonnegative combinations, validated by exact membership/unimodularity and
-    rho in Cone(p). An explicit override (r rows in L* coordinates) is
-    validated the same way.
+    nonnegative combinations, validated by exact unimodularity and rho in
+    Cone(p); they lie in K by construction. An explicit override (r rows in
+    L* coordinates) is validated the same way, and its rows tested in K.
     """
     ext = data.ext
     cone = data.kahler
@@ -203,8 +203,6 @@ def choose_basis_p(data: ExtendedPicardData, override=None) -> ExtendedPicardDat
 
     def validate(cands) -> bool:
         rows = [tuple(int(v) for v in c) for c in cands]
-        if not all(cone.contains(row) for row in rows):
-            return False
         return (is_basis_of(rows + forced, data.pic_basis)
                 and in_basis_cone(data.rho, integer_inverse(rows + forced)))
 
@@ -212,7 +210,7 @@ def choose_basis_p(data: ExtendedPicardData, override=None) -> ExtendedPicardDat
     if override is not None:
         check_basis_shape(override, r, r + e, "p_basis")
         rows = [tuple(int(x) for x in row) for row in override]
-        if not validate(rows):
+        if not (all(cone.contains(row) for row in rows) and validate(rows)):
             raise PicardError("supplied p-basis fails the three basis conditions")
         chosen = rows
     elif r == 0:

@@ -595,8 +595,9 @@ def test_series_engine_makes_no_fraction_from_classes_or_coefficients(capsys, mo
     no Fraction (the ring's first product builds its table through class_of,
     whose normal forms are Fraction polynomials; a Fraction made there counts
     for class_of). The series steps make no Fraction at all: the degree
-    enumeration, the hypergeometric factors, their Laurent products, I-tilde,
-    the series product, the operator action and the derivative steps. Their
+    enumeration, the hypergeometric factors, I-tilde, the exponential chains
+    of one int operator (the log prefactor and z^{-rho-bar}), the operator
+    action and the derivative steps. Their
     classes and coefficients are ints over one denominator, and so are the
     z-exponents of their term keys and the degree pairings. The unit, sector
     and anticanonical classes they read are made from Fraction polynomials,
@@ -629,8 +630,8 @@ def test_series_engine_makes_no_fraction_from_classes_or_coefficients(capsys, mo
     for name in ("sector_class", "rho_bar_class"):
         monkeypatch.setattr(ifunction, name, tracked(name, getattr(ifunction, name)))
     builders = ("one", "sector_class", "rho_bar_class")
-    series_steps = ("enumerate_degrees", "hypergeometric_factor", "_laurent_mul", "tilde_i",
-                    "series_mul", "apply_operator", "_act_theta", "_act_del", "_act_e")
+    series_steps = ("enumerate_degrees", "hypergeometric_factor", "tilde_i", "_exp_chain",
+                    "apply_operator", "_act_theta", "_act_del", "_act_e")
     for name in series_steps:
         tracked_step = tracked(name, getattr(ifunction, name))
         for module in (ifunction, cli):
@@ -645,6 +646,60 @@ def test_series_engine_makes_no_fraction_from_classes_or_coefficients(capsys, mo
     series_made = {kind for name, kind in made if name in series_steps}
     assert {name for name, _ in made} <= {"class_of", *builders, *series_steps}
     assert series_made == set()
+
+
+def test_factor_classes_are_built_once_and_multiplied_once_per_ray(capsys, monkeypatch):
+    """On p123 `all --order 5` each i_function call builds the class of each
+    (ray, reduced pairing) factor once (one `factor_scalars` per distinct
+    pair it looks up), and each hypergeometric factor makes at most one ring
+    product per ray whose pairing has a nonzero ceiling."""
+    calls, lookups, built, products = [], [], [], []
+    inside = []
+    real = {name: getattr(ifunction, name)
+            for name in ("i_function", "hypergeometric_factor", "factor_scalars")}
+    real_factor = ifunction.FactorTables.factor
+    real_mul = cohomology.GradedQuotientRing.mul
+
+    def i_function(*args, **kwargs):
+        calls.append(len(calls))
+        return real["i_function"](*args, **kwargs)
+
+    def hypergeometric_factor(data, ring, degree, tables=None):
+        mden = data.m_ints[1]
+        rays = sum(1 for n in degree["pairings"][:data.ext.m] if -((-n) // mden))
+        products.append([rays, 0])
+        inside.append(True)
+        try:
+            return real["hypergeometric_factor"](data, ring, degree, tables)
+        finally:
+            inside.pop()
+
+    def factor(self, i, n, d):
+        lookups.append((calls[-1], i, n, d))
+        return real_factor(self, i, n, d)
+
+    def factor_scalars(c, length):
+        built.append(calls[-1])
+        return real["factor_scalars"](c, length)
+
+    def mul(self, u, v):
+        if inside:
+            products[-1][1] += 1
+        return real_mul(self, u, v)
+
+    for name, fn in (("i_function", i_function), ("factor_scalars", factor_scalars),
+                     ("hypergeometric_factor", hypergeometric_factor)):
+        for module in (ifunction, cli):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, fn)
+    monkeypatch.setattr(ifunction.FactorTables, "factor", factor)
+    monkeypatch.setattr(cohomology.GradedQuotientRing, "mul", mul)
+    assert run_cli(capsys, "all", str(DATA / "p123.json"), "--order", "5")[0] == 0
+    assert len(calls) == 2 and len(built) > len(calls)
+    assert Counter(built) == Counter(call for call, *_ in set(lookups))
+    assert len(lookups) > len(set(lookups))
+    assert products and all(made <= rays for rays, made in products)
+    assert sum(made for _, made in products) > 0
 
 
 def test_box_x_makes_no_commutation_step_and_no_fraction(capsys, monkeypatch):

@@ -13,34 +13,41 @@ from corpus import (
     add_classes,
     box_operators,
     d_pairings,
+    ext_of_doc,
     fraction_products,
     in_k_eff,
     mul_oracle,
     pipeline,
+    reflexive_pairs,
     scale_class,
     series_fans,
     v_of,
     weighted_planes,
+    weighted_projective_space,
 )
-from orbimirror.cohomology import class_pair, class_vector
+from orbimirror import ifunction
+from orbimirror.cohomology import class_pair, class_vector, is_nef, presentation
 from orbimirror.ifunction import (
     AnnihilationReport,
     FactorTables,
     LogSeries,
     SeriesError,
+    _acc,
+    _classes,
     _powers,
+    _scaled,
     annihilation_check,
     apply_operator,
     enumerate_degrees,
     factor_scalars,
     hypergeometric_factor,
     i_function,
-    log_prefactor,
     mirror_map,
     series_mul,
     series_one,
     tilde_i,
 )
+from orbimirror.linalg import ResourceLimitError
 from orbimirror.operators import (
     LogDiffOp,
     box_x,
@@ -51,6 +58,7 @@ from orbimirror.operators import (
     rho_bar_class,
     sector_class,
 )
+from orbimirror.picard import PicardError, choose_basis_p, extended_pl_and_pic, mori_lattices
 
 
 # -- independent oracle: the classical projective-space series -------------------
@@ -169,6 +177,20 @@ def test_hypergeometric_factor_twisted_sector_support():
     factor = hypergeometric_factor(data, ring, deg)
     twisted = ring.class_of_var(3)  # the class of D4 = 1_{(0,-1)}
     assert factor == {Fraction(-1): twisted}
+
+
+def log_prefactor(data, ring):
+    """exp(sum_{a<=r} pbar_a log chi_a / z) as a LogSeries, expanded finitely
+    by nilpotency: the replaced factor that i_function multiplied its
+    hypergeometric sum by with `series_mul`."""
+    r, e, zden = data.r, data.e, ring.int_degrees[1]
+    out = series_one(ring, r, e)
+    for a in range(r):
+        terms = {((0,) * (r + e), tuple(k if i == a else 0 for i in range(r)), -k * zden, 0):
+                 _scaled(power, 1, factorial(k))
+                 for k, power in enumerate(_powers(ring, pbar_class(data, ring, a)))}
+        out = series_mul(out, LogSeries(r, e, ring.dim, terms), ring)
+    return out
 
 
 def test_prefactor_leading_terms():
@@ -681,6 +703,102 @@ def _check_series_against_oracles(data, ring, mori, orders):
                          ids=[fan[0] for fan in SERIES_FANS])
 def test_hypergeometric_factor_matches_replaced_routine(name, data, ring, mori):
     _check_series_against_oracles(data, ring, mori, ORDERS)
+
+
+def _laurent_mul(a, b, ring):
+    out = {}
+    for q1, v1 in a.items():
+        for q2, v2 in b.items():
+            _acc(out, q1 + q2, ring.mul(v1, v2))
+    return _classes(out)
+
+
+def _laurent_factor(data, ring, degree):
+    """The replaced int hypergeometric_factor: each ray's factor as the
+    Laurent polynomial sum_K (a_K / den) D-bar_i^K z^{-ceil c - K}, multiplied
+    in by `_laurent_mul`, term by term."""
+    zden, mden = ring.int_degrees[1], data.m_ints[1]
+    acc = {0: sector_class(data, ring, degree["sector"])}
+    for i, n in enumerate(degree["pairings"]):
+        if i >= data.ext.m:
+            c = n // mden
+            acc = {q - c * zden: _scaled(v, 1, factorial(c)) for q, v in acc.items()}
+            continue
+        n, d = n // gcd(n, mden), mden // gcd(n, mden)
+        ceil_c = -((-n) // d)
+        if ceil_c:
+            powers = list(_powers(ring, dbar_class(data, ring, i)))
+            scalars, den = factor_scalars((n, d), len(powers))
+            acc = _laurent_mul(acc, {(-ceil_c - k) * zden: _scaled(power, a, den)
+                                     for k, (a, power) in enumerate(zip(scalars, powers)) if a},
+                               ring)
+    return acc
+
+
+def _nef_series_fans():
+    """The nef X and Z of every reflexive pair, P(1,1,1,3), P(1,1,2,2) and
+    P(1,2,2,5) (Gorenstein, so their ages are integers), and P(1,1,1,4), whose
+    ages are fractional (ring denominator Q = 4); those that the bounded
+    p-basis search refuses (ROADMAP item 8) have no I-function and are left
+    out."""
+    fans = [(f"{name}-{side}", ext_of_doc(doc)) for name, x, z in reflexive_pairs()
+            for side, doc in (("X", x), ("Z", z))]
+    fans += [(f"P(1,{a},{b},{c})", ext_of_doc(weighted_projective_space(a, b, c)))
+             for a, b, c in ((1, 1, 3), (1, 2, 2), (2, 2, 5), (1, 1, 4))]
+    out = []
+    for name, ext in fans:
+        assert is_nef(ext), name
+        picard = extended_pl_and_pic(ext)
+        try:
+            data = choose_basis_p(picard)
+        except (PicardError, ResourceLimitError) as exc:
+            assert "p-basis" in str(exc), name
+            continue
+        out.append((name, data, presentation(ext), mori_lattices(data)))
+    return out
+
+
+NEF_SERIES = _nef_series_fans()
+
+
+@pytest.mark.parametrize("name, data, ring, mori", NEF_SERIES,
+                         ids=[fan[0] for fan in NEF_SERIES])
+def test_one_class_factors_and_chains_match_oracles_on_nef_fans(name, data, ring, mori):
+    """hypergeometric_factor (one class per degree, split by degree),
+    i_function and tilde_i (exp chains of one int operator) against the
+    Fraction oracles at order 2, and each factor against the replaced
+    Laurent-product route."""
+    _check_series_against_oracles(data, ring, mori, [2])
+    tables = FactorTables(data, ring)
+    for degree in enumerate_degrees(mori, 2):
+        assert hypergeometric_factor(data, ring, degree, tables) == _laurent_factor(
+            data, ring, degree), name
+
+
+def test_nef_fans_include_fractional_ages():
+    zdens = {name: ring.int_degrees[1] for name, _, ring, _ in NEF_SERIES}
+    assert len(zdens) == len(NEF_SERIES) > 20
+    assert {name: zdens.get(name) for name in ("P(1,1,1,3)", "P(1,1,2,2)", "P(1,2,2,5)",
+                                               "P(1,1,1,4)")} == {
+        "P(1,1,1,3)": 1, "P(1,1,2,2)": 1, "P(1,2,2,5)": 1, "P(1,1,1,4)": 4}
+
+
+def test_inhomogeneous_classes_raise_series_error(monkeypatch):
+    """The one-class factor reads z-exponents off degrees, so a sector class
+    that is not homogeneous of degree age(v), or a ray class not homogeneous
+    of degree 1, is refused."""
+    _, data, ring, mori = pipeline("P112")
+    twisted = next(d for d in enumerate_degrees(mori, 1) if d["beta"] == (0, 1))
+    real_sector = ifunction.sector_class
+    for fake in (lambda *args: add_classes(ring.one(), real_sector(*args)),
+                 lambda *args: ring.one()):
+        monkeypatch.setattr(ifunction, "sector_class", fake)
+        with pytest.raises(SeriesError, match=r"sector class 1_\[0, -1\] is not homogeneous"):
+            hypergeometric_factor(data, ring, twisted)
+    monkeypatch.setattr(ifunction, "sector_class", real_sector)
+    monkeypatch.setattr(ifunction, "dbar_class", lambda data, ring, i: ring.one())
+    with pytest.raises(SeriesError, match="ray class D1 is not homogeneous of degree 1"):
+        i_function(data, ring, mori, 1)
 
 
 def _annihilation_report_oracle(op, series, ring):
