@@ -549,7 +549,8 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
     except (ResourceLimitError, RecursionError, MemoryError) as exc:
-        print(json.dumps({"error": {"kind": "resource-limit", "message": str(exc)}}),
+        message = str(exc) or type(exc).__name__  # a bare MemoryError says nothing
+        print(json.dumps({"error": {"kind": "resource-limit", "message": message}}),
               file=sys.stderr)
         return 3
     timing = round(time.monotonic() - start, 3) if args.timing else None

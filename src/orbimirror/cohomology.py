@@ -1,10 +1,12 @@
 """Graded quotient-ring presentations of orbifold cohomology.
 
 One exact Groebner engine (weighted grevlex Buchberger) drives everything:
-lattice-ideal saturation per maximal cone, the global presentation, the
-residue and symbol rings, standard monomials, multiplication matrices and the
-top-degree pairing. The rational grading is cleared to positive integer
-weights for the monomial order, so standard monomials stay homogeneous.
+each maximal cone's lattice ideal, saturated one variable at a time
+(Bayer-Stillman; GROEBNER_PAIR_CAP bounds each step), the global
+presentation, the residue and symbol rings, standard monomials,
+multiplication matrices and the top-degree pairing. The rational grading is
+cleared to positive integer weights for the monomial order, so standard
+monomials stay homogeneous.
 
 The engine keeps each basis element monic, as a lead, the lead's support mask
 (its short exponent vector: bit i set iff x_i divides it) and the tail terms.
@@ -59,33 +61,20 @@ GROEBNER_PAIR_CAP = 1000000  # S-pairs one groebner_basis call may reduce
 
 
 class WeightedGrevlex:
-    """Weighted degree first, grevlex tie-break, optional elimination block.
+    """Weighted degree first, then grevlex: the last variable is the least."""
 
-    With elim_block = k the first k exponents dominate (sum-lex), which makes
-    the order eliminate those variables.
-    """
-
-    def __init__(self, weights, elim_block: int = 0):
+    def __init__(self, weights):
         self.weights = tuple(int(w) for w in weights)
-        self.elim = int(elim_block)
         if any(w <= 0 for w in self.weights):
             raise RingError("monomial order weights must be positive")
-        self._tail_weights = (0,) * self.elim + self.weights[self.elim:]
         self._bits = tuple(1 << i for i in range(len(self.weights)))
 
     def key(self, m: Mono):
-        tail = m[self.elim:]
-        return (sum(m[: self.elim]), self.degree(m), tuple(map(neg, reversed(tail))))
-
-    def degree(self, m: Mono) -> int:
-        """The weighted degree of m outside the elimination block."""
-        return sum(map(mul, m, self._tail_weights))
+        return (sum(map(mul, m, self.weights)), tuple(map(neg, reversed(m))))
 
     def descending_key(self, m: Mono):
-        """A key whose least value is the greatest monomial: `key` reversed,
-        for elim_block <= 1 (the trailing exponents of the block only break
-        ties that `key` leaves)."""
-        return (-sum(m[: self.elim]), -self.degree(m), m[::-1])
+        """A key whose least value is the greatest monomial: `key` reversed."""
+        return (-sum(map(mul, m, self.weights)), m[::-1])
 
     def support_mask(self, m: Mono) -> int:
         """The bitmask of m's support: bit i set iff m[i] > 0."""
@@ -279,28 +268,30 @@ def groebner_basis(gens, order: WeightedGrevlex) -> list[Poly]:
 
 
 def lattice_ideal_groebner(relations, weights) -> list[Poly]:
-    """Reduced GB of the saturated lattice ideal of the relation vectors.
+    """Reduced GB of the saturated lattice ideal of relations homogeneous for
+    the weights.
 
-    Saturation with respect to the product of all variables uses one auxiliary
-    inverse variable (t * x_1..x_k - 1) under an elimination order; the
-    t-free part is the lattice ideal (Rabinowitsch trick). On t-free monomials
-    the elimination order's key is WeightedGrevlex(weights)'s, so that part
-    already is the reduced basis, in order.
+    The binomials x^{r+} - x^{r-} are saturated by x_1..x_{k-1} in turn: a
+    grevlex GB with x_j last, each element divided by its largest power of
+    x_j, is a GB of I : x_j^oo (Bayer-Stillman; Sturmfels, Groebner Bases and
+    Convex Polytopes, ch. 12). x_k needs no step: a prime holding x_k and a
+    binomial that x_k divides holds a variable of its other term. A last run
+    in WeightedGrevlex(weights) reduces; GROEBNER_PAIR_CAP bounds each run.
     """
-    k = len(weights)
-    rels = [tuple(int(x) for x in r) for r in relations if any(r)]
-    if not rels:
-        return []
-    elim_order = WeightedGrevlex((1,) + tuple(weights), elim_block=1)
-    gens = []
-    for r in rels:
-        plus = (0,) + tuple(max(x, 0) for x in r)
-        minus = (0,) + tuple(max(-x, 0) for x in r)
-        gens.append({plus: Fraction(1), minus: Fraction(-1)})
-    gens.append({(1,) + tuple(1 for _ in range(k)): Fraction(1),
-                 (0,) * (k + 1): Fraction(-1)})
-    gb = groebner_basis(gens, elim_order)
-    return [{m[1:]: c for m, c in g.items()} for g in gb if all(m[0] == 0 for m in g)]
+    rels = [tuple(map(int, r)) for r in relations if any(r)]
+    if any(sum(map(mul, r, weights)) for r in rels):
+        raise RingError("lattice ideal relation is not homogeneous for the weights")
+    gb = [{tuple(max(x, 0) for x in r): Fraction(1), tuple(max(-x, 0) for x in r): Fraction(-1)}
+          for r in rels]
+    w = tuple(weights)
+    for j in range(len(w) - 1 if gb else 0):  # x_j moves last, and back
+        moved = groebner_basis(({m[:j] + m[j + 1:] + m[j:j + 1]: c for m, c in g.items()}
+                                for g in gb), WeightedGrevlex(w[:j] + w[j + 1:] + w[j:j + 1]))
+        gb = []
+        for g in moved:
+            e = min(m[-1] for m in g)  # x_j^e is the largest power dividing g
+            gb.append({m[:j] + (m[-1] - e,) + m[j:-1]: c for m, c in g.items()})
+    return groebner_basis(gb, WeightedGrevlex(w)) if gb else []
 
 
 def binomial_relation_vectors(polys) -> list[tuple[int, ...]]:
@@ -546,12 +537,9 @@ def cone_lattice_groebner(ext: ExtendedStackyFan, cone) -> list[Poly]:
     """Saturated lattice-ideal GB for one maximal cone, its binomials lifted to
     the full variable set."""
     support = ext.generators_in_cone(cone)
-    gens_vectors = ext.generators
-    mat = [[gens_vectors[i][k] for i in support] for k in range(ext.d)]
-    local_rels = kernel_basis(mat) if support else []
-    all_weights = over_lcm(ext.degree(i) for i in range(ext.n))[0]
-    weights = [all_weights[i] for i in support]
-    local_gb = lattice_ideal_groebner(local_rels, weights) if local_rels else []
+    mat = [[ext.generators[i][k] for i in support] for k in range(ext.d)]
+    weights = over_lcm(ext.degree(i) for i in range(ext.n))[0]
+    local_gb = lattice_ideal_groebner(kernel_basis(mat), [weights[i] for i in support])
 
     def lift(m):
         full = [0] * ext.n

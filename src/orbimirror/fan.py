@@ -11,11 +11,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 from .linalg import (
     LinAlgError,
     Matrix,
+    ResourceLimitError,
     SNFDecomposition,
     det,
     integer_inverse,
@@ -28,6 +29,9 @@ from .linalg import (
 
 class FanError(ValueError):
     pass
+
+
+BOX_CAP = 1_000  # coset representatives box_elements may build for one cone
 
 
 @dataclass(frozen=True)
@@ -241,7 +245,8 @@ def box_elements(fan: StackyFan) -> list[BoxElement]:
     """Complete, deduplicated Box(Sigma), lexicographically sorted.
 
     Enumerates the half-open parallelepiped of every maximal cone through the
-    quotient group Z^d / M_sigma Z^d (representatives via SNF).
+    quotient group Z^d / M_sigma Z^d (representatives via SNF). A cone with
+    more than BOX_CAP representatives raises ResourceLimitError.
     """
     fan.ensure_valid()
     d = fan.rank
@@ -250,6 +255,9 @@ def box_elements(fan: StackyFan) -> list[BoxElement]:
         snf = smith_normal_form(fan.cone_matrix(cone))
         uinv = unimodular_inverse(snf.u)
         diag = snf.diagonal()
+        if prod(diag) > BOX_CAP:
+            raise ResourceLimitError(f"Box: cone {_one(cone)} has {prod(diag)} "
+                                     f"elements, more than {BOX_CAP}")
         reps = [()]
         for s in diag:
             reps = [r + (c,) for r in reps for c in range(s)]

@@ -232,6 +232,15 @@ def weighted_projective_space(*weights):
             "max_cones": [list(c) for c in combinations(range(1, d + 2), d)]}
 
 
+def gorenstein_wps3():
+    """The 12 weight vectors w = (1, w_1, w_2, w_3) whose every weight
+    divides sum(w): the Gorenstein weighted projective 3-spaces P(w) with a
+    weight 1, whose fans are `weighted_projective_space(w_1, w_2, w_3)`."""
+    return [(1, 1, 1, 1), (1, 1, 1, 3), (1, 1, 2, 2), (1, 1, 2, 4), (1, 1, 4, 6), (1, 2, 2, 5),
+            (1, 2, 3, 6), (1, 2, 6, 9), (1, 3, 4, 4), (1, 3, 8, 12), (1, 4, 5, 10),
+            (1, 6, 14, 21)]
+
+
 def cube_boundary_fans():
     """(name, fan document) for the 128 complete fans over the boundary of
     the cube: rays (+-1, +-1, +-1), each square facet {x_k = +-1} split along

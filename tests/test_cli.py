@@ -795,6 +795,29 @@ def test_groebner_pair_budget_exit_code(capsys, monkeypatch):
                      "message": "Groebner basis: more than 2 S-pairs"}
 
 
+def test_box_budget_exit_code(capsys, tmp_path):
+    # the cone on (0,1), (-10^40,-3) has 10^40 Box elements; none is built
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"rank": 2, "rays": [[1, 0], [0, 1], [-10 ** 40, -3]],
+                                "max_cones": [[1, 2], [2, 3], [1, 3]]}))
+    code, out, err = run_cli(capsys, "box", str(path))
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == {
+        "kind": "resource-limit",
+        "message": f"Box: cone [2, 3] has {10 ** 40} elements, more than {fan.BOX_CAP}"}
+
+
+@pytest.mark.parametrize("error", (MemoryError, RecursionError))
+def test_bare_resource_errors_name_their_class(capsys, monkeypatch, error):
+    def exhausted(ext):
+        raise error()
+
+    monkeypatch.setattr(cli, "presentation", exhausted)
+    code, out, err = run_cli(capsys, "cohomology", str(DATA / "p112.json"))
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == {"kind": "resource-limit", "message": error.__name__}
+
+
 @pytest.mark.parametrize("command", ("crepant", "global-moduli"))
 def test_unreadable_resolution_is_an_input_error(capsys, tmp_path, command):
     malformed = tmp_path / "malformed.json"

@@ -19,6 +19,7 @@ from corpus import (
     minimal_cone,
     weighted_planes,
 )
+from orbimirror import fan as fan_module
 from orbimirror.fan import (
     BoxElement,
     FanError,
@@ -31,6 +32,7 @@ from orbimirror.fan import (
 )
 from orbimirror.linalg import (
     LinAlgError,
+    ResourceLimitError,
     clear_denominators,
     hermite_row_basis,
     kernel_basis,
@@ -102,6 +104,14 @@ def test_box_p1113_matches_parallelepiped_oracle():
 def test_box_p112_matches_parallelepiped_oracle():
     fan = fan_of(P112)
     assert {b.vector for b in box_elements(fan)} == _ppd_oracle(fan)
+
+
+def test_box_budget_counts_each_cones_representatives(monkeypatch):
+    # P(1,1,3)'s cone on the rays 1 and 3 has index 3; P(1,1,2)'s cones at most 2
+    monkeypatch.setattr(fan_module, "BOX_CAP", 2)
+    assert len(box_elements(fan_of(P112))) == 2
+    with pytest.raises(ResourceLimitError, match=r"^Box: cone \[1, 3\] has 3 elements, more than 2$"):
+        box_elements(fan_of(P113))
 
 
 def test_box_stable_under_cone_permutation():
