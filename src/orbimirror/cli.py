@@ -45,7 +45,7 @@ from .crepant import (
     is_crepant,
     sequences_agree,
 )
-from .fan import FanError, extend, gen_elements
+from .fan import FanError, extend
 from .fandoc import (
     DocumentError,
     dump_report,
@@ -216,7 +216,7 @@ def cmd_validate(job):
 
 def cmd_box(job):
     ext = job.ext
-    gens = {b.vector for b in gen_elements(ext.fan)}
+    gens = {b.vector for b in ext.fan.gen}
     results = {
         "box_elements": [
             {

@@ -14,14 +14,18 @@ from itertools import combinations, islice, product
 from operator import mul
 
 from .cones import common_face_witness, in_basis_cone, is_face
-from .fan import ExtendedStackyFan, StackyFan, gen_elements
+from .fan import ExtendedStackyFan, StackyFan
 from .fandoc import check_basis_shape
 from .linalg import det, integer_inverse, over_lcm
-from .picard import ExtendedPicardData, is_basis_of
+from .picard import ExtendedPicardData
 
 
 class CrepantError(ValueError):
     pass
+
+
+Q_BASIS_BOUND = 3  # bound on the p-coordinates of the q-basis candidates
+Q_BASIS_SEARCH_CAP = 300_000  # e-subsets of candidates the q-basis search tries
 
 
 @dataclass(frozen=True)
@@ -90,7 +94,7 @@ def check_sl(fan: StackyFan) -> bool:
 
 def check_gen_equals_new_rays(pair: ResolutionPair) -> tuple[bool, dict]:
     """Gen(Sigma_X) must coincide with the set of new rays of Sigma_Z."""
-    gens = {b.vector for b in gen_elements(pair.stacky)}
+    gens = {b.vector for b in pair.stacky.gen}
     new = set(pair.new_rays)
     return gens == new, {
         "gen_only": sorted(gens - new),
@@ -158,55 +162,51 @@ def build_global_fan(data_x: ExtendedPicardData, data_z: ExtendedPicardData,
     if not is_face(kx, kz):
         raise CrepantError("K_X is not a face of K_Z")
 
-    def valid_q(rows) -> bool:
-        return all(kz.contains(q) for q in rows) and is_basis_of(rows, data_x.pic_basis)
-
     if q_override is not None:
         check_basis_shape(q_override, rank, rank, "q_basis")
         q_rows = [tuple(int(x) for x in row) for row in q_override]
-        if q_rows[:r] != p_rows[:r] or not valid_q(q_rows):
-            raise CrepantError("supplied q-basis fails the two conditions")
     elif e == 0:
         q_rows = list(p_rows)
     else:
-        q_rows = _complete_q_basis(p_rows, r, e, kz, valid_q)
+        q_rows = _complete_q_basis(p_rows, r, e, kz)
     if q_rows is None:
         raise CrepantError(
             "no q-basis found by the bounded search; supply q_basis explicitly "
             f"(K_Z extremal rays: {[list(x) for x in kz.extremal_rays()]})"
         )
+    # P^{-1} = D / den, read off the dual basis: column a of P^{-1} is q_a of X.
+    nums, den = over_lcm(x for row in zip(*data_x.q_basis) for x in row)
+    p_inv = (tuple(tuple(nums[i:i + rank]) for i in range(0, len(nums), rank)), den)
+    # Row a of the transition matrix is q_a P^{-1}. As p is a Z-basis of Pic^e(X), q is
+    # one iff the matrix is integral and unimodular, which a searched q is by construction.
+    scaled = [[sum(map(mul, q, col)) for col in zip(*p_inv[0])] for q in q_rows]
+    transition = tuple(tuple(c // den for c in row) for row in scaled)
+    if q_override is not None and (
+            q_rows[:r] != p_rows[:r] or not all(kz.contains(q) for q in q_rows)
+            or any(c % den for row in scaled for c in row) or det(transition) not in (1, -1)):
+        raise CrepantError("supplied q-basis fails the two conditions")
     witness = common_face_witness(p_rows, q_rows)
     if witness is None:
         raise CrepantError("C_X and C_Z do not intersect in a common face")
     functional, shared = witness
-    # P^{-1} = D / den, read off the dual basis: column a of P^{-1} is q_a of X.
-    nums, den = over_lcm(x for row in zip(*data_x.q_basis) for x in row)
-    p_inv = (tuple(tuple(nums[i:i + rank]) for i in range(0, len(nums), rank)), den)
     q_inv = integer_inverse(q_rows)
     if not all(in_basis_cone(ray, p_inv) and in_basis_cone(ray, q_inv)
                for ray in kx.extremal_rays()):
         raise CrepantError("K_X is not contained in the shared face region")
-    # Row a of the transition matrix is q_a in the p-basis: q_a P^{-1}.
-    transition = [[sum(map(mul, q, col)) for col in zip(*p_inv[0])] for q in q_rows]
-    if any(c % den for row in transition for c in row):
-        raise CrepantError("transition matrix is not integral")
-    transition = [tuple(c // den for c in row) for row in transition]
-    if det(transition) not in (1, -1):
-        raise CrepantError("transition matrix is not unimodular")
     return GlobalModuliFan(
         p_basis=tuple(p_rows),
         q_basis=tuple(tuple(q) for q in q_rows),
         shared_face=tuple(shared),
         separating_functional=tuple(functional),
-        transition=tuple(transition),
+        transition=transition,
     )
 
 
-def _complete_q_basis(p_rows, r, e, kz, valid_q, bound=3, cap=300000):
+def _complete_q_basis(p_rows, r, e, kz):
     """Complete p_1..p_r to a Z-basis of Pic^e(X) with all members in K_Z.
 
-    Candidates are the K_Z lattice points with p-basis coordinates in
-    [-bound, bound] (this sweeps the relevant Hilbert-basis points, which
+    Candidates are the K_Z lattice points with p-basis coordinates of size at
+    most Q_BASIS_BOUND (this sweeps the relevant Hilbert-basis points, which
     nonnegative combinations of the extremal rays can miss); a choice is a
     basis exactly when the coordinate block beyond r is unimodular, so the
     search runs over deduplicated quotient images in norm order.
@@ -214,7 +214,7 @@ def _complete_q_basis(p_rows, r, e, kz, valid_q, bound=3, cap=300000):
     rank = r + e
     in_kz = kz.pullback(p_rows)  # the p-coordinates of K_Z's points
     by_quotient = {}
-    for coords in product(range(-bound, bound + 1), repeat=rank):
+    for coords in product(range(-Q_BASIS_BOUND, Q_BASIS_BOUND + 1), repeat=rank):
         quot = coords[r:]
         if not any(quot) or not in_kz.contains(coords):
             continue
@@ -225,11 +225,9 @@ def _complete_q_basis(p_rows, r, e, kz, valid_q, bound=3, cap=300000):
         if cur is None or key < cur[0]:
             by_quotient[quot] = (key, x)
     cands = sorted((key, quot, x) for quot, (key, x) in by_quotient.items())
-    for subset in islice(combinations(cands, e), cap):
+    for subset in islice(combinations(cands, e), Q_BASIS_SEARCH_CAP):
         if det([item[1] for item in subset]) in (1, -1):
-            rows = list(p_rows[:r]) + [item[2] for item in subset]
-            if valid_q(rows):
-                return rows
+            return list(p_rows[:r]) + [item[2] for item in subset]
     return None
 
 

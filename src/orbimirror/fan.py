@@ -154,6 +154,11 @@ class StackyFan:
         return tuple(box_elements(self))
 
     @cached_property
+    def gen(self) -> tuple[BoxElement, ...]:
+        """Gen(Sigma), found once."""
+        return tuple(gen_elements(self))
+
+    @cached_property
     def _walls(self) -> dict[tuple[int, ...], list[int]]:
         """Facet -> indices of the maximal cones containing it, sorted by facet."""
         walls: dict[tuple[int, ...], list[int]] = {}
@@ -384,7 +389,7 @@ def extend(fan: StackyFan, extra_vectors=None) -> ExtendedStackyFan:
     fails to be surjective.
     """
     fan.ensure_valid()
-    gens = gen_elements(fan)
+    gens = fan.gen
     if extra_vectors is None:
         chosen = gens
     else:

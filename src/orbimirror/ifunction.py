@@ -376,18 +376,17 @@ def _graded_parts(nums, degrees) -> dict:
 
 
 def hypergeometric_factor(data: ExtendedPicardData, ring: GradedQuotientRing,
-                          degree: dict, tables: FactorTables | None = None) -> dict:
+                          degree: dict, tables: FactorTables) -> dict:
     """The product over i of the telescoped factor ratios, cupped with 1_{v(d)}.
 
     Returns {z-exponent over Q: class}. The product is formed as one class,
-    1_v times the class G of each ray with ceil c != 0 from `tables` (new
-    tables when none are given), one ring product per such ray, and is then
-    split by degree (see `FactorTables`). Extension indices carry no divisor
-    class, so theirs is the scalar z^{-c} / c!; a scalar-zero denominator
-    factor (impossible on K^eff) raises SeriesError.
+    1_v times the class G of each ray with ceil c != 0 from `tables`, one
+    ring product per such ray, and is then split by degree (see
+    `FactorTables`). Extension indices carry no divisor class, so theirs is
+    the scalar z^{-c} / c!; a scalar-zero denominator factor (impossible on
+    K^eff) raises SeriesError.
     """
     m = data.ext.m
-    tables = tables or FactorTables(data, ring)
     zden, mden = tables.zden, data.m_ints[1]
     acc, age = tables.sector(degree["sector"])
     shift, scale = 0, 1

@@ -32,6 +32,7 @@ from .linalg import (
     ResourceLimitError,
     clear_denominators,
     coordinates,
+    det,
     dot,
     hermite_row_basis,
     integer_inverse,
@@ -159,14 +160,19 @@ def extended_pl_and_pic(ext: ExtendedStackyFan) -> ExtendedPicardData:
     )
 
 
-def extended_kahler_contains(data: ExtendedPicardData, x) -> bool:
-    """x in K^e = K + sum_k Q>=0 [D_{m+k}], in closed form. The k-th equality
-    g_k of K pairs with [D_{m+l}] to delta_kl, so x = y + sum_k t_k [D_{m+k}]
-    with y in K forces t_k = g_k.x: x lies in K^e iff every t_k >= 0 and
-    x - sum_k t_k [D_{m+k}] lies in K."""
+def forced_split(data: ExtendedPicardData, x) -> tuple[list, list]:
+    """(t, y) with x = y + sum_k t_k [D_{m+k}] and y in span K. The k-th
+    equality g_k of K pairs with [D_{m+l}] to delta_kl, so t_k = g_k.x."""
     t = [dot(g, x) for g in data.kahler.equalities]
     y = [a - sum(c * d[j] for c, d in zip(t, data.d_classes[data.ext.m:]))
          for j, a in enumerate(x)]
+    return t, y
+
+
+def extended_kahler_contains(data: ExtendedPicardData, x) -> bool:
+    """x in K^e = K + sum_k Q>=0 [D_{m+k}], in closed form: for (t, y) =
+    forced_split(data, x), x lies in K^e iff every t_k >= 0 and y lies in K."""
+    t, y = forced_split(data, x)
     return all(c >= 0 for c in t) and data.kahler.contains(y)
 
 
@@ -182,52 +188,48 @@ def rho_membership(data: ExtendedPicardData) -> tuple[bool, bool]:
 # -- p-basis, M, N ----------------------------------------------------------------
 
 
-def is_basis_of(rows, hnf_basis) -> bool:
-    """True iff `rows` is a Z-basis of the lattice with canonical HNF basis
-    `hnf_basis`: two bases of one lattice have the same canonical HNF."""
-    return len(rows) == len(hnf_basis) and hermite_row_basis(rows) == list(hnf_basis)
+def p_basis_test(data: ExtendedPicardData):
+    """The test of p_1..p_r in K by their coordinates on `pic_theta_basis`.
+    K's equalities vanish on theta(Pic) = Pic^e ∩ span K and pair with [D_{m+l}]
+    to delta_kl, so Pic^e = theta(Pic) (+) <forced>: p ∪ forced is a Z-basis of
+    Pic^e iff the coordinates have det +-1, and rho lies in Cone(p ∪ forced) iff
+    every t_k >= 0 and rho' lies in Cone(p), for (t, rho') = forced_split(data, rho)."""
+    t, rho_prime = forced_split(data, data.rho)
+    rho_theta = coordinates(rho_prime, data.pic_theta_basis) if all(c >= 0 for c in t) else None
+    return lambda coords: (rho_theta is not None and det(coords) in (1, -1)
+                           and in_basis_cone(rho_theta, integer_inverse(coords)))
 
 
 def choose_basis_p(data: ExtendedPicardData, override=None) -> ExtendedPicardData:
     """Deterministic p-basis satisfying the three conditions, plus M, N and W.
 
     Search: primitive lattice points on the extremal rays of K, then small
-    nonnegative combinations, validated by exact unimodularity and rho in
-    Cone(p); they lie in K by construction. An explicit override (r rows in
-    L* coordinates) is validated the same way, and its rows tested in K.
+    nonnegative combinations, in theta(Pic) coordinates, tested by
+    `p_basis_test`; they lie in K by construction. An explicit override (r
+    rows in L* coordinates) must lie in K ∩ theta(Pic) and pass the test.
     """
     ext = data.ext
-    cone = data.kahler
+    cone, theta = data.kahler, data.pic_theta_basis
     e, r = ext.e, data.r
-    forced = list(data.d_classes[ext.m:])
-
-    def validate(cands) -> bool:
-        rows = [tuple(int(v) for v in c) for c in cands]
-        return (is_basis_of(rows + forced, data.pic_basis)
-                and in_basis_cone(data.rho, integer_inverse(rows + forced)))
-
-    chosen = None
+    validate = p_basis_test(data)
     if override is not None:
         check_basis_shape(override, r, r + e, "p_basis")
-        rows = [tuple(int(x) for x in row) for row in override]
-        if not (all(cone.contains(row) for row in rows) and validate(rows)):
+        chosen = [tuple(int(x) for x in row) for row in override]
+        coords = [coordinates(row, theta) for row in chosen if cone.contains(row)]
+        if not (len(coords) == r and all(x.denominator == 1 for c in coords for x in c)
+                and validate([tuple(int(x) for x in c) for c in coords])):
             raise PicardError("supplied p-basis fails the three basis conditions")
-        chosen = rows
-    elif r == 0:
-        chosen = []
     else:
-        rays = cone.extremal_rays()
-        prim = [_primitive_in_lattice(ray, data.pic_theta_basis) for ray in rays]
-        if len(prim) == r and validate(prim):
-            chosen = prim
-        else:
-            chosen = _search_combinations(prim, r, validate)
-        if chosen is None:
+        prim = [_primitive_in_lattice(ray, theta) for ray in cone.extremal_rays()]
+        found = (prim if len(prim) == r and validate(prim)
+                 else _search_combinations(prim, r, validate))
+        if found is None:
             raise PicardError(
                 "no p-basis found by the bounded search; supply p_basis explicitly "
-                f"(extremal rays of K: {[list(p) for p in prim]})"
+                f"(extremal rays of K: {[list(_from_theta(p, theta)) for p in prim]})"
             )
-    p_rows = [qvec(row) for row in chosen] + [qvec(f) for f in forced]
+        chosen = [_from_theta(c, theta) for c in found]
+    p_rows = [qvec(row) for row in chosen + list(data.d_classes[ext.m:])]
     # q = dual basis: columns of P^{-1} where P rows are the p_a.
     q_basis = tuple(zip(*inverse(p_rows)))  # q_a in L-basis coordinates
     # m_{ia} = <D_i, q_a>
@@ -248,13 +250,17 @@ def choose_basis_p(data: ExtendedPicardData, override=None) -> ExtendedPicardDat
 
 
 def _primitive_in_lattice(ray, hnf_basis):
-    """Smallest positive multiple of `ray` lying in the lattice spanned by hnf_basis."""
+    """Coordinates on hnf_basis of the smallest positive multiple of `ray`
+    lying in the lattice it spans."""
     coords = coordinates(ray, hnf_basis)
     if coords is None:
         raise PicardError("extremal ray has no unique coordinates in theta(Pic)")
-    ints = clear_denominators(coords)
-    return tuple(sum(c * row[j] for c, row in zip(ints, hnf_basis))
-                 for j in range(len(ray)))
+    return clear_denominators(coords)
+
+
+def _from_theta(coords, hnf_basis) -> tuple:
+    """The point with the given coordinates on hnf_basis."""
+    return tuple(sum(map(mul, coords, col)) for col in zip(*hnf_basis))
 
 
 def _search_combinations(prim, r, validate):
@@ -278,16 +284,8 @@ def _search_combinations(prim, r, validate):
 
 def _superpotential(data: ExtendedPicardData, p_rows):
     """N matrix (n_{ai} = p_a(s(e_i))) and the Landau-Ginzburg term list."""
-    ext = data.ext
-    s = ext.splitting
-    n_cols = []
-    terms = []
-    for i in range(ext.n):
-        s_ei = [s[j][i] for j in range(ext.l_rank)]
-        col = tuple(int(dot(p, s_ei)) for p in p_rows)
-        n_cols.append(col)
-        terms.append((-1, col, ext.generators[i]))
-    return tuple(n_cols), tuple(terms)
+    n_cols = tuple(tuple(int(dot(p, s_ei)) for p in p_rows) for s_ei in zip(*data.ext.splitting))
+    return n_cols, tuple((-1, col, a) for col, a in zip(n_cols, data.ext.generators))
 
 
 # -- Mori side ---------------------------------------------------------------------

@@ -279,6 +279,13 @@ def saturate(vectors):
     return hermite_row_basis(unimodular_inverse(snf.v)[:snf.rank()])
 
 
+def is_basis_of(rows, hnf_basis) -> bool:
+    """The former picard.is_basis_of: True iff `rows` is a Z-basis of the
+    lattice with canonical HNF basis `hnf_basis`, since two bases of one
+    lattice have the same canonical HNF."""
+    return len(rows) == len(hnf_basis) and hermite_row_basis(rows) == list(hnf_basis)
+
+
 def is_unimodular(rows) -> bool:
     return all(len(r) == len(rows) for r in rows) and det(rows) in (1, -1)
 

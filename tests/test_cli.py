@@ -576,7 +576,8 @@ def test_each_maximal_cone_is_inverted_once(capsys, monkeypatch, argv):
 
 def test_one_hermite_basis_per_extended_fan_kernel(capsys, monkeypatch):
     """On p123 `all` the L basis and the splitting read one HNF of the
-    a-matrix's kernel, held on the fan: 7 HNFs in all, the kernel's once."""
+    a-matrix's kernel, held on the fan: 6 HNFs in all, the kernel's once (the
+    p-basis is tested in theta(Pic) coordinates, with no HNF)."""
     doc = DATA / "p123.json"
     l_basis = list(ext_of_doc(json.loads(doc.read_text())).l_basis)
     bases = []
@@ -586,8 +587,24 @@ def test_one_hermite_basis_per_extended_fan_kernel(capsys, monkeypatch):
             monkeypatch.setattr(module, "hermite_row_basis",
                                 lambda vectors: bases.append(real_hnf(vectors)) or bases[-1])
     assert run_cli(capsys, "all", str(doc), "--order", "3")[0] == 0
-    assert len(bases) == 7
+    assert len(bases) == 6
     assert bases.count(l_basis) == 1
+
+
+@pytest.mark.parametrize("command", ("box", "crepant"))
+def test_gen_is_found_once_per_fan(capsys, monkeypatch, command):
+    """`box` (p123) and `crepant` (p123 and its resolution) call gen_elements
+    once per fan: StackyFan.gen holds it for extend, cmd_box and
+    check_gen_equals_new_rays."""
+    calls = Counter()
+    real = fan.gen_elements
+    for module in (fan, cli, crepant):
+        if "gen_elements" in vars(module):
+            monkeypatch.setattr(module, "gen_elements",
+                                lambda f: calls.update([f.n_rays]) or real(f))
+    argv = {"box": [], "crepant": ["--resolution", str(DATA / "p123_resolution.json")]}
+    assert run_cli(capsys, command, str(DATA / "p123.json"), *argv[command])[0] == 0
+    assert calls == ({3: 1} if command == "box" else {3: 1, 6: 1})
 
 
 def test_series_engine_makes_no_fraction_from_classes_or_coefficients(capsys, monkeypatch):
@@ -664,7 +681,7 @@ def test_factor_classes_are_built_once_and_multiplied_once_per_ray(capsys, monke
         calls.append(len(calls))
         return real["i_function"](*args, **kwargs)
 
-    def hypergeometric_factor(data, ring, degree, tables=None):
+    def hypergeometric_factor(data, ring, degree, tables):
         mden = data.m_ints[1]
         rays = sum(1 for n in degree["pairings"][:data.ext.m] if -((-n) // mden))
         products.append([rays, 0])
@@ -935,6 +952,27 @@ def test_not_projective_fan_exits_1(capsys, tmp_path, command):
     assert json.loads(err)["error"] == {
         "kind": "PicardError",
         "message": "Kaehler cone has empty interior; fan is not projective"}
+
+
+def test_cube_picard_ends_on_the_p_basis_budget(capsys, monkeypatch, tmp_path):
+    """cube111-000000 (r = 5, e = 18): the search refuses over its budget,
+    and each candidate costs one r x r determinant, and no (r+e)-square
+    inverse."""
+    doc = tmp_path / "cube.json"
+    doc.write_text(json.dumps(dict(cube_boundary_fans())["cube111-000000"]))
+    sizes = Counter()
+    for name in ("det", "integer_inverse"):
+        real = getattr(picard, name)
+        monkeypatch.setattr(picard, name,
+                            lambda rows, real=real, name=name: sizes.update([(name, len(rows))])
+                            or real(rows))
+    code, out, err = run_cli(capsys, "picard", str(doc))
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == {"kind": "resource-limit",
+                                        "message": "p-basis search: more than 50000 candidates"}
+    # 3^6 - 1 combinations of the 6 ray points built, one determinant for each
+    # subset tried, and none of them +-1, so no inverse
+    assert sizes == {("det", 5): 50_000 - (3 ** 6 - 1)}
 
 
 def test_extremal_ray_budget_exit_code(capsys, monkeypatch, tmp_path):

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import product
+import json
 
 import pytest
 
@@ -11,6 +13,7 @@ from corpus import (
     data_z,
     fan_of,
     global_fan,
+    is_basis_of,
     is_unimodular,
     pipeline,
 )
@@ -19,6 +22,7 @@ from orbimirror.cones import in_basis_cone
 from orbimirror.crepant import (
     CrepantError,
     ResolutionPair,
+    build_global_fan,
     check_gen_equals_new_rays,
     check_gluing_hypotheses,
     check_sl,
@@ -29,6 +33,7 @@ from orbimirror.crepant import (
 from orbimirror.fan import FanError, StackyFan, extend
 from orbimirror.fandoc import parse_fan
 from orbimirror.linalg import coordinates, det, integer_inverse
+from orbimirror.picard import choose_basis_p, extended_pl_and_pic
 from perfbench.workloads import RESOLUTION_PAIRS, corpus_documents, seeded_documents
 
 
@@ -145,6 +150,37 @@ def test_build_global_fan_accepts_explicit_q():
     assert gm.q_basis == ((0, 1), (2, 0))
     with pytest.raises(CrepantError, match="q-basis"):
         global_fan(PAIR, q_override=[(0, 1), (0, 2)])
+
+
+def test_q_override_verdicts_match_hnf_oracle():
+    """A q_basis override is tested through its transition matrix q P^{-1}
+    (integral and unimodular). Its verdict equals the former one, an HNF of q
+    against Pic^e(X)'s, on every override that keeps the searched q but for
+    its last row, which runs over [-2, 2]^2 on p112/F2 and [-1, 1]^4 on the
+    weighted p123 pair."""
+    docs = [json.loads((DATA / f"{name}.json").read_text())
+            for name in ("p123", "p123_resolution")]
+    pairs = {"p112": (PAIR, 2), "p123": (ResolutionPair(*(parse_fan(d)[0] for d in docs)), 1)}
+    verdicts = []
+    for name, (pair, bound) in pairs.items():
+        data_x = choose_basis_p(extended_pl_and_pic(
+            extend(pair.stacky, extra_vectors=pair.new_rays)))
+        dz = data_z(pair)
+        p_rows = [tuple(int(x) for x in row) for row in data_x.p_basis]
+        searched = global_fan(pair).q_basis
+        for last in product(range(-bound, bound + 1), repeat=data_x.rank):
+            q = list(searched[:-1]) + [last]
+            expected = (q[:data_x.r] == p_rows[:data_x.r]
+                        and all(dz.kahler.contains(row) for row in q)
+                        and is_basis_of(q, data_x.pic_basis))
+            try:
+                build_global_fan(data_x, dz, q)
+                refused = False
+            except CrepantError as exc:
+                refused = str(exc) == "supplied q-basis fails the two conditions"
+            assert refused != expected, (name, q)
+            verdicts.append(expected)
+    assert len(verdicts) == 25 + 81 and 1 < sum(verdicts) < 20
 
 
 def test_build_global_fan_rejects_noncrepant():

@@ -157,14 +157,14 @@ def test_degree_sectors_agree_with_box_coset_map():
 def test_hypergeometric_factor_d_zero_is_one():
     _, data, ring, mori = pipeline("P112")
     deg = next(d for d in enumerate_degrees(mori, 0))
-    factor = hypergeometric_factor(data, ring, deg)
+    factor = hypergeometric_factor(data, ring, deg, FactorTables(data, ring))
     assert factor == {Fraction(0): ring.one()}
 
 
 def test_hypergeometric_factor_p1_d1():
     _, data, ring, mori = pipeline("P1")
     deg = next(d for d in enumerate_degrees(mori, 1) if d["beta"] == (1,))
-    factor = hypergeometric_factor(data, ring, deg)
+    factor = hypergeometric_factor(data, ring, deg, FactorTables(data, ring))
     h = ring.class_of_var(0)
     # 1/(h+z)^2 = z^{-2} - 2 h z^{-3}
     assert factor[Fraction(-2)] == ring.one()
@@ -174,7 +174,7 @@ def test_hypergeometric_factor_p1_d1():
 def test_hypergeometric_factor_twisted_sector_support():
     _, data, ring, mori = pipeline("P112")
     deg = next(d for d in enumerate_degrees(mori, 1) if d["beta"] == (0, 1))
-    factor = hypergeometric_factor(data, ring, deg)
+    factor = hypergeometric_factor(data, ring, deg, FactorTables(data, ring))
     twisted = ring.class_of_var(3)  # the class of D4 = 1_{(0,-1)}
     assert factor == {Fraction(-1): twisted}
 
@@ -383,7 +383,7 @@ def test_hypergeometric_factor_rejects_ineffective_degree():
             "sector": (0, 0)}
     assert _fraction_view([fake], den)[0]["pairings"] == (F(1, 2), F(0), F(1, 2), F(-1))
     with pytest.raises(SeriesError, match="extension pairing"):
-        hypergeometric_factor(data, ring, fake)
+        hypergeometric_factor(data, ring, fake, FactorTables(data, ring))
 
 
 def test_mirror_map_rejects_bad_leading_term():
@@ -794,7 +794,7 @@ def test_inhomogeneous_classes_raise_series_error(monkeypatch):
                  lambda *args: ring.one()):
         monkeypatch.setattr(ifunction, "sector_class", fake)
         with pytest.raises(SeriesError, match=r"sector class 1_\[0, -1\] is not homogeneous"):
-            hypergeometric_factor(data, ring, twisted)
+            hypergeometric_factor(data, ring, twisted, FactorTables(data, ring))
     monkeypatch.setattr(ifunction, "sector_class", real_sector)
     monkeypatch.setattr(ifunction, "dbar_class", lambda data, ring, i: ring.one())
     with pytest.raises(SeriesError, match="ray class D1 is not homogeneous of degree 1"):

@@ -1,5 +1,7 @@
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations, islice
 import random
 
 import pytest
@@ -16,6 +18,7 @@ from corpus import (
     ext_of_doc,
     fan_of,
     in_k_eff,
+    is_basis_of,
     l_coords_oracle,
     minimal_cone,
     pairing_p_oracle,
@@ -25,18 +28,22 @@ from corpus import (
     series_fans,
     weighted_projective_space,
 )
-from orbimirror.cones import RationalCone, is_face, lp_feasible
+from orbimirror import picard
+from orbimirror.cones import RationalCone, in_basis_cone, is_face, lp_feasible
 from orbimirror.fan import generalized_primitive_collections
-from orbimirror.linalg import dot, hermite_row_basis
+from orbimirror.linalg import ResourceLimitError, dot, hermite_row_basis, integer_inverse
 from orbimirror.picard import (
     PicardError,
     _l_coords,
+    _search_combinations,
     box_coset_map,
     choose_basis_p,
     extended_kahler_contains,
     extended_pl_and_pic,
+    forced_split,
     distinguished_relations,
     min_decomposition,
+    p_basis_test,
     pl_lattice,
     rho_membership,
 )
@@ -295,13 +302,130 @@ def test_rho_in_cone_of_p():
         assert all(c >= 0 for c in coords)
 
 
+def _p_basis_oracle(data, rows) -> tuple[bool, bool]:
+    """The former p-basis test in Pic^e, on r rows in L* coordinates: (the
+    rows and the forced classes are a Z-basis of Pic^e, by one HNF of all r + e
+    of them; and also rho lies in their cone, by their (r+e)-square inverse)."""
+    full = [tuple(int(x) for x in row) for row in rows] + list(data.d_classes[data.ext.m:])
+    basis = is_basis_of(full, data.pic_basis)
+    return basis, basis and in_basis_cone(data.rho, integer_inverse(full))
+
+
 def test_supplied_p_basis_validated():
+    """An override outside K, and overrides in K that fail one of the other
+    conditions each, are refused, as the Pic^e oracle refuses them; the row
+    that mends each is accepted."""
+    message = "supplied p-basis fails the three basis conditions"
     ext = ext_of(P112)
-    data0 = extended_pl_and_pic(ext)
+    data0 = extended_pl_and_pic(ext)  # r = e = 1, theta(Pic) = Z (0, 1)
     data = choose_basis_p(data0, override=[(0, 1)])
     assert data.p_basis[0] == (Fraction(0), Fraction(1))
     with pytest.raises(PicardError, match="basis conditions"):
         choose_basis_p(data0, override=[(0, -1)])
+    # a row of K whose theta-coordinate is 2: determinant 2, rho' in the cone
+    assert data0.kahler.contains((0, 2))
+    assert _p_basis_oracle(data0, [(0, 2)]) == (False, False)
+    with pytest.raises(PicardError, match=message):
+        choose_basis_p(data0, override=[(0, 2)])
+    # a row of K off the theta(Pic) lattice, with theta-coordinate 3/2: on
+    # real fans theta(Pic) is saturated, so the lattice is taken to be
+    # Z (0, 2), and Pic^e with it
+    half = replace(data0, pic_theta_basis=((0, 2),),
+                   pic_basis=tuple(hermite_row_basis([(0, 2), data0.d_classes[-1]])))
+    assert _p_basis_oracle(half, [(0, 3)]) == (False, False)
+    with pytest.raises(PicardError, match=message):
+        choose_basis_p(half, override=[(0, 3)])
+    assert _p_basis_oracle(half, [(0, 2)]) == (True, True)
+    assert choose_basis_p(half, override=[(0, 2)]).p_basis[0] == (0, 2)
+    # rho' outside Cone(p): a unimodular pair in K whose cone misses rho' =
+    # (0, 1, 2), theta-coordinates (1, 2) = -(1, 3) + (2, 5); e = 1, t = (0)
+    x = {name: x for name, x, _ in reflexive_pairs()}["b5(-2,-1)(-1,-1)(1,0)(0,1)"]
+    data0 = extended_pl_and_pic(ext_of_doc(x))
+    assert forced_split(data0, data0.rho) == ([0], [0, 1, 2])
+    rows = [(0, 1, 3), (0, 2, 5)]
+    assert all(data0.kahler.contains(row) for row in rows)
+    assert _p_basis_oracle(data0, rows) == (True, False)
+    with pytest.raises(PicardError, match=message):
+        choose_basis_p(data0, override=rows)
+    assert _p_basis_oracle(data0, [(0, 0, 1), (0, 1, 1)]) == (True, True)
+    choose_basis_p(data0, override=[(0, 0, 1), (0, 1, 1)])
+
+
+def _in_l_star(coords, theta):
+    """The point of L* with the given coordinates on theta(Pic)'s basis."""
+    return tuple(sum(c * row[j] for c, row in zip(coords, theta)) for j in range(len(theta[0])))
+
+
+class _Capped(Exception):
+    pass
+
+
+def _theta_verdicts_against_oracle(name, data, cap):
+    """Counter of the theta(Pic) verdicts on the first try (the primitive ray
+    points, when there are r), the first `cap` subsets `_search_combinations`
+    tries (all of them rejected, so it goes on past the one it would pick)
+    and the first `cap` r-subsets of the ray points; each verdict is asserted
+    equal to the Pic^e oracle's."""
+    theta, r = data.pic_theta_basis, data.r
+    validate = p_basis_test(data)
+    prim = [picard._primitive_in_lattice(ray, theta) for ray in data.kahler.extremal_rays()]
+    verdicts = Counter()
+
+    def check(coords):
+        verdict = validate(coords)
+        assert verdict == _p_basis_oracle(data, [_in_l_star(c, theta) for c in coords])[1], (
+            name, coords)
+        verdicts[verdict] += 1
+
+    def tried(coords):
+        if verdicts.total() >= cap:
+            raise _Capped
+        check(coords)
+        return False
+
+    if len(prim) == r:
+        check(prim)
+    try:
+        _search_combinations(prim, r, tried)
+    except (_Capped, ResourceLimitError):
+        pass
+    for subset in islice(combinations(prim, r), cap):
+        check(list(subset))
+    return verdicts
+
+
+def _p_basis_fans():
+    """(name, Picard data) of the fans of `differential_fans()`, the 16
+    reflexive X and Z, three cube boundary fans with e = 18 and 31, and
+    P(1,1,2,5), whose rho lies outside K^e by a negative t_k; all are
+    projective."""
+    fans = list(differential_fans())
+    for name, x, z in reflexive_pairs():
+        fans += [(f"{name} X", ext_of_doc(x)), (f"{name} Z", ext_of_doc(z))]
+    cubes = dict(cube_boundary_fans())
+    fans += [(name, ext_of_doc(cubes[name]))
+             for name in ("cube111-000000", "cube111-000001", "cube123-010000")]
+    fans.append(("P(1,1,2,5)", ext_of_doc(weighted_projective_space(1, 2, 5))))
+    for name, ext in fans:
+        yield name, extended_pl_and_pic(ext)
+
+
+def test_theta_pic_verdicts_match_pic_e_oracle():
+    """The theta(Pic) test (one r x r determinant, then an r-square inverse)
+    gives the Pic^e oracle's verdict (an HNF of r + e rows, then an
+    (r+e)-square inverse) on every subset the search tries, up to a cap."""
+    total, fans, forced = Counter(), 0, 0
+    for name, data in _p_basis_fans():
+        # theta(Pic) has rank r, and is all of L* ∩ span K: an integer row of K
+        # always has integer theta-coordinates
+        assert len(data.pic_theta_basis) == data.r, name
+        assert saturate(data.pic_theta_basis) == list(data.pic_theta_basis), name
+        verdicts = _theta_verdicts_against_oracle(name, data, 300)
+        total += verdicts
+        fans += 1
+        forced += data.e > 0 and verdicts[True] > 0
+    assert fans == 53
+    assert total[True] > 50 and total[False] > 1000 and forced >= 10
 
 
 def test_superpotential_contract():

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from corpus import ext_of_doc, reflexive_pairs
-from orbimirror import picard
+from orbimirror import linalg, picard
 from orbimirror.cli import main
 from orbimirror.cohomology import presentation
 from orbimirror.linalg import ResourceLimitError
@@ -140,6 +140,33 @@ def test_dp6_p_basis_search_raises_over_a_smaller_budget(monkeypatch, cap):
     monkeypatch.setattr(picard, "P_BASIS_SEARCH_CAP", cap)
     with pytest.raises(ResourceLimitError, match=f"^p-basis search: more than {cap} candidates$"):
         picard.choose_basis_p(data)
+
+
+def test_dp6_p_basis_search_makes_no_hermite_basis(monkeypatch):
+    """The search tests its 22,566 subsets in theta(Pic) coordinates, by an
+    r x r determinant: no subset costs an HNF."""
+    data = picard.extended_pl_and_pic(ext_of_doc(PAIRS[DP6][0]))
+    tried, hnfs, inside = [], [], []
+    real_search, real_hnf = picard._search_combinations, linalg.hermite_row_basis
+
+    def search(prim, r, validate):
+        inside.append(True)
+        try:
+            return real_search(prim, r, lambda cand: tried.append(cand) or validate(cand))
+        finally:
+            inside.pop()
+
+    def hnf(vectors):
+        if inside:
+            hnfs.append(vectors)
+        return real_hnf(vectors)
+
+    monkeypatch.setattr(picard, "_search_combinations", search)
+    for module in (linalg, picard):
+        monkeypatch.setattr(module, "hermite_row_basis", hnf)
+    picard.choose_basis_p(data)
+    assert len(tried) == 22_566 and all(len(cand) == data.r == 4 for cand in tried)
+    assert hnfs == []
 
 
 def test_picard_on_the_nine_point_z_ends_on_the_p_basis_budget(capsys, tmp_path):
