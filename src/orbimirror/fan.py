@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd, prod
+from math import gcd, lcm, prod
+from operator import le
 
 from .linalg import (
     LinAlgError,
@@ -286,16 +287,23 @@ def box_elements(fan: StackyFan) -> list[BoxElement]:
 def gen_elements(fan: StackyFan) -> list[BoxElement]:
     """Gen(Sigma): box elements irreducible in the semigroup of their minimal
     cone. b - x lies in the simplicial sigma(b) exactly when sigma(x) is a
-    face of sigma(b) and no coordinate of x exceeds b's."""
+    face of sigma(b) and no coordinate of x exceeds b's. So b is compared
+    only with the elements whose minimal cone is a face of sigma(b), smallest
+    coordinate sum first, and coordinates are compared as int numerators
+    over one common denominator."""
     nonzero = [b for b in fan.box if not b.is_zero]
+    den = lcm(*(f.denominator for b in nonzero for f in b.fractional))
+    nums = {b.vector: [f.numerator * (den // f.denominator) for f in b.fractional]
+            for b in nonzero}
+    by_cone: dict[tuple[int, ...], list[list[int]]] = {}
+    for b in sorted(nonzero, key=lambda b: sum(nums[b.vector])):
+        by_cone.setdefault(b.min_cone, []).append(nums[b.vector])
     gens = []
     for b in nonzero:
-        coords = dict(zip(b.min_cone, b.fractional))
-        if not any(
-            x.vector != b.vector
-            and all(i in coords and c <= coords[i] for i, c in zip(x.min_cone, x.fractional))
-            for x in nonzero
-        ):
+        coords = dict(zip(b.min_cone, nums[b.vector]))
+        faces = [([coords[i] for i in face], xs) for face, xs in by_cone.items()
+                 if coords.keys() >= set(face)]
+        if not any(x != bound and all(map(le, x, bound)) for bound, xs in faces for x in xs):
             gens.append(b)
     return gens
 

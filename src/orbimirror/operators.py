@@ -38,6 +38,11 @@ box_tilde multiplies its extension falling products, in theta_{r+k} =
 D~_{m+k}, into R one linear factor at a time. The residual is formed as
 `LogDiffOp`s and must be exactly zero. The exponents p_a(l) are N l, read off
 the fan's splitting with no solve.
+
+`check_factorizations` checks the same identity on relations whose operators
+are not wanted, with no operator built: as both sides multiply R on the left,
+it holds for every R exactly when, for each extension b, the two routes agree
+on chi_b^t del_b^t * x_b^(j) for each power t and degree j a relation needs.
 """
 
 from __future__ import annotations
@@ -428,6 +433,61 @@ def factorization_residual(data: ExtendedPicardData, l, op: LogDiffOp, rays) -> 
     r, e = data.r, data.e
     prefactor = _monomial(r, e, [0] * r + [abs(x) for x in l[data.ext.m:]], (0,) * e)
     return box_tilde(data, l, rays) - prefactor * op
+
+
+def check_factorizations(data: ExtendedPicardData, relations) -> None:
+    """Check that each l of `relations` is a relation (`p_pairings`) and, when
+    e > 0, the factorization box_tilde(l) = prod_k chi_{r+k}^{|l_{m+k}|} *
+    box_x(l) for all of them, with no operator and no ray polynomial built:
+    for each extension b, the two normal orderings of chi_b^t del_b^t * x_b^(j)
+    must agree for every (t, j) that a relation needs. box_x's route moves
+    del_b^t past x_b^(j) by `_del_past` and puts chi_b^t in front; box_tilde's
+    multiplies x_b^(j) by the falling factors (theta_{r+b} - nu z), nu < t,
+    one at a time by `_times_linear`. Raises OperatorError naming the first
+    relation that needs a failing (b, t, j).
+
+    Why this is the factorization. Fix l and one half of both operators, and
+    let R be its ray polynomial. Both sides carry the same chi_a^{p_a} (a < r)
+    in front, and chi_{r+b}^{max(+-l_{m+b}, 0)} in front of the rest, since
+    p_{r+b}(l) = l_{m+b} (`choose_basis_p` checks m_{m+b,a} = delta_{r+b,a}).
+    Behind those prefixes, box_tilde has prod_b prod_{nu<t_b} (theta_{r+b} -
+    nu z) * R and chi^{|l_ext|} box_x has prod_b chi_b^{t_b} del_b^{t_b} * R,
+    where t_b = |l_{m+b}| in the half that carries del_b and 0 in the other.
+    Both are linear in R, and R is a sum of terms c z^k theta^s prod_b
+    x_b^(j_b). The factors for b act on x_b^(j_b) alone: z, theta_a (a < r)
+    and x_{b'} (b' != b) commute with chi_b, del_b and theta_{r+b}. So the two
+    sides agree for every R exactly when the identities above hold for each
+    b, each t <= t_b and each j up to R's degree in x_b. That degree is at
+    most the number of linear factors (D~_i - nu z) with m_{i,r+b} != 0 in
+    R: the sum of |l_i| over the rays i < m with l_i of l_{m+b}'s sign and
+    m_{i,r+b} != 0. So no R is needed to bound it.
+    """
+    for l in relations:
+        p_pairings(data, l)
+    needs = [factorization_needs(data, l) for l in relations]
+    for b in range(data.e):
+        # (t, J, l) of each relation l with del_b in one of its halves
+        by_b = [(*need[b], l) for need, l in zip(needs, relations) if need[b][0]]
+        # ray polynomials in z and x_b alone (r = 0, e = 1): keys (k, j)
+        for j in range(max((bound for _, bound, _ in by_b), default=-1) + 1):
+            tilde = {(0, j): 1}
+            for t in range(1, max(tl for tl, bound, _ in by_b if bound >= j) + 1):
+                tilde = _times_linear(tilde, 0, (1,), t - 1)
+                moved = {(k, chi + t): c for (k, chi), c in _del_past({(0, j): 1}, 1, t).items()}
+                if {key: c for key, c in tilde.items() if c} != moved:
+                    l = next(l for tl, bound, l in by_b if tl >= t and bound >= j)
+                    raise OperatorError(f"factorization identity failed for relation {list(l)}")
+
+
+def factorization_needs(data: ExtendedPicardData, l) -> list[tuple[int, int]]:
+    """(t, J) for each extension b: t = |l_{m+b}|, the power of del_b in the
+    half of box_x(l) that carries it, and J, the bound of
+    `check_factorizations` on the degree in x_b of that half's ray polynomial."""
+    r, m = data.r, data.ext.m
+    rows = data.m_ints[0]
+    return [(abs(l[m + b]), sum(abs(l[i]) for i in range(m)
+                                if l[i] * l[m + b] > 0 and rows[i][r + b]))
+            for b in range(data.e)]
 
 
 # -- degeneration, residue algebra, symbols --------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import orbimirror
-from corpus import cube_boundary_fans, ext_of_doc
+from corpus import cube_boundary_fans, ext_of_doc, gorenstein_wps3, weighted_projective_space
 from orbimirror import cli, cohomology, cones, crepant, fan, ifunction, linalg, operators, picard
 from orbimirror.cli import main
 from orbimirror.cones import RationalCone
@@ -363,6 +363,50 @@ def test_all_exits_1_when_a_factorization_fails(capsys, monkeypatch):
     assert error["message"].startswith("factorization identity failed for relation [")
 
 
+def test_all_exits_1_when_a_reduced_factorization_identity_fails(capsys, monkeypatch):
+    """A `_del_past` whose z-term is wrong at del power t = 3, above every
+    family relation's on p123 (e = 3): box_x's full residual passes on the
+    families, and the reduced check of the random relations fails, naming the
+    first of them that needs the failing (b, 3, j)."""
+    real = operators._del_past
+
+    def del_past(poly, pos, t):
+        out = real(poly, pos, t)
+        for key, c in poly.items():
+            if t == 3 and key[pos]:  # the term C(3, 1) (j)_1 z chi^(j-1) del^(j+2)
+                out[(key[0] + 1,) + key[1:pos] + (key[pos] - 1,) + key[pos + 1:]] += c
+        return out
+
+    seen = []
+    real_check = cli.check_factorizations
+    monkeypatch.setattr(operators, "_del_past", del_past)
+    monkeypatch.setattr(cli, "check_factorizations",
+                        lambda data, rels: seen.append((data, rels)) or real_check(data, rels))
+    code, out, err = run_cli(capsys, "all", str(DATA / "p123.json"), "--order", "2")
+    assert code == 1 and out == ""
+    [(data, relations)] = seen
+    needs = [operators.factorization_needs(data, l) for l in relations]
+    # j = 1 is the first degree with a z-term; the check runs b by b
+    b = min(b for need in needs for b, (t, bound) in enumerate(need) if t >= 3 and bound >= 1)
+    first = next(l for l, need in zip(relations, needs) if need[b][0] >= 3 and need[b][1] >= 1)
+    assert json.loads(err)["error"] == {
+        "kind": "OperatorError",
+        "message": f"factorization identity failed for relation {list(first)}"}
+
+
+def test_all_passes_on_the_gorenstein_weighted_projective_3_spaces(capsys, tmp_path):
+    """`all` exits 0 with every check passing on each Gorenstein P(1,w1,w2,w3)
+    of `corpus.gorenstein_wps3` but P(1,6,14,21), whose run (about 20 s in
+    process) stays out of tier-1."""
+    for w in gorenstein_wps3():
+        if w == (1, 6, 14, 21):
+            continue
+        path = tmp_path / "wps.json"
+        path.write_text(json.dumps(weighted_projective_space(*w[1:])))
+        code, out, _ = run_cli(capsys, "all", str(path))
+        assert code == 0 and json.loads(out)["results"]["failed"] == [], w
+
+
 def _counting(calls, name, fn, fan_of_arg=None):
     """Count the calls of `fn` under `name`, or, given `fan_of_arg`, under
     (name, number of rays of the fan it reads off the first argument)."""
@@ -498,9 +542,10 @@ def test_commands_derive_each_stage_once(capsys, monkeypatch):
     # an unbounded residual forms 6,047 products here, and applying the
     # repeated family entries' box operators again forms 2,547
     assert formed == within == 2304
-    # p123 has e = 3, so every box operator is checked: 12 distinct family
-    # relations and 10 random ones, each with the pair its operator was built on
-    assert calls["box_x"] == len(pairs) == len(checked) == 22
+    # p123 has e = 3, so every box operator is checked: one per distinct
+    # family relation, 12, each with the pair its operator was built on; the
+    # 10 random relations build none (`check_factorizations`)
+    assert calls["box_x"] == len(pairs) == len(checked) == 12
     assert all(rays is pair for rays, pair in zip(checked, pairs))
 
 
@@ -723,8 +768,9 @@ def test_box_x_makes_no_commutation_step_and_no_fraction(capsys, monkeypatch):
     """On p123 `all --order 5` each box operator is built from commutative
     ray polynomials of ints: no one-step commutation (`_mul_theta`,
     `_mul_del`) runs under box_x, its factorization check included, and no
-    Fraction is made there."""
-    made, steps, inside, built = Counter(), Counter(), [], []
+    Fraction is made there; nor under `check_factorizations`, which checks
+    the random relations with no operator built."""
+    made, steps, inside, built, reduced = Counter(), Counter(), [], [], []
     real_new = Fraction.__dict__["__new__"]
 
     def counting_new(cls, *args, **kwargs):
@@ -749,7 +795,18 @@ def test_box_x_makes_no_commutation_step_and_no_fraction(capsys, monkeypatch):
         finally:
             inside.pop()
 
+    real_check = cli.check_factorizations
+
+    def check_factorizations(data, relations):
+        inside.append(relations)
+        reduced.append(relations)
+        try:
+            return real_check(data, relations)
+        finally:
+            inside.pop()
+
     monkeypatch.setattr(cli, "box_x", box_x)
+    monkeypatch.setattr(cli, "check_factorizations", check_factorizations)
     for name in ("_mul_theta", "_mul_del"):
         monkeypatch.setattr(operators, name, counted_step(name, getattr(operators, name)))
     Fraction.__new__ = staticmethod(counting_new)
@@ -757,7 +814,8 @@ def test_box_x_makes_no_commutation_step_and_no_fraction(capsys, monkeypatch):
         assert run_cli(capsys, "all", str(DATA / "p123.json"), "--order", "5")[0] == 0
     finally:
         Fraction.__new__ = real_new
-    assert len(built) == 22
+    # one box_x per distinct family relation; one reduced check of 10 relations
+    assert len(built) == 12 and [len(rels) for rels in reduced] == [10]
     assert made == Counter() and steps == Counter()
 
 

@@ -13,13 +13,16 @@ from corpus import (
     P113,
     P1113,
     P2,
+    DATA,
     differential_fans,
     ext_of,
     fan_of,
     minimal_cone,
+    reflexive_pairs,
     weighted_planes,
 )
 from orbimirror import fan as fan_module
+from orbimirror.fandoc import parse_fan
 from orbimirror.fan import (
     BoxElement,
     FanError,
@@ -198,6 +201,41 @@ def _gen_elements_oracle(fan):
         if not reducible:
             gens.append(b)
     return gens
+
+
+def _gen_elements_fraction_oracle(fan):
+    """The former gen_elements: every pair of nonzero box elements, compared
+    by their Fraction coordinates."""
+    nonzero = [b for b in fan.box if not b.is_zero]
+    gens = []
+    for b in nonzero:
+        coords = dict(zip(b.min_cone, b.fractional))
+        if not any(
+            x.vector != b.vector
+            and all(i in coords and c <= coords[i] for i, c in zip(x.min_cone, x.fractional))
+            for x in nonzero
+        ):
+            gens.append(b)
+    return gens
+
+
+def test_gen_elements_matches_the_fraction_oracle():
+    """On every tests/data fan, every `differential_fans()` fan, the 16
+    reflexive X and Z, and a cone of index 1,000 (the largest `BOX_CAP`
+    admits), where the oracle's pairwise Fraction comparisons took seconds."""
+    fans = [(name, ext.fan) for name, ext in differential_fans()]
+    for name, x, z in reflexive_pairs():
+        fans += [(f"{name} X", parse_fan(x)[0]), (f"{name} Z", parse_fan(z)[0])]
+    fans.append(("index 1000", StackyFan(2, [(1, 0), (0, 1), (-1000, -3)],
+                                         [(0, 1), (1, 2), (0, 2)])))
+    assert {name for name, _ in fans} >= {path.stem for path in DATA.glob("*.json")
+                                          if path.stem != "broken_wall"}
+    reducible = 0
+    for name, fan in fans:
+        gens = gen_elements(fan)
+        assert gens == _gen_elements_fraction_oracle(fan), name
+        reducible += sum(not b.is_zero for b in fan.box) - len(gens)
+    assert reducible > 1000
 
 
 def test_box_and_gen_match_replaced_routines():

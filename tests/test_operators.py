@@ -18,8 +18,10 @@ from corpus import (
     l_coords_oracle,
     pairing_p_oracle,
     pipeline,
+    reflexive_pairs,
     series_fans,
     weighted_planes,
+    weighted_projective_space,
 )
 from orbimirror import operators
 from orbimirror.cohomology import (
@@ -38,9 +40,11 @@ from orbimirror.operators import (
     bold_d_poly,
     box_tilde,
     box_x,
+    check_factorizations,
     check_unfolding_conditions,
     degenerate_limit,
     euler_check,
+    factorization_needs,
     factorization_residual,
     limit_poly,
     operator_families,
@@ -58,6 +62,7 @@ from orbimirror.picard import (
     choose_basis_p,
     distinguished_relations,
     extended_pl_and_pic,
+    rho_membership,
 )
 
 
@@ -491,6 +496,110 @@ def test_box_x_builds_each_ray_falling_product_once(monkeypatch):
             unit = tuple(int(a == r + k) for a in range(data.rank))
             expected.update((unit, nu) for nu in range(abs(l[ext.m + k])))
         assert made == expected, l
+
+
+# -- the factorization on relations whose operators are not built --------------
+
+
+def _random_relations(ext, rng, count=10):
+    """`count` relations sum_j c_j l_j of the L basis with |c_j| <= 3, drawn
+    as `all` draws them."""
+    out = []
+    for _ in range(count):
+        coeffs = [rng.randint(-3, 3) for _ in ext.l_basis]
+        out.append(tuple(sum(c * b[i] for c, b in zip(coeffs, ext.l_basis))
+                         for i in range(ext.n)))
+    return out
+
+
+def _reduced_check_fans():
+    """(name, Picard data) of every nef `differential_fans()` fan, every
+    reflexive X and Z with e > 0 but the two X without a p-basis (ROADMAP
+    item 8), and P(1,2,6,9)."""
+    reflexive = [(f"{name} {side}", ext_of_doc(doc))
+                 for name, x, z in reflexive_pairs() for side, doc in (("X", x), ("Z", z))]
+    p1269 = ("P(1,2,6,9)", ext_of_doc(weighted_projective_space(2, 6, 9)))
+    for name, ext in chain(differential_fans(), [f for f in reflexive if f[1].e], [p1269]):
+        picard = extended_pl_and_pic(ext)
+        if not rho_membership(picard)[0]:
+            continue
+        try:
+            yield name, choose_basis_p(picard)
+        except PicardError as exc:
+            assert "no p-basis found by the bounded search" in str(exc), name
+
+
+def test_check_factorizations_agrees_with_the_full_residual():
+    """On ten seeded random relations of each fan the reduced check passes,
+    and so does the full residual of the built operators."""
+    shapes = Counter()
+    for name, data in _reduced_check_fans():
+        relations = _random_relations(data.ext, random.Random(67))
+        check_factorizations(data, relations)
+        for l in relations:
+            # box_x raises unless the full residual is zero; for e = 0 it is
+            # zero by construction, and box_x skips it
+            op = box_x(data, l)
+            assert data.e or factorization_residual(data, l, op, ray_products(data, l)).is_zero()
+        shapes[data.e > 0] += 1
+    assert shapes[True] >= 17 and shapes[False] >= 5
+
+
+def test_factorization_needs_cover_the_built_ray_polynomials():
+    """The (t, j) ranges of the reduced check are those the built R has: t
+    is the del_b power of the half that carries it, and the j bound is that
+    half's degree in x_b, attained."""
+    for name, data in _reduced_check_fans():
+        r, m = data.r, data.ext.m
+        for l in _random_relations(data.ext, random.Random(67)):
+            rays = ray_products(data, l)
+            for b, (t, bound) in enumerate(factorization_needs(data, l)):
+                assert t == abs(l[m + b])
+                if t:
+                    poly, _den = rays[0] if l[m + b] < 0 else rays[1]
+                    degree = max(key[1 + r + b] for key, c in poly.items() if c)
+                    assert degree == bound, (name, l, b)
+
+
+def test_check_factorizations_fails_on_a_perturbed_del_past(monkeypatch):
+    """One wrong coefficient of `_del_past`, at the corner (t, J) that one
+    relation needs for one extension, fails the check, naming the first
+    relation that needs it for the first such extension; on p123 and
+    P(1,2,6,9), at every relation's corners."""
+    real = operators._del_past
+    corner = []
+
+    def del_past(poly, pos, t):
+        out = real(poly, pos, t)
+        for key, c in poly.items():
+            if (t, key[pos]) == corner[0]:
+                out[key] += c  # the i = 0 term, chi^j del^(t+j) with coefficient 1
+        return out
+
+    monkeypatch.setattr(operators, "_del_past", del_past)
+    p1269 = ext_of_doc(weighted_projective_space(2, 6, 9))
+    for data in (_box_fan_data("p123"), choose_basis_p(extended_pl_and_pic(p1269))):
+        relations = _random_relations(data.ext, random.Random(2))
+        needs = [factorization_needs(data, l) for l in relations]
+        corners = {(t, bound) for need in needs for t, bound in need if t}
+        assert len(corners) > 5 and max(bound for _, bound in corners) > 2
+        for t0, j0 in sorted(corners):
+            corner[:] = [(t0, j0)]
+            b = min(b for need in needs for b, (t, bound) in enumerate(need)
+                    if t >= t0 and bound >= j0)
+            first = next(l for l, need in zip(relations, needs)
+                         if need[b][0] >= t0 and need[b][1] >= j0)
+            with pytest.raises(OperatorError) as raised:
+                check_factorizations(data, relations)
+            assert str(raised.value) == f"factorization identity failed for relation {list(first)}"
+
+
+def test_check_factorizations_checks_each_relation_when_e_is_zero():
+    _, data, _, _ = pipeline("P2")
+    assert data.e == 0
+    check_factorizations(data, [(1, 1, 1), (2, 2, 2)])
+    with pytest.raises(OperatorError, match="not a relation"):
+        check_factorizations(data, [(1, 1, 1), (1, 0, 0)])
 
 
 # -- L-coordinates by solving: the former routines, kept as oracles -------------
