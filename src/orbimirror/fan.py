@@ -290,7 +290,9 @@ def gen_elements(fan: StackyFan) -> list[BoxElement]:
     face of sigma(b) and no coordinate of x exceeds b's. So b is compared
     only with the elements whose minimal cone is a face of sigma(b), smallest
     coordinate sum first, and coordinates are compared as int numerators
-    over one common denominator."""
+    over one common denominator. Every such x but b itself reduces b, since
+    b - x is then a nonzero box element; on a proper face x may equal b's
+    coordinates there (from rank 4 on, e.g. in P(1,1,2)^2)."""
     nonzero = [b for b in fan.box if not b.is_zero]
     den = lcm(*(f.denominator for b in nonzero for f in b.fractional))
     nums = {b.vector: [f.numerator * (den // f.denominator) for f in b.fractional]
@@ -300,10 +302,11 @@ def gen_elements(fan: StackyFan) -> list[BoxElement]:
         by_cone.setdefault(b.min_cone, []).append(nums[b.vector])
     gens = []
     for b in nonzero:
-        coords = dict(zip(b.min_cone, nums[b.vector]))
+        own = nums[b.vector]  # the list object held in by_cone too
+        coords = dict(zip(b.min_cone, own))
         faces = [([coords[i] for i in face], xs) for face, xs in by_cone.items()
                  if coords.keys() >= set(face)]
-        if not any(x != bound and all(map(le, x, bound)) for bound, xs in faces for x in xs):
+        if not any(x is not own and all(map(le, x, bound)) for bound, xs in faces for x in xs):
             gens.append(b)
     return gens
 

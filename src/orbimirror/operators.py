@@ -43,6 +43,7 @@ the fan's splitting with no solve.
 are not wanted, with no operator built: as both sides multiply R on the left,
 it holds for every R exactly when, for each extension b, the two routes agree
 on chi_b^t del_b^t * x_b^(j) for each power t and degree j a relation needs.
+Neither route depends on b, so each (t, j) is checked once.
 """
 
 from __future__ import annotations
@@ -443,8 +444,12 @@ def check_factorizations(data: ExtendedPicardData, relations) -> None:
     must agree for every (t, j) that a relation needs. box_x's route moves
     del_b^t past x_b^(j) by `_del_past` and puts chi_b^t in front; box_tilde's
     multiplies x_b^(j) by the falling factors (theta_{r+b} - nu z), nu < t,
-    one at a time by `_times_linear`. Raises OperatorError naming the first
-    relation that needs a failing (b, t, j).
+    one at a time by `_times_linear`. The identities depend on (t, j) alone,
+    not on b or on the fan, so each (t, j) that some b needs is checked once;
+    the fan sets only which are needed. So this check can catch only defects
+    of `_del_past` and `_times_linear`. Raises OperatorError naming, for the
+    first failing (t, j), the first relation that needs it for the first b
+    that needs it.
 
     Why this is the factorization. Fix l and one half of both operators, and
     let R be its ray polynomial. Both sides carry the same chi_a^{p_a} (a < r)
@@ -465,18 +470,18 @@ def check_factorizations(data: ExtendedPicardData, relations) -> None:
     for l in relations:
         p_pairings(data, l)
     needs = [factorization_needs(data, l) for l in relations]
-    for b in range(data.e):
-        # (t, J, l) of each relation l with del_b in one of its halves
-        by_b = [(*need[b], l) for need, l in zip(needs, relations) if need[b][0]]
-        # ray polynomials in z and x_b alone (r = 0, e = 1): keys (k, j)
-        for j in range(max((bound for _, bound, _ in by_b), default=-1) + 1):
-            tilde = {(0, j): 1}
-            for t in range(1, max(tl for tl, bound, _ in by_b if bound >= j) + 1):
-                tilde = _times_linear(tilde, 0, (1,), t - 1)
-                moved = {(k, chi + t): c for (k, chi), c in _del_past({(0, j): 1}, 1, t).items()}
-                if {key: c for key, c in tilde.items() if c} != moved:
-                    l = next(l for tl, bound, l in by_b if tl >= t and bound >= j)
-                    raise OperatorError(f"factorization identity failed for relation {list(l)}")
+    # (t, J, l) of each b and relation l with del_b in one of l's halves, b by b
+    uses = [(*need[b], l) for b in range(data.e) for need, l in zip(needs, relations)
+            if need[b][0]]
+    # ray polynomials in z and one x_b alone (r = 0, e = 1): keys (k, j)
+    for j in range(max((bound for _, bound, _ in uses), default=-1) + 1):
+        tilde = {(0, j): 1}
+        for t in range(1, max(tl for tl, bound, _ in uses if bound >= j) + 1):
+            tilde = _times_linear(tilde, 0, (1,), t - 1)
+            moved = {(k, chi + t): c for (k, chi), c in _del_past({(0, j): 1}, 1, t).items()}
+            if {key: c for key, c in tilde.items() if c} != moved:
+                l = next(l for tl, bound, l in uses if tl >= t and bound >= j)
+                raise OperatorError(f"factorization identity failed for relation {list(l)}")
 
 
 def factorization_needs(data: ExtendedPicardData, l) -> list[tuple[int, int]]:

@@ -386,7 +386,7 @@ def test_all_exits_1_when_a_reduced_factorization_identity_fails(capsys, monkeyp
     assert code == 1 and out == ""
     [(data, relations)] = seen
     needs = [operators.factorization_needs(data, l) for l in relations]
-    # j = 1 is the first degree with a z-term; the check runs b by b
+    # j = 1 is the first degree with a z-term; the failure names the first b that needs it
     b = min(b for need in needs for b, (t, bound) in enumerate(need) if t >= 3 and bound >= 1)
     first = next(l for l, need in zip(relations, needs) if need[b][0] >= 3 and need[b][1] >= 1)
     assert json.loads(err)["error"] == {

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, permutations, product
+import json
 import random
 
 import pytest
@@ -219,15 +220,28 @@ def _gen_elements_fraction_oracle(fan):
     return gens
 
 
+def _product_fan(a, b):
+    """The fan of the product of the toric varieties of a and b."""
+    rays = [r + (0,) * b.rank for r in a.rays] + [(0,) * a.rank + r for r in b.rays]
+    cones = [ca + tuple(a.n_rays + i for i in cb) for ca in a.max_cones for cb in b.max_cones]
+    return StackyFan(a.rank + b.rank, rays, cones)
+
+
 def test_gen_elements_matches_the_fraction_oracle():
     """On every tests/data fan, every `differential_fans()` fan, the 16
-    reflexive X and Z, and a cone of index 1,000 (the largest `BOX_CAP`
-    admits), where the oracle's pairwise Fraction comparisons took seconds."""
+    reflexive X and Z, a cone of index 1,000 (the largest `BOX_CAP` admits),
+    where the oracle's pairwise Fraction comparisons took seconds, and the
+    rank-4 products of P(1,1,2) and P(1,2,3). Only from rank 4 on can a box
+    element on a proper face of sigma(b) equal b's coordinates there: in
+    P(1,1,2)^2, (1/2,1/2,1/2,1/2) = (1/2,1/2,0,0) + (0,0,1/2,1/2)."""
     fans = [(name, ext.fan) for name, ext in differential_fans()]
     for name, x, z in reflexive_pairs():
         fans += [(f"{name} X", parse_fan(x)[0]), (f"{name} Z", parse_fan(z)[0])]
     fans.append(("index 1000", StackyFan(2, [(1, 0), (0, 1), (-1000, -3)],
                                          [(0, 1), (1, 2), (0, 2)])))
+    p112, p123 = fan_of(P112), parse_fan(json.loads((DATA / "p123.json").read_text()))[0]
+    products = [(a, b, _product_fan(a, b)) for a, b in ((p112, p112), (p123, p123), (p112, p123))]
+    fans += [(f"{a.rays} x {b.rays}", fan) for a, b, fan in products]
     assert {name for name, _ in fans} >= {path.stem for path in DATA.glob("*.json")
                                           if path.stem != "broken_wall"}
     reducible = 0
@@ -236,6 +250,9 @@ def test_gen_elements_matches_the_fraction_oracle():
         assert gens == _gen_elements_fraction_oracle(fan), name
         reducible += sum(not b.is_zero for b in fan.box) - len(gens)
     assert reducible > 1000
+    # Gen of a product is the union of the factors' Gen, each on its own face
+    for a, b, fan in products:
+        assert len(gen_elements(fan)) == len(gen_elements(a)) + len(gen_elements(b))
 
 
 def test_box_and_gen_match_replaced_routines():
