@@ -408,14 +408,14 @@ def cmd_all(job):
             coeffs = [rng.randint(-3, 3) for _ in ext.l_basis]
             shift = [sum(c * p for c, p in zip(coeffs, row)) for row in p_rows]
             pairings = [x + y for x, y in zip(base, mori.pairing_nums(shift))]
-            if mori.v_of(None, pairings) != tuple(entry["box_element"]):
+            if mori.v_of(pairings) != tuple(entry["box_element"]):
                 coset_ok = False
     check("box_bijection", len(table) == len(ext.box) and coset_ok,
           {"table_size": len(table), "box_size": len(ext.box)})
-    # box_x has checked the full factorization residual of each family
-    # operator in job.box_ops above. Ten random relations of L are checked
-    # here with no operator built: each is a relation, and the identities
-    # their factorization reduces to hold (`check_factorizations`).
+    # box_x has checked the factorization of each family operator in
+    # job.box_ops above, half by half on its own ray polynomials. Ten random
+    # relations of L are checked here with no operator built: each is a
+    # relation, and the identities their factorization reduces to hold.
     families = job.families
     family_rels = families["l_basis"] + families["cone"] + families["primitive"]
     relations = []

@@ -249,11 +249,11 @@ def enumerate_degrees(mori: MoriData, order: int) -> list[dict]:
 
     def rec(beta, pairings, remaining):
         if len(beta) == rank:
-            if mori.integer_pattern(beta, True, pairings) in mori.anticones_e:
+            if mori.integer_pattern(pairings, True) in mori.anticones_e:
                 out.append({
                     "beta": beta,
                     "pairings": pairings,
-                    "sector": mori.v_of(beta, pairings),
+                    "sector": mori.v_of(pairings),
                 })
             return
         column = columns[len(beta)]

@@ -27,23 +27,22 @@ falling-factorial basis x^(j) = chi_{r+b}^j del_b^j, where
 x * x^(j) = x^(j+1) + j z x^(j); so each term of R is already one
 normal-ordered term, and chi-prefactors add to its chi exponents.
 
-`box_x` checks the factorization box_tilde(l) = prod_k chi_{r+k}^{|l_{m+k}|} *
-box_x(l) once for each operator it builds, through `factorization_residual`,
-and raises OperatorError naming the relation when it fails. For e = 0 the two
-sides are the same product, so the check is skipped there. Both sides read the
-one pair (R+, R-) of the relation and reach normal order by independent routes:
-box_x moves its del^{|l_ext|} prefix past R one whole power at a time,
-del^t chi^j del^j = sum_i C(t, i) (j)_i z^i chi^{j-i} del^{t+j-i}, while
-box_tilde multiplies its extension falling products, in theta_{r+k} =
-D~_{m+k}, into R one linear factor at a time. The residual is formed as
-`LogDiffOp`s and must be exactly zero. The exponents p_a(l) are N l, read off
-the fan's splitting with no solve.
-
-`check_factorizations` checks the same identity on relations whose operators
-are not wanted, with no operator built: as both sides multiply R on the left,
-it holds for every R exactly when, for each extension b, the two routes agree
-on chi_b^t del_b^t * x_b^(j) for each power t and degree j a relation needs.
-Neither route depends on b, so each (t, j) is checked once.
+`factorization_residual` is the one check of the factorization
+box_tilde(l) = prod_k chi_{r+k}^{|l_{m+k}|} * box_x(l), half by half; no
+box_tilde operator is built. On a ray polynomial R and one half's del powers
+t_b it compares two independent normal orderings of prod_b chi_b^{t_b}
+del_b^{t_b} * R. box_x's moves each del_b^{t_b} past R one whole power at a
+time, del^t chi^j del^j = sum_i C(t, i) (j)_i z^i chi^{j-i} del^{t+j-i};
+box_tilde's multiplies the falling factors (theta_{r+b} - nu z), nu < t_b,
+into R one linear factor at a time. `box_x` passes it the ray polynomial of
+each half it builds when e > 0, raises OperatorError naming the relation
+when a residual is nonzero, and builds the half from box_x's ordering.
+`check_factorizations` passes it single terms x_b^(j), for relations whose
+operators are not wanted: as both orderings multiply R on the left, the
+identity holds for every R exactly when, for each extension b, it holds on
+x_b^(j) for each power t and degree j a relation needs. Neither ordering
+depends on b, so each (t, j) is checked once. The exponents p_a(l) are N l,
+read off the fan's splitting with no solve.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, lcm, perm
-from operator import add
+from operator import add, sub
 
 from .cohomology import (
     GradedQuotientRing,
@@ -61,7 +60,7 @@ from .cohomology import (
     poly_mul,
     quotient_ring,
 )
-from .linalg import over_lcm, rank
+from .linalg import independent_rows, over_lcm, rank
 from .picard import ExtendedPicardData, min_decomposition
 
 
@@ -296,11 +295,6 @@ def p_pairings(data: ExtendedPicardData, l) -> tuple[int, ...]:
     return data.pairing_p(l)
 
 
-def _monomial(r, e, beta, t) -> LogDiffOp:
-    """chi^beta del^t, a single term already in normal order."""
-    return LogDiffOp(r, e, {(tuple(beta), 0, (0,) * r, tuple(t), 0): 1})
-
-
 def _times_linear(poly: dict, r, row, shift) -> dict:
     """The ray polynomial poly * (sum_a row[a] theta_a - shift z), for ints
     row[a] and shift: theta_a raises s_a for a < r, and
@@ -359,29 +353,29 @@ def ray_products(data: ExtendedPicardData, l) -> tuple:
     return falling(+1), falling(-1)
 
 
-def box_tilde(data: ExtendedPicardData, l, rays) -> LogDiffOp:
-    """The pulled-back GKZ box operator in the (chi, z) chart; `rays` is
-    `ray_products(data, l)`.
+def factorization_residual(poly: dict, r, powers) -> tuple[dict, dict]:
+    """(moved, residual) for the two normal orderings of prod_b chi_b^{t_b}
+    del_b^{t_b} * R, with R the ray polynomial `poly` over r theta variables
+    and t = `powers`, one per extension b. Both are ray polynomials.
 
-    Each half is chi^{p(l)} times the extension falling products times the
-    ray product. D~_{m+k} = theta_{r+k}, as m_{m+k,a} = delta_{r+k,a}, so the
-    extension factors multiply into the ray polynomial one linear factor at a
-    time, and the chi^{p(l)} prefactor adds to each term's chi exponents."""
-    r, e, m = data.r, data.e, data.ext.m
-    p_of_l = p_pairings(data, l)
-
-    def half(sign, ray):
-        poly, den = ray
-        for k in range(e):
-            unit = tuple(int(a == r + k) for a in range(r + e))
-            for nu in range(sign * -l[m + k]):
-                poly = _times_linear(poly, r, unit, nu)
-        prefix = [max(sign * p, 0) for p in p_of_l]
-        nums = {(tuple(prefix[:r]) + tuple(map(add, prefix[r:], key[1 + r:])),
-                 key[0], key[1:1 + r], key[1 + r:], 0): c for key, c in poly.items()}
-        return nums, den
-
-    return LogDiffOp(r, e, *half(+1, rays[0])) - LogDiffOp(r, e, *half(-1, rays[1]))
+    `moved` is box_x's ordering: `_del_past` moves del_b^{t_b} past R, and
+    chi_b^{t_b} in front raises x_b's degree by t_b. box_tilde's ordering
+    multiplies R by the falling factors (theta_{r+b} - nu z), nu < t_b, one at
+    a time by `_times_linear`; `residual` is it minus `moved`, without zero
+    coefficients, so it is {} exactly when the two orderings agree."""
+    moved = tilde = poly
+    for b, t in enumerate(powers):
+        if t:
+            pos = 1 + r + b
+            moved = {key[:pos] + (key[pos] + t,) + key[pos + 1:]: c
+                     for key, c in _del_past(moved, pos, t).items()}
+            unit = tuple(int(a == r + b) for a in range(r + len(powers)))
+            for nu in range(t):
+                tilde = _times_linear(tilde, r, unit, nu)
+    residual = dict(tilde)
+    for key, c in moved.items():
+        residual[key] = residual.get(key, 0) - c
+    return moved, {key: c for key, c in residual.items() if c}
 
 
 def box_x(data: ExtendedPicardData, l) -> LogDiffOp:
@@ -390,31 +384,27 @@ def box_x(data: ExtendedPicardData, l) -> LogDiffOp:
     Each half is the monomial chi^{p(l)} del^{|l_ext|} on the left of its ray
     product; this ordering makes the factorization
     box_tilde(l) = prod_k chi_{r+k}^{|l_{m+k}|} * box_x(l) an exact operator
-    identity for every l in L. The del prefix moves past the ray polynomial
-    one whole power del_b^t at a time (`_del_past`). The factorization is
-    checked here, once per operator, when e > 0 (for e = 0 both sides are the
-    same product); both sides read the one `ray_products(data, l)`, and reach
-    normal order by two independent routes: box_tilde multiplies the
-    extension factors in one at a time, box_x uses the closed form.
+    identity for every l in L. When e > 0 each half is read off the `moved`
+    of `factorization_residual` on its own ray polynomial, which checks that
+    half's factorization: where moved has x_b-degree q, the half has del_b^q
+    and, less the factored-out chi_b^{t_b}, chi_b^{q - t_b}. For e = 0 both
+    sides are the same product.
     """
     r, e, m = data.r, data.e, data.ext.m
     p_of_l = p_pairings(data, l)
-    rays = ray_products(data, l)
 
     def half(sign, ray):
         poly, den = ray
         chi = tuple(max(sign * p, 0) for p in p_of_l[:r])
         dels = tuple(max(sign * -x, 0) for x in l[m:])
-        for b, t in enumerate(dels):
-            if t:
-                poly = _del_past(poly, 1 + r + b, t)
-        return {(chi + key[1 + r:], key[0], key[1:1 + r],
-                 tuple(map(add, dels, key[1 + r:])), 0): c for key, c in poly.items()}, den
+        moved, residual = factorization_residual(poly, r, dels) if e else (poly, {})
+        if residual:
+            raise OperatorError(f"factorization identity failed for relation {list(l)}")
+        return {(chi + tuple(map(sub, key[1 + r:], dels)), key[0], key[1:1 + r],
+                 key[1 + r:], 0): c for key, c in moved.items()}, den
 
-    op = LogDiffOp(r, e, *half(+1, rays[0])) - LogDiffOp(r, e, *half(-1, rays[1]))
-    if e and not factorization_residual(data, l, op, rays).is_zero():
-        raise OperatorError(f"factorization identity failed for relation {list(l)}")
-    return op
+    plus, minus = ray_products(data, l)
+    return LogDiffOp(r, e, *half(+1, plus)) - LogDiffOp(r, e, *half(-1, minus))
 
 
 def euler_check(data: ExtendedPicardData) -> LogDiffOp:
@@ -428,28 +418,17 @@ def euler_check(data: ExtendedPicardData) -> LogDiffOp:
     return out
 
 
-def factorization_residual(data: ExtendedPicardData, l, op: LogDiffOp, rays) -> LogDiffOp:
-    """box_tilde(l) - prod_k chi_{r+k}^{|l_{m+k}|} * op for op = box_x(l), with
-    `rays` as for `box_tilde`; zero exactly when the lemma holds."""
-    r, e = data.r, data.e
-    prefactor = _monomial(r, e, [0] * r + [abs(x) for x in l[data.ext.m:]], (0,) * e)
-    return box_tilde(data, l, rays) - prefactor * op
-
-
 def check_factorizations(data: ExtendedPicardData, relations) -> None:
     """Check that each l of `relations` is a relation (`p_pairings`) and, when
     e > 0, the factorization box_tilde(l) = prod_k chi_{r+k}^{|l_{m+k}|} *
     box_x(l) for all of them, with no operator and no ray polynomial built:
-    for each extension b, the two normal orderings of chi_b^t del_b^t * x_b^(j)
-    must agree for every (t, j) that a relation needs. box_x's route moves
-    del_b^t past x_b^(j) by `_del_past` and puts chi_b^t in front; box_tilde's
-    multiplies x_b^(j) by the falling factors (theta_{r+b} - nu z), nu < t,
-    one at a time by `_times_linear`. The identities depend on (t, j) alone,
-    not on b or on the fan, so each (t, j) that some b needs is checked once;
-    the fan sets only which are needed. So this check can catch only defects
-    of `_del_past` and `_times_linear`. Raises OperatorError naming, for the
-    first failing (t, j), the first relation that needs it for the first b
-    that needs it.
+    for each extension b, `factorization_residual` of x_b^(j) with del power
+    t must be zero for every (t, j) that a relation needs. The identities
+    depend on (t, j) alone, not on b or on the fan, so each (t, j) that some b
+    needs is checked once; the fan sets only which are needed. So this check
+    can catch only defects of `_del_past` and `_times_linear`. Raises
+    OperatorError naming, for the first failing (t, j), the first relation
+    that needs it for the first b that needs it.
 
     Why this is the factorization. Fix l and one half of both operators, and
     let R be its ray polynomial. Both sides carry the same chi_a^{p_a} (a < r)
@@ -475,11 +454,8 @@ def check_factorizations(data: ExtendedPicardData, relations) -> None:
             if need[b][0]]
     # ray polynomials in z and one x_b alone (r = 0, e = 1): keys (k, j)
     for j in range(max((bound for _, bound, _ in uses), default=-1) + 1):
-        tilde = {(0, j): 1}
         for t in range(1, max(tl for tl, bound, _ in uses if bound >= j) + 1):
-            tilde = _times_linear(tilde, 0, (1,), t - 1)
-            moved = {(k, chi + t): c for (k, chi), c in _del_past({(0, j): 1}, 1, t).items()}
-            if {key: c for key, c in tilde.items() if c} != moved:
+            if factorization_residual({(0, j): 1}, 0, (t,))[1]:
                 l = next(l for tl, bound, l in uses if tl >= t and bound >= j)
                 raise OperatorError(f"factorization identity failed for relation {list(l)}")
 
@@ -674,17 +650,14 @@ def check_unfolding_conditions(data: ExtendedPicardData, ring: GradedQuotientRin
     """(IC) injectivity, (GC) generation, (EC) eigenvector, for the section 1."""
     gens = generator_classes(data, ring)
     ic = rank([g[0] for g in gens]) == len(gens)
-    span = [ring.one()]  # kept linearly independent, so its rank is len(span)
-    frontier = [ring.one()]
+    span = frontier = [ring.one()]  # kept linearly independent
     while frontier:
-        new = []
-        for v in frontier:
-            for g in gens:
-                w = ring.mul(g, v)
-                if rank([u[0] for u in span] + [w[0]]) > len(span):
-                    span.append(w)
-                    new.append(w)
-        frontier = new
+        # one elimination per level: the leftmost independent rows past the
+        # span are the products that enlarge it, taken greedily in order
+        products = [ring.mul(g, v) for v in frontier for g in gens]
+        keep = independent_rows([u[0] for u in span + products])
+        frontier = [products[i - len(span)] for i in keep[len(span):]]
+        span = span + frontier
     gc = len(span) == ring.dim
     ec = ring.class_degree(ring.one()) == 0
     return {"IC": ic, "GC": gc, "EC": ec}

@@ -300,30 +300,27 @@ class MoriData:
         """<D_i, d> as numerators over M's denominator (`picard.m_ints`)."""
         return tuple(sum(map(mul, row, t)) for row in self.picard.m_ints[0])
 
-    # The Fraction pairings, the membership tests and the ceiling map read the
-    # numerators of d's pairings from `pairings` when the caller has them, and
-    # from t otherwise.
+    # The Fraction pairings, the membership tests and the ceiling map read d
+    # through the numerators `nums` of its pairings (`pairing_nums`).
 
-    def d_pairings(self, t, pairings=None) -> tuple[Fraction, ...]:
+    def d_pairings(self, nums) -> tuple[Fraction, ...]:
         den = self.picard.m_ints[1]
-        return tuple(Fraction(x, den) for x in pairings or self.pairing_nums(t))
+        return tuple(Fraction(x, den) for x in nums)
 
-    def integer_pattern(self, t, nonneg: bool, pairings=None) -> tuple[int, ...]:
-        nums = self.pairing_nums(t) if pairings is None else pairings
+    def integer_pattern(self, nums, nonneg: bool) -> tuple[int, ...]:
         den = self.picard.m_ints[1]
         return tuple(i for i, v in enumerate(nums)
                      if v % den == 0 and (v >= 0 or not nonneg))
 
-    def in_k(self, t, pairings=None) -> bool:
-        return self.integer_pattern(t, False, pairings) in self.anticones_e
+    def in_k(self, nums) -> bool:
+        return self.integer_pattern(nums, False) in self.anticones_e
 
     def in_ne(self, t) -> bool:
         return all(Fraction(x).denominator == 1 for x in t)
 
-    def v_of(self, t, pairings=None) -> tuple[int, ...]:
+    def v_of(self, nums) -> tuple[int, ...]:
         """Ceiling map K -> Box: v(d) = sum ceil(<D_i, d>) a_i."""
         ext = self.picard.ext
-        nums = self.pairing_nums(t) if pairings is None else pairings
         den = self.picard.m_ints[1]
         out = [0] * ext.d
         for i, v in enumerate(nums):
@@ -392,11 +389,11 @@ def box_coset_map(mori: MoriData) -> list[dict]:
             rel[i] -= rfrac
         t = data.pairing_p(rel)
         nums = mori.pairing_nums(t)
-        if not mori.in_k(t, nums):
+        if not mori.in_k(nums):
             raise PicardError(f"d_v for box element {list(b.vector)} is not in K")
         if not mori.in_ne(t):
             raise PicardError(f"d_v for box element {list(b.vector)} is not in NE^e")
-        v_back = mori.v_of(t, nums)
+        v_back = mori.v_of(nums)
         if v_back != b.vector:
             raise PicardError(
                 f"ceiling map round-trip failed: v(d_v) = {list(v_back)} != {list(b.vector)}"
@@ -408,6 +405,6 @@ def box_coset_map(mori: MoriData) -> list[dict]:
             "box_element": b.vector,
             "age": b.age,
             "d_p_pairings": t,
-            "d_pairings": mori.d_pairings(t, nums),
+            "d_pairings": mori.d_pairings(nums),
         })
     return table

@@ -26,7 +26,13 @@ from orbimirror.linalg import (
     solve_unique,
     unimodular_inverse,
 )
-from orbimirror.operators import _family_union, box_x, operator_families
+from orbimirror.operators import (
+    _family_union,
+    box_x,
+    factorization_residual,
+    operator_families,
+    ray_products,
+)
 from orbimirror.picard import (
     choose_basis_p,
     extended_pl_and_pic,
@@ -105,6 +111,14 @@ def box_operators(data, ring, drop=None):
     if drop is not None:
         union = [v for v in union if v not in families[drop]]
     return [box_x(data, l) for l in union]
+
+
+def half_residuals(data, l):
+    """The factorization residuals of box_x(l), one per half: each half's own
+    ray polynomial with the del powers that half carries."""
+    dels = [tuple(max(sign * -x, 0) for x in l[data.ext.m:]) for sign in (+1, -1)]
+    return [factorization_residual(poly, data.r, t)[1]
+            for (poly, _den), t in zip(ray_products(data, l), dels)]
 
 
 def differential_fans(smooth_rays=()):

@@ -353,14 +353,22 @@ def test_all_command_passes_on_corpus_small(capsys):
 
 
 def test_all_exits_1_when_a_factorization_fails(capsys, monkeypatch):
-    real = operators.box_tilde
-    monkeypatch.setattr(operators, "box_tilde",
-                        lambda d, rel, rays: real(d, rel, rays) + LogDiffOp.z(d.r, d.e))
+    """A wrong z-term in `_times_linear` on ray polynomials with theta
+    variables (r > 0), which only the family relations' are: the per-half
+    check of the first family operator with an extension derivation fails,
+    naming its relation."""
+    real = operators._times_linear
+    monkeypatch.setattr(operators, "_times_linear",
+                        lambda poly, r, row, shift: real(poly, r, row, shift + (r > 0)))
+    built = []
+    real_box_x = cli.box_x
+    monkeypatch.setattr(cli, "box_x", lambda data, l: built.append(l) or real_box_x(data, l))
     code, out, err = run_cli(capsys, "all", str(DATA / "p112.json"), "--order", "2")
     assert code == 1 and out == ""
     error = json.loads(err)["error"]
     assert error["kind"] == "OperatorError"
     assert error["message"].startswith("factorization identity failed for relation [")
+    assert error["message"].endswith(f"relation {list(built[-1])}")
 
 
 def test_all_exits_1_when_a_reduced_factorization_identity_fails(capsys, monkeypatch):
@@ -528,9 +536,9 @@ def test_commands_derive_each_stage_once(capsys, monkeypatch):
         pairs.append(real_rays(data, l))
         return pairs[-1]
 
-    def factorization_residual(data, l, op, rays):
-        checked.append(rays)
-        return real_residual(data, l, op, rays)
+    def factorization_residual(poly, r, powers):
+        checked.append((poly, r))
+        return real_residual(poly, r, powers)
 
     monkeypatch.setattr(ifunction, "apply_operator", apply_operator)
     monkeypatch.setattr(ifunction, "_acc", acc)
@@ -542,11 +550,15 @@ def test_commands_derive_each_stage_once(capsys, monkeypatch):
     # an unbounded residual forms 6,047 products here, and applying the
     # repeated family entries' box operators again forms 2,547
     assert formed == within == 2304
-    # p123 has e = 3, so every box operator is checked: one per distinct
-    # family relation, 12, each with the pair its operator was built on; the
-    # 10 random relations build none (`check_factorizations`)
-    assert calls["box_x"] == len(pairs) == len(checked) == 12
-    assert all(rays is pair for rays, pair in zip(checked, pairs))
+    # p123 has e = 3, so every box operator is checked, half by half: one
+    # per distinct family relation, 12, each on the two ray polynomials it
+    # was built on; the 10 random relations build none, and
+    # `check_factorizations` passes single terms x_b^(j) with r = 0
+    assert calls["box_x"] == len(pairs) == 12
+    halves = [poly for pair in pairs for poly, _den in pair]
+    assert len(halves) == 24 and all(
+        poly is half and r == 1 for (poly, r), half in zip(checked, halves))
+    assert all(r == 0 and len(poly) == 1 for poly, r in checked[24:])
 
 
 def test_l_coordinates_are_read_off_one_splitting(capsys, monkeypatch):
@@ -653,14 +665,13 @@ def test_gen_is_found_once_per_fan(capsys, monkeypatch, command):
 
 
 def test_series_engine_makes_no_fraction_from_classes_or_coefficients(capsys, monkeypatch):
-    """On p123 `all --order 5` the ring product and the operator product make
-    no Fraction (the ring's first product builds its table through class_of,
-    whose normal forms are Fraction polynomials; a Fraction made there counts
-    for class_of). The series steps make no Fraction at all: the degree
-    enumeration, the hypergeometric factors, I-tilde, the exponential chains
-    of one int operator (the log prefactor and z^{-rho-bar}), the operator
-    action and the derivative steps. Their
-    classes and coefficients are ints over one denominator, and so are the
+    """On p123 `all --order 5` the ring product makes no Fraction (the ring's
+    first product builds its table through class_of, whose normal forms are
+    Fraction polynomials; a Fraction made there counts for class_of), and no
+    operator product runs. The series steps make no Fraction at all: the
+    degree enumeration, the hypergeometric factors, I-tilde, the exponential
+    chains of one int operator (the log prefactor and z^{-rho-bar}), the
+    operator action and the derivative steps. Their classes and coefficients are ints over one denominator, and so are the
     z-exponents of their term keys and the degree pairings. The unit, sector
     and anticanonical classes they read are made from Fraction polynomials,
     like class_of, and count for themselves."""
@@ -704,7 +715,8 @@ def test_series_engine_makes_no_fraction_from_classes_or_coefficients(capsys, mo
         assert run_cli(capsys, "all", str(DATA / "p123.json"), "--order", "5")[0] == 0
     finally:
         Fraction.__new__ = real_new
-    assert all(calls[name] for name in ("mul", "LogDiffOp.__mul__", *builders, *series_steps))
+    assert all(calls[name] for name in ("mul", *builders, *series_steps))
+    assert calls["LogDiffOp.__mul__"] == 0  # no CLI path multiplies two operators
     series_made = {kind for name, kind in made if name in series_steps}
     assert {name for name, _ in made} <= {"class_of", *builders, *series_steps}
     assert series_made == set()

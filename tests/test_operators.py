@@ -15,6 +15,7 @@ from corpus import (
     differential_fans,
     ext_of,
     ext_of_doc,
+    half_residuals,
     l_coords_oracle,
     pairing_p_oracle,
     pipeline,
@@ -32,20 +33,19 @@ from orbimirror.cohomology import (
     presentation,
 )
 from orbimirror.fan import generalized_primitive_collections
-from orbimirror.linalg import kernel_basis, solve_general
+from orbimirror.linalg import kernel_basis, rank, solve_general
 from orbimirror.operators import (
     LogDiffOp,
     OperatorError,
     _family_union,
     bold_d_poly,
-    box_tilde,
     box_x,
     check_factorizations,
     check_unfolding_conditions,
     degenerate_limit,
     euler_check,
     factorization_needs,
-    factorization_residual,
+    generator_classes,
     limit_poly,
     operator_families,
     p_pairings,
@@ -311,9 +311,9 @@ def test_box_tilde_p1_is_chi_minus_theta_squared():
     _, data, _, _ = pipeline("P1")
     th = LogDiffOp.theta(1, 0, 0)
     chi = LogDiffOp.chi(1, 0, 0)
-    assert box_tilde(data, (1, 1), ray_products(data, (1, 1))) == chi - th * th
+    assert _box_tilde_oracle(data, (1, 1)) == chi - th * th
     assert box_x(data, (1, 1)) == chi - th * th
-    assert box_tilde(data, (0, 0), ray_products(data, (0, 0))).is_zero()
+    assert _box_tilde_oracle(data, (0, 0)).is_zero()
 
 
 def test_box_x_p112_cone_relation_shape():
@@ -327,7 +327,7 @@ def test_box_x_p112_cone_relation_shape():
 def test_box_tilde_p112_extension_relation():
     _, data, _, _ = pipeline("P112")
     l = (0, 1, 0, 1)
-    bt = box_tilde(data, l, ray_products(data, l))
+    bt = _box_tilde_oracle(data, l)
     assert bt == chi_prefactor_for_factorization(data, l) * box_x(data, l)
 
 
@@ -336,24 +336,40 @@ def test_factorization_basis_and_20_random():
     for name in CORPUS:
         ext, data, _, _ = pipeline(name)
         for l in ext.l_basis:
-            residual = factorization_residual(data, l, box_x(data, l), ray_products(data, l))
-            assert residual.is_zero(), (name, l)
+            assert half_residuals(data, l) == [{}, {}], (name, l)
         for _ in range(20):
             coeffs = [rng.randint(-3, 3) for _ in ext.l_basis]
             l = tuple(sum(c * b[i] for c, b in zip(coeffs, ext.l_basis))
                       for i in range(ext.n))
-            residual = factorization_residual(data, l, box_x(data, l), ray_products(data, l))
-            assert residual.is_zero(), (name, l)
+            assert half_residuals(data, l) == [{}, {}], (name, l)
 
 
 def test_box_x_raises_on_a_failed_factorization(monkeypatch):
+    """A nonzero residual of either half makes box_x raise, naming the
+    relation; so does a wrong linear factor on box_tilde's side alone."""
     _, data, _, _ = pipeline("P112")  # e = 1
     l = (0, 1, 0, 1)
-    real = operators.box_tilde
-    monkeypatch.setattr(operators, "box_tilde",
-                        lambda d, rel, rays: real(d, rel, rays) + LogDiffOp.z(d.r, d.e))
-    with pytest.raises(OperatorError, match=re.escape(f"relation {list(l)}")):
-        box_x(data, l)
+    real = operators.factorization_residual
+    for failing in (0, 1):
+        calls = []
+
+        def factorization_residual(poly, r, powers):
+            moved, residual = real(poly, r, powers)
+            calls.append(powers)
+            return moved, ({**residual, (1,) * (1 + r + len(powers)): 1}
+                           if len(calls) == 1 + failing else residual)
+
+        with monkeypatch.context() as m:
+            m.setattr(operators, "factorization_residual", factorization_residual)
+            with pytest.raises(OperatorError, match=re.escape(f"relation {list(l)}")):
+                box_x(data, l)
+        assert len(calls) == 1 + failing
+    # (theta_{r+b} - (nu - 1) z) for the extension's falling factors, nu > 0
+    real_times_linear = operators._times_linear
+    monkeypatch.setattr(operators, "_times_linear", lambda poly, r, row, shift: real_times_linear(
+        poly, r, row, shift - (shift > 0 and row == (0, 1))))
+    with pytest.raises(OperatorError, match=re.escape("relation [0, 2, 0, 2]")):
+        box_x(data, (0, 2, 0, 2))
 
 
 def test_box_x_skips_the_tautological_check_when_e_is_zero(monkeypatch):
@@ -368,7 +384,7 @@ def test_box_x_skips_the_tautological_check_when_e_is_zero(monkeypatch):
     assert calls == []
     _, data112, _, _ = pipeline("P112")
     box_x(data112, (0, 1, 0, 1))
-    assert len(calls) == 1
+    assert len(calls) == 2  # one per half
 
 
 def _box_tilde_oracle(data, l):
@@ -443,7 +459,6 @@ def test_box_operators_match_replaced_construction(name, e_positive):
         expected = _box_x_oracle(data, l)
         assert box_x(data, l) == expected, (name, l)
         tilde = _box_tilde_oracle(data, l)
-        assert box_tilde(data, l, ray_products(data, l)) == tilde, (name, l)
         # the factorization identity, read off the two oracles alone
         assert tilde == chi_prefactor_for_factorization(data, l) * expected, (name, l)
 
@@ -454,7 +469,7 @@ P112_X_P1 = dict(rank=3, rays=[(1, 0, 0), (0, 1, 0), (-1, -2, 0), (0, 0, 1), (0,
 
 
 def test_box_operators_match_the_oracles_on_basis_and_random_relations():
-    """box_x and box_tilde against the one-product-at-a-time oracles on every
+    """box_x against the one-product-at-a-time oracle on every
     nef `differential_fans` fan, the smooth 5- and 6-ray polygons and
     P(1,1,2) x P^1: on the l-basis and 15 random relations with |c| <= 3."""
     shapes = set()
@@ -468,10 +483,31 @@ def test_box_operators_match_the_oracles_on_basis_and_random_relations():
                                    for i in range(ext.n)))
         for l in relations:
             assert box_x(data, l) == _box_x_oracle(data, l), (name, l)
-            assert box_tilde(data, l, ray_products(data, l)) == _box_tilde_oracle(data, l), (name, l)
         shapes.add((name, data.r, data.e))
     assert {"smooth5", "smooth6", "P112xP1"} <= {name for name, _, _ in shapes}
     assert ("P112xP1", 2, 1) in shapes
+
+
+def test_factorization_identity_on_the_oracles():
+    """box_tilde(l) = prod_k chi_{r+k}^{|l_{m+k}|} * box_x(l) as whole
+    operators, with box_tilde from the one-product-at-a-time oracle and the
+    product by `_mul_oracle`: this covers how box_x writes its keys from the
+    checked ordering, which its own per-half check does not re-derive. Also
+    p_{r+b}(l) = l_{m+b}, which makes the per-half check the whole identity.
+    On the l-basis and 10 seeded random relations of every nef
+    `differential_fans` fan, the smooth 5- and 6-ray polygons, P(1,1,2) x P^1
+    and P(1,2,6,9)."""
+    fans = chain(differential_fans(smooth_rays=(5, 6)), [("P112xP1", ext_of(P112_X_P1))],
+                 [("P(1,2,6,9)", ext_of_doc(weighted_projective_space(2, 6, 9)))])
+    names = set()
+    for name, data, _ring, _mori in series_fans(fans):
+        r, m = data.r, data.ext.m
+        for l in list(data.ext.l_basis) + _random_relations(data.ext, random.Random(71)):
+            assert p_pairings(data, l)[r:] == l[m:], (name, l)
+            prefactor = chi_prefactor_for_factorization(data, l)
+            assert _box_tilde_oracle(data, l) == _mul_oracle(prefactor, box_x(data, l)), (name, l)
+        names.add(name)
+    assert {"smooth5", "smooth6", "P112xP1", "P(1,2,6,9)", "p123"} <= names
 
 
 def test_box_x_builds_each_ray_falling_product_once(monkeypatch):
@@ -490,7 +526,7 @@ def test_box_x_builds_each_ray_falling_product_once(monkeypatch):
         box_x(data, l)
         # each linear factor D~_i - nu z of each falling product once: the
         # operator and its check share the rays' (i < m, over M's denominator),
-        # and only box_tilde multiplies in the extensions' (theta_{r+k} - nu z)
+        # and only the check multiplies in the extensions' (theta_{r+k} - nu z)
         expected = Counter((rows[i], nu * den) for i in range(ext.m) for nu in range(abs(l[i])))
         for k in range(data.e):
             unit = tuple(int(a == r + k) for a in range(data.rank))
@@ -537,10 +573,10 @@ def test_check_factorizations_agrees_with_the_full_residual():
         relations = _random_relations(data.ext, random.Random(67))
         check_factorizations(data, relations)
         for l in relations:
-            # box_x raises unless the full residual is zero; for e = 0 it is
-            # zero by construction, and box_x skips it
-            op = box_x(data, l)
-            assert data.e or factorization_residual(data, l, op, ray_products(data, l)).is_zero()
+            # box_x raises unless both halves' residuals are zero; for e = 0
+            # they are zero by construction, and box_x skips them
+            box_x(data, l)
+            assert half_residuals(data, l) == [{}, {}], (name, l)
         shapes[data.e > 0] += 1
     assert shapes[True] >= 17 and shapes[False] >= 5
 
@@ -732,13 +768,12 @@ def test_box_operators_and_symbols_match_replaced_assembly():
     for name, data, _ring, relations in _series_relations():
         r, e, m = data.r, data.e, data.ext.m
         for k in range(e):
-            # D~_{m+k} = theta_{r+k}: box_tilde builds its extension factors on it
+            # D~_{m+k} = theta_{r+k}: factorization_residual builds box_tilde's
+            # extension factors on it
             assert script_d_tilde(data, m + k) == LogDiffOp.theta(r, e, r + k), name
         for l in relations:
             op = box_x(data, l)
             assert op == _box_x_chained(data, l), (name, l)
-            assert (box_tilde(data, l, ray_products(data, l))
-                    == _box_tilde_chained(data, l, _ray_products_oracle(data, l))), (name, l)
             assert symbol_at_origin(op) == _symbol_at_origin_oracle(op), (name, l)
             count += 1
     assert count >= 200
@@ -832,6 +867,43 @@ def test_unfolding_conditions_corpus():
     for name in CORPUS:
         _, data, ring, _ = pipeline(name)
         assert check_unfolding_conditions(data, ring) == {"IC": True, "GC": True, "EC": True}
+
+
+def _generation_oracle(data, ring):
+    """The former (GC) loop of check_unfolding_conditions: each product of a
+    generator class and a frontier class joins the span when one rank of the
+    whole span grows with it."""
+    gens = operators.generator_classes(data, ring)
+    span = [ring.one()]
+    frontier = [ring.one()]
+    while frontier:
+        new = []
+        for v in frontier:
+            for g in gens:
+                w = ring.mul(g, v)
+                if rank([u[0] for u in span] + [w[0]]) > len(span):
+                    span.append(w)
+                    new.append(w)
+        frontier = new
+    return len(span) == ring.dim
+
+
+def test_generation_condition_matches_the_rank_per_product_oracle(monkeypatch):
+    """(GC) by one elimination per BFS level against the former loop, on every
+    nef `differential_fans` fan and P(1,2,6,9): with all generator classes,
+    and with the last one dropped, where (GC) can fail."""
+    fans = chain(differential_fans(),
+                 [("P(1,2,6,9)", ext_of_doc(weighted_projective_space(2, 6, 9)))])
+    verdicts = Counter()
+    for name, data, ring, _mori in series_fans(fans):
+        gens = generator_classes(data, ring)
+        for kept in (gens, gens[:-1]):
+            with monkeypatch.context() as m:
+                m.setattr(operators, "generator_classes", lambda *_: kept)
+                gc = check_unfolding_conditions(data, ring)["GC"]
+                assert gc == _generation_oracle(data, ring), (name, len(kept))
+            verdicts[kept is gens, gc] += 1
+    assert verdicts[True, True] > 10 and verdicts[False, False] > 10
 
 
 def test_pbar_class_lies_in_h2():

@@ -449,15 +449,16 @@ def test_superpotential_p1_shape():
 
 def test_mori_membership_examples():
     _, data, _, mori = pipeline("P1")
-    assert in_k_eff(mori, (1,)) and mori.in_k((1,))
-    assert mori.d_pairings((1,)) == (Fraction(1), Fraction(1))
+    assert in_k_eff(mori, (1,)) and mori.in_k(mori.pairing_nums((1,)))
+    assert mori.d_pairings(mori.pairing_nums((1,))) == (Fraction(1), Fraction(1))
     assert in_k_eff(mori, (0,))
     _, data, _, mori = pipeline("P112")
     twisted = (0, 1)  # p-pairings of d_v
-    assert mori.d_pairings(twisted) == (Fraction(-1, 2), Fraction(0),
-                                        Fraction(-1, 2), Fraction(1))
-    assert mori.in_k(twisted) and in_k_eff(mori, twisted)
-    assert mori.integer_pattern(twisted, nonneg=True) == (1, 3)
+    nums = mori.pairing_nums(twisted)
+    assert mori.d_pairings(nums) == (Fraction(-1, 2), Fraction(0),
+                                     Fraction(-1, 2), Fraction(1))
+    assert mori.in_k(nums) and in_k_eff(mori, twisted)
+    assert mori.integer_pattern(nums, nonneg=True) == (1, 3)
 
 
 def test_box_coset_map_tables():
@@ -471,8 +472,9 @@ def test_box_coset_map_tables():
 
 def test_ceiling_map_example_p112():
     _, data, _, mori = pipeline("P112")
-    assert mori.v_of((0, 1)) == (0, -1)
-    vals = mori.d_pairings((0, 1))
+    nums = mori.pairing_nums((0, 1))
+    assert mori.v_of(nums) == (0, -1)
+    vals = mori.d_pairings(nums)
     ceils = [-((-v.numerator) // v.denominator) for v in vals]
     assert ceils == [0, 0, 0, 1]
 
@@ -488,7 +490,7 @@ def test_ceiling_constant_on_l_cosets():
                 shift = [sum(c * data.p_basis[a][j] for j, c in enumerate(coeffs))
                          for a in range(data.rank)]
                 t2 = tuple(x + y for x, y in zip(t, shift))
-                assert mori.v_of(t2) == tuple(entry["box_element"])
+                assert mori.v_of(mori.pairing_nums(t2)) == tuple(entry["box_element"])
 
 
 def test_lattice_inclusion_chain():
@@ -497,7 +499,7 @@ def test_lattice_inclusion_chain():
         ext, data, _, mori = pipeline(name)
         for j in range(ext.l_rank):
             t = tuple(data.p_basis[a][j] for a in range(data.rank))
-            assert mori.in_k(t)
+            assert mori.in_k(mori.pairing_nums(t))
             assert mori.in_ne(t)
         for entry in box_coset_map(mori):
             assert mori.in_ne(entry["d_p_pairings"])
