@@ -34,7 +34,6 @@ reports print as "num/den" strings.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
@@ -42,7 +41,7 @@ from math import gcd, lcm
 from operator import add, le, mul, neg, sub
 
 from .fan import ExtendedStackyFan, generalized_primitive_collections
-from .linalg import ResourceLimitError, kernel_basis, normalized_simplex_volume, over_lcm
+from .linalg import Frozen, ResourceLimitError, kernel_basis, normalized_simplex_volume, over_lcm
 
 Mono = tuple[int, ...]
 Poly = dict[Mono, Fraction]
@@ -334,13 +333,12 @@ def class_vector(cls: Class) -> tuple[Fraction, ...]:
 # -- the graded quotient ring -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GradedQuotientRing:
+class GradedQuotientRing(Frozen):
     var_names: tuple[str, ...]
     degrees: tuple[Fraction, ...]
-    order: WeightedGrevlex = field(repr=False)
-    generators: dict = field(repr=False)
-    groebner: tuple = field(repr=False)
+    order: WeightedGrevlex
+    generators: dict
+    groebner: tuple
     std_monomials: tuple[Mono, ...]
     finite: bool
 

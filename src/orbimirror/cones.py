@@ -14,13 +14,13 @@ appear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import prod
 from operator import mul
 
 from .linalg import (
+    Frozen,
     ResourceLimitError,
     clear_denominators,
     independent_rows,
@@ -129,8 +129,7 @@ def lp_feasible(nvars: int, eqs=(), ineqs=()):
     return tuple(y[i] - y[nvars + i] for i in range(nvars))
 
 
-@dataclass(frozen=True)
-class RationalCone:
+class RationalCone(Frozen):
     """{ x in Q^dim : f.x >= 0 for f in inequalities, g.x = 0 for g in equalities }."""
 
     dim: int

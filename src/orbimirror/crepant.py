@@ -8,7 +8,6 @@ relation lattice L and the two Kaehler charts live in the same Pic^e(X).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, product
 from operator import mul
@@ -16,7 +15,7 @@ from operator import mul
 from .cones import common_face_witness, in_basis_cone, is_face
 from .fan import ExtendedStackyFan, StackyFan
 from .fandoc import check_basis_shape
-from .linalg import det, integer_inverse, over_lcm
+from .linalg import Frozen, det, integer_inverse, over_lcm
 from .picard import ExtendedPicardData
 
 
@@ -28,8 +27,7 @@ Q_BASIS_BOUND = 3  # bound on the p-coordinates of the q-basis candidates
 Q_BASIS_SEARCH_CAP = 300_000  # e-subsets of candidates the q-basis search tries
 
 
-@dataclass(frozen=True)
-class ResolutionPair:
+class ResolutionPair(Frozen):
     stacky: StackyFan
     resolution: StackyFan
 
@@ -123,8 +121,7 @@ def check_gluing_hypotheses(crepant: tuple[bool, list[dict]], sl: bool,
         raise CrepantError(f"Gen(Sigma_X) differs from the new rays: {gen[1]}")
 
 
-@dataclass(frozen=True)
-class GlobalModuliFan:
+class GlobalModuliFan(Frozen):
     p_basis: tuple
     q_basis: tuple
     shared_face: tuple

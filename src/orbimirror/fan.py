@@ -7,7 +7,6 @@ extension set defaults to Gen(Sigma), keeping the generator list 𝒢 of size n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -15,6 +14,7 @@ from math import gcd, lcm, prod
 from operator import le
 
 from .linalg import (
+    Frozen,
     LinAlgError,
     Matrix,
     ResourceLimitError,
@@ -35,14 +35,12 @@ class FanError(ValueError):
 BOX_CAP = 1_000  # coset representatives box_elements may build for one cone
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(Frozen):
     kind: str
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Frozen):
     issues: tuple[ValidationIssue, ...]
 
     @property
@@ -60,18 +58,14 @@ def _primitive(v) -> bool:
     return g == 1
 
 
-@dataclass(frozen=True)
-class StackyFan:
+class StackyFan(Frozen):
     rank: int
     rays: tuple[tuple[int, ...], ...]
     max_cones: tuple[tuple[int, ...], ...]
 
     def __init__(self, rank, rays, max_cones):
-        object.__setattr__(self, "rank", int(rank))
-        object.__setattr__(self, "rays", tuple(tuple(int(x) for x in r) for r in rays))
-        object.__setattr__(
-            self, "max_cones", tuple(tuple(sorted(int(i) for i in c)) for c in max_cones)
-        )
+        super().__init__(int(rank), tuple(tuple(int(x) for x in r) for r in rays),
+                         tuple(tuple(sorted(int(i) for i in c)) for c in max_cones))
 
     @property
     def n_rays(self) -> int:
@@ -235,8 +229,7 @@ class StackyFan:
         raise FanError(f"point {list(point)} lies in no cone; fan is not complete")
 
 
-@dataclass(frozen=True)
-class BoxElement:
+class BoxElement(Frozen):
     vector: tuple[int, ...]
     min_cone: tuple[int, ...]
     fractional: tuple[Fraction, ...]
@@ -315,8 +308,7 @@ def _one(indices) -> list[int]:
     return [i + 1 for i in indices]
 
 
-@dataclass(frozen=True)
-class ExtendedStackyFan:
+class ExtendedStackyFan(Frozen):
     fan: StackyFan
     extra: tuple[BoxElement, ...]
 

@@ -28,13 +28,13 @@ the `SeriesError` texts give them as Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd
 from operator import add
 
 from .cohomology import GradedQuotientRing, class_vector, reduced_class
+from .linalg import Frozen
 from .operators import (
     LogDiffOp,
     chained_action,
@@ -89,15 +89,14 @@ def _scaled(vec, c, d=1):
     return tuple(x * c for x in nums), den
 
 
-@dataclass(frozen=True)
-class LogSeries:
+class LogSeries(Frozen):
     """terms maps (beta, logk, q, j) to a class pair (see the module
     docstring); a zero class is dropped."""
 
     r: int
     e: int
     dim: int
-    terms: dict = field(default_factory=dict)
+    terms: dict = {}  # never shared: __post_init__ builds each instance's own dict
     order: int | None = None
 
     def __post_init__(self):
@@ -472,8 +471,7 @@ def i_function(data: ExtendedPicardData, ring: GradedQuotientRing,
     return LogSeries(r, e, ring.dim, terms, order).truncate(order)
 
 
-@dataclass(frozen=True)
-class MirrorMap:
+class MirrorMap(Frozen):
     log_linear: tuple          # pbar_a classes as Fraction vectors, a = 1..r
     analytic: dict             # chi-exponent tuple -> class as a Fraction vector
     order: int
@@ -526,8 +524,7 @@ def tilde_i(series: LogSeries, ring: GradedQuotientRing,
     return LogSeries(r, e, ring.dim, terms, series.order)
 
 
-@dataclass(frozen=True)
-class AnnihilationReport:
+class AnnihilationReport(Frozen):
     checked_order: int
     residual_terms: tuple
     ok: bool

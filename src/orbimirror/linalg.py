@@ -8,12 +8,12 @@ rows. `solve_general`, `solve_unique`, `coordinates`, `rank`,
 
 A matrix is a tuple of int rows (`Matrix`); functions accept any sequence of
 int rows. `over_lcm` is the one scaler of a rational vector to int numerators
-over the lcm of its denominators.
+over the lcm of its denominators. `Frozen` is the base of the package's
+value classes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -31,6 +31,66 @@ Vec = tuple[int, ...]
 Matrix = tuple[Vec, ...]
 
 
+class Frozen:
+    """Base of the frozen value classes. The names annotated in a subclass
+    body are its fields, in order, and a value assigned there is the field's
+    default. An instance takes its fields by position or keyword, then runs
+    the class's `__post_init__` if it has one; it refuses assignment, and
+    compares and hashes by its field values. `cached_property` writes to the
+    instance dict and still works. Unlike `dataclasses`, nothing is compiled
+    when a class is made, and neither `inspect` nor `ast` is imported."""
+
+    _fields = ()
+    _defaults = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = cls._fields + own
+        cls._defaults = {**cls._defaults, **{n: cls.__dict__[n] for n in own if n in cls.__dict__}}
+
+    def __init__(self, *args, **kwargs):
+        name, fields = type(self).__name__, self._fields
+        if len(args) > len(fields) or kwargs.keys() - fields[len(args):]:
+            raise TypeError(f"{name}: too many or unknown fields; the fields are {fields}")
+        values = dict(zip(fields, args))
+        for field in fields[len(args):]:
+            if field in kwargs:
+                values[field] = kwargs[field]
+            elif field in self._defaults:
+                values[field] = self._defaults[field]
+            else:
+                raise TypeError(f"{name}: missing field {field!r}")
+        self.__dict__.update(values)
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[field] for field in self._fields)
+
+    def replace(self, **changes):
+        """A new instance with `changes` to some fields, built like any other."""
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
 def det(rows) -> int:
     """Determinant of a square integer matrix."""
     n = len(rows)
@@ -40,8 +100,7 @@ def det(rows) -> int:
     return sign * d if len(pivots) == n else 0
 
 
-@dataclass(frozen=True)
-class SNFDecomposition:
+class SNFDecomposition(Frozen):
     """U @ M @ V == S, U and V unimodular, diag(S) a divisibility chain."""
 
     u: Matrix

@@ -47,7 +47,6 @@ read off the fan's splitting with no solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, lcm, perm
 from operator import add, sub
@@ -60,7 +59,7 @@ from .cohomology import (
     poly_mul,
     quotient_ring,
 )
-from .linalg import independent_rows, over_lcm, rank
+from .linalg import Frozen, independent_rows, over_lcm, rank
 from .picard import ExtendedPicardData, min_decomposition
 
 
@@ -71,8 +70,7 @@ class OperatorError(ValueError):
 Key = tuple  # (beta: tuple[int r+e], k: int, s: tuple[int r], t: tuple[int e], u: int)
 
 
-@dataclass(frozen=True)
-class LogDiffOp:
+class LogDiffOp(Frozen):
     """A normal-ordered operator: int numerators `nums` of its terms over one
     positive denominator `den`, with gcd 1 and no zero numerator, so equal
     operators are equal. Coefficients may be given as ints or Fractions;
@@ -80,7 +78,7 @@ class LogDiffOp:
 
     r: int
     e: int
-    nums: dict = field(default_factory=dict)
+    nums: dict = {}  # never shared: __post_init__ builds each instance's own dict
     den: int = 1
 
     def __post_init__(self):

@@ -18,7 +18,6 @@ relations in `operators`, all rest on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
@@ -29,6 +28,7 @@ from .cones import RationalCone, in_basis_cone
 from .fan import ExtendedStackyFan, anticones
 from .fandoc import check_basis_shape
 from .linalg import (
+    Frozen,
     ResourceLimitError,
     clear_denominators,
     coordinates,
@@ -78,12 +78,11 @@ def pl_lattice(ext: ExtendedStackyFan) -> list[tuple[int, ...]]:
     return kernel_basis(cleared)
 
 
-@dataclass(frozen=True)
-class ExtendedPicardData:
+class ExtendedPicardData(Frozen):
     ext: ExtendedStackyFan
-    pl_basis: tuple = field(repr=False)          # Theta(PL) basis in (Z^n)*
-    pic_theta_basis: tuple = field(repr=False)   # theta(Pic(X)) basis in L*
-    pic_basis: tuple = field(repr=False)         # Pic^e(X) HNF basis in L*
+    pl_basis: tuple                              # Theta(PL) basis in (Z^n)*
+    pic_theta_basis: tuple                       # theta(Pic(X)) basis in L*
+    pic_basis: tuple                             # Pic^e(X) HNF basis in L*
     r: int = 0
     d_classes: tuple = ()                        # [D_i] in L* coordinates, ints
     rho: tuple = ()
@@ -239,8 +238,7 @@ def choose_basis_p(data: ExtendedPicardData, override=None) -> ExtendedPicardDat
         if m_matrix[ext.m + k] != expected:
             raise PicardError("M matrix violates m_{m+i,a} = delta_{r+i,a}")
     n_matrix, superpotential = _superpotential(data, p_rows)
-    return replace(
-        data,
+    return data.replace(
         p_basis=tuple(tuple(row) for row in p_rows),
         q_basis=q_basis,
         m_matrix=m_matrix,
@@ -291,8 +289,7 @@ def _superpotential(data: ExtendedPicardData, p_rows):
 # -- Mori side ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MoriData:
+class MoriData(Frozen):
     picard: ExtendedPicardData
     anticones_e: tuple
 

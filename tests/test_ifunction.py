@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 import json
@@ -444,7 +443,7 @@ def _fraction_view(value, den):
     a hypergeometric factor {q: class} (den the ring's Q), or the pairings of
     a list of degrees (den the M matrix's denominator)."""
     if isinstance(value, LogSeries):
-        return replace(value, terms=_fraction_view(value.terms, den))
+        return value.replace(terms=_fraction_view(value.terms, den))
     if isinstance(value, list):
         return [{**d, "pairings": tuple(Fraction(x, den) for x in d["pairings"])}
                 for d in value]

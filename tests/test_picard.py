@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, islice
 import random
@@ -330,8 +329,8 @@ def test_supplied_p_basis_validated():
     # a row of K off the theta(Pic) lattice, with theta-coordinate 3/2: on
     # real fans theta(Pic) is saturated, so the lattice is taken to be
     # Z (0, 2), and Pic^e with it
-    half = replace(data0, pic_theta_basis=((0, 2),),
-                   pic_basis=tuple(hermite_row_basis([(0, 2), data0.d_classes[-1]])))
+    half = data0.replace(pic_theta_basis=((0, 2),),
+                         pic_basis=tuple(hermite_row_basis([(0, 2), data0.d_classes[-1]])))
     assert _p_basis_oracle(half, [(0, 3)]) == (False, False)
     with pytest.raises(PicardError, match=message):
         choose_basis_p(half, override=[(0, 3)])
