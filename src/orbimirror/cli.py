@@ -52,7 +52,6 @@ from .fandoc import (
     input_digest,
     make_report,
     parse_fan,
-    to_jsonable,
 )
 from .ifunction import (
     SeriesError,
@@ -371,7 +370,7 @@ def cmd_all(job):
     checks = {}
 
     def check(name, ok, detail=None):
-        checks[name] = {"pass": bool(ok), "detail": to_jsonable(detail)}
+        checks[name] = {"pass": bool(ok), "detail": detail}
 
     def outcome(**note):
         failed = [n for n, c in checks.items() if not c["pass"]]

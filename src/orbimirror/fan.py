@@ -10,8 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd, lcm, prod
-from operator import le
+from math import gcd, lcm
+from operator import le, mul
 
 from .linalg import (
     Frozen,
@@ -24,7 +24,6 @@ from .linalg import (
     null_vector,
     smith_normal_form,
     splitting_maps,
-    unimodular_inverse,
 )
 
 
@@ -194,38 +193,49 @@ class StackyFan(Frozen):
 
     @cached_property
     def _inverses(self) -> dict[tuple[int, ...], tuple[Matrix, int]]:
-        """Maximal cone -> integer_inverse of its ray matrix, made on first use."""
+        """Maximal cone -> (adj, den), made on first use: adj / den is the
+        inverse of its ray matrix, with den = |det| > 0."""
         return {}
 
-    def cone_coordinates(self, cone, point):
-        """Exact coordinates of `point` in the ray basis of `cone`, a face of a
-        maximal cone tau, read off tau's inverse; LinAlgError when the point is
-        outside the span of `cone` (a tau-coordinate off `cone` is not 0) or
-        `cone` is not a face."""
+    def _inverse(self, tau) -> tuple[Matrix, int]:
+        if tau not in self._inverses:
+            adj, den = integer_inverse(self.cone_matrix(tau))
+            self._inverses[tau] = (adj, den) if den > 0 else (
+                tuple(tuple(-x for x in row) for row in adj), -den)
+        return self._inverses[tau]
+
+    def cone_numerators(self, cone, point) -> tuple[tuple[int, ...], int]:
+        """(nums, den): `point`'s coordinates in the ray basis of `cone`, a
+        face of a maximal cone tau, as int numerators over tau's den > 0, read
+        off tau's inverse; LinAlgError when the point is outside the span of
+        `cone` (a tau-coordinate off `cone` is not 0) or `cone` is not a face."""
         tau = cone if len(cone) == self.rank else next(
             (t for t in self.max_cones if set(cone) <= set(t)), cone)
-        if tau not in self._inverses:
-            self._inverses[tau] = integer_inverse(self.cone_matrix(tau))
-        adj, den = self._inverses[tau]
-        coords = dict(zip(tau, (sum(a * x for a, x in zip(row, point)) for row in adj)))
+        adj, den = self._inverse(tau)
+        coords = dict(zip(tau, (sum(map(mul, row, point)) for row in adj)))
         if any(c for i, c in coords.items() if i not in cone):
             raise LinAlgError(f"point {list(point)} is outside the span of cone {_one(cone)}")
-        return tuple(Fraction(coords[i], den) for i in cone)
+        return tuple(coords[i] for i in cone), den
+
+    def cone_coordinates(self, cone, point):
+        """The Fraction view of `cone_numerators`."""
+        nums, den = self.cone_numerators(cone, point)
+        return tuple(Fraction(x, den) for x in nums)
 
     def fractional_coordinates(self, point):
         """(minimal cone, coordinates) with the coordinates aligned to the cone.
 
-        Solved once, on the first maximal cone containing the point: its rays
+        Read once, on the first maximal cone containing the point: its rays
         are independent, so the coordinates on the minimal cone are exactly
         the nonzero coordinates there, in the same order.
         """
         if not any(point):
             return (), ()
         for c in self.max_cones:
-            coords = self.cone_coordinates(c, point)
-            if all(x >= 0 for x in coords):
-                support = [k for k, x in enumerate(coords) if x]
-                return tuple(c[k] for k in support), tuple(coords[k] for k in support)
+            nums, den = self.cone_numerators(c, point)
+            if all(x >= 0 for x in nums):
+                return (tuple(i for i, x in zip(c, nums) if x),
+                        tuple(Fraction(x, den) for x in nums if x))
         raise FanError(f"point {list(point)} lies in no cone; fan is not complete")
 
 
@@ -243,37 +253,35 @@ class BoxElement(Frozen):
 def box_elements(fan: StackyFan) -> list[BoxElement]:
     """Complete, deduplicated Box(Sigma), lexicographically sorted.
 
-    Enumerates the half-open parallelepiped of every maximal cone through the
-    quotient group Z^d / M_sigma Z^d (representatives via SNF). A cone with
-    more than BOX_CAP representatives raises ResourceLimitError.
+    On a maximal cone with inverse adj / den, Box(sigma) = N / N_sigma has
+    den = |det| elements, and their coordinates are n / den for n in the
+    subgroup of (Z/den)^d that adj's columns generate, found by closure. A
+    cone with more than BOX_CAP elements raises ResourceLimitError.
     """
     fan.ensure_valid()
     d = fan.rank
     found: dict[tuple[int, ...], BoxElement] = {}
     for cone in fan.max_cones:
-        snf = smith_normal_form(fan.cone_matrix(cone))
-        uinv = unimodular_inverse(snf.u)
-        diag = snf.diagonal()
-        if prod(diag) > BOX_CAP:
-            raise ResourceLimitError(f"Box: cone {_one(cone)} has {prod(diag)} "
+        adj, den = fan._inverse(cone)
+        if den > BOX_CAP:
+            raise ResourceLimitError(f"Box: cone {_one(cone)} has {den} "
                                      f"elements, more than {BOX_CAP}")
-        reps = [()]
-        for s in diag:
-            reps = [r + (c,) for r in reps for c in range(s)]
-        for rep in reps:
-            x = tuple(sum(uinv[k][j] * rep[j] for j in range(d)) for k in range(d))
-            coords = fan.cone_coordinates(cone, x)
-            frac = [c - (c.numerator // c.denominator) for c in coords]
-            v = tuple(
-                int(sum(Fraction(fan.rays[i][k]) * f for i, f in zip(cone, frac)))
-                for k in range(d)
-            )
-            if v in found:
-                continue
-            # v's coordinates in `cone` are frac; their support is the minimal cone.
-            mcone = tuple(i for i, f in zip(cone, frac) if f)
-            mfrac = tuple(f for f in frac if f)
-            found[v] = BoxElement(v, mcone, mfrac, sum(mfrac, Fraction(0)))
+        zero = (0,) * d
+        group, seen = [zero], {zero}
+        for g in zip(*adj):
+            base, x = group[:], tuple(y % den for y in g)
+            while x not in seen:  # the cosets base + j g until j g lies in base
+                coset = [tuple((a + b) % den for a, b in zip(h, x)) for h in base]
+                group += coset
+                seen.update(coset)
+                x = tuple((a + b) % den for a, b in zip(x, g))
+        rays = [fan.rays[i] for i in cone]
+        for nums in group:
+            v = tuple(sum(n * r[k] for n, r in zip(nums, rays)) // den for k in range(d))
+            if v not in found:
+                frac = tuple(Fraction(n, den) for n in nums if n)
+                found[v] = BoxElement(v, tuple(i for i, n in zip(cone, nums) if n),
+                                      frac, Fraction(sum(nums), den))
     return [found[v] for v in sorted(found)]
 
 

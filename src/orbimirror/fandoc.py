@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .fan import ExtendedStackyFan, StackyFan
 
@@ -100,19 +101,6 @@ def serialize_fan(ext: ExtendedStackyFan) -> dict:
     }
 
 
-def to_jsonable(value):
-    """Fractions become "num/den" strings; tuples become lists; keys become strings."""
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, dict):
-        return {_key_str(k): to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_jsonable(v) for v in value]
-    if isinstance(value, (int, str, bool)) or value is None:
-        return value
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def _key_str(key):
     if isinstance(key, Fraction):
         return f"{key.numerator}/{key.denominator}"
@@ -130,11 +118,49 @@ def make_report(command: str, doc, results, certificates=None, timing=None) -> d
     return {
         "command": command,
         "input_digest": input_digest(doc),
-        "results": to_jsonable(results),
-        "certificates": to_jsonable(certificates or {}),
+        "results": results,
+        "certificates": certificates or {},
         "timing": timing,
     }
 
 
+_SCALARS = {  # looked up by type; for a subclass, in order (a bool is an int)
+    str: encode_basestring_ascii,
+    bool: lambda x: "true" if x else "false",
+    int: int.__repr__,
+    Fraction: lambda x: f'"{x.numerator}/{x.denominator}"',
+    type(None): lambda x: "null",
+    float: float.__repr__,
+}
+
+
+def _dump(value, nl: str) -> str:
+    """`value` as one pass of json.dumps(..., indent=2, sort_keys=True), with
+    `nl` the newline and indentation of the line it starts on."""
+    write = _SCALARS.get(type(value))
+    if write is not None:
+        return write(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = nl + "  "
+        items = sorted({_key_str(k): v for k, v in value.items()}.items())
+        return "{" + inner + ("," + inner).join(
+            f"{encode_basestring_ascii(k)}: {_dump(v, inner)}" for k, v in items) + nl + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join([_dump(v, inner) for v in value]) + nl + "]"
+    write = next((f for t, f in _SCALARS.items() if isinstance(value, t)), None)
+    if write is None:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
+    return write(value)
+
+
 def dump_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The report as JSON, written in one pass. Its bytes are those of
+    json.dumps(value, indent=2, sort_keys=True) + "\n" of the value with every
+    Fraction made a "num/den" string, every tuple a list and every key a
+    string (`_key_str`; of keys that collide, the last value wins)."""
+    return _dump(report, "\n") + "\n"

@@ -3,8 +3,8 @@
 Everything here is arbitrary precision (int / Fraction); no floats. There is
 one elimination, `_reduce`: a fraction-free (Bareiss) Gauss-Jordan on integer
 rows. `solve_general`, `solve_unique`, `coordinates`, `rank`,
-`independent_rows`, `null_vector`, `integer_inverse`, `inverse`,
-`unimodular_inverse` and `det` are views of it.
+`independent_rows`, `null_vector`, `integer_inverse`, `unimodular_inverse`
+and `det` are views of it.
 
 A matrix is a tuple of int rows (`Matrix`); functions accept any sequence of
 int rows. `over_lcm` is the one scaler of a rational vector to int numerators
@@ -204,11 +204,12 @@ def smith_normal_form(m) -> SNFDecomposition:
 
 
 def unimodular_inverse(m) -> Matrix:
-    """Exact inverse of a unimodular integer matrix."""
-    inv = inverse(m)
-    if any(x.denominator != 1 for row in inv for x in row):
+    """Exact inverse of a unimodular integer matrix: D * d for (D, d) =
+    integer_inverse(m), since d = +-det(m) = +-1 (so d = 1 / d)."""
+    adj, d = integer_inverse(m)
+    if d not in (1, -1):
         raise LinAlgError("matrix is not unimodular")
-    return tuple(tuple(x.numerator for x in row) for row in inv)
+    return tuple(tuple(x * d for x in row) for row in adj)
 
 
 def hermite_row_basis(vectors) -> list[Vec]:
@@ -489,12 +490,6 @@ def integer_inverse(rows) -> tuple[Matrix, int]:
     if len(pivots) < n:
         raise LinAlgError("singular matrix")
     return tuple(tuple(row[n:]) for row in aug), d
-
-
-def inverse(rows) -> tuple[QVec, ...]:
-    """Exact inverse of a square rational matrix; raises if it is singular."""
-    adj, d = integer_inverse(rows)
-    return tuple(tuple(Fraction(x, d) for x in row) for row in adj)
 
 
 def dot(u, v) -> Fraction:

@@ -36,7 +36,6 @@ from .linalg import (
     dot,
     hermite_row_basis,
     integer_inverse,
-    inverse,
     kernel_basis,
     over_lcm,
     qvec,
@@ -228,20 +227,20 @@ def choose_basis_p(data: ExtendedPicardData, override=None) -> ExtendedPicardDat
                 f"(extremal rays of K: {[list(_from_theta(p, theta)) for p in prim]})"
             )
         chosen = [_from_theta(c, theta) for c in found]
-    p_rows = [qvec(row) for row in chosen + list(data.d_classes[ext.m:])]
-    # q = dual basis: columns of P^{-1} where P rows are the p_a.
-    q_basis = tuple(zip(*inverse(p_rows)))  # q_a in L-basis coordinates
-    # m_{ia} = <D_i, q_a>
-    m_matrix = tuple(tuple(dot(col, q) for q in q_basis) for col in data.d_classes)
+    p_rows = chosen + list(data.d_classes[ext.m:])
+    # q = dual basis: the columns of P^{-1} = adj / den, P's rows the p_a
+    adj, den = integer_inverse(p_rows)
+    q_nums = tuple(zip(*adj))
+    # m_{ia} = <D_i, q_a>, as numerators over den
+    m_nums = [[sum(map(mul, row, q)) for q in q_nums] for row in data.d_classes]
     for k in range(e):
-        expected = tuple(Fraction(int(a == r + k)) for a in range(r + e))
-        if m_matrix[ext.m + k] != expected:
+        if m_nums[ext.m + k] != [den * (a == r + k) for a in range(r + e)]:
             raise PicardError("M matrix violates m_{m+i,a} = delta_{r+i,a}")
     n_matrix, superpotential = _superpotential(data, p_rows)
     return data.replace(
-        p_basis=tuple(tuple(row) for row in p_rows),
-        q_basis=q_basis,
-        m_matrix=m_matrix,
+        p_basis=tuple(qvec(row) for row in p_rows),
+        q_basis=tuple(tuple(Fraction(x, den) for x in q) for q in q_nums),
+        m_matrix=tuple(tuple(Fraction(x, den) for x in row) for row in m_nums),
         n_matrix=n_matrix,
         superpotential=superpotential,
     )
@@ -282,7 +281,8 @@ def _search_combinations(prim, r, validate):
 
 def _superpotential(data: ExtendedPicardData, p_rows):
     """N matrix (n_{ai} = p_a(s(e_i))) and the Landau-Ginzburg term list."""
-    n_cols = tuple(tuple(int(dot(p, s_ei)) for p in p_rows) for s_ei in zip(*data.ext.splitting))
+    n_cols = tuple(tuple(sum(map(mul, p, s_ei)) for p in p_rows)
+                   for s_ei in zip(*data.ext.splitting))
     return n_cols, tuple((-1, col, a) for col, a in zip(n_cols, data.ext.generators))
 
 
@@ -304,13 +304,15 @@ class MoriData(Frozen):
         den = self.picard.m_ints[1]
         return tuple(Fraction(x, den) for x in nums)
 
-    def integer_pattern(self, nums, nonneg: bool) -> tuple[int, ...]:
-        den = self.picard.m_ints[1]
+    def integer_pattern(self, nums, nonneg: bool, scale=1) -> tuple[int, ...]:
+        """The indices of the integral pairings (and >= 0 when `nonneg`), for
+        numerators `nums` over `scale` times M's denominator."""
+        den = self.picard.m_ints[1] * scale
         return tuple(i for i, v in enumerate(nums)
                      if v % den == 0 and (v >= 0 or not nonneg))
 
-    def in_k(self, nums) -> bool:
-        return self.integer_pattern(nums, False) in self.anticones_e
+    def in_k(self, nums, scale=1) -> bool:
+        return self.integer_pattern(nums, False, scale) in self.anticones_e
 
     def in_ne(self, t) -> bool:
         return all(Fraction(x).denominator == 1 for x in t)
@@ -346,9 +348,12 @@ def min_decomposition(ext: ExtendedStackyFan, vector):
     in increasing order, generator by generator, so the first complete
     decomposition found is the lexicographically smallest.
     """
-    sigma, target = ext.fan.fractional_coordinates(vector)
+    fan = ext.fan
+    sigma = fan.fractional_coordinates(vector)[0]
     support = ext.generators_in_cone(sigma)
-    columns = [ext.fan.cone_coordinates(sigma, ext.generators[i]) for i in support]
+    # numerators over the den of one maximal cone around sigma, shared by all
+    target = fan.cone_numerators(sigma, vector)[0]
+    columns = [fan.cone_numerators(sigma, ext.generators[i])[0] for i in support]
 
     def search(idx, remainder):
         if idx == len(columns):
@@ -381,15 +386,19 @@ def box_coset_map(mori: MoriData) -> list[dict]:
         n_vec = min_decomposition(ext, b.vector)
         if n_vec is None:
             raise PicardError(f"box element {list(b.vector)} has no N-decomposition")
-        rel = [Fraction(x) for x in n_vec]
-        for i, rfrac in zip(b.min_cone, b.fractional):
-            rel[i] -= rfrac
-        t = data.pairing_p(rel)
-        nums = mori.pairing_nums(t)
-        if not mori.in_k(nums):
+        # den times d_v = n_vec - (b's fractional coordinates), and its pairings
+        fracs, den = over_lcm(b.fractional)
+        rel = [x * den for x in n_vec]
+        for i, f in zip(b.min_cone, fracs):
+            rel[i] -= f
+        t_nums = data.pairing_p(rel)
+        nums = mori.pairing_nums(t_nums)
+        if not mori.in_k(nums, den):
             raise PicardError(f"d_v for box element {list(b.vector)} is not in K")
+        t = tuple(Fraction(x, den) for x in t_nums)
         if not mori.in_ne(t):
             raise PicardError(f"d_v for box element {list(b.vector)} is not in NE^e")
+        nums = tuple(x // den for x in nums)  # exact: t is integral
         v_back = mori.v_of(nums)
         if v_back != b.vector:
             raise PicardError(

@@ -17,7 +17,7 @@ from orbimirror.crepant import (
     is_crepant,
 )
 from orbimirror.fan import StackyFan, extend
-from orbimirror.fandoc import parse_fan
+from orbimirror.fandoc import _key_str, parse_fan
 from orbimirror.linalg import (
     det,
     dot,
@@ -406,3 +406,27 @@ def v_of(mori, t):
         c = -((-v.numerator) // v.denominator)  # ceil
         out = [x + c * g for x, g in zip(out, generator)]
     return tuple(out)
+
+
+# -- the report writer's oracle ------------------------------------------------
+
+
+def to_jsonable(value):
+    """The former `fandoc.to_jsonable`: Fractions become "num/den" strings,
+    tuples become lists and keys become strings (`fandoc._key_str`). Floats
+    pass, as the `timing` field did."""
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, dict):
+        return {_key_str(k): to_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_jsonable(v) for v in value]
+    if isinstance(value, (int, str, bool, float)) or value is None:
+        return value
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _dump_report_oracle(report):
+    """The former `fandoc.dump_report` of the value the former `make_report`
+    built: json.dumps of the jsonable report."""
+    return json.dumps(to_jsonable(report), indent=2, sort_keys=True) + "\n"

@@ -10,24 +10,35 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import orbimirror
-from corpus import cube_boundary_fans, ext_of_doc, gorenstein_wps3, weighted_projective_space
+from corpus import (
+    _dump_report_oracle,
+    cube_boundary_fans,
+    ext_of_doc,
+    gorenstein_wps3,
+    to_jsonable,
+    weighted_projective_space,
+)
 from orbimirror import cli, cohomology, cones, crepant, fan, ifunction, linalg, operators, picard
 from orbimirror.cli import main
 from orbimirror.cones import RationalCone
 from orbimirror.fan import StackyFan
 from orbimirror.fandoc import (
     DocumentError,
+    dump_report,
     input_digest,
     parse_fan,
     serialize_fan,
-    to_jsonable,
 )
 from orbimirror.linalg import det
 from orbimirror.operators import LogDiffOp
 from perfbench.workloads import (
+    LADDER_JOBS,
+    SERIES_JOBS,
     corpus_documents,
+    corpus_jobs,
     ladder_documents,
     seeded_documents,
     smooth_polygon,
@@ -100,11 +111,74 @@ def test_round_trip_corpus():
 
 
 def test_to_jsonable_fractions():
-    from fractions import Fraction
-
     assert to_jsonable({"x": Fraction(1, 2), "v": (1, Fraction(3))}) == {
         "x": "1/2", "v": [1, "3/1"],
     }
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.text()
+            | st.fractions() | st.floats(allow_nan=False, allow_infinity=False))
+# small domains, so that keys collide after _key_str: 1 and "1", (1, 2) and
+# "1,2", True and "True", Fraction(-1, 2) and "-1/2"
+_KEYS = (st.integers(-2, 2) | st.booleans() | st.fractions(-2, 2, max_denominator=3)
+         | st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+         | st.sampled_from(["1", "-1", "True", "1,2", "-1/2", "1/1", "é", "\\", '"', "\n"])
+         | st.text(max_size=3))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_KEYS, inner, max_size=5)),
+    max_leaves=30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_VALUES)
+def test_report_writer_matches_json_dumps_oracle(value):
+    """Negative Fractions, colliding int, bool, tuple and Fraction keys,
+    non-ASCII and escaped strings, empty containers and floats."""
+    for report in (value, {"results": value, "timing": None}):
+        assert dump_report(report) == _dump_report_oracle(report)
+
+
+def test_report_writer_examples():
+    report = {1: "a", "1": "b", (1, 2): Fraction(-1, 2), "x": [[], {}, ()], "é\n": 0.25}
+    assert dump_report(report) == _dump_report_oracle(report) == (
+        '{\n  "1": "b",\n  "1,2": "-1/2",\n  "x": [\n    [],\n    {},\n    []\n  ],\n'
+        '  "\\u00e9\\n": 0.25\n}\n')
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        dump_report({"x": {1}})
+
+
+def test_every_seed0_report_matches_the_oracle(capsys, monkeypatch, tmp_path):
+    """Every report of the benchmark's seed-0 corpus, series and ladder jobs
+    is written byte for byte as json.dumps writes its jsonable value."""
+    docs = seeded_documents({**corpus_documents(DATA), **ladder_documents()}, 0)
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    reports = []
+    monkeypatch.setattr(cli, "dump_report",
+                        lambda report: reports.append(report) or dump_report(report))
+    jobs = corpus_jobs(list(corpus_documents(DATA))) + SERIES_JOBS + LADDER_JOBS
+    for _, argv in jobs:
+        main([str(paths[a]) if a in paths else a for a in argv])
+    capsys.readouterr()
+    assert len(reports) > 100
+    for report in reports:
+        assert dump_report(report) == _dump_report_oracle(report)
+
+
+def test_timing_report_is_json_with_a_float(capsys):
+    """--timing adds the one float a report holds; the rest is unchanged."""
+    code, out, _ = run_cli(capsys, "all", str(DATA / "p123.json"), "--timing")
+    assert code == 0
+    report = json.loads(out)
+    assert type(report["timing"]) is float
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    code, plain, _ = run_cli(capsys, "all", str(DATA / "p123.json"))
+    assert code == 0
+    assert {**report, "timing": None} == json.loads(plain)
 
 
 def test_cohomology_command(capsys):

@@ -15,6 +15,7 @@ from corpus import (
     P1113,
     P2,
     DATA,
+    cube_boundary_fans,
     differential_fans,
     ext_of,
     fan_of,
@@ -269,6 +270,70 @@ def test_box_and_gen_match_replaced_routines():
         assert gens == _gen_elements_oracle(fan), name
         reducible += sum(not b.is_zero for b in fan.box) - len(gens)
     assert reducible > 0  # some box elements are reducible, so both verdicts occur
+
+
+def _box_elements_snf_oracle(fan):
+    """The former box_elements: one SNF per maximal cone, its representatives
+    mapped through the inverse of U, coordinates and sums in Fractions."""
+    fan.ensure_valid()
+    d = fan.rank
+    found = {}
+    for cone in fan.max_cones:
+        snf = smith_normal_form(fan.cone_matrix(cone))
+        uinv = unimodular_inverse(snf.u)
+        diag = snf.diagonal()
+        size = 1
+        for s in diag:
+            size *= s
+        if size > fan_module.BOX_CAP:
+            raise ResourceLimitError(f"Box: cone {[i + 1 for i in cone]} has {size} "
+                                     f"elements, more than {fan_module.BOX_CAP}")
+        reps = [()]
+        for s in diag:
+            reps = [r + (c,) for r in reps for c in range(s)]
+        for rep in reps:
+            x = tuple(sum(uinv[k][j] * rep[j] for j in range(d)) for k in range(d))
+            coords = fan.cone_coordinates(cone, x)
+            frac = [c - (c.numerator // c.denominator) for c in coords]
+            v = tuple(
+                int(sum(Fraction(fan.rays[i][k]) * f for i, f in zip(cone, frac)))
+                for k in range(d)
+            )
+            if v in found:
+                continue
+            mcone = tuple(i for i, f in zip(cone, frac) if f)
+            mfrac = tuple(f for f in frac if f)
+            found[v] = BoxElement(v, mcone, mfrac, sum(mfrac, Fraction(0)))
+    return [found[v] for v in sorted(found)]
+
+
+def test_box_elements_match_the_snf_oracle():
+    """Box read off each cone's integer inverse equals the per-cone SNF route
+    on the differential fans and weighted planes, the 16 reflexive X and Z,
+    the 128 cube boundary fans, the rank-4 products of P(1,1,2) and
+    P(1,2,3), P(1,3,4,6) and a cone of index 1,000; past BOX_CAP both raise
+    the same error."""
+    fans = [(name, ext.fan) for name, ext in chain(differential_fans(), weighted_planes())]
+    for name, x, z in reflexive_pairs():
+        fans += [(f"{name} X", parse_fan(x)[0]), (f"{name} Z", parse_fan(z)[0])]
+    fans += [(name, parse_fan(doc)[0]) for name, doc in cube_boundary_fans()]
+    p112, p123 = fan_of(P112), parse_fan(json.loads((DATA / "p123.json").read_text()))[0]
+    fans += [(f"{a.rays} x {b.rays}", _product_fan(a, b))
+             for a, b in ((p112, p112), (p123, p123), (p112, p123))]
+    fans.append(("P(1,3,4,6)", StackyFan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-3, -4, -6)],
+                                         list(combinations(range(4), 3)))))
+    fans.append(("index 1000", StackyFan(2, [(1, 0), (0, 1), (-1000, -3)],
+                                         [(0, 1), (1, 2), (0, 2)])))
+    assert len(fans) > 180
+    for name, fan in fans:
+        assert box_elements(fan) == _box_elements_snf_oracle(fan), name
+    over = StackyFan(2, [(1, 0), (0, 1), (-1001, -3)], [(0, 1), (1, 2), (0, 2)])
+    messages = []
+    for route in (box_elements, _box_elements_snf_oracle):
+        with pytest.raises(ResourceLimitError) as raised:
+            route(over)
+        messages.append(str(raised.value))
+    assert messages == ["Box: cone [2, 3] has 1001 elements, more than 1000"] * 2
 
 
 def test_extend_examples():

@@ -20,6 +20,7 @@ from corpus import (
     reflexive_pairs,
     scale_class,
     series_fans,
+    to_jsonable,
     v_of,
     weighted_planes,
     weighted_projective_space,
@@ -948,7 +949,6 @@ def test_reports_give_z_exponents_and_pairings_as_fractions(capsys):
     ifunction report's degree pairings. P(1,1,3) has the ring denominator
     Q = 3, so its keys are not the Fractions they stand for."""
     from orbimirror.cli import main
-    from orbimirror.fandoc import to_jsonable
 
     _, data, ring, mori = next(fan for fan in SERIES_FANS if fan[0] == "p113")
     zden = ring.int_degrees[1]

@@ -16,7 +16,6 @@ from orbimirror.linalg import (
     dot,
     hermite_row_basis,
     integer_inverse,
-    inverse,
     kernel_basis,
     normalized_simplex_volume,
     null_vector,
@@ -523,22 +522,24 @@ def rational_square_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(rational_square_matrices())
 def test_inverse_matches_columns_of_the_fraction_oracle(rows):
-    """inverse(P) against the former q-basis route of choose_basis_p: column a
-    solves P x = e_a."""
+    """integer_inverse(P) = (D, d) against the former q-basis route of
+    choose_basis_p: column a of D / d solves P x = e_a."""
     n = len(rows)
     cols = [_solve_general_oracle(rows, [int(b == a) for b in range(n)]) for a in range(n)]
     if any(sol is None or sol[1] for sol in cols):
         with pytest.raises(LinAlgError, match="singular"):
-            inverse(rows)
+            integer_inverse(rows)
     else:
-        assert inverse(rows) == tuple(zip(*(sol[0] for sol in cols)))
+        adj, d = integer_inverse(rows)
+        assert tuple(tuple(Fraction(x, d) for x in row) for row in adj) == tuple(
+            zip(*(sol[0] for sol in cols)))
 
 
 def test_each_exact_solve_is_one_reduction(monkeypatch):
     """One elimination under every view: a second one fails here."""
     p123 = extended_pl_and_pic(ext_of_doc(json.loads((DATA / "p123.json").read_text())))
     reductions, unique_solves, inverses = [], [], []
-    real_reduce, real_inverse = linalg._reduce, picard.inverse
+    real_reduce, real_inverse = linalg._reduce, picard.integer_inverse
     monkeypatch.setattr(linalg, "_reduce",
                         lambda rows, width: reductions.append(width) or real_reduce(rows, width))
     m = [[2, 1, 0], [1, 1, 0], [0, 3, 1]]
@@ -547,7 +548,6 @@ def test_each_exact_solve_is_one_reduction(monkeypatch):
         lambda: solve_unique(m, [1, 0, 2]),
         lambda: coordinates((1, 0, 2), m),
         lambda: rank(m),
-        lambda: inverse(m),
         lambda: integer_inverse(m),
         lambda: unimodular_inverse(m),
         lambda: det(m),
@@ -558,7 +558,10 @@ def test_each_exact_solve_is_one_reduction(monkeypatch):
         assert len(reductions) == 1
     monkeypatch.setattr(linalg, "solve_unique",
                         lambda *args: unique_solves.append(args) or solve_unique(*args))
-    monkeypatch.setattr(picard, "inverse",
+    monkeypatch.setattr(picard, "integer_inverse",
                         lambda rows: inverses.append(rows) or real_inverse(rows))
-    choose_basis_p(p123)
-    assert unique_solves == [] and len(inverses) == 1
+    data = choose_basis_p(p123)
+    # beside the r x r test of each candidate, one inverse: of P, for q and M
+    p_rows = [tuple(int(x) for x in row) for row in data.p_basis]
+    assert data.r < data.rank
+    assert unique_solves == [] and [m for m in inverses if len(m) == data.rank] == [p_rows]
