@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import random
-import re
 import sys
 import time
 from fractions import Fraction
@@ -473,8 +472,14 @@ class UsageError(ValueError):
 
 
 def _flag_like(arg: str) -> bool:
-    """An option; "-" alone and negative numbers (`--order -1`) are values."""
-    return arg[:1] == "-" and arg != "-" and not re.fullmatch(r"-\d+|-\d*\.\d+", arg)
+    """An option; "-" alone and negative numbers (`--order -1`, `-1.5`,
+    `-.5`, in any Unicode decimal digits) are values."""
+    if arg[:1] != "-" or arg == "-":
+        return False
+    whole, dot, frac = arg[1:].partition(".")
+    if dot:
+        return not (frac.isdecimal() and (not whole or whole.isdecimal()))
+    return not whole.isdecimal()
 
 
 def _order(text: str) -> int:

@@ -18,7 +18,12 @@ per ray, split by degree into its z-powers. A product with a fixed class
 (the log prefactor's pbar_a, I-tilde's rho-bar) is one int operator,
 `ring.multiplication_columns`, applied along a chain per term that stops at
 its first zero product. A series keeps the derivatives theta^s del^t E^u of
-itself that `apply_operator` has asked for.
+itself that `apply_operator` has asked for, each as a block: int numerator
+lists over one denominator, in layers by chi-degree. The terms' own block is
+over the lcm of their denominators; a theta or del step scales a term by an
+int, and an E step multiplies the block's denominator by Q (below). No class
+is reduced along the chain: an operator's residual is summed over the lcm of
+the blocks it reads and reduced once per key.
 Only work a result reads is done: `apply_operator` forms the terms up to the
 chi-degree its caller reads. Classes, the z-exponents q (numerators over the
 ring's `int_degrees` denominator Q) and the degree pairings (over M's `m_ints`
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from operator import add
 
 from .cohomology import GradedQuotientRing, class_vector, reduced_class
@@ -105,19 +110,28 @@ class LogSeries(Frozen):
 
     @cached_property
     def _derivatives(self) -> dict:
-        """(s, t, u) -> theta^s del^t E^u applied to the terms (see `derivative`)."""
-        return {((0,) * self.r, (0,) * self.e, 0): self.terms}
+        """(s, t, u) -> the block of theta^s del^t E^u applied to the terms
+        (see `derivative`); the zero key holds the terms' own block, each
+        class over the lcm of their denominators."""
+        common = lcm(*(den for _, den in self.terms.values()))
+        layers = [{} for _ in range(max((sum(k[0]) for k in self.terms), default=-1) + 1)]
+        for key, (nums, den) in self.terms.items():
+            layers[sum(key[0])][key] = nums if den == common else [x * (common // den)
+                                                                   for x in nums]
+        return {((0,) * self.r, (0,) * self.e, 0): (layers, common)}
 
-    def derivative(self, s, t, u, zden) -> dict:
-        """theta^s del^t E^u applied to the terms (z-exponents over zden).
+    def derivative(self, s, t, u, zden) -> tuple:
+        """theta^s del^t E^u applied to the terms (z-exponents over zden), as
+        a block (layers, den): layers[g] maps each key of chi-degree g to the
+        int numerators of its nonzero class over the one denominator den.
         Kept for the life of this series, and built from the longest kept
-        prefix by one action step per factor (`operators.chained_action`)."""
-        def act(terms, kind, i):
+        prefix by one step per factor (`operators.chained_action`)."""
+        def act(block, kind, i):
             if kind == "theta":
-                return _act_theta(terms, i, zden)
+                return _theta_step(block, i, zden)
             if kind == "del":
-                return _act_del(terms, self.r, i, zden)
-            return _act_e(terms, zden)
+                return _del_step(block, self.r + i, zden)
+            return _e_step(block, zden)
 
         return chained_action(self._derivatives, (s, t, u), act)
 
@@ -175,59 +189,85 @@ def series_mul(a: LogSeries, b: LogSeries, ring: GradedQuotientRing) -> LogSerie
 def apply_operator(op: LogDiffOp, series: LogSeries, ring: GradedQuotientRing,
                    cap: int) -> LogSeries:
     """Term-by-term action of a normal-ordered operator on a log series, in
-    chi-degree <= cap only; the derivatives of the series are shared with
-    every other operator applied to the same series object.
+    chi-degree <= cap only; the derivative blocks of the series are shared
+    with every other operator applied to the same series object.
 
     An operator term chi^obeta .. adds |obeta| to the chi-degree of each
-    derivative term, so a product whose degree would pass `cap` is not formed.
+    derivative term, so only the layers of degree <= cap - |obeta| are read.
+    Each block read is scaled onto L, the lcm of their denominators, and the
+    sums are reduced once per key, over L times the operator's denominator.
     """
     if (op.r, op.e) != (series.r, series.e):
         raise SeriesError("operator and series shapes differ")
     zden = ring.int_degrees[1]
-    total: dict = {}
+    reads = []
     for (obeta, ok, s_exp, t_exp, u_exp), coeff in op.nums.items():
         room = cap - sum(obeta)
-        if room < 0:
-            continue
-        shift = ok * zden
-        for (beta, logk, q, j), vec in series.derivative(s_exp, t_exp, u_exp, zden).items():
-            if sum(beta) <= room:
-                key = (tuple(map(add, beta, obeta)), logk, q + shift, j)
-                _acc(total, key, _scaled(vec, coeff))
-    return LogSeries(series.r, series.e, series.dim, _classes(total, op.den), series.order)
+        if room >= 0:
+            layers, den = series.derivative(s_exp, t_exp, u_exp, zden)
+            reads.append((obeta if any(obeta) else None, ok * zden, coeff, layers[:room + 1], den))
+    common = lcm(*(den for *_, den in reads))
+    total: dict = {}
+    for obeta, shift, coeff, layers, den in reads:
+        f = coeff * (common // den)
+        for layer in layers:
+            for (beta, logk, q, j), nums in layer.items():
+                _add(total, (tuple(map(add, beta, obeta)) if obeta else beta, logk, q + shift, j),
+                     nums, f)
+    den = common * op.den
+    return LogSeries(series.r, series.e, series.dim,
+                     {key: reduced_class(nums, den) for key, nums in total.items() if any(nums)},
+                     series.order)
 
 
-def _act_theta(terms, a, zden):
-    """z chi_a d/dchi_a on each term, for z-exponents over zden."""
-    out: dict = {}
-    for (beta, logk, q, j), vec in terms.items():
-        if beta[a]:
-            _acc(out, (beta, logk, q + zden, j), _scaled(vec, beta[a]))
-        if logk[a]:
-            logk2 = tuple(x - int(i == a) for i, x in enumerate(logk))
-            _acc(out, (beta, logk2, q + zden, j), _scaled(vec, logk[a]))
-    return _classes(out)
+def _theta_step(block, a, zden):
+    """z chi_a d/dchi_a on a block, for z-exponents over zden."""
+    layers, den = block
+    out = []
+    for layer in layers:
+        new: dict = {}
+        for (beta, logk, q, j), nums in layer.items():
+            if beta[a]:
+                _add(new, (beta, logk, q + zden, j), nums, beta[a])
+            c = logk[a]
+            if c:
+                _add(new, (beta, logk[:a] + (c - 1,) + logk[a + 1:], q + zden, j), nums, c)
+        out.append({key: nums for key, nums in new.items() if any(nums)})
+    return out, den
 
 
-def _act_del(terms, r, b, zden):
-    """z d/dchi_{r+b} on each term, for z-exponents over zden."""
-    out: dict = {}
-    for (beta, logk, q, j), vec in terms.items():
-        if beta[r + b]:
-            beta2 = tuple(x - int(i == r + b) for i, x in enumerate(beta))
-            _acc(out, (beta2, logk, q + zden, j), _scaled(vec, beta[r + b]))
-    return _classes(out)
+def _del_step(block, i, zden):
+    """z d/dchi_i on a block, for i >= r and z-exponents over zden; it lowers
+    the chi-degree by one, and maps distinct keys to distinct keys."""
+    layers, den = block
+    return [{(beta[:i] + (beta[i] - 1,) + beta[i + 1:], logk, q + zden, j):
+             nums if beta[i] == 1 else [x * beta[i] for x in nums]
+             for (beta, logk, q, j), nums in layer.items() if beta[i]}
+            for layer in layers[1:]], den
 
 
-def _act_e(terms, zden):
-    """z^2 d/dz on each term, for z-exponents over zden."""
-    out: dict = {}
-    for (beta, logk, q, j), vec in terms.items():
-        if q:
-            _acc(out, (beta, logk, q + zden, j), _scaled(vec, q, zden))
-        if j:
-            _acc(out, (beta, logk, q + zden, j - 1), _scaled(vec, j))
-    return _classes(out)
+def _e_step(block, zden):
+    """z^2 d/dz on a block, for z-exponents over zden: the z-exponent q/zden
+    scales a class, so the block's denominator is multiplied by zden."""
+    layers, den = block
+    out = []
+    for layer in layers:
+        new: dict = {}
+        for (beta, logk, q, j), nums in layer.items():
+            if q:
+                _add(new, (beta, logk, q + zden, j), nums, q)
+            if j:
+                _add(new, (beta, logk, q + zden, j - 1), nums, j * zden)
+        out.append({key: nums for key, nums in new.items() if any(nums)})
+    return out, den * zden
+
+
+def _add(out, key, nums, c):
+    """out[key] += c * nums for int numerator lists over one denominator;
+    a sum is a new list, so a list in a block is never changed."""
+    vec = nums if c == 1 else [x * c for x in nums]
+    cur = out.get(key)
+    out[key] = vec if cur is None else list(map(add, cur, vec))
 
 
 # -- degree enumeration and hypergeometric factors ------------------------------

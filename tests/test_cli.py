@@ -5,6 +5,7 @@ from fractions import Fraction
 import json
 from math import gcd
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -385,6 +386,33 @@ def test_abbreviated_flags_are_usage_errors(argv):
         cli.parse_args(argv)
 
 
+def _flag_like_oracle(arg):
+    """The replaced regex test: `\\d` reads any Unicode decimal digit (Nd)."""
+    return arg[:1] == "-" and arg != "-" and not re.fullmatch(r"-\d+|-\d*\.\d+", arg)
+
+
+FLAG_LIKE_CASES = ["-", "-1", "-1.5", "-.5", "-1.", "-.", "--5", "-1.2.3", "-\u0661\u0662",
+                   "-\u00b2", "-x", "", "x", "1", "-007", "-1\n", "-\u0661.\u0665", "-1.x"]
+
+
+@pytest.mark.parametrize("arg", FLAG_LIKE_CASES)
+def test_flag_like_matches_the_regex(arg):
+    assert cli._flag_like(arg) == _flag_like_oracle(arg)
+
+
+def test_flag_like_reads_negative_numbers_as_values():
+    # Arabic-Indic digits are decimal (Nd); a superscript two is not
+    assert [cli._flag_like(arg) for arg in FLAG_LIKE_CASES[:11]] == [
+        False, False, False, False, True, True, True, True, False, True, True]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet=st.sampled_from("-.1\u0662\u00b2\u2155x \n"), max_size=6)
+       | st.text(max_size=6).map(lambda t: "-" + t))
+def test_flag_like_matches_the_regex_on_random_text(arg):
+    assert cli._flag_like(arg) == _flag_like_oracle(arg)
+
+
 @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["validate", "--help"],
                                   ["validate", "x.json", "--order", "3", "-h"]])
 def test_help_is_not_a_command_line(argv):
@@ -607,27 +635,34 @@ def test_commands_derive_each_stage_once(capsys, monkeypatch):
 
     # the checks of `all` form only what their verdicts read: the annihilation
     # residual only up to its bound (every product of an operator term and a
-    # derivative term that apply_operator forms is one it could not skip),
+    # derivative term that apply_operator forms is one it could not skip;
+    # a product is counted as the derivative term is read off its layer),
     # and one ray-polynomial pair per box operator, shared with its
     # factorization check
     formed = within = 0
     real_apply = ifunction.apply_operator
-    real_acc = ifunction._acc
+    real_derivative = ifunction.LogSeries.derivative
     real_rays, real_residual = operators.ray_products, operators.factorization_residual
     pairs, checked = [], []
+
+    class CountedLayer(dict):
+        def items(self):
+            nonlocal formed
+            for item in super().items():
+                formed += 1
+                yield item
+
+    def derivative(series, s, t, u, zden):
+        layers, den = real_derivative(series, s, t, u, zden)
+        return [CountedLayer(layer) for layer in layers], den
 
     def apply_operator(op, series, ring, cap):
         nonlocal within
         out = real_apply(op, series, ring, cap)
         within += sum(1 for (obeta, _, s, t, u) in op.terms
-                      for beta, *_ in series.derivative(s, t, u, ring.int_degrees[1])
-                      if sum(beta) + sum(obeta) <= cap)
+                      for layer in real_derivative(series, s, t, u, ring.int_degrees[1])[0]
+                      for beta, *_ in layer if sum(beta) + sum(obeta) <= cap)
         return out
-
-    def acc(out, key, vec):
-        nonlocal formed
-        formed += sys._getframe(1).f_code is real_apply.__code__
-        return real_acc(out, key, vec)
 
     def ray_products(data, l):
         pairs.append(real_rays(data, l))
@@ -638,7 +673,7 @@ def test_commands_derive_each_stage_once(capsys, monkeypatch):
         return real_residual(poly, r, powers)
 
     monkeypatch.setattr(ifunction, "apply_operator", apply_operator)
-    monkeypatch.setattr(ifunction, "_acc", acc)
+    monkeypatch.setattr(ifunction.LogSeries, "derivative", derivative)
     monkeypatch.setattr(operators, "ray_products", ray_products)
     monkeypatch.setattr(operators, "factorization_residual", factorization_residual)
     monkeypatch.setattr(cli, "box_x", _counting(calls, "box_x", cli.box_x))
@@ -801,7 +836,7 @@ def test_series_engine_makes_no_fraction_from_classes_or_coefficients(capsys, mo
         monkeypatch.setattr(ifunction, name, tracked(name, getattr(ifunction, name)))
     builders = ("one", "sector_class", "rho_bar_class")
     series_steps = ("enumerate_degrees", "hypergeometric_factor", "tilde_i", "_exp_chain",
-                    "apply_operator", "_act_theta", "_act_del", "_act_e")
+                    "apply_operator", "_theta_step", "_del_step", "_e_step")
     for name in series_steps:
         tracked_step = tracked(name, getattr(ifunction, name))
         for module in (ifunction, cli):

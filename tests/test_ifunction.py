@@ -2,7 +2,9 @@ from fractions import Fraction
 from itertools import product
 import json
 from math import factorial, gcd
+from operator import add
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +28,7 @@ from corpus import (
     weighted_projective_space,
 )
 from orbimirror import ifunction
-from orbimirror.cohomology import class_pair, class_vector, is_nef, presentation
+from orbimirror.cohomology import class_pair, class_vector, is_nef, presentation, reduced_class
 from orbimirror.ifunction import (
     AnnihilationReport,
     FactorTables,
@@ -51,6 +53,7 @@ from orbimirror.linalg import ResourceLimitError
 from orbimirror.operators import (
     LogDiffOp,
     box_x,
+    chained_action,
     dbar_class,
     euler_check,
     operator_families,
@@ -663,6 +666,73 @@ def _apply_operator_oracle(op, series, ring):
     return LogSeries(series.r, series.e, series.dim, _pairs(total), series.order)
 
 
+# The replaced int route: before the derivatives were kept as blocks, each
+# step of theta^s del^t E^u built one canonical class per term, and the
+# residual was summed class by class, every sum reduced on its own.
+
+
+def _act_theta(terms, a, zden):
+    """z chi_a d/dchi_a on each term, for z-exponents over zden."""
+    out: dict = {}
+    for (beta, logk, q, j), vec in terms.items():
+        if beta[a]:
+            _acc(out, (beta, logk, q + zden, j), _scaled(vec, beta[a]))
+        if logk[a]:
+            logk2 = tuple(x - int(i == a) for i, x in enumerate(logk))
+            _acc(out, (beta, logk2, q + zden, j), _scaled(vec, logk[a]))
+    return _classes(out)
+
+
+def _act_del(terms, r, b, zden):
+    """z d/dchi_{r+b} on each term, for z-exponents over zden."""
+    out: dict = {}
+    for (beta, logk, q, j), vec in terms.items():
+        if beta[r + b]:
+            beta2 = tuple(x - int(i == r + b) for i, x in enumerate(beta))
+            _acc(out, (beta2, logk, q + zden, j), _scaled(vec, beta[r + b]))
+    return _classes(out)
+
+
+def _act_e(terms, zden):
+    """z^2 d/dz on each term, for z-exponents over zden."""
+    out: dict = {}
+    for (beta, logk, q, j), vec in terms.items():
+        if q:
+            _acc(out, (beta, logk, q + zden, j), _scaled(vec, q, zden))
+        if j:
+            _acc(out, (beta, logk, q + zden, j - 1), _scaled(vec, j))
+    return _classes(out)
+
+
+def _class_memo(series):
+    """The replaced derivative memo of a series: its terms under the zero key."""
+    return {((0,) * series.r, (0,) * series.e, 0): series.terms}
+
+
+def _apply_operator_classes(op, series, ring, cap, memo):
+    """The replaced apply_operator, its derivatives kept in memo (start it
+    with `_class_memo(series)` and share it among operators on the series)."""
+    zden = ring.int_degrees[1]
+
+    def act(terms, kind, i):
+        if kind == "theta":
+            return _act_theta(terms, i, zden)
+        if kind == "del":
+            return _act_del(terms, series.r, i, zden)
+        return _act_e(terms, zden)
+
+    total: dict = {}
+    for (obeta, ok, s_exp, t_exp, u_exp), coeff in op.nums.items():
+        room = cap - sum(obeta)
+        if room < 0:
+            continue
+        for (beta, logk, q, j), vec in chained_action(memo, (s_exp, t_exp, u_exp), act).items():
+            if sum(beta) <= room:
+                key = (tuple(map(add, beta, obeta)), logk, q + ok * zden, j)
+                _acc(total, key, _scaled(vec, coeff))
+    return LogSeries(series.r, series.e, series.dim, _classes(total, op.den), series.order)
+
+
 @pytest.mark.parametrize("name, data, ring, mori", SERIES_FANS,
                          ids=[fan[0] for fan in SERIES_FANS])
 def test_enumerate_degrees_matches_replaced_routine(name, data, ring, mori):
@@ -860,10 +930,17 @@ def test_series_derivatives_live_on_their_series():
     ops = [euler_check(data)] + box_operators(data, ring)
     results = [_whole(op, series, ring) for op in ops]
     kept = dict(series._derivatives)
-    # E^2 needs E first; a series made from this one starts afresh
+    # E^2 needs E first; a series made from this one starts afresh, from the
+    # block of its own terms over the lcm of their denominators
     assert ((0,), (0,), 1) in kept
     truncated = series.truncate(2)
-    assert truncated._derivatives == {((0,), (0,), 0): truncated.terms}
+    zero = ((0,), (0,), 0)
+    assert list(truncated._derivatives) == [zero]
+    layers, den = truncated._derivatives[zero]
+    assert len(layers) == 3 and all(sum(key[0]) == g for g, layer in enumerate(layers)
+                                    for key in layer)
+    assert {key: reduced_class(nums, den) for layer in layers
+            for key, nums in layer.items()} == truncated.terms
     # the operators in reverse order, on a series with the shared entries,
     # and on a fresh one, agree with the first pass
     assert [_whole(op, series, ring) for op in ops[::-1]] == results[::-1]
@@ -919,6 +996,64 @@ def test_series_kernel_matches_fraction_oracles_on_weighted_planes(name, data, r
                 op, view, ring), name
             assert annihilation_check(op, tilde, ring) == _annihilation_report_oracle(
                 op, view, ring), name
+
+
+def _random_operator(rng, r, e):
+    """One to four terms, each with a chi-shift, a z-power, a Fraction
+    coefficient and at most two of its theta, del and E powers nonzero, each
+    of those up to 4 (more would kill most of I-tilde)."""
+    nums = {}
+    for _ in range(rng.randint(1, 4)):
+        powers = [0] * (r + e + 1)
+        for _ in range(rng.randint(0, 2)):
+            powers[rng.randrange(r + e + 1)] = rng.randint(1, 4)
+        key = (tuple(rng.randint(0, 2) for _ in range(r + e)), rng.randint(-1, 2),
+               tuple(powers[:r]), tuple(powers[r:-1]), powers[-1])
+        nums[key] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))
+    return LogDiffOp(r, e, nums)
+
+
+@pytest.mark.parametrize("name, data, ring, mori", SERIES_FANS + WEIGHTED_SERIES,
+                         ids=[fan[0] for fan in SERIES_FANS + WEIGHTED_SERIES])
+def test_derivative_blocks_match_class_route_and_fraction_oracle(name, data, ring, mori):
+    """Random operators on I-tilde, at every cap from 0 to the order: the
+    block kernel gives the residual of the replaced class-per-term route and
+    of the Fraction oracle, the operators sharing one series object (and the
+    class route one memo), so later ones read the blocks earlier ones left."""
+    order = 4
+    rng = Random(name)
+    zden = ring.int_degrees[1]
+    series = tilde_i(i_function(data, ring, mori, order), ring, data)
+    view = _fraction_view(series, zden)
+    memo = _class_memo(series)
+    nonzero = 0
+    for _ in range(12):
+        op = _random_operator(rng, data.r, data.e)
+        expected = _apply_operator_oracle(op, view, ring).terms
+        for cap in range(order + 1):
+            got = apply_operator(op, series, ring, cap)
+            assert got == _apply_operator_classes(op, series, ring, cap, memo), (name, cap)
+            assert _fraction_view(got.terms, zden) == {
+                key: vec for key, vec in expected.items() if sum(key[0]) <= cap}, (name, cap)
+            nonzero += bool(got.terms)
+    assert nonzero
+
+
+def test_apply_operator_reduces_each_residual_key_once(monkeypatch):
+    _, data, ring, mori = pipeline("P112")
+    series = tilde_i(i_function(data, ring, mori, 3), ring, data)
+    ops = _checked_operators(data, ring) + [_random_operator(Random(k), data.r, data.e)
+                                             for k in range(8)]
+    reduced = []
+    monkeypatch.setattr(ifunction, "reduced_class",
+                        lambda nums, den: reduced.append(den) or reduced_class(nums, den))
+    residuals = 0
+    for op in ops:
+        reduced.clear()
+        residual = _whole(op, series, ring)
+        assert len(reduced) <= len(residual.terms)
+        residuals += bool(residual.terms)
+    assert residuals
 
 
 @pytest.mark.parametrize("name, data, ring, mori", SERIES_FANS + WEIGHTED_SERIES,
