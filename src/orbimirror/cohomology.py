@@ -365,11 +365,13 @@ class GradedQuotientRing(Frozen):
         return tuple(x * den // scale for x in nums), den
 
     def graded_dims(self) -> dict[Fraction, int]:
-        out: dict[Fraction, int] = {}
-        for m in self.std_monomials:
-            q = self.mono_degree(m)
-            out[q] = out.get(q, 0) + 1
-        return dict(sorted(out.items()))
+        """The number of standard monomials in each degree, counted by their
+        `int_degrees` numerators."""
+        nums, den = self.int_degrees
+        out: dict[int, int] = {}
+        for g in nums:
+            out[g] = out.get(g, 0) + 1
+        return {Fraction(g, den): n for g, n in sorted(out.items())}
 
     @cached_property
     def _reducers(self):
@@ -420,7 +422,10 @@ class GradedQuotientRing(Frozen):
     def zero_class(self) -> Class:
         return (0,) * len(self.std_monomials), 1
 
-    def mul(self, u: Class, v: Class) -> Class:
+    def product(self, u, v) -> tuple[list[int], int]:
+        """u * v for (numerators, denominator) pairs, not necessarily reduced,
+        as a pair over the product of their denominators and the table's,
+        itself not reduced."""
         (a, da), (b, db) = u, v
         table, den = self._products
         out = [0] * len(a)
@@ -431,7 +436,10 @@ class GradedQuotientRing(Frozen):
                         xy = x * y
                         for k, c in entries:
                             out[k] += xy * c
-        return reduced_class(out, da * db * den)
+        return out, da * db * den
+
+    def mul(self, u: Class, v: Class) -> Class:
+        return reduced_class(*self.product(u, v))
 
     def class_degree(self, cls: Class) -> Fraction | None:
         degs = {self.mono_degree(m) for m, c in zip(self.std_monomials, cls[0]) if c}

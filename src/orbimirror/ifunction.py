@@ -14,16 +14,21 @@ Each piece of exact work is done once, and no table outlives its owner:
 an `i_function` call builds the powers of each ray class D-bar_i, one factor
 class per (ray, pairing) and one sector class 1_v per sector it meets, so
 each degree's hypergeometric factor is one class, 1_v times one factor class
-per ray, split by degree into its z-powers. A product with a fixed class
-(the log prefactor's pbar_a, I-tilde's rho-bar) is one int operator,
-`ring.multiplication_columns`, applied along a chain per term that stops at
-its first zero product. A series keeps the derivatives theta^s del^t E^u of
-itself that `apply_operator` has asked for, each as a block: int numerator
-lists over one denominator, in layers by chi-degree. The terms' own block is
-over the lcm of their denominators; a theta or del step scales a term by an
-int, and an E step multiplies the block's denominator by Q (below). No class
-is reduced along the chain: an operator's residual is summed over the lcm of
-the blocks it reads and reduced once per key.
+per ray, split by degree into its z-powers. Its ring products are not
+reduced (`ring.product`): the running denominator is reduced once per graded
+part. The enumeration computes a degree's sector v(d) once per residue
+vector of its pairings mod 1, on which it depends alone. A product with a
+fixed class (the log prefactor's pbar_a, I-tilde's rho-bar) is one int
+operator, `ring.multiplication_columns`, applied along a chain per term that
+stops at its first zero product, unreduced until each output class is
+reduced once. A series keeps the derivatives theta^s del^t E^u of itself
+that `apply_operator` has asked for, each as a block: int numerator lists
+over one denominator, in layers by chi-degree, built only up to the deepest
+layer read so far. The terms' own block is over the lcm of their
+denominators; a theta or del step scales a term by an int, and an E step
+multiplies the block's denominator by Q (below). No class is reduced along
+the chain: an operator's residual is summed over the lcm of the blocks it
+reads and reduced once per key.
 Only work a result reads is done: `apply_operator` forms the terms up to the
 chi-degree its caller reads. Classes, the z-exponents q (numerators over the
 ring's `int_degrees` denominator Q) and the degree pairings (over M's `m_ints`
@@ -81,19 +86,6 @@ def _classes(out, d=1) -> dict:
     return {key: reduced_class(nums, den * d) for key, (nums, den) in out.items() if any(nums)}
 
 
-def _scaled(vec, c, d=1):
-    """(c / d) * vec for ints c != 0 and d > 0."""
-    nums, den = vec
-    if d != 1:
-        return reduced_class([x * c for x in nums], den * d)
-    if c == 1:
-        return vec
-    g = gcd(c, den)
-    if g != 1:
-        c, den = c // g, den // g
-    return tuple(x * c for x in nums), den
-
-
 class LogSeries(Frozen):
     """terms maps (beta, logk, q, j) to a class pair (see the module
     docstring); a zero class is dropped."""
@@ -110,30 +102,34 @@ class LogSeries(Frozen):
 
     @cached_property
     def _derivatives(self) -> dict:
-        """(s, t, u) -> the block of theta^s del^t E^u applied to the terms
-        (see `derivative`); the zero key holds the terms' own block, each
-        class over the lcm of their denominators."""
+        """(s, t, u) -> the `_Block` of theta^s del^t E^u applied to the terms
+        (see `derivative`); the zero key holds the terms' own block, whole,
+        each class over the lcm of their denominators."""
         common = lcm(*(den for _, den in self.terms.values()))
         layers = [{} for _ in range(max((sum(k[0]) for k in self.terms), default=-1) + 1)]
         for key, (nums, den) in self.terms.items():
             layers[sum(key[0])][key] = nums if den == common else [x * (common // den)
                                                                    for x in nums]
-        return {((0,) * self.r, (0,) * self.e, 0): (layers, common)}
+        return {((0,) * self.r, (0,) * self.e, 0): _Block(layers, common)}
 
-    def derivative(self, s, t, u, zden) -> tuple:
-        """theta^s del^t E^u applied to the terms (z-exponents over zden), as
-        a block (layers, den): layers[g] maps each key of chi-degree g to the
-        int numerators of its nonzero class over the one denominator den.
-        Kept for the life of this series, and built from the longest kept
-        prefix by one step per factor (`operators.chained_action`)."""
+    def derivative(self, s, t, u, zden, depth) -> tuple:
+        """theta^s del^t E^u applied to the terms (z-exponents over zden), in
+        chi-degree <= depth, as a block (layers, den): layers[g] maps each
+        key of chi-degree g to the int numerators of its nonzero class over
+        the one denominator den. Kept for the life of this series, built
+        from the longest kept prefix by one step per factor
+        (`operators.chained_action`), and only in the layers read so far: a
+        later, deeper read extends it (`_Block.upto`)."""
         def act(block, kind, i):
             if kind == "theta":
-                return _theta_step(block, i, zden)
+                return _Block([], block.den, block, lambda layer: _theta_step(layer, i, zden))
             if kind == "del":
-                return _del_step(block, self.r + i, zden)
-            return _e_step(block, zden)
+                return _Block([], block.den, block,
+                              lambda layer: _del_step(layer, self.r + i, zden), 1)
+            return _Block([], block.den * zden, block, lambda layer: _e_step(layer, zden))
 
-        return chained_action(self._derivatives, (s, t, u), act)
+        block = chained_action(self._derivatives, (s, t, u), act)
+        return block.upto(depth)[:depth + 1], block.den
 
     def truncate(self, order: int) -> "LogSeries":
         kept = {k: v for k, v in self.terms.items() if sum(k[0]) <= order}
@@ -179,7 +175,7 @@ def series_mul(a: LogSeries, b: LogSeries, ring: GradedQuotientRing) -> LogSerie
             q = q1 + q2
             for b2, k2, j2, v2 in group:
                 key = (tuple(map(add, b1, b2)), tuple(map(add, k1, k2)), q, j1 + j2)
-                _acc(out, key, ring.mul(v1, v2))
+                _acc(out, key, ring.product(v1, v2))
     return LogSeries(a.r, a.e, a.dim, _classes(out), _min_order(a.order, b.order))
 
 
@@ -204,8 +200,8 @@ def apply_operator(op: LogDiffOp, series: LogSeries, ring: GradedQuotientRing,
     for (obeta, ok, s_exp, t_exp, u_exp), coeff in op.nums.items():
         room = cap - sum(obeta)
         if room >= 0:
-            layers, den = series.derivative(s_exp, t_exp, u_exp, zden)
-            reads.append((obeta if any(obeta) else None, ok * zden, coeff, layers[:room + 1], den))
+            layers, den = series.derivative(s_exp, t_exp, u_exp, zden, room)
+            reads.append((obeta if any(obeta) else None, ok * zden, coeff, layers, den))
     common = lcm(*(den for *_, den in reads))
     total: dict = {}
     for obeta, shift, coeff, layers, den in reads:
@@ -220,46 +216,63 @@ def apply_operator(op: LogDiffOp, series: LogSeries, ring: GradedQuotientRing,
                      series.order)
 
 
-def _theta_step(block, a, zden):
-    """z chi_a d/dchi_a on a block, for z-exponents over zden."""
-    layers, den = block
-    out = []
-    for layer in layers:
-        new: dict = {}
-        for (beta, logk, q, j), nums in layer.items():
-            if beta[a]:
-                _add(new, (beta, logk, q + zden, j), nums, beta[a])
-            c = logk[a]
-            if c:
-                _add(new, (beta, logk[:a] + (c - 1,) + logk[a + 1:], q + zden, j), nums, c)
-        out.append({key: nums for key, nums in new.items() if any(nums)})
-    return out, den
+class _Block:
+    """A derivative of a series's terms as int numerator lists over the one
+    denominator den, in layers by chi-degree (see `LogSeries.derivative`).
+    Of its `size` layers only those read so far are built. Each other block
+    is derived from its prefix block: its layer g is step(layer g + shift of
+    the prefix), with shift 1 for a del step, which lowers the chi-degree,
+    and 0 for a theta or E step."""
+
+    __slots__ = ("layers", "den", "size", "prefix", "step", "shift")
+
+    def __init__(self, layers, den, prefix=None, step=None, shift=0):
+        self.layers, self.den, self.prefix, self.step, self.shift = (
+            layers, den, prefix, step, shift)
+        self.size = len(layers) if prefix is None else max(prefix.size - shift, 0)
+
+    def upto(self, depth) -> list:
+        """The layers, built up to chi-degree depth (or the last one)."""
+        built, want = len(self.layers), min(depth + 1, self.size)
+        if built < want:
+            shift = self.shift
+            source = self.prefix.upto(want - 1 + shift)
+            self.layers += map(self.step, source[built + shift:want + shift])
+        return self.layers
 
 
-def _del_step(block, i, zden):
-    """z d/dchi_i on a block, for i >= r and z-exponents over zden; it lowers
-    the chi-degree by one, and maps distinct keys to distinct keys."""
-    layers, den = block
-    return [{(beta[:i] + (beta[i] - 1,) + beta[i + 1:], logk, q + zden, j):
-             nums if beta[i] == 1 else [x * beta[i] for x in nums]
-             for (beta, logk, q, j), nums in layer.items() if beta[i]}
-            for layer in layers[1:]], den
+def _theta_step(layer, a, zden):
+    """z chi_a d/dchi_a on one layer of a block, for z-exponents over zden."""
+    new: dict = {}
+    for (beta, logk, q, j), nums in layer.items():
+        if beta[a]:
+            _add(new, (beta, logk, q + zden, j), nums, beta[a])
+        c = logk[a]
+        if c:
+            _add(new, (beta, logk[:a] + (c - 1,) + logk[a + 1:], q + zden, j), nums, c)
+    return {key: nums for key, nums in new.items() if any(nums)}
 
 
-def _e_step(block, zden):
-    """z^2 d/dz on a block, for z-exponents over zden: the z-exponent q/zden
-    scales a class, so the block's denominator is multiplied by zden."""
-    layers, den = block
-    out = []
-    for layer in layers:
-        new: dict = {}
-        for (beta, logk, q, j), nums in layer.items():
-            if q:
-                _add(new, (beta, logk, q + zden, j), nums, q)
-            if j:
-                _add(new, (beta, logk, q + zden, j - 1), nums, j * zden)
-        out.append({key: nums for key, nums in new.items() if any(nums)})
-    return out, den * zden
+def _del_step(layer, i, zden):
+    """z d/dchi_i on one layer of a block, for i >= r and z-exponents over
+    zden; it lowers the chi-degree by one, and maps distinct keys to
+    distinct keys."""
+    return {(beta[:i] + (beta[i] - 1,) + beta[i + 1:], logk, q + zden, j):
+            nums if beta[i] == 1 else [x * beta[i] for x in nums]
+            for (beta, logk, q, j), nums in layer.items() if beta[i]}
+
+
+def _e_step(layer, zden):
+    """z^2 d/dz on one layer of a block, for z-exponents over zden: the
+    z-exponent q/zden scales a class, so the block's denominator is zden
+    times its prefix's."""
+    new: dict = {}
+    for (beta, logk, q, j), nums in layer.items():
+        if q:
+            _add(new, (beta, logk, q + zden, j), nums, q)
+        if j:
+            _add(new, (beta, logk, q + zden, j - 1), nums, j * zden)
+    return {key: nums for key, nums in new.items() if any(nums)}
 
 
 def _add(out, key, nums, c):
@@ -279,26 +292,29 @@ def enumerate_degrees(mori: MoriData, order: int) -> list[dict]:
     Effective degrees are parametrized by their p-pairing vectors beta in
     Z^{rank}_{>=0} (d = sum beta_a q_a), which become the chi-exponents. The
     pairings <D_i, d> = M beta, numerators over M's `m_ints` denominator, are
-    carried down the recursion, one column of M added per step.
+    carried down the recursion, one column of M added per step. The sector
+    depends only on the pairings mod 1 (`MoriData.v_of`), so it is computed
+    once per residue vector of the numerators mod the denominator.
     """
     rank = mori.picard.rank
-    rows = mori.picard.m_ints[0]
+    rows, den = mori.picard.m_ints
     columns = list(zip(*rows))
+    sectors: dict = {}
     out = []
 
     def rec(beta, pairings, remaining):
         if len(beta) == rank:
             if mori.integer_pattern(pairings, True) in mori.anticones_e:
-                out.append({
-                    "beta": beta,
-                    "pairings": pairings,
-                    "sector": mori.v_of(pairings),
-                })
+                residues = tuple(x % den for x in pairings)
+                sector = sectors.get(residues)
+                if sector is None:
+                    sector = sectors[residues] = mori.v_of(pairings)
+                out.append({"beta": beta, "pairings": pairings, "sector": sector})
             return
         column = columns[len(beta)]
         for c in range(remaining + 1):
             if c:
-                pairings = tuple(x + y for x, y in zip(pairings, column))
+                pairings = tuple(map(add, pairings, column))
             rec(beta + (c,), pairings, remaining - c)
 
     rec((), (0,) * len(rows), order)
@@ -384,11 +400,13 @@ class FactorTables:
         if key not in self._factors:
             powers = self.powers[i]
             scalars, den = factor_scalars((n, d), len(powers))
-            out: dict = {}
-            for a, power in zip(scalars, powers):
-                if a:  # a_0 != 0, so G != 0
-                    _acc(out, key, _scaled(power, a, den))
-            self._factors.update(_classes(out))
+            common = lcm(*(pden for _, pden in powers))
+            total = [0] * len(powers[0][0])
+            for a, (nums, pden) in zip(scalars, powers):
+                if a:
+                    f = a * (common // pden)
+                    total = [x + f * y for x, y in zip(total, nums)]
+            self._factors[key] = reduced_class(total, common * den)
         return self._factors[key]
 
     def sector(self, v):
@@ -420,10 +438,11 @@ def hypergeometric_factor(data: ExtendedPicardData, ring: GradedQuotientRing,
 
     Returns {z-exponent over Q: class}. The product is formed as one class,
     1_v times the class G of each ray with ceil c != 0 from `tables`, one
-    ring product per such ray, and is then split by degree (see
-    `FactorTables`). Extension indices carry no divisor class, so theirs is
-    the scalar z^{-c} / c!; a scalar-zero denominator factor (impossible on
-    K^eff) raises SeriesError.
+    unreduced ring product (`GradedQuotientRing.product`) per such ray, and
+    is then split by degree (see `FactorTables`) and reduced once per part.
+    Extension indices carry no divisor class, so theirs is the scalar
+    z^{-c} / c!; a scalar-zero denominator factor (impossible on K^eff)
+    raises SeriesError.
     """
     m = data.ext.m
     zden, mden = tables.zden, data.m_ints[1]
@@ -441,7 +460,7 @@ def hypergeometric_factor(data: ExtendedPicardData, ring: GradedQuotientRing,
         ceil_c = -((-n) // d)
         if ceil_c:
             shift += ceil_c
-            acc = ring.mul(acc, tables.factor(i, n, d))
+            acc = ring.product(acc, tables.factor(i, n, d))
             if not any(acc[0]):
                 return {}
     nums, den = acc
@@ -457,7 +476,8 @@ def _exp_chain(terms: dict, op, step, sign: int) -> dict:
     """exp(sign C X) times the terms, for op = ring.multiplication_columns(C)
     and X = (log chi)^dlogk z^dq (log z)^dj with step = (dlogk, dq, dj): each
     term c X^0 becomes sum_k (sign^k / k!) (C^k c) X^k. The powers C^k c come
-    from applying op k times, and each chain stops at its first zero product.
+    from applying op k times, C^k c over den(c) oden^k, and each chain stops
+    at its first zero product; each output class is reduced once.
     """
     columns, oden = op
     dlogk, dq, dj = step
@@ -475,7 +495,7 @@ def _exp_chain(terms: dict, op, step, sign: int) -> dict:
                         new[idx] += x * c
             if not any(new):
                 break
-            nums, den = reduced_class(new, den * oden)
+            nums, den = new, den * oden
             logk, q, j = tuple(map(add, logk, dlogk)), q + dq, j + dj
             fact *= k
             signed = nums if sign > 0 or k % 2 == 0 else [-x for x in nums]
@@ -491,24 +511,25 @@ def i_function(data: ExtendedPicardData, ring: GradedQuotientRing,
     by `_exp_chain` (finite by nilpotency).
 
     `degrees` is `enumerate_degrees(mori, order)`, when the caller has it.
+    Each body key is made once, as beta is distinct per degree and q per
+    graded part of its factor, so each part is stored as it comes; no term
+    has chi-degree above the order, so none is truncated.
     """
     r, e = data.r, data.e
     zden = ring.int_degrees[1]
     tables = FactorTables(data, ring)
-    body: dict = {}
+    terms: dict = {}
+    logk = (0,) * r
     for degree in enumerate_degrees(mori, order) if degrees is None else degrees:
         beta = degree["beta"]
         if any(b < 0 for b in beta):
             raise SeriesError("negative chi-exponent on an effective degree")
-        factor = hypergeometric_factor(data, ring, degree, tables)
-        for q, vec in factor.items():
-            key = (tuple(beta), (0,) * r, q, 0)
-            _acc(body, key, vec)
-    terms = _classes(body)
+        for q, vec in hypergeometric_factor(data, ring, degree, tables).items():
+            terms[beta, logk, q, 0] = vec
     for a in range(r):
         op = ring.multiplication_columns(pbar_class(data, ring, a))
         terms = _exp_chain(terms, op, (tuple(int(i == a) for i in range(r)), -zden, 0), 1)
-    return LogSeries(r, e, ring.dim, terms, order).truncate(order)
+    return LogSeries(r, e, ring.dim, terms, order)
 
 
 class MirrorMap(Frozen):

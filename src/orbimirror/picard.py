@@ -318,7 +318,11 @@ class MoriData(Frozen):
         return all(Fraction(x).denominator == 1 for x in t)
 
     def v_of(self, nums) -> tuple[int, ...]:
-        """Ceiling map K -> Box: v(d) = sum ceil(<D_i, d>) a_i."""
+        """Ceiling map K -> Box: v(d) = sum ceil(<D_i, d>) a_i.
+
+        For d in L (x) Q, sum <D_i, d> a_i = 0, so v(d) = sum (ceil c_i - c_i) a_i
+        for c_i = <D_i, d>: it depends only on each c_i mod 1, that is on the
+        residues of `nums` mod M's denominator."""
         ext = self.picard.ext
         den = self.picard.m_ints[1]
         out = [0] * ext.d

@@ -652,15 +652,15 @@ def test_commands_derive_each_stage_once(capsys, monkeypatch):
                 formed += 1
                 yield item
 
-    def derivative(series, s, t, u, zden):
-        layers, den = real_derivative(series, s, t, u, zden)
+    def derivative(series, s, t, u, zden, depth):
+        layers, den = real_derivative(series, s, t, u, zden, depth)
         return [CountedLayer(layer) for layer in layers], den
 
     def apply_operator(op, series, ring, cap):
         nonlocal within
         out = real_apply(op, series, ring, cap)
         within += sum(1 for (obeta, _, s, t, u) in op.terms
-                      for layer in real_derivative(series, s, t, u, ring.int_degrees[1])[0]
+                      for layer in real_derivative(series, s, t, u, ring.int_degrees[1], cap)[0]
                       for beta, *_ in layer if sum(beta) + sum(obeta) <= cap)
         return out
 
@@ -691,6 +691,53 @@ def test_commands_derive_each_stage_once(capsys, monkeypatch):
     assert len(halves) == 24 and all(
         poly is half and r == 1 for (poly, r), half in zip(checked, halves))
     assert all(r == 0 and len(poly) == 1 for poly, r in checked[24:])
+
+
+def _derivative_prefix(key):
+    """(prefix key, layer shift) of a derivative key (s, t, u), by the rule of
+    `operators.chained_action`: the last theta factor, else the last del
+    factor (which reads one layer deeper of its prefix), else one E."""
+    s, t, u = key
+    for powers, shift in ((s, 0), (t, 1)):
+        if any(powers):
+            i = max(i for i, x in enumerate(powers) if x)
+            lowered = powers[:i] + (powers[i] - 1,) + powers[i + 1:]
+            return ((lowered, t, u) if shift == 0 else (s, lowered, u)), shift
+    return (s, t, u - 1), 0
+
+
+def test_derivative_layers_are_built_only_as_deep_as_read(capsys, monkeypatch):
+    """On p123 `all --order 5` no derivative term is made in a layer past
+    the deepest one that an operator reads, where a block that a del step
+    reads counts one layer deeper. Built whole, the blocks would hold 817
+    such terms."""
+    reads = {}  # id(series) -> (series, {derivative key: deepest chi-degree read})
+    real_apply = ifunction.apply_operator
+
+    def apply_operator(op, series, ring, cap):
+        deepest = reads.setdefault(id(series), (series, {}))[1]
+        for (obeta, _, s, t, u) in op.terms:
+            if cap >= sum(obeta):
+                deepest[s, t, u] = max(deepest.get((s, t, u), -1), cap - sum(obeta))
+        return real_apply(op, series, ring, cap)
+
+    monkeypatch.setattr(ifunction, "apply_operator", apply_operator)
+    assert run_cli(capsys, "all", str(DATA / "p123.json"), "--order", "5")[0] == 0
+    assert reads
+    past = made = shallow = 0
+    for series, deepest in reads.values():
+        blocks = series._derivatives
+        needed = dict(deepest)
+        for key in sorted(blocks, key=lambda k: sum(k[0]) + sum(k[1]) + k[2], reverse=True):
+            if any(key[0]) or any(key[1]) or key[2]:
+                prefix, shift = _derivative_prefix(key)
+                needed[prefix] = max(needed.get(prefix, -1), needed[key] + shift)
+                layers = blocks[key].layers
+                made += sum(map(len, layers))
+                past += sum(map(len, layers[needed[key] + 1:]))
+                shallow += len(layers) < blocks[key].size
+    assert made and shallow
+    assert past == 0
 
 
 def test_l_coordinates_are_read_off_one_splitting(capsys, monkeypatch):
@@ -842,6 +889,9 @@ def test_series_engine_makes_no_fraction_from_classes_or_coefficients(capsys, mo
         for module in (ifunction, cli):
             if name in vars(module):
                 monkeypatch.setattr(module, name, tracked_step)
+    # the blocks run the derivative steps layer by layer, as they are read
+    monkeypatch.setattr(ifunction._Block, "upto", tracked("upto", ifunction._Block.upto))
+    series_steps += ("upto",)
     Fraction.__new__ = staticmethod(counting_new)
     try:
         assert run_cli(capsys, "all", str(DATA / "p123.json"), "--order", "5")[0] == 0
@@ -858,12 +908,14 @@ def test_factor_classes_are_built_once_and_multiplied_once_per_ray(capsys, monke
     """On p123 `all --order 5` each i_function call builds the class of each
     (ray, reduced pairing) factor once (one `factor_scalars` per distinct
     pair it looks up), and each hypergeometric factor makes at most one ring
-    product per ray whose pairing has a nonzero ceiling."""
-    calls, lookups, built, products = [], [], [], []
+    product per ray whose pairing has a nonzero ceiling, each an unreduced
+    `product`: no reducing `mul` runs there."""
+    calls, lookups, built, products, reduced = [], [], [], [], []
     inside = []
     real = {name: getattr(ifunction, name)
             for name in ("i_function", "hypergeometric_factor", "factor_scalars")}
     real_factor = ifunction.FactorTables.factor
+    real_product = cohomology.GradedQuotientRing.product
     real_mul = cohomology.GradedQuotientRing.mul
 
     def i_function(*args, **kwargs):
@@ -888,9 +940,14 @@ def test_factor_classes_are_built_once_and_multiplied_once_per_ray(capsys, monke
         built.append(calls[-1])
         return real["factor_scalars"](c, length)
 
-    def mul(self, u, v):
+    def product(self, u, v):
         if inside:
             products[-1][1] += 1
+        return real_product(self, u, v)
+
+    def mul(self, u, v):
+        if inside:
+            reduced.append((u, v))
         return real_mul(self, u, v)
 
     for name, fn in (("i_function", i_function), ("factor_scalars", factor_scalars),
@@ -899,6 +956,7 @@ def test_factor_classes_are_built_once_and_multiplied_once_per_ray(capsys, monke
             if name in vars(module):
                 monkeypatch.setattr(module, name, fn)
     monkeypatch.setattr(ifunction.FactorTables, "factor", factor)
+    monkeypatch.setattr(cohomology.GradedQuotientRing, "product", product)
     monkeypatch.setattr(cohomology.GradedQuotientRing, "mul", mul)
     assert run_cli(capsys, "all", str(DATA / "p123.json"), "--order", "5")[0] == 0
     assert len(calls) == 2 and len(built) > len(calls)
@@ -906,6 +964,7 @@ def test_factor_classes_are_built_once_and_multiplied_once_per_ray(capsys, monke
     assert len(lookups) > len(set(lookups))
     assert products and all(made <= rays for rays, made in products)
     assert sum(made for _, made in products) > 0
+    assert reduced == []
 
 
 def test_box_x_makes_no_commutation_step_and_no_fraction(capsys, monkeypatch):

@@ -720,3 +720,33 @@ def test_mul_matches_fraction_oracle():
             for v in vectors:
                 assert ring.mul(class_pair(u), class_pair(v)) == class_pair(
                     mul_oracle(table, u, v)), name
+
+
+def _graded_dims_oracle(ring):
+    """The replaced graded_dims: one Fraction sum through `mono_degree` per
+    standard monomial."""
+    out = {}
+    for m in ring.std_monomials:
+        q = ring.mono_degree(m)
+        out[q] = out.get(q, 0) + 1
+    return dict(sorted(out.items()))
+
+
+def test_graded_dims_match_mono_degree_route():
+    """graded_dims counts the standard monomials by their int_degrees
+    numerators, with one Fraction per degree: the same dict, in the same
+    order, as the mono_degree route, on the presentation of every tests/data
+    document, corpus spec and the smooth 10-ray fan, and on the residue ring
+    of each series fan (the `gkz` report's residue_graded_dimensions)."""
+    rings = [(name, presentation(ext)) for name, ext in differential_fans((10,))]
+    rings += [(f"{name} residue", operators.residue_algebra(data, box_operators(data, ring)))
+              for name, data, ring, _ in series_fans()]
+    compared = 0
+    for name, ring in rings:
+        if ring.finite:
+            dims = ring.graded_dims()
+            assert list(dims.items()) == list(_graded_dims_oracle(ring).items()), name
+            assert all(type(q) is Fraction for q in dims), name
+            compared += 1
+    assert compared > 20 and "smooth10" in {name for name, _ in rings}
+    assert any(q.denominator > 1 for _, ring in rings if ring.finite for q in ring.graded_dims())

@@ -37,7 +37,6 @@ from orbimirror.ifunction import (
     _acc,
     _classes,
     _powers,
-    _scaled,
     annihilation_check,
     apply_operator,
     enumerate_degrees,
@@ -180,6 +179,20 @@ def test_hypergeometric_factor_twisted_sector_support():
     factor = hypergeometric_factor(data, ring, deg, FactorTables(data, ring))
     twisted = ring.class_of_var(3)  # the class of D4 = 1_{(0,-1)}
     assert factor == {Fraction(-1): twisted}
+
+
+def _scaled(vec, c, d=1):
+    """(c / d) * vec for ints c != 0 and d > 0, as a canonical class: the
+    replaced int helper of the series engine, kept for the oracles."""
+    nums, den = vec
+    if d != 1:
+        return reduced_class([x * c for x in nums], den * d)
+    if c == 1:
+        return vec
+    g = gcd(c, den)
+    if g != 1:
+        c, den = c // g, den // g
+    return tuple(x * c for x in nums), den
 
 
 def log_prefactor(data, ring):
@@ -427,6 +440,40 @@ SERIES_FANS = list(series_fans())
 ORDERS = range(8)
 
 
+def _nef_series_fans():
+    """The nef X and Z of every reflexive pair, P(1,1,1,3), P(1,1,2,2) and
+    P(1,2,2,5) (Gorenstein, so their ages are integers), and P(1,1,1,4), whose
+    ages are fractional (ring denominator Q = 4); those that the bounded
+    p-basis search refuses (ROADMAP item 8) have no I-function and are left
+    out."""
+    fans = [(f"{name}-{side}", ext_of_doc(doc)) for name, x, z in reflexive_pairs()
+            for side, doc in (("X", x), ("Z", z))]
+    fans += [(f"P(1,{a},{b},{c})", ext_of_doc(weighted_projective_space(a, b, c)))
+             for a, b, c in ((1, 1, 3), (1, 2, 2), (2, 2, 5), (1, 1, 4))]
+    out = []
+    for name, ext in fans:
+        assert is_nef(ext), name
+        picard = extended_pl_and_pic(ext)
+        try:
+            data = choose_basis_p(picard)
+        except (PicardError, ResourceLimitError) as exc:
+            assert "p-basis" in str(exc), name
+            continue
+        out.append((name, data, presentation(ext), mori_lattices(data)))
+    return out
+
+
+NEF_SERIES = _nef_series_fans()
+# The nef fans and P(1,2,6,9), a 3-d fan with 7 extension rays, run the
+# replaced routines at orders 0-4 (`_oracle_orders`); the corpus fans at ORDERS.
+P1269 = list(series_fans([("P(1,2,6,9)", ext_of_doc(weighted_projective_space(2, 6, 9)))]))
+ORACLE_FANS = SERIES_FANS + NEF_SERIES + P1269
+
+
+def _oracle_orders(name):
+    return ORDERS if name in {fan[0] for fan in SERIES_FANS} else range(5)
+
+
 class _FractionRing:
     """A ring's classes as Fraction vectors, multiplied by the former product."""
 
@@ -605,6 +652,57 @@ def _enumerate_degrees_oracle(mori, order):
     return out
 
 
+def _enumerate_degrees_per_degree(mori, order):
+    """The replaced int enumerate_degrees: the sector v(d) computed from the
+    pairings of every degree."""
+    rank = mori.picard.rank
+    rows = mori.picard.m_ints[0]
+    columns = list(zip(*rows))
+    out = []
+
+    def rec(beta, pairings, remaining):
+        if len(beta) == rank:
+            if mori.integer_pattern(pairings, True) in mori.anticones_e:
+                out.append({"beta": beta, "pairings": pairings, "sector": mori.v_of(pairings)})
+            return
+        column = columns[len(beta)]
+        for c in range(remaining + 1):
+            if c:
+                pairings = tuple(x + y for x, y in zip(pairings, column))
+            rec(beta + (c,), pairings, remaining - c)
+
+    rec((), (0,) * len(rows), order)
+    out.sort(key=lambda t: (sum(t["beta"]), t["beta"]))
+    return out
+
+
+def _class_per_product_factor(data, ring, degree, tables):
+    """The replaced hypergeometric_factor: 1_v times each ray's factor class
+    by `ring.mul`, which reduces the running class after every product."""
+    zden, mden = tables.zden, data.m_ints[1]
+    acc, age = tables.sector(degree["sector"])
+    shift, scale = 0, 1
+    for i, n in enumerate(degree["pairings"]):
+        if i >= data.ext.m:
+            shift += n // mden
+            scale *= factorial(n // mden)
+            continue
+        n, d = n // gcd(n, mden), mden // gcd(n, mden)
+        ceil_c = -((-n) // d)
+        if ceil_c:
+            shift += ceil_c
+            acc = ring.mul(acc, tables.factor(i, n, d))
+            if not any(acc[0]):
+                return {}
+    nums, den = acc
+    parts = {}
+    for idx, (x, g) in enumerate(zip(nums, tables.degrees)):
+        if x:
+            parts.setdefault(g, [0] * len(nums))[idx] = x
+    return {age - shift * zden - g: reduced_class(part, den * scale)
+            for g, part in parts.items()}
+
+
 def _log_prefactor_oracle(data, fring):
     r, e = data.r, data.e
     out = {((0,) * (r + e), (0,) * r, Fraction(0), 0): fring.one()}
@@ -733,12 +831,42 @@ def _apply_operator_classes(op, series, ring, cap, memo):
     return LogSeries(series.r, series.e, series.dim, _classes(total, op.den), series.order)
 
 
-@pytest.mark.parametrize("name, data, ring, mori", SERIES_FANS,
-                         ids=[fan[0] for fan in SERIES_FANS])
+@pytest.mark.parametrize("name, data, ring, mori", ORACLE_FANS,
+                         ids=[fan[0] for fan in ORACLE_FANS])
 def test_enumerate_degrees_matches_replaced_routine(name, data, ring, mori):
-    for order in ORDERS:
-        assert _fraction_view(enumerate_degrees(mori, order), data.m_ints[1]) == (
-            _enumerate_degrees_oracle(mori, order))
+    """Against the Fraction oracle and the replaced int route, which made
+    each degree's sector from its own pairings."""
+    for order in _oracle_orders(name):
+        degrees = enumerate_degrees(mori, order)
+        assert degrees == _enumerate_degrees_per_degree(mori, order), (name, order)
+        assert _fraction_view(degrees, data.m_ints[1]) == (
+            _enumerate_degrees_oracle(mori, order)), (name, order)
+
+
+def test_sectors_are_read_off_the_pairing_residues():
+    """For d in L (x) Q, sum_i c_i b_i = 0 with c_i = <D_i, d>, so
+    v(d) = sum_i ceil(c_i) b_i = sum_i (ceil c_i - c_i) b_i depends only on
+    each c_i mod 1. On every reflexive X with a p-basis, to order 5: every
+    enumerated degree's sector is v_of its pairings, degrees with equal
+    residues share it, and it is the Fraction sum of the residues'
+    complements."""
+    twisted = 0
+    for name, data, ring, mori in (fan for fan in NEF_SERIES if fan[0].endswith("-X")):
+        den, gens = data.m_ints[1], data.ext.generators
+        shared = {}
+        degrees = enumerate_degrees(mori, 5)
+        for degree in degrees:
+            pairings, sector = degree["pairings"], degree["sector"]
+            assert sector == mori.v_of(pairings), (name, degree["beta"])
+            residues = tuple(x % den for x in pairings)
+            assert shared.setdefault(residues, sector) == sector, (name, degree["beta"])
+            for k in range(data.ext.d):
+                assert sum(x * g[k] for x, g in zip(pairings, gens)) == 0
+                assert sum(Fraction((-x) % den, den) * g[k]
+                           for x, g in zip(pairings, gens)) == sector[k], name
+        assert len(degrees) > len(shared), name
+        twisted += len(shared) > 1
+    assert twisted >= 5
 
 
 def _check_series_against_oracles(data, ring, mori, orders):
@@ -769,10 +897,20 @@ def _check_series_against_oracles(data, ring, mori, orders):
     return out
 
 
-@pytest.mark.parametrize("name, data, ring, mori", SERIES_FANS,
-                         ids=[fan[0] for fan in SERIES_FANS])
+@pytest.mark.parametrize("name, data, ring, mori", ORACLE_FANS,
+                         ids=[fan[0] for fan in ORACLE_FANS])
 def test_hypergeometric_factor_matches_replaced_routine(name, data, ring, mori):
-    _check_series_against_oracles(data, ring, mori, ORDERS)
+    """Against the replaced int route, which reduced its class after every
+    ring product, degree by degree, and on the corpus fans against the
+    Fraction oracles (which the other fans meet in
+    `test_one_class_factors_and_chains_match_oracles_on_nef_fans`)."""
+    orders = _oracle_orders(name)
+    if orders is ORDERS:
+        _check_series_against_oracles(data, ring, mori, orders)
+    tables = FactorTables(data, ring)
+    for degree in enumerate_degrees(mori, orders[-1]):
+        assert hypergeometric_factor(data, ring, degree, tables) == _class_per_product_factor(
+            data, ring, degree, tables), (name, degree["beta"])
 
 
 def _laurent_mul(a, b, ring):
@@ -805,42 +943,16 @@ def _laurent_factor(data, ring, degree):
     return acc
 
 
-def _nef_series_fans():
-    """The nef X and Z of every reflexive pair, P(1,1,1,3), P(1,1,2,2) and
-    P(1,2,2,5) (Gorenstein, so their ages are integers), and P(1,1,1,4), whose
-    ages are fractional (ring denominator Q = 4); those that the bounded
-    p-basis search refuses (ROADMAP item 8) have no I-function and are left
-    out."""
-    fans = [(f"{name}-{side}", ext_of_doc(doc)) for name, x, z in reflexive_pairs()
-            for side, doc in (("X", x), ("Z", z))]
-    fans += [(f"P(1,{a},{b},{c})", ext_of_doc(weighted_projective_space(a, b, c)))
-             for a, b, c in ((1, 1, 3), (1, 2, 2), (2, 2, 5), (1, 1, 4))]
-    out = []
-    for name, ext in fans:
-        assert is_nef(ext), name
-        picard = extended_pl_and_pic(ext)
-        try:
-            data = choose_basis_p(picard)
-        except (PicardError, ResourceLimitError) as exc:
-            assert "p-basis" in str(exc), name
-            continue
-        out.append((name, data, presentation(ext), mori_lattices(data)))
-    return out
-
-
-NEF_SERIES = _nef_series_fans()
-
-
-@pytest.mark.parametrize("name, data, ring, mori", NEF_SERIES,
-                         ids=[fan[0] for fan in NEF_SERIES])
+@pytest.mark.parametrize("name, data, ring, mori", NEF_SERIES + P1269,
+                         ids=[fan[0] for fan in NEF_SERIES + P1269])
 def test_one_class_factors_and_chains_match_oracles_on_nef_fans(name, data, ring, mori):
     """hypergeometric_factor (one class per degree, split by degree),
     i_function and tilde_i (exp chains of one int operator) against the
-    Fraction oracles at order 2, and each factor against the replaced
+    Fraction oracles at orders 0-4, and each factor against the replaced
     Laurent-product route."""
-    _check_series_against_oracles(data, ring, mori, [2])
+    _check_series_against_oracles(data, ring, mori, range(5))
     tables = FactorTables(data, ring)
-    for degree in enumerate_degrees(mori, 2):
+    for degree in enumerate_degrees(mori, 4):
         assert hypergeometric_factor(data, ring, degree, tables) == _laurent_factor(
             data, ring, degree), name
 
@@ -936,11 +1048,25 @@ def test_series_derivatives_live_on_their_series():
     truncated = series.truncate(2)
     zero = ((0,), (0,), 0)
     assert list(truncated._derivatives) == [zero]
-    layers, den = truncated._derivatives[zero]
-    assert len(layers) == 3 and all(sum(key[0]) == g for g, layer in enumerate(layers)
-                                    for key in layer)
-    assert {key: reduced_class(nums, den) for layer in layers
+    block = truncated._derivatives[zero]
+    assert block.size == len(block.layers) == 3 and all(
+        sum(key[0]) == g for g, layer in enumerate(block.layers) for key in layer)
+    assert {key: reduced_class(nums, block.den) for layer in block.layers
             for key, nums in layer.items()} == truncated.terms
+    # a block is built only as deep as it is read, its del prefix one layer
+    # deeper; a deeper read extends both, to what a fresh series builds whole
+    zden = ring.int_degrees[1]
+    theta_del, dell = ((1,), (1,), 0), ((0,), (1,), 0)
+    shallow = LogSeries(series.r, series.e, series.dim, series.terms, series.order)
+    read = shallow.derivative(*theta_del, zden, 0)
+    blocks = shallow._derivatives
+    assert len(read[0]) == len(blocks[theta_del].layers) == len(blocks[dell].layers) == 1
+    assert blocks[theta_del].size == blocks[dell].size == 3 and blocks[zero].size == 4
+    deeper = shallow.derivative(*theta_del, zden, 5)
+    assert deeper[0][:1] == read[0] and len(deeper[0]) == len(blocks[dell].layers) == 3
+    whole = LogSeries(series.r, series.e, series.dim, series.terms, series.order)
+    assert whole.derivative(*theta_del, zden, 2) == deeper == series.derivative(
+        *theta_del, zden, 2)
     # the operators in reverse order, on a series with the shared entries,
     # and on a fresh one, agree with the first pass
     assert [_whole(op, series, ring) for op in ops[::-1]] == results[::-1]
@@ -1019,23 +1145,35 @@ def test_derivative_blocks_match_class_route_and_fraction_oracle(name, data, rin
     """Random operators on I-tilde, at every cap from 0 to the order: the
     block kernel gives the residual of the replaced class-per-term route and
     of the Fraction oracle, the operators sharing one series object (and the
-    class route one memo), so later ones read the blocks earlier ones left."""
+    class route one memo), so later ones read the blocks earlier ones left.
+    The caps run in increasing, decreasing and shuffled order, each on a
+    series object of its own, so that a block built shallow is later
+    extended, and a deep one read shallow."""
     order = 4
     rng = Random(name)
     zden = ring.int_degrees[1]
     series = tilde_i(i_function(data, ring, mori, order), ring, data)
     view = _fraction_view(series, zden)
     memo = _class_memo(series)
+    caps, shuffler = list(range(order + 1)), Random(f"{name} caps")
+    copies = {label: LogSeries(series.r, series.e, series.dim, series.terms, series.order)
+              for label in ("decreasing", "shuffled")}
     nonzero = 0
     for _ in range(12):
         op = _random_operator(rng, data.r, data.e)
         expected = _apply_operator_oracle(op, view, ring).terms
-        for cap in range(order + 1):
-            got = apply_operator(op, series, ring, cap)
-            assert got == _apply_operator_classes(op, series, ring, cap, memo), (name, cap)
-            assert _fraction_view(got.terms, zden) == {
+        got = {}
+        for cap in caps:
+            got[cap] = apply_operator(op, series, ring, cap)
+            assert got[cap] == _apply_operator_classes(op, series, ring, cap, memo), (name, cap)
+            assert _fraction_view(got[cap].terms, zden) == {
                 key: vec for key, vec in expected.items() if sum(key[0]) <= cap}, (name, cap)
-            nonzero += bool(got.terms)
+            nonzero += bool(got[cap].terms)
+        shuffled = caps[:]
+        shuffler.shuffle(shuffled)
+        for label, order_of_caps in (("decreasing", caps[::-1]), ("shuffled", shuffled)):
+            for cap in order_of_caps:
+                assert apply_operator(op, copies[label], ring, cap) == got[cap], (name, label, cap)
     assert nonzero
 
 
